@@ -11,9 +11,11 @@ zero depth and the body frame has its origin at the mass center.
 """
 
 from .clipping import (
+    SubmergedIntegrals,
     SubmergedSolid,
     WaterplaneProperties,
     clip_by_waterplane,
+    evaluate,
     volume_and_first_moments,
     waterplane_properties,
 )

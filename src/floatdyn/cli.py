@@ -15,6 +15,7 @@ pseudo-stable (so sweep scripts can tell the outcomes apart).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -88,7 +89,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except FloatDynError as exc:
+    except (FloatDynError, ValueError) as exc:
+        # a ValueError here is a library argument check failing on a
+        # value that came from the config or the command line
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -110,7 +113,7 @@ def _dispatch(args) -> int:
 def _cmd_analyze(args) -> int:
     config = AnalysisConfig.from_file(args.config)
     if args.tol is not None:
-        config.solver = {**config.solver, "tol": args.tol}
+        config = dataclasses.replace(config, solver={**config.solver, "tol": args.tol})
     report, _ = run_analysis(config)
     if args.out:
         report.save(args.out)
@@ -137,16 +140,20 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = AnalysisConfig.from_file(args.config)
-    if args.tol is not None:
-        config.integrator = {
-            **config.integrator, "rtol": args.tol, "atol": args.tol / 10.0,
-        }
-    report, objects = run_analysis(config)
+    # command-line overrides go through the config checks too
     sim = dict(config.simulate)
-    mode = args.mode or sim.get("mode", "full")
-    t_end = args.t_end if args.t_end is not None else float(sim.get("t_end", 10.0))
-    dt = args.dt if args.dt is not None else float(sim.get("dt", 0.01))
+    if args.t_end is not None:
+        sim["t_end"] = args.t_end
+    if args.dt is not None:
+        sim["dt"] = args.dt
     integrator = dict(config.integrator)
+    if args.tol is not None:
+        integrator.update(rtol=args.tol, atol=args.tol / 10.0)
+    config = dataclasses.replace(config, simulate=sim, integrator=integrator)
+    report, objects = run_analysis(config)
+    mode = args.mode or sim.get("mode", "full")
+    t_end = float(sim.get("t_end", 10.0))
+    dt = float(sim.get("dt", 0.01))
     kwargs = {
         "method": integrator.get("method", "DOP853"),
         "rtol": float(integrator.get("rtol", 1e-9)),

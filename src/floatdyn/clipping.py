@@ -1,23 +1,38 @@
-"""Clip a hull mesh against the free-surface plane and integrate the result.
+"""Integrate the submerged part of a hull mesh and clip it for export.
 
-Clipping happens in body coordinates: at pose ``q`` the free surface is
+Everything happens in body coordinates: at pose ``q`` the free surface is
 the plane ``zeta + k3 . x = 0`` with ``k3`` the fixed down axis in body
-components, and a point is submerged when its depth ``zeta + k3 . x`` is
-positive.  Working in the body frame keeps every downstream integral
-(volume, buoyancy center, waterplane moments) natively in body axes and
-avoids transforming the mesh for each pose.
+components, and a point is submerged when its depth ``d = zeta + k3 . x``
+is positive.  Working in the body frame keeps every integral (volume,
+buoyancy center, waterplane moments) natively in body axes and avoids
+transforming the mesh for each pose.
 
-The clipped boundary consists of the submerged hull triangles plus one
-planar cap polygon per waterline loop, so the divergence theorem applies
-to the closed surface.  Multiple loops (catamaran sections) and loops of
-either orientation (holes) are supported; nothing assumes convexity.
+:func:`evaluate` computes all the integrals of one pose from the wetted
+hull faces alone.  The depth vanishes on the waterplane, so the divergence
+theorem turns the volume, ``integral of d dV`` and the first moments into
+sums over the wetted faces, and closure of the submerged boundary
+(``sum of f n dS = integral of grad f dV`` for ``f = 1, x_i, x_i x_j``)
+gives the waterplane area, first and second moments without building the
+waterplane itself (Mirtich, "Fast and Accurate Computation of Polyhedral
+Mass Properties", JGT 1996).  Fully wetted faces are summed from a
+per-face moment table built once per mesh; each face crossing the surface
+adds its wet corner triangle or subtracts its dry one.  Nothing assumes
+convexity, and any waterline topology, a vertex exactly on the plane
+included, integrates without special cases.
 
-Robustness: vertex depths within ``snap_tol`` of zero are snapped to
-exactly zero and triangles are then classified by their sign pattern, so
-coplanar faces (flat-bottomed barges, decks awash) produce clean caps
-instead of sliver geometry.  Waterline crossing points are computed once
-per mesh edge in canonical index order, which makes the two triangles
-sharing an edge agree bitwise and lets cap loops chain exactly.
+:func:`clip_by_waterplane` builds the submerged boundary explicitly, the
+clipped hull triangles plus one planar cap polygon per waterline loop,
+for ``floatdyn clip`` STL export; the tests use it as an independent
+oracle for :func:`evaluate`.  Loops of either orientation (holes) and
+several loops (catamaran sections) are supported.  Waterline crossing
+points are computed once per mesh edge in canonical index order, which
+makes the two triangles sharing an edge agree bitwise and lets cap loops
+chain exactly.
+
+Both routes share the snap rule: vertex depths within ``snap_tol`` of
+zero are snapped to exactly zero and triangles are then classified by
+their sign pattern, so coplanar faces (flat-bottomed barges, decks awash)
+give clean waterplanes instead of sliver geometry.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ import numpy as np
 
 from .errors import ClipDegenerate
 from .kinematics import Pose, k3_body
-from .mesh import HullMesh
+from .mesh import HullMesh, triangle_moments
 from .polygons import fan_triangles, planar_moments_3d
 
 
@@ -104,6 +119,15 @@ class SubmergedSolid:
         return self.plane_offset + points @ self.plane_normal
 
 
+def _snapped_depths(mesh, offset, normal, snap_tol=None):
+    """Vertex depths with those within ``snap_tol`` of the plane set to zero."""
+    if snap_tol is None:
+        snap_tol = DEFAULT_SNAP_FRACTION * mesh.diameter
+    depths = offset + mesh.vertices @ normal
+    depths[np.abs(depths) < snap_tol] = 0.0
+    return depths
+
+
 def clip_by_waterplane(
     mesh: HullMesh, pose: Pose, snap_tol: float | None = None
 ) -> SubmergedSolid:
@@ -135,11 +159,7 @@ def clip_by_waterplane(
     """
     normal = k3_body(pose)
     offset = pose.zeta
-    if snap_tol is None:
-        snap_tol = DEFAULT_SNAP_FRACTION * mesh.diameter
-
-    depths = offset + mesh.vertices @ normal
-    depths[np.abs(depths) < snap_tol] = 0.0
+    depths = _snapped_depths(mesh, offset, normal, snap_tol)
 
     if not np.any(depths > 0.0):
         return SubmergedSolid(
@@ -349,13 +369,17 @@ def waterplane_properties(
     the projection.  With several cap loops the floating center is the
     area-weighted centroid over all of them.  No caps yields zeros.
     """
-    if not solid.cap_polygons:
-        return WaterplaneProperties(0.0, np.zeros(2), np.zeros((3, 3)))
-    area, first, second = cap_raw_moments(solid)
-    ref = np.asarray(ref_point, dtype=float)
-    proj = ref - solid.depth_of(ref) * solid.plane_normal
+    return _waterplane_about(
+        *cap_raw_moments(solid), solid.plane_normal, solid.plane_offset, ref_point
+    )
+
+
+def _waterplane_about(area, first, second, normal, offset, ref_point):
+    """Shift raw waterplane moments to the projection of ``ref_point``."""
     if area == 0.0:
         return WaterplaneProperties(0.0, np.zeros(2), np.zeros((3, 3)))
+    ref = np.asarray(ref_point, dtype=float)
+    proj = ref - (offset + ref @ normal) * normal
     offset3 = first / area - proj
     shifted = (
         second
@@ -364,3 +388,132 @@ def waterplane_properties(
         + area * np.outer(proj, proj)
     )
     return WaterplaneProperties(float(area), offset3[:2].copy(), shifted)
+
+
+@dataclass(frozen=True)
+class SubmergedIntegrals:
+    """Integrals of the submerged region at one pose, body coordinates.
+
+    ``volume``, ``first`` (integral of ``x``) and ``depth_integral``
+    (integral of the depth ``plane_offset + plane_normal . x``) are taken
+    over the submerged volume.  ``cap_area``, ``cap_first`` and
+    ``cap_second`` are the raw waterplane moments about the body origin
+    (area, integral of ``x``, integral of ``x x^T``), the same numbers
+    :func:`cap_raw_moments` returns for the clipped solid; they are exact
+    zeros when no waterline exists.  ``wetted_area_vector`` is the
+    integral of the outward normal over the wetted hull surface.
+    """
+
+    plane_normal: np.ndarray
+    plane_offset: float
+    volume: float
+    first: np.ndarray
+    depth_integral: float
+    cap_area: float
+    cap_first: np.ndarray
+    cap_second: np.ndarray
+    wetted_area_vector: np.ndarray
+
+    @property
+    def closure_residual(self) -> float:
+        """Norm of the tangential part of the wetted area vector.
+
+        Closure forces the wetted area vector onto the plane normal (it
+        balances the cap), so this is zero to roundoff on a watertight
+        mesh.
+        """
+        n0 = self.wetted_area_vector
+        return float(np.linalg.norm(n0 - (n0 @ self.plane_normal) * self.plane_normal))
+
+    def waterplane(self, ref_point=(0.0, 0.0, 0.0)) -> WaterplaneProperties:
+        """Waterplane properties about ``ref_point`` projected onto the plane,
+        as :func:`waterplane_properties` gives them for the clipped solid."""
+        return _waterplane_about(
+            self.cap_area, self.cap_first, self.cap_second,
+            self.plane_normal, self.plane_offset, ref_point,
+        )
+
+
+#: corner orders putting the lone vertex first: the face's own winding
+#: (rows 0-2) and the reversed one (rows 3-5), which negates the moments
+_LONE_FIRST = np.array(
+    [[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2], [2, 1, 0]]
+)
+
+def evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
+    """Submerged-volume and waterplane integrals from the wetted faces.
+
+    Faces with no dry vertex contribute their row of
+    :attr:`HullMesh.face_moments`.  A face crossing the surface has one
+    vertex alone on its side: a lone wet vertex contributes the wet
+    triangle it spans with the two edge crossings, a lone dry vertex
+    the negated dry triangle, subtracted from the face's full row.
+    Faces lying in the plane are left out, like any dry face; the
+    waterplane re-covers them.  Only ``zeta``, ``theta`` and ``phi``
+    enter.  Never raises for a validated mesh.
+    """
+    normal = k3_body(pose)
+    zeta = pose.zeta
+    depths = _snapped_depths(mesh, zeta, normal)
+    if not (depths > 0.0).any():
+        return SubmergedIntegrals(
+            normal, zeta, 0.0, np.zeros(3), 0.0,
+            0.0, np.zeros(3), np.zeros((3, 3)), np.zeros(3),
+        )
+
+    tri_d = depths[mesh.triangles]
+    wet = tri_d > 0.0
+    dry = tri_d < 0.0
+    n_wet = wet.sum(axis=1)
+    n_dry = dry.sum(axis=1)
+    # whole rows: no dry vertex, or two wet vertices and a dry tip
+    whole = n_wet > n_dry
+    totals = mesh.face_moments[whole].sum(axis=0)
+    crossed = (n_wet > 0) & (n_dry > 0)
+    if crossed.any():
+        faces = np.flatnonzero(crossed)
+        minus = whole[faces]
+        lone = np.where(minus[:, None], dry[faces], wet[faces]).argmax(axis=1)
+        order = _LONE_FIRST[lone + 3 * minus]
+        corners = mesh.triangles[faces[:, None], order]
+        # the tip triangle: the lone vertex and the crossings on its two edges
+        tips = mesh.vertices[corners]
+        corner_d = depths[corners]
+        lone_d = corner_d[:, :1]
+        t = lone_d / (lone_d - corner_d[:, 1:])
+        apex = tips[:, :1]
+        tips[:, 1:] = apex + t[:, :, None] * (tips[:, 1:] - apex)
+        totals = totals + triangle_moments(tips).sum(axis=0)
+        has_waterline = True
+    else:
+        # a wetted face with two vertices on the plane has a waterline edge
+        has_waterline = bool((whole & (n_wet == 1)).any())
+
+    # contract every normal index with k: area, then (N1 k)_i, then (N2 k)_ij
+    projected = totals.reshape(13, 3) @ normal
+    area = projected[0]
+    n1k = projected[1:4]
+    n2k = projected[4:].reshape(3, 3)
+    n2kk = n2k @ normal
+    kn1k = normal @ n1k
+    # depth vanishes on the waterplane, so the wetted faces carry
+    # V = sum d (k.n) dS, integral of d dV = 1/2 sum d^2 (k.n) dS and
+    # integral of x dV = sum x d (k.n) dS - k integral of d dV
+    volume = float(zeta * area + kn1k)
+    depth_integral = float(0.5 * (zeta * (zeta * area + 2.0 * kn1k) + normal @ n2kk))
+    first = zeta * n1k + n2kk - depth_integral * normal
+    if not has_waterline:
+        cap_area, cap_first, cap_second = 0.0, np.zeros(3), np.zeros((3, 3))
+    else:
+        # closure, with the waterplane's outward normal -k
+        cap_area = float(area)
+        cap_first = n1k - volume * normal
+        cross = np.outer(normal, first)
+        cap_second = n2k - (cross + cross.T)
+    if volume < 0.0:
+        # roundoff on slivers
+        volume = 0.0
+    return SubmergedIntegrals(
+        normal, zeta, volume, first, depth_integral,
+        cap_area, cap_first, cap_second, totals[:3],
+    )

@@ -14,7 +14,12 @@ class NonWatertightMesh(InvalidMesh):
 
 
 class ClipDegenerate(FloatDynError):
-    """A waterline intersection loop failed to close or the clipped boundary leaks."""
+    """A waterline loop failed to chain or close while building the clipped solid.
+
+    Only :func:`floatdyn.clipping.clip_by_waterplane`, which builds the
+    explicit cap polygons for ``floatdyn clip`` STL export, raises it;
+    the hydrostatic integrals never build waterline loops.
+    """
 
 
 class SelfIntersecting(FloatDynError):

@@ -16,21 +16,21 @@ numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clipping import (
-    SubmergedSolid,
-    WaterplaneProperties,
-    cap_raw_moments,
-    clip_by_waterplane,
-    volume_and_first_moments,
-    waterplane_properties,
-)
+from .clipping import SubmergedIntegrals, WaterplaneProperties, evaluate
 from .errors import AsymmetricBody, NotAnEquilibrium, ZeroVolume
 from .kinematics import NONCYCLIC, Pose, partials_r3, rotation_matrix
 from .mesh import HullMesh
+
+#: the (zeta, theta, phi) block of a 6x6 matrix
+_RESTORING = np.ix_(NONCYCLIC, NONCYCLIC)
+
+#: strict lower triangle of a 3x3 matrix
+_LOWER = np.tril_indices(3, -1)
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,10 @@ class FluidEnvironment:
     g: float = 9.81
 
     def __post_init__(self):
-        if self.rho <= 0 or self.g <= 0:
-            raise ValueError("fluid density and gravity must be positive")
+        for name in ("rho", "g"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"fluid '{name}' must be positive and finite, got {value!r}")
 
 
 def potential(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> float:
@@ -52,9 +54,11 @@ def potential(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> float:
     body-fixed constant once fully submerged, and never positive while
     the fixed origin sits on the free surface.
     """
-    solid = clip_by_waterplane(mesh, pose)
-    volume, first = volume_and_first_moments(solid)
-    return -env.rho * env.g * (volume * pose.zeta + solid.plane_normal @ first)
+    return _potential(evaluate(mesh, pose), env)
+
+
+def _potential(integrals: SubmergedIntegrals, env: FluidEnvironment) -> float:
+    return -env.rho * env.g * integrals.depth_integral
 
 
 def surface_term(
@@ -72,13 +76,14 @@ def surface_term(
     and enters no arithmetic.
     """
     del env
-    solid = clip_by_waterplane(mesh, pose)
-    if not solid.cap_polygons:
-        return 0.0
-    area, first, second = cap_raw_moments(solid)
+    integrals = evaluate(mesh, pose)
     c = pose.zeta - origin_offset
-    n = solid.plane_normal
-    return 0.5 * (c * c * area + 2.0 * c * (n @ first) + n @ second @ n)
+    n = integrals.plane_normal
+    return 0.5 * (
+        c * c * integrals.cap_area
+        + 2.0 * c * (n @ integrals.cap_first)
+        + n @ integrals.cap_second @ n
+    )
 
 
 def generalized_forces(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.ndarray:
@@ -89,14 +94,16 @@ def generalized_forces(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.
     integrals obtained by contracting the derivatives of the depth row
     with the first moments of the submerged region.
     """
-    solid = clip_by_waterplane(mesh, pose)
-    volume, first = volume_and_first_moments(solid)
+    return _generalized_forces(evaluate(mesh, pose), pose, env)
+
+
+def _generalized_forces(integrals: SubmergedIntegrals, pose: Pose, env) -> np.ndarray:
     parts = partials_r3(pose)
     rg = env.rho * env.g
     forces = np.zeros(6)
-    forces[2] = -rg * volume
-    forces[4] = -rg * (parts.d_theta @ first)
-    forces[5] = -rg * (parts.d_phi @ first)
+    forces[2] = -rg * integrals.volume
+    forces[4] = -rg * (parts.d_theta @ integrals.first)
+    forces[5] = -rg * (parts.d_phi @ integrals.first)
     return forces
 
 
@@ -109,11 +116,11 @@ def buoyant_force_torque(mesh: HullMesh, pose: Pose, env: FluidEnvironment):
     the generalized forces for any motion:
     ``F . v_G + M . omega == Q . qdot``.
     """
-    solid = clip_by_waterplane(mesh, pose)
-    volume, first = volume_and_first_moments(solid)
+    integrals = evaluate(mesh, pose)
+    volume = integrals.volume
     force = np.array([0.0, 0.0, -env.rho * env.g * volume])
     if volume > 0.0:
-        lever = rotation_matrix(pose) @ (first / volume)
+        lever = rotation_matrix(pose) @ (integrals.first / volume)
         torque = np.cross(lever, force)
     else:
         torque = np.zeros(3)
@@ -123,47 +130,39 @@ def buoyant_force_torque(mesh: HullMesh, pose: Pose, env: FluidEnvironment):
 def force_gradient(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.ndarray:
     """Configuration gradient of the generalized forces, 6x6, symmetric.
 
-    Only the (zeta, theta, phi) block is nonzero.  Each entry combines a
-    volume term (second derivatives of the depth row contracted with the
-    first moments) and a waterplane term (product of depth-row first
-    derivatives integrated exactly over the cap polygons).  For a fully
-    submerged body the waterplane term is absent and the heave-heave
-    entry vanishes.
+    Only the (zeta, theta, phi) block is nonzero.  It combines a volume
+    term (second derivatives of the depth row contracted with the first
+    moments) and a waterplane term ``L G L^T``: row ``a`` of ``L`` holds
+    the derivative of the depth function ``zeta + k3 . x`` by coordinate
+    ``a`` (its constant part, then its linear part) and ``G`` is the 4x4
+    block ``[[A, C1^T], [C1, C2]]`` of the waterplane area, first and
+    second moments.  For a fully submerged body the waterplane term is
+    absent and the heave-heave entry vanishes.
     """
-    solid = clip_by_waterplane(mesh, pose)
-    _, first_mom = volume_and_first_moments(solid)
-    area, cap_first, cap_second = cap_raw_moments(solid)
+    return _force_gradient(evaluate(mesh, pose), pose, env)
+
+
+def _force_gradient(integrals: SubmergedIntegrals, pose: Pose, env) -> np.ndarray:
     parts = partials_r3(pose)
-
-    # depth-function derivatives per non-cyclic coordinate: constant part
-    # (offset derivative) and linear part (depth-row derivative)
-    consts = (1.0, 0.0, 0.0)
-    linears = (np.zeros(3), parts.d_theta, parts.d_phi)
-    pidx = (0, 1, 2)  # rows of parts.first/.second for (zeta, theta, phi)
-
-    rg = env.rho * env.g
+    lin = np.zeros((3, 4))
+    lin[0, 0] = 1.0
+    lin[1, 1:] = parts.d_theta
+    lin[2, 1:] = parts.d_phi
+    cap = np.empty((4, 4))
+    cap[0, 0] = integrals.cap_area
+    cap[0, 1:] = cap[1:, 0] = integrals.cap_first
+    cap[1:, 1:] = integrals.cap_second
+    block = parts.second[:3, :3] @ integrals.first + lin @ cap @ lin.T
+    # mirror the upper triangle so the result is symmetric bitwise
+    block[_LOWER] = block.T[_LOWER]
     grad = np.zeros((6, 6))
-    for a, qa in enumerate(NONCYCLIC):
-        for b in range(a, len(NONCYCLIC)):
-            qb = NONCYCLIC[b]
-            vol_term = parts.second[pidx[a], pidx[b]] @ first_mom
-            ca, cb = consts[a], consts[b]
-            la, lb = linears[a], linears[b]
-            wp_term = (
-                ca * cb * area
-                + ca * (lb @ cap_first)
-                + cb * (la @ cap_first)
-                + la @ cap_second @ lb
-            )
-            value = -rg * (vol_term + wp_term)
-            grad[qa, qb] = value
-            grad[qb, qa] = value
+    grad[_RESTORING] = -env.rho * env.g * block
     return grad
 
 
 @dataclass(frozen=True)
 class HydrostaticState:
-    """Everything hydrostatic about one pose, assembled in a single clip."""
+    """Everything hydrostatic about one pose, from a single evaluation."""
 
     pose: Pose
     volume: float
@@ -171,23 +170,21 @@ class HydrostaticState:
     waterplane: WaterplaneProperties
     potential: float
     forces: np.ndarray
-    solid: SubmergedSolid
 
 
 def hydrostatic_state(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> HydrostaticState:
-    """Clip once and assemble volume, centers, potential and forces."""
-    solid = clip_by_waterplane(mesh, pose)
-    volume, first = volume_and_first_moments(solid)
-    center = first / volume if volume > 0.0 else np.zeros(3)
-    wp = waterplane_properties(solid)
-    parts = partials_r3(pose)
-    rg = env.rho * env.g
-    forces = np.zeros(6)
-    forces[2] = -rg * volume
-    forces[4] = -rg * (parts.d_theta @ first)
-    forces[5] = -rg * (parts.d_phi @ first)
-    value = -rg * (volume * pose.zeta + solid.plane_normal @ first)
-    return HydrostaticState(pose, volume, center, wp, value, forces, solid)
+    """Evaluate once and assemble volume, centers, potential and forces."""
+    integrals = evaluate(mesh, pose)
+    volume = integrals.volume
+    center = integrals.first / volume if volume > 0.0 else np.zeros(3)
+    return HydrostaticState(
+        pose,
+        volume,
+        center,
+        integrals.waterplane(),
+        _potential(integrals, env),
+        _generalized_forces(integrals, pose, env),
+    )
 
 
 def hessian_at_equilibrium(
@@ -225,14 +222,14 @@ def hessian_at_equilibrium(
     AsymmetricBody
         If ``method="closed_form"`` without the mesh symmetry claim.
     """
-    solid = clip_by_waterplane(mesh, q_star)
-    volume, first = volume_and_first_moments(solid)
+    integrals = evaluate(mesh, q_star)
+    volume, first = integrals.volume, integrals.first
     if volume <= 0.0:
         raise ZeroVolume("no submerged volume at the supposed equilibrium")
     m_eff = env.rho * volume if mass is None else mass
     displacement = m_eff * env.g
 
-    forces = generalized_forces(mesh, q_star, env)
+    forces = _generalized_forces(integrals, q_star, env)
     resid = np.array(
         [
             m_eff * env.g + forces[2],
@@ -262,9 +259,9 @@ def hessian_at_equilibrium(
     )
 
     if not use_closed:
-        return force_gradient(mesh, q_star, env)[np.ix_(NONCYCLIC, NONCYCLIC)]
+        return _force_gradient(integrals, q_star, env)[_RESTORING]
 
-    wp = waterplane_properties(solid)
+    wp = integrals.waterplane()
     z_b = first[2] / volume
     area = wp.area
     x_c = wp.x_c

@@ -14,12 +14,17 @@ boundaries.
 from __future__ import annotations
 
 import struct
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyMesh, InvalidMesh, NonWatertightMesh
 from .polygons import triangulate_simple_polygon
+
+#: cyclic successors and predecessors of the axes, for cross products
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 #: default ray direction for point containment tests; fixed irrationalish
 #: components dodge edge-aligned degeneracies on axis-aligned meshes
@@ -108,6 +113,17 @@ class HullMesh:
         """Triangle corner positions, shape (m, 3, 3)."""
         return self._tri_vertices
 
+    @cached_property
+    def face_moments(self) -> np.ndarray:
+        """Surface moments of each face, shape (m, 39), built on first use.
+
+        Row layout as in :func:`triangle_moments`.  The waterplane
+        evaluator sums rows of this table for every fully wetted face.
+        """
+        table = triangle_moments(self._tri_vertices)
+        table.setflags(write=False)
+        return table
+
     # -- validation ------------------------------------------------------------
 
     def _validate(self, area_tol, symmetry_tol):
@@ -173,6 +189,32 @@ def _signed_det(tris) -> np.ndarray:
     """6x the signed tetra volumes (origin, p, q, r) per triangle."""
     p, q, r = tris[:, 0], tris[:, 1], tris[:, 2]
     return np.einsum("ij,ij->i", p, np.cross(q, r))
+
+
+def triangle_moments(tris) -> np.ndarray:
+    """Moments of the outward normal over each triangle, shape (m, 39).
+
+    With ``n`` the outward unit normal, row ``t`` holds ``integral of n dS``
+    (columns 0-2), ``integral of x_i n_l dS`` at column ``3 + 3 i + l`` and
+    ``integral of x_i x_j n_l dS`` at column ``12 + 9 i + 3 j + l``, all
+    over triangle ``t``.  Every entry is linear in the normal, so a
+    triangle with reversed winding contributes the negated row.
+    """
+    p, q, r = tris[:, 0], tris[:, 1], tris[:, 2]
+    e, f = q - p, r - p
+    # twice the area times the unit normal
+    n = e[:, _NEXT] * f[:, _PREV] - e[:, _PREV] * f[:, _NEXT]
+    s = p + q + r
+    m = len(tris)
+    # column 3 a + l holds weight_a * n_l; with n twice the area times the
+    # unit normal, the weights 1/2, s_i / 6 and (sum_v v_i v_j + s_i s_j) / 24
+    # give the integrals of 1, x_i and x_i x_j times the unit normal
+    corners = np.concatenate((tris, s[:, None]), axis=1)
+    weights = np.empty((m, 13))
+    weights[:, 0] = 0.5
+    weights[:, 1:4] = s / 6.0
+    weights[:, 4:] = (corners.transpose(0, 2, 1) @ corners).reshape(m, 9) / 24.0
+    return (weights[:, :, None] * n[:, None, :]).reshape(m, 39)
 
 
 def _volume_integrals(tris):

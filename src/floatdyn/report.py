@@ -12,6 +12,8 @@ comes from exact mesh integrals.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +33,25 @@ from .mesh import inertia_from_mesh, load_mesh
 from .oscillations import normal_modes
 
 SCHEMA_VERSION = 1
+
+#: options inside the config's sections that must be positive finite numbers
+_POSITIVE_OPTIONS = {
+    "solver": ("tol", "max_iter"),
+    "integrator": ("rtol", "atol"),
+    "simulate": ("t_end", "dt"),
+}
+
+
+def _require_positive(name, value):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ConfigError(f"'{name}' must be a positive finite number, got {value!r}")
+
+
+def _all_finite(value) -> bool:
+    try:
+        return bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+    except (TypeError, ValueError):
+        return False
 
 
 @dataclass
@@ -54,12 +75,21 @@ class AnalysisConfig:
     def __post_init__(self):
         if (self.mass is None) == (self.uniform_density is None):
             raise ConfigError("give exactly one of 'mass' or 'uniform_density'")
-        for name in ("mass", "uniform_density"):
+        for name in ("mass", "uniform_density", "fluid_density", "gravity"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"'{name}' must be positive")
-        if self.fluid_density <= 0 or self.gravity <= 0:
-            raise ConfigError("'fluid_density' and 'gravity' must be positive")
+            if value is not None:
+                _require_positive(name, value)
+        for section, keys in _POSITIVE_OPTIONS.items():
+            options = getattr(self, section)
+            for key in keys:
+                if key in options:
+                    _require_positive(f"{section}.{key}", options[key])
+        if self.simulate.get("mode", "full") not in ("full", "reduced"):
+            raise ConfigError("'simulate.mode' must be 'full' or 'reduced'")
+        for name in ("initial_guess", "inertia", "cg"):
+            value = getattr(self, name)
+            if value is not None and not _all_finite(value):
+                raise ConfigError(f"'{name}' must hold finite numbers, got {value!r}")
         if len(tuple(self.initial_guess)) != 3:
             raise ConfigError("'initial_guess' must be (zeta0, theta0, phi0)")
         # normalize to JSON-native types so the config echo round-trips

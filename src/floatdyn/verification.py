@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .clipping import clip_by_waterplane, volume_and_first_moments
+from .clipping import evaluate
 from .hydrostatics import FluidEnvironment, force_gradient, generalized_forces, potential
 from .kinematics import Pose, k3_body
 from .mesh import HullMesh
@@ -192,8 +192,9 @@ def planar_invariance_residual(
 ) -> float:
     """Worst absolute change of body-frame quantities under surge/sway/yaw.
 
-    The clip, the potential and the generalized forces may not depend on
-    those coordinates at all, so the expected residual is exactly zero.
+    The submerged integrals, the potential and the generalized forces may
+    not depend on those coordinates at all, so the expected residual is
+    exactly zero.
     """
     worst = 0.0
     for pose in poses:
@@ -205,11 +206,9 @@ def planar_invariance_residual(
             pose.theta,
             pose.phi,
         )
-        solid_a = clip_by_waterplane(mesh, pose)
-        solid_b = clip_by_waterplane(mesh, shifted)
-        va, ma = volume_and_first_moments(solid_a)
-        vb, mb = volume_and_first_moments(solid_b)
-        worst = max(worst, abs(va - vb), np.abs(ma - mb).max())
+        a = evaluate(mesh, pose)
+        b = evaluate(mesh, shifted)
+        worst = max(worst, abs(a.volume - b.volume), np.abs(a.first - b.first).max())
         worst = max(
             worst, abs(potential(mesh, pose, env) - potential(mesh, shifted, env))
         )

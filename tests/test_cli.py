@@ -122,6 +122,48 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["analyze", "--config", str(path)]) == 1
 
+    def test_non_finite_gravity_exits_one_naming_the_key(self, barge_config, capsys):
+        config = json.loads(barge_config.read_text())
+        config["gravity"] = float("nan")
+        barge_config.write_text(json.dumps(config))
+        assert main(["analyze", "--config", str(barge_config)]) == 1
+        assert "'gravity'" in capsys.readouterr().err
+
+    def test_negative_simulate_dt_exits_one_without_traceback(self, barge_config, capsys):
+        config = json.loads(barge_config.read_text())
+        config["simulate"] = {"dt": -0.01}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config)]) == 1
+        err = capsys.readouterr().err
+        assert "'simulate.dt'" in err
+        assert "Traceback" not in err
+
+    def test_unknown_simulate_mode_rejected(self, barge_config, capsys):
+        config = json.loads(barge_config.read_text())
+        config["simulate"] = {"mode": "ful"}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config)]) == 1
+        assert "'simulate.mode'" in capsys.readouterr().err
+
+    def test_command_line_overrides_are_checked(self, barge_config, capsys):
+        code = main(["simulate", "--config", str(barge_config), "--t-end", "nan"])
+        assert code == 1
+        assert "'simulate.t_end'" in capsys.readouterr().err
+
+    def test_library_argument_checks_exit_one(self, tmp_path, capsys):
+        # an inertia tensor that is not positive definite fails the body
+        # check in the library, not the config check
+        mesh_path = tmp_path / "barge.stl"
+        save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "mesh_path": str(mesh_path),
+            "mass": 500.0,
+            "inertia": (-np.eye(3)).tolist(),
+        }))
+        assert main(["analyze", "--config", str(config)]) == 1
+        assert "inertia" in capsys.readouterr().err
+
     def test_cg_with_uniform_density_rejected(self, tmp_path):
         from floatdyn.report import load_body
 

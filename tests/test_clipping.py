@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from floatdyn import Pose, clip_by_waterplane, volume_and_first_moments, waterplane_properties
 from floatdyn import shapes
+from floatdyn.clipping import cap_raw_moments, evaluate
+from floatdyn.errors import ClipDegenerate
 from floatdyn.kinematics import k3_body
 from floatdyn.verification import random_partial_poses, rejection_sample_submerged
 
@@ -276,3 +280,58 @@ class TestMonteCarloOracle:
             assert abs(volume - v_hat) < 4 * v_sig
             for k in range(3):
                 assert abs(first[k] - m_hat[k]) < 4 * max(m_sig[k], 1e-12)
+
+
+@st.composite
+def waterplane_poses(draw, mesh):
+    """``(kind, pose)``: the plane crosses the hull, passes exactly through
+    one of its vertices, or leaves it fully submerged or fully emerged."""
+    theta = draw(st.floats(-0.6, 0.6))
+    phi = draw(st.floats(-0.6, 0.6))
+    heights = mesh.vertices @ k3_body(Pose(theta=theta, phi=phi))
+    lo, hi = float(heights.min()), float(heights.max())
+    kind = draw(st.sampled_from(["crossing", "vertex", "submerged", "emerged"]))
+    if kind == "crossing":
+        zeta = -(lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+    elif kind == "vertex":
+        zeta = -float(heights[draw(st.integers(0, len(heights) - 1))])
+    elif kind == "submerged":
+        zeta = -lo + draw(st.floats(1e-3, 1.0)) * mesh.diameter
+    else:
+        zeta = -hi - draw(st.floats(1e-3, 1.0)) * mesh.diameter
+    return kind, Pose(zeta=zeta, theta=theta, phi=phi)
+
+
+class TestWettedSurfaceEvaluator:
+    @pytest.mark.parametrize("mesh_name", ["cube", "l_prism", "convex_blob"])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_the_clipped_solid(self, mesh_name, data, cube, l_prism, convex_blob):
+        # the wetted-face integrals against the explicit boundary: clipped
+        # hull triangles plus chained, fanned cap loops
+        mesh = {"cube": cube, "l_prism": l_prism, "convex_blob": convex_blob}[mesh_name]
+        kind, pose = data.draw(waterplane_poses(mesh))
+        try:
+            solid = clip_by_waterplane(mesh, pose)
+        except ClipDegenerate:
+            reject()  # touching waterline loops: the oracle has no answer
+        volume, first = volume_and_first_moments(solid)
+        area, cap_first, cap_second = cap_raw_moments(solid)
+        got = evaluate(mesh, pose)
+        d = mesh.diameter
+        tol = 1e-12
+        assert abs(got.volume - volume) <= tol * d**3
+        assert np.abs(got.first - first).max() <= tol * d**4
+        assert abs(got.depth_integral - (volume * pose.zeta + solid.plane_normal @ first)) <= (
+            tol * d**4
+        )
+        assert abs(got.cap_area - area) <= tol * d**2
+        assert np.abs(got.cap_first - cap_first).max() <= tol * d**3
+        assert np.abs(got.cap_second - cap_second).max() <= tol * d**4
+        assert got.closure_residual <= tol * d**2
+        if kind in ("submerged", "emerged"):
+            # no waterline: exact zeros, as the clipper's empty cap list gives
+            assert got.cap_area == 0.0
+            assert not got.cap_first.any() and not got.cap_second.any()
+        if kind == "emerged":
+            assert got.volume == 0.0 and not got.first.any()

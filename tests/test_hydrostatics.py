@@ -19,11 +19,19 @@ from floatdyn import (
     volume_and_first_moments,
     waterplane_properties,
 )
-from floatdyn.errors import AsymmetricBody, NotAnEquilibrium, ZeroVolume
-from floatdyn.kinematics import omega_map, rotation_matrix
+from floatdyn.errors import AsymmetricBody, ClipDegenerate, NotAnEquilibrium, ZeroVolume
+from floatdyn.kinematics import k3_body, omega_map, rotation_matrix
 from floatdyn.verification import random_partial_poses
 
 RHO_G = 1000.0 * 9.81
+
+
+class TestFluidEnvironment:
+    @pytest.mark.parametrize("field", ["rho", "g"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_positive_or_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            fd.FluidEnvironment(**{field: value})
 
 
 class TestPotential:
@@ -427,3 +435,34 @@ class TestHydrostaticState:
         np.testing.assert_array_equal(
             state.forces, generalized_forces(cube, pose, env)
         )
+
+
+class TestNonManifoldWaterline:
+    def test_lprism_poses_the_clipper_rejects_integrate(self, l_prism, env):
+        # a vertex exactly on the plane can pinch the waterline into loops
+        # that touch; chaining them fails, integrating the wetted faces
+        # does not, and the volume stays between the shifted poses'
+        rng = np.random.default_rng(12)
+        eps = 1e-7 * l_prism.diameter
+        found = 0
+        for _ in range(240):
+            theta, phi = (float(x) for x in rng.uniform(-0.3, 0.3, 2))
+            vertex = l_prism.vertices[rng.integers(len(l_prism.vertices))]
+            zeta = float(-vertex @ k3_body(Pose(theta=theta, phi=phi)))
+            pose = Pose(zeta=zeta, theta=theta, phi=phi)
+            try:
+                clip_by_waterplane(l_prism, pose)
+                continue
+            except ClipDegenerate:
+                found += 1
+            state = hydrostatic_state(l_prism, pose, env)
+            grad = force_gradient(l_prism, pose, env)
+            assert np.all(np.isfinite(state.forces))
+            assert np.isfinite(state.potential)
+            assert np.all(np.isfinite(state.waterplane.second_moment))
+            assert np.all(np.isfinite(grad))
+            v_lo = hydrostatic_state(l_prism, pose.replace(zeta=zeta - eps), env).volume
+            v_hi = hydrostatic_state(l_prism, pose.replace(zeta=zeta + eps), env).volume
+            assert v_lo - 1e-12 <= state.volume <= v_hi + 1e-12
+            assert v_hi - v_lo < 1e-5 * max(l_prism.volume, 1.0)
+        assert found >= 5
