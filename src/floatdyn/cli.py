@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import FullState, ReducedState, integrate_full, integrate_reduced
 from .clipping import clip_by_waterplane
-from .errors import FloatDynError
+from .errors import ConfigError, FloatDynError
 from .kinematics import Pose
 from .mesh import save_stl
 from .oscillations import normal_modes
@@ -89,9 +89,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (FloatDynError, ValueError) as exc:
-        # a ValueError here is a library argument check failing on a
-        # value that came from the config or the command line
+    except FloatDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -162,9 +160,31 @@ def _cmd_simulate(args) -> int:
     }
 
     mesh, body, env = objects["mesh"], objects["body"], objects["env"]
-    eq_pose = objects["equilibrium"].pose
-    deviation = sim.get("initial", {})
+    try:
+        initial = _initial_state(mode, objects["equilibrium"].pose, sim)
+    except ValueError as exc:
+        raise ConfigError(f"invalid 'simulate' start: {exc}") from exc
+    if mode == "full":
+        traj = integrate_full(mesh, body, env, initial, t_end, dt, **kwargs)
+    else:
+        traj = integrate_reduced(mesh, body, env, initial, t_end, dt, **kwargs)
 
+    if args.out:
+        traj.to_csv(args.out)
+        print(f"trajectory written to {args.out}")
+    drift = traj.momentum_drift()
+    print(
+        f"samples: {len(traj.t)}, energy drift (relative): {traj.energy_drift():.3e}, "
+        f"momentum drift: {drift[0]:.3e}, {drift[1]:.3e}, {drift[2]:.3e}"
+    )
+    if traj.terminated_early:
+        print("warning: integration halted early (gimbal guard)", file=sys.stderr)
+    return EXIT_OK
+
+
+def _initial_state(mode, eq_pose, sim):
+    """The start state: the equilibrium plus the ``simulate.initial`` deviation."""
+    deviation = sim.get("initial", {})
     if mode == "full":
         pose = Pose(
             xi=float(deviation.get("xi", 0.0)),
@@ -178,34 +198,19 @@ def _cmd_simulate(args) -> int:
             [float(deviation.get(f"{name}_dot", 0.0))
              for name in ("xi", "eta", "zeta", "psi", "theta", "phi")]
         )
-        traj = integrate_full(mesh, body, env, FullState(pose, rates), t_end, dt, **kwargs)
-    else:
-        coords = np.array(
-            [
-                eq_pose.zeta + float(deviation.get("zeta", 0.0)),
-                eq_pose.theta + float(deviation.get("theta", 0.0)),
-                eq_pose.phi + float(deviation.get("phi", 0.0)),
-            ]
-        )
-        rates = np.array(
-            [float(deviation.get(f"{name}_dot", 0.0)) for name in ("zeta", "theta", "phi")]
-        )
-        momenta = np.asarray(sim.get("momenta", (0.0, 0.0, 0.0)), dtype=float)
-        traj = integrate_reduced(
-            mesh, body, env, ReducedState(coords, rates, momenta), t_end, dt, **kwargs
-        )
-
-    if args.out:
-        traj.to_csv(args.out)
-        print(f"trajectory written to {args.out}")
-    drift = traj.momentum_drift()
-    print(
-        f"samples: {len(traj.t)}, energy drift (relative): {traj.energy_drift():.3e}, "
-        f"momentum drift: {drift[0]:.3e}, {drift[1]:.3e}, {drift[2]:.3e}"
+        return FullState(pose, rates)
+    coords = np.array(
+        [
+            eq_pose.zeta + float(deviation.get("zeta", 0.0)),
+            eq_pose.theta + float(deviation.get("theta", 0.0)),
+            eq_pose.phi + float(deviation.get("phi", 0.0)),
+        ]
     )
-    if traj.terminated_early:
-        print("warning: integration halted early (gimbal guard)", file=sys.stderr)
-    return EXIT_OK
+    rates = np.array(
+        [float(deviation.get(f"{name}_dot", 0.0)) for name in ("zeta", "theta", "phi")]
+    )
+    momenta = np.asarray(sim.get("momenta", (0.0, 0.0, 0.0)), dtype=float)
+    return ReducedState(coords, rates, momenta)
 
 
 def _cmd_modes(args) -> int:
@@ -251,11 +256,14 @@ def _cmd_verify(args) -> int:
 def _cmd_clip(args) -> int:
     config = AnalysisConfig.from_file(args.config)
     mesh, _, _ = load_body(config)
-    values = [float(x) for x in args.pose.split(",")]
-    while len(values) < 6:
-        values.append(0.0)
-    zeta, theta, phi, psi, xi, eta = values[:6]
-    pose = Pose(xi=xi, eta=eta, zeta=zeta, psi=psi, theta=theta, phi=phi)
+    try:
+        values = [float(x) for x in args.pose.split(",")]
+        while len(values) < 6:
+            values.append(0.0)
+        zeta, theta, phi, psi, xi, eta = values[:6]
+        pose = Pose(xi=xi, eta=eta, zeta=zeta, psi=psi, theta=theta, phi=phi)
+    except ValueError as exc:
+        raise ConfigError(f"invalid --pose {args.pose!r}: {exc}") from exc
     solid = clip_by_waterplane(mesh, pose)
     if solid.is_empty:
         print("fully emerged: nothing to export", file=sys.stderr)

@@ -401,7 +401,9 @@ class SubmergedIntegrals:
     (area, integral of ``x``, integral of ``x x^T``), the same numbers
     :func:`cap_raw_moments` returns for the clipped solid; they are exact
     zeros when no waterline exists.  ``wetted_area_vector`` is the
-    integral of the outward normal over the wetted hull surface.
+    integral of the outward normal over the wetted hull surface; closure
+    puts it along ``plane_normal`` on a watertight mesh, which the tests
+    check (nothing checks it at run time).
     """
 
     plane_normal: np.ndarray
@@ -414,23 +416,13 @@ class SubmergedIntegrals:
     cap_second: np.ndarray
     wetted_area_vector: np.ndarray
 
-    @property
-    def closure_residual(self) -> float:
-        """Norm of the tangential part of the wetted area vector.
-
-        Closure forces the wetted area vector onto the plane normal (it
-        balances the cap), so this is zero to roundoff on a watertight
-        mesh.
-        """
-        n0 = self.wetted_area_vector
-        return float(np.linalg.norm(n0 - (n0 @ self.plane_normal) * self.plane_normal))
-
-    def waterplane(self, ref_point=(0.0, 0.0, 0.0)) -> WaterplaneProperties:
-        """Waterplane properties about ``ref_point`` projected onto the plane,
-        as :func:`waterplane_properties` gives them for the clipped solid."""
+    def waterplane(self) -> WaterplaneProperties:
+        """Waterplane properties about the body origin projected onto the
+        plane, as :func:`waterplane_properties` gives them for the clipped
+        solid."""
         return _waterplane_about(
             self.cap_area, self.cap_first, self.cap_second,
-            self.plane_normal, self.plane_offset, ref_point,
+            self.plane_normal, self.plane_offset, np.zeros(3),
         )
 
 
@@ -468,7 +460,8 @@ def evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
     n_dry = dry.sum(axis=1)
     # whole rows: no dry vertex, or two wet vertices and a dry tip
     whole = n_wet > n_dry
-    totals = mesh.face_moments[whole].sum(axis=0)
+    # a product, not a sum over the selected rows: no copy of the table
+    totals = whole.astype(float) @ mesh.face_moments
     crossed = (n_wet > 0) & (n_dry > 0)
     if crossed.any():
         faces = np.flatnonzero(crossed)

@@ -34,17 +34,26 @@ from .oscillations import normal_modes
 
 SCHEMA_VERSION = 1
 
-#: options inside the config's sections that must be positive finite numbers
-_POSITIVE_OPTIONS = {
-    "solver": ("tol", "max_iter"),
-    "integrator": ("rtol", "atol"),
-    "simulate": ("t_end", "dt"),
+#: numeric options inside the config's sections and the values each
+#: takes: "positive" or "non-negative" finite numbers; zero tolerances
+#: are valid for solve_ivp (atol 0 is pure relative error control)
+_OPTION_RANGES = {
+    "solver": {"tol": "positive", "max_iter": "non-negative"},
+    "integrator": {"rtol": "non-negative", "atol": "non-negative", "max_step": "positive"},
+    "simulate": {"t_end": "positive", "dt": "positive"},
 }
 
+#: the ``method`` names solve_ivp accepts
+_INTEGRATOR_METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
 
-def _require_positive(name, value):
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-        raise ConfigError(f"'{name}' must be a positive finite number, got {value!r}")
+
+def _require_number(name, value, kind="positive", allow_inf=False):
+    in_range = isinstance(value, numbers.Real) and (
+        value > 0 if kind == "positive" else value >= 0
+    )
+    if not (in_range and (math.isfinite(value) or (allow_inf and value == math.inf))):
+        finite = "" if allow_inf else " finite"
+        raise ConfigError(f"'{name}' must be a {kind}{finite} number, got {value!r}")
 
 
 def _all_finite(value) -> bool:
@@ -78,12 +87,19 @@ class AnalysisConfig:
         for name in ("mass", "uniform_density", "fluid_density", "gravity"):
             value = getattr(self, name)
             if value is not None:
-                _require_positive(name, value)
-        for section, keys in _POSITIVE_OPTIONS.items():
+                _require_number(name, value)
+        for section, ranges in _OPTION_RANGES.items():
             options = getattr(self, section)
-            for key in keys:
+            for key, kind in ranges.items():
                 if key in options:
-                    _require_positive(f"{section}.{key}", options[key])
+                    # max_step defaults to infinity: no step limit
+                    _require_number(
+                        f"{section}.{key}", options[key], kind, allow_inf=key == "max_step"
+                    )
+        if self.integrator.get("method", "DOP853") not in _INTEGRATOR_METHODS:
+            raise ConfigError(
+                f"'integrator.method' must be one of {', '.join(_INTEGRATOR_METHODS)}"
+            )
         if self.simulate.get("mode", "full") not in ("full", "reduced"):
             raise ConfigError("'simulate.mode' must be 'full' or 'reduced'")
         for name in ("initial_guess", "inertia", "cg"):
@@ -158,7 +174,10 @@ def load_body(config: AnalysisConfig):
             )
     if np.any(center != 0.0):
         mesh = mesh.translated(-center)
-    body = BodyProperties(mass=mass, inertia=inertia)
+    try:
+        body = BodyProperties(mass=mass, inertia=inertia)
+    except ValueError as exc:
+        raise ConfigError(f"invalid mass properties: {exc}") from exc
     return mesh, body, center
 
 

@@ -164,6 +164,36 @@ class TestConfigValidation:
         assert main(["analyze", "--config", str(config)]) == 1
         assert "inertia" in capsys.readouterr().err
 
+    def test_non_finite_start_exits_one_without_traceback(self, barge_config, capsys):
+        config = json.loads(barge_config.read_text())
+        config["simulate"] = {"initial": {"theta": float("inf")}}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config)]) == 1
+        err = capsys.readouterr().err
+        assert "'simulate'" in err
+        assert "Traceback" not in err
+
+    def test_unknown_integrator_method_rejected(self, barge_config, capsys):
+        config = json.loads(barge_config.read_text())
+        config["integrator"] = {"method": "RK4"}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config)]) == 1
+        assert "'integrator.method'" in capsys.readouterr().err
+
+    def test_zero_atol_accepted(self, barge_config):
+        # atol 0 is pure relative error control in solve_ivp
+        config = json.loads(barge_config.read_text())
+        config["integrator"] = {"rtol": 1e-9, "atol": 0}
+        barge_config.write_text(json.dumps(config))
+        assert main(["analyze", "--config", str(barge_config)]) == 0
+
+    def test_negative_atol_rejected(self, barge_config, capsys):
+        config = json.loads(barge_config.read_text())
+        config["integrator"] = {"atol": -1e-10}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config)]) == 1
+        assert "'integrator.atol'" in capsys.readouterr().err
+
     def test_cg_with_uniform_density_rejected(self, tmp_path):
         from floatdyn.report import load_body
 
