@@ -35,8 +35,9 @@ from .oscillations import normal_modes
 SCHEMA_VERSION = 1
 
 #: numeric options inside the config's sections and the values each
-#: takes: "positive" or "non-negative" finite numbers; zero tolerances
-#: are valid for solve_ivp (atol 0 is pure relative error control)
+#: takes: "positive" or "non-negative" finite numbers (max_step may also
+#: be infinite); zero tolerances are valid for solve_ivp (atol 0 is pure
+#: relative error control)
 _OPTION_RANGES = {
     "solver": {"tol": "positive", "max_iter": "non-negative"},
     "integrator": {"rtol": "non-negative", "atol": "non-negative", "max_step": "positive"},

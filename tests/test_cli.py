@@ -187,12 +187,15 @@ class TestConfigValidation:
         barge_config.write_text(json.dumps(config))
         assert main(["analyze", "--config", str(barge_config)]) == 0
 
-    def test_negative_atol_rejected(self, barge_config, capsys):
+    @pytest.mark.parametrize(
+        "key, value", [("atol", -1e-10), ("max_step", 0.0), ("max_step", float("nan"))]
+    )
+    def test_out_of_range_integrator_option_rejected(self, barge_config, capsys, key, value):
         config = json.loads(barge_config.read_text())
-        config["integrator"] = {"atol": -1e-10}
+        config["integrator"] = {key: value}
         barge_config.write_text(json.dumps(config))
         assert main(["simulate", "--config", str(barge_config)]) == 1
-        assert "'integrator.atol'" in capsys.readouterr().err
+        assert f"'integrator.{key}'" in capsys.readouterr().err
 
     def test_cg_with_uniform_density_rejected(self, tmp_path):
         from floatdyn.report import load_body
