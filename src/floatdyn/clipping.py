@@ -456,8 +456,11 @@ def evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
     tri_d = depths[mesh.triangles]
     wet = tri_d > 0.0
     dry = tri_d < 0.0
-    n_wet = wet.sum(axis=1)
-    n_dry = dry.sum(axis=1)
+    # column adds on int8 views: a boolean sum(axis=1) is about 8x slower
+    # on 65k rows
+    wet8, dry8 = wet.view(np.int8), dry.view(np.int8)
+    n_wet = wet8[:, 0] + wet8[:, 1] + wet8[:, 2]
+    n_dry = dry8[:, 0] + dry8[:, 1] + dry8[:, 2]
     # whole rows: no dry vertex, or two wet vertices and a dry tip
     whole = n_wet > n_dry
     # a product, not a sum over the selected rows: no copy of the table

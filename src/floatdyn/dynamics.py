@@ -18,6 +18,9 @@ each other.
 State ordering is ``(xi, eta, zeta, psi, theta, phi)`` everywhere;
 cyclic indices ``(0, 1, 3)``.  Angle partials of the metric are closed
 form: no finite differences run inside the integration loop.
+
+``solve_ivp`` is imported inside the two integrators, so importing the
+package (and every CLI subcommand but ``simulate``) loads no SciPy.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import SingularCyclicBlock
 from .hydrostatics import FluidEnvironment, generalized_forces, potential
@@ -306,6 +308,8 @@ def integrate_full(
     over ten-thousand-step runs; conservation columns in the returned
     trajectory let callers police that.
     """
+    from scipy.integrate import solve_ivp
+
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
     weight = body.mass * env.g
@@ -372,6 +376,8 @@ def integrate_reduced(
     The reported energy uses the reconstructed full velocity and is
     conserved along reduced motions.
     """
+    from scipy.integrate import solve_ivp
+
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
     weight = body.mass * env.g
@@ -456,10 +462,15 @@ def integrate_reduced(
 
 
 def _sample_times(t_end, dt):
+    """Output times ``0, dt, 2 dt, ...`` up to ``t_end``, none past it.
+
+    A last sample that overshoots ``t_end`` by roundoff is pulled back to
+    exactly ``t_end`` (solve_ivp rejects any sample outside the span).
+    """
     n = int(round(t_end / dt))
     t = np.arange(n + 1) * dt
     if t[-1] > t_end:
-        t = t[t <= t_end + 1e-12 * t_end]
+        t = np.minimum(t[t <= t_end + 1e-12 * t_end], t_end)
     return t
 
 

@@ -3,9 +3,12 @@
 Linearizing the reduced heave-pitch-roll problem yields a standard
 ``c eta = lambda m eta`` generalized eigenproblem with stiffness
 ``c = -H`` (the negated force-function Hessian) and the reduced mass
-matrix.  It is solved by symmetric-definite reduction rather than by
-expanding the characteristic determinant; tests keep the determinant
-form as an oracle.
+matrix.  It is solved by symmetric-definite reduction in numpy rather
+than by expanding the characteristic determinant: with the Cholesky
+factor ``m = L L^T`` it becomes the standard symmetric problem for
+``L^-1 c L^-T``, whose eigenvectors are back-substituted through
+``L^T`` (the reduction LAPACK's ``sygvd`` performs).  Tests keep the
+determinant form as an oracle.
 
 For the symmetric zero-angle equilibrium both matrices are block
 diagonal and the roll mode decouples exactly: the solver detects that
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import IndefiniteMass, NonSymmetricInput, UnstableMode
 
@@ -57,6 +59,17 @@ def _check_symmetric(name, mat, tol=1e-8):
     return 0.5 * (mat + mat.T)
 
 
+def _eigh_definite(c, low):
+    """Eigenpairs of ``c x = lambda m x`` given the Cholesky factor of ``m``.
+
+    ``low`` is lower triangular with ``m = low low^T``.  Eigenvalues come
+    ascending, eigenvectors normalized to ``x^T m x = 1``.
+    """
+    half = np.linalg.solve(low, c)
+    lambdas, vecs = np.linalg.eigh(np.linalg.solve(low, half.T))
+    return lambdas, np.linalg.solve(low.T, vecs)
+
+
 def normal_modes(hessian, reduced_mass) -> ModalResult:
     """Solve ``det(c - lambda m) = 0`` with ``c = -hessian``.
 
@@ -68,7 +81,7 @@ def normal_modes(hessian, reduced_mass) -> ModalResult:
     c = _check_symmetric("stiffness (negated Hessian)", -np.asarray(hessian, float))
     m = _check_symmetric("reduced mass matrix", reduced_mass)
     try:
-        np.linalg.cholesky(m)
+        low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteMass("reduced mass matrix is not positive definite") from exc
 
@@ -82,7 +95,7 @@ def normal_modes(hessian, reduced_mass) -> ModalResult:
     )
 
     if decoupled:
-        vals2, vecs2 = linalg.eigh(c[:2, :2], m[:2, :2])
+        vals2, vecs2 = _eigh_definite(c[:2, :2], low[:2, :2])
         roll_val = c[2, 2] / m[2, 2]
         roll_vec = np.array([0.0, 0.0, 1.0 / math.sqrt(m[2, 2])])
         lambdas = np.concatenate([vals2, [roll_val]])
@@ -93,7 +106,7 @@ def normal_modes(hessian, reduced_mass) -> ModalResult:
         lambdas = lambdas[order]
         shapes = shapes[:, order]
     else:
-        lambdas, shapes = linalg.eigh(c, m)
+        lambdas, shapes = _eigh_definite(c, low)
 
     omegas = np.where(lambdas > 0.0, np.sqrt(np.abs(lambdas)), np.nan)
     freqs = omegas / (2.0 * math.pi)

@@ -44,7 +44,8 @@ _OPTION_RANGES = {
     "simulate": {"t_end": "positive", "dt": "positive"},
 }
 
-#: the ``method`` names solve_ivp accepts
+#: the ``method`` names solve_ivp accepts; a copy, so checking a config
+#: loads no scipy.integrate (tests/test_imports.py compares it with SciPy's)
 _INTEGRATOR_METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
 
 

@@ -245,6 +245,18 @@ class TestSimulate:
         np.testing.assert_allclose(data[:, 3], data[0, 3], atol=1e-9)  # zeta
         np.testing.assert_allclose(data[:, 5], 0.0, atol=1e-10)        # theta
 
+    def test_last_sample_overshooting_by_roundoff_ends_at_t_end(self, barge_config, tmp_path):
+        # 7 * 0.1 = 0.7000000000000001 > 0.7: solve_ivp would reject it
+        out = tmp_path / "traj.csv"
+        code = main([
+            "simulate", "--config", str(barge_config), "--out", str(out),
+            "--t-end", "0.7", "--dt", "0.1",
+        ])
+        assert code == 0
+        data = np.genfromtxt(out, delimiter=",", skip_header=1)
+        assert data.shape[0] == 8
+        assert data[-1, 0] == 0.7
+
     def test_heave_release_oscillates_at_modal_period(self, tmp_path, barge_config):
         config = json.loads(barge_config.read_text())
         config["simulate"] = {

@@ -16,7 +16,7 @@ from floatdyn import (
     reduced_mass_matrix,
     routhian,
 )
-from floatdyn.dynamics import metric_partials
+from floatdyn.dynamics import _sample_times, metric_partials
 from floatdyn.kinematics import omega_map
 
 
@@ -466,3 +466,33 @@ class TestTrajectory:
             integrate_full(barge, barge_body, env, state, -1.0, 0.1)
         with pytest.raises(ValueError):
             integrate_full(barge, barge_body, env, state, 1.0, 0.0)
+
+
+class TestSampleTimes:
+    def test_samples_stay_in_the_span(self):
+        rng = np.random.default_rng(20)
+        periods = rng.uniform(0.05, 5.0, 4000)
+        pairs = [(5.0 * p, p / 200.0) for p in periods]
+        pairs += list(zip(rng.uniform(0.01, 20.0, 4000), rng.uniform(1e-3, 2.0, 4000)))
+        for t_end, dt in pairs:
+            t = _sample_times(t_end, dt)
+            assert t[0] == 0.0 and t[-1] <= t_end
+            assert np.all(np.diff(t) > 0.0)
+            n = round(t_end / dt)
+            if abs(n * dt - t_end) <= 1e-12 * t_end:
+                assert len(t) == n + 1
+                assert t[-1] == pytest.approx(t_end, rel=1e-12)
+
+    def test_roundoff_overshoot_pulled_back_to_t_end(self):
+        assert 7 * 0.1 > 0.7
+        t = _sample_times(0.7, 0.1)
+        assert len(t) == 8 and t[-1] == 0.7
+        np.testing.assert_array_equal(t[:-1], np.arange(7) * 0.1)
+
+    def test_grid_without_overshoot_is_the_plain_product(self):
+        # 10/0.01 and 2/0.01 do not overshoot: their sample times, and so
+        # their trajectory CSV bytes, stay as they were
+        for t_end in (10.0, 2.0):
+            np.testing.assert_array_equal(
+                _sample_times(t_end, 0.01), np.arange(round(t_end / 0.01) + 1) * 0.01
+            )

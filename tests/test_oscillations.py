@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg
 
 import floatdyn as fd
 from floatdyn import (
@@ -107,6 +108,64 @@ class TestNormalModes:
             normal_modes(bad, np.eye(3))
         with pytest.raises(NonSymmetricInput):
             normal_modes(-np.eye(3), bad)
+
+
+def assert_matches_scipy_eigh(modal, c, m):
+    """``normal_modes`` against ``scipy.linalg.eigh(c, m)``."""
+    ref_vals, ref_shapes = linalg.eigh(c, m)
+    np.testing.assert_allclose(modal.lambdas, ref_vals, rtol=1e-12)
+    shapes = modal.mode_shapes
+    np.testing.assert_allclose(shapes.T @ m @ shapes, np.eye(3), rtol=0, atol=1e-12)
+    # mass-normalized shapes: parallel columns have m-inner product +-1
+    signs = np.sign(np.sum(ref_shapes * (m @ shapes), axis=0))
+    np.testing.assert_allclose(
+        shapes * signs, ref_shapes, rtol=0, atol=1e-12 * np.abs(ref_shapes).max()
+    )
+
+
+class TestAgainstScipyEigh:
+    def test_random_definite_pairs(self, rng):
+        for k in range(200):
+            a = rng.normal(size=(3, 3))
+            b = rng.normal(size=(3, 3))
+            m = a @ a.T + 0.5 * np.eye(3)
+            c = b @ b.T + 0.5 * np.eye(3)
+            if k % 2:
+                c = c - 2.0 * m  # unstable pairs: some eigenvalues negative
+            assert_matches_scipy_eigh(normal_modes(-c, m), c, m)
+
+    def test_random_decoupled_pairs(self, rng):
+        for k in range(200):
+            a = np.zeros((3, 3))
+            b = np.zeros((3, 3))
+            a[:2, :2] = rng.normal(size=(2, 2))
+            b[:2, :2] = rng.normal(size=(2, 2))
+            a[2, 2], b[2, 2] = rng.uniform(0.5, 2.0, 2)
+            m = a @ a.T + 0.5 * np.eye(3)
+            c = b @ b.T + 0.5 * np.eye(3)
+            if k % 2:
+                c = c - 2.0 * m
+            modal = normal_modes(-c, m)
+            assert_matches_scipy_eigh(modal, c, m)
+            roll = int(np.argmax(np.abs(modal.mode_shapes[2])))
+            assert np.all(modal.mode_shapes[:2, roll] == 0.0)
+            assert np.all(np.delete(modal.mode_shapes[2], roll) == 0.0)
+
+    def test_barge_equilibrium_decoupled(self, barge_modal):
+        modal, hessian, m_red = barge_modal
+        assert_matches_scipy_eigh(modal, -hessian, m_red)
+
+    def test_tilted_l_prism_equilibrium_coupled(self, l_prism, env):
+        mass, inertia = fd.inertia_from_mesh(l_prism, 600.0)
+        body = fd.BodyProperties(mass, inertia)
+        eq = fd.find_equilibrium(l_prism, body, env, initial=(0.0, 0.1, 0.05))
+        assert eq.converged and abs(eq.pose.theta) + abs(eq.pose.phi) > 1e-3
+        hessian = hessian_at_equilibrium(l_prism, eq.pose, env, mass=mass)
+        m_red = reduced_mass_matrix(kinetic_metric(body, eq.pose.theta, eq.pose.phi))
+        assert np.abs(hessian[:2, 2]).max() > 1e-6 * np.abs(hessian).max()
+        modal = normal_modes(hessian, m_red)
+        assert np.all(modal.mode_shapes != 0.0)
+        assert_matches_scipy_eigh(modal, -hessian, m_red)
 
 
 class TestCoupledHeavePitchBlock:
