@@ -50,7 +50,6 @@ from .errors import (
     NotAnEquilibrium,
     SelfIntersecting,
     SingularCyclicBlock,
-    SingularJacobian,
     UnstableMode,
     WontFloat,
     ZeroVolume,

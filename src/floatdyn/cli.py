@@ -218,15 +218,7 @@ def _cmd_modes(args) -> int:
     hessian = np.asarray(report.stability["hessian"], dtype=float)
     m_red = np.asarray(report.modal["reduced_mass"], dtype=float)
     modal = normal_modes(hessian, m_red)
-    payload = {
-        "lambdas": modal.lambdas.tolist(),
-        "omegas_rad_s": [None if not np.isfinite(w) else float(w) for w in modal.omegas],
-        "frequencies_hz": [
-            None if not np.isfinite(f) else float(f) for f in modal.frequencies_hz
-        ],
-        "mode_shapes": modal.mode_shapes.tolist(),
-    }
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(modal.to_dict(), indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
         print(f"modal results written to {args.out}")

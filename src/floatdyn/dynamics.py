@@ -141,15 +141,12 @@ def kinetic_metric(body: BodyProperties, theta: float, phi: float) -> KineticMet
     angle-rate map congruence of the inertia tensor, positive definite
     away from gimbal lock.
     """
-    w = omega_map(theta, phi)
-    rot = w.T @ body.inertia @ w
-    a = np.zeros((6, 6))
-    a[0, 0] = a[1, 1] = a[2, 2] = body.mass
-    a[3:, 3:] = rot
-    return KineticMetric(a, theta, phi)
+    omega_map(theta, phi)  # raises GimbalLock near pitch +-pi/2
+    return KineticMetric(_metric_matrix(body, theta, phi), theta, phi)
 
 
 def _metric_matrix(body: BodyProperties, theta: float, phi: float) -> np.ndarray:
+    """The matrix of :func:`kinetic_metric` without the gimbal check."""
     w = _omega_matrix(theta, phi)
     rot = w.T @ body.inertia @ w
     a = np.zeros((6, 6))

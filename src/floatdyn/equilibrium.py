@@ -1,11 +1,18 @@
 """Locate floating equilibria: draft, trim and heel balancing weight.
 
-The solver works on the three coordinates that carry restoring forces,
-driving the residual ``(m g + Q_zeta, Q_theta, Q_phi)`` to zero with a
-damped Newton iteration whose Jacobian is the analytic force gradient.
-Heave responds monotonically for sensible hulls, so a bisection on the
-draft (angles frozen) backs the Newton step up whenever the Jacobian is
-singular or a step fails to reduce the residual.
+An equilibrium is a stationary point of the force function
+``F = m g zeta + U_B``; its gradient is the residual
+``(m g + Q_zeta, Q_theta, Q_phi)``, its Hessian the non-cyclic block of
+the force gradient.  ``F`` is concave in heave (curvature ``-rho g A``),
+so at fixed angles a safeguarded Newton iteration finds the balancing
+draft inside the bracket of the fully emerged and submerged drafts.
+Heave eliminated, ``G(theta, phi) = max over zeta of F`` has the moment
+residual as gradient and the Schur complement of the heave entry as
+Hessian, and a dogleg trust region climbs it (Nocedal & Wright,
+*Numerical Optimization*, ch. 4).  So the solver reaches the
+pseudo-stable equilibrium uphill of the guess; a guess whose moments
+already vanish is returned as found, stable or not.  The guess's draft
+is unused.
 
 Equilibria are reported in canonical form with surge, sway and yaw
 zeroed; those coordinates never influence the hydrostatics, so any
@@ -14,14 +21,16 @@ equilibrium can be represented this way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .clipping import evaluate
 from .dynamics import BodyProperties
-from .errors import Diverged, SingularJacobian, WontFloat
-from .hydrostatics import FluidEnvironment, force_gradient, generalized_forces, potential
-from .kinematics import NONCYCLIC, Pose
+from .errors import Diverged, GimbalLock, WontFloat
+from .hydrostatics import _RESTORING, FluidEnvironment, _force_gradient, _generalized_forces
+from .kinematics import GIMBAL_GUARD, Pose, _pose_unchecked, k3_body
 from .mesh import HullMesh
 
 
@@ -31,7 +40,7 @@ class EquilibriumResult:
 
     ``waterline_distance`` is the distance from G to the static
     waterplane; it equals ``zeta*`` whenever G floats at or below the
-    surface.
+    surface.  ``iterations`` counts trust-region steps, rejected or not.
     """
 
     pose: Pose
@@ -53,231 +62,128 @@ def find_equilibrium(
     initial=(0.0, 0.0, 0.0),
     tol: float = 1e-12,
     max_iter: int = 60,
-    max_heave_step: float | None = None,
-    max_angle_step: float = 0.2,
 ) -> EquilibriumResult:
     """Solve for the pose where weight balances buoyancy and moments vanish.
 
     Parameters
     ----------
     initial : (zeta0, theta0, phi0)
-        Starting guess.  Multiple equilibria (cube face-up versus
-        edge-up) are reached from different guesses; there is no global
-        search.
+        Starting guess; only the angles are used.  Multiple equilibria
+        (cube face-up versus edge-up) are reached from different
+        guesses; there is no global search.
     tol : float
         Convergence threshold on the scaled residual norm, relative to
         the weight ``m g``.
-    max_heave_step, max_angle_step : float
-        Per-iteration step clamps; defaults are a quarter of the mesh
-        height and 0.2 rad, keeping the waterplane topology from jumping
-        within a single step.
 
     Raises
     ------
     WontFloat
         If ``m >= rho * V_total`` (no draft can displace the weight).
     Diverged
-        On iteration/step-limit exhaustion.
-    SingularJacobian
-        If the Jacobian is singular and the heave bisection fallback
-        cannot rescue the iteration.
+        If ``max_iter`` steps do not converge.
+    GimbalLock
+        If the equilibrium has its pitch within the gimbal guard of pi/2.
     """
     m = body.mass
     if m <= 0.0:
         raise ValueError("body mass must be positive")
     if m >= env.rho * mesh.volume:
-        raise WontFloat(
-            f"mass {m} exceeds maximum displaceable mass {env.rho * mesh.volume}"
-        )
+        raise WontFloat(f"mass {m} exceeds maximum displaceable mass {env.rho * mesh.volume}")
     weight = m * env.g
+    rg = env.rho * env.g
     diameter = mesh.diameter
-    if max_heave_step is None:
-        max_heave_step = 0.25 * mesh.height
 
-    def residual(y):
-        pose = Pose(0.0, 0.0, y[0], 0.0, y[1], y[2])
-        forces = generalized_forces(mesh, pose, env)
+    def balance(zeta, theta, phi):
+        """Pose and integrals at the balancing draft for fixed angles.
+
+        ``m g - rho g V`` falls with the draft at slope ``-rho g A``.
+        """
+        pose = _pose_unchecked((0.0, 0.0, 0.0, 0.0, theta, phi))
+        heights = mesh.vertices @ k3_body(pose)
+        lo, hi = -heights.max(), -heights.min()
+        zeta = 0.5 * (lo + hi) if zeta is None else min(max(zeta, lo), hi)
+        for _ in range(100):  # halving alone reaches adjacent floats in ~60
+            pose = _pose_unchecked((0.0, 0.0, zeta, 0.0, theta, phi))
+            integrals = evaluate(mesh, pose)
+            excess = weight - rg * integrals.volume
+            if abs(excess) <= tol * weight:
+                break
+            lo, hi = (zeta, hi) if excess > 0.0 else (lo, zeta)
+            area = integrals.cap_area
+            newton = zeta + excess / (rg * area) if area > 0.0 else hi
+            zeta = newton if lo < newton < hi else 0.5 * (lo + hi)
+            if not lo < zeta < hi:
+                break  # the bracket has shrunk to adjacent floats
+        return pose, integrals
+
+    def residual(pose, integrals):
+        forces = _generalized_forces(integrals, pose, env)
         return np.array([weight + forces[2], forces[4], forces[5]])
 
-    def norm(r):
+    pose, integrals = balance(None, float(initial[1]), float(initial[2]))
+    r = residual(pose, integrals)
+    radius = 0.2  # rad: a first step short enough to keep the waterplane topology
+    for iteration in range(max_iter + 1):
         # moments scaled by the diameter so the norm is commensurate with N
-        return max(abs(r[0]), abs(r[1]) / diameter, abs(r[2]) / diameter)
-
-    def jacobian(y):
-        pose = Pose(0.0, 0.0, y[0], 0.0, y[1], y[2])
-        return force_gradient(mesh, pose, env)[np.ix_(NONCYCLIC, NONCYCLIC)]
-
-    def force_function(y):
-        pose = Pose(0.0, 0.0, y[0], 0.0, y[1], y[2])
-        return weight * y[0] + potential(mesh, pose, env)
-
-    def ascent_rescue(y):
-        # the residual is the exact gradient of the scalar force function,
-        # so preconditioned backtracking ascent always makes progress and
-        # walks the iterate out of Newton limit cycles
-        scale = np.array([1.0, 1.0 / diameter**2, 1.0 / diameter**2])
-        value = force_function(y)
-        for _ in range(30):
-            r = residual(y)
-            d = r * scale
-            cap = max(
-                abs(d[0]) / max_heave_step,
-                abs(d[1]) / max_angle_step,
-                abs(d[2]) / max_angle_step,
-                1e-300,
-            )
-            d = d / cap
-            alpha = 1.0
-            improved = False
-            while alpha > 1e-6:
-                trial = y + alpha * d
-                if abs(trial[1]) < np.pi / 2 - 1e-3:
-                    trial_value = force_function(trial)
-                    if trial_value > value:
-                        gain = trial_value - value
-                        y, value = trial, trial_value
-                        improved = True
-                        break
-                alpha *= 0.5
-            if not improved:
-                break
-            if gain < 1e-12 * max(abs(value), weight * diameter):
-                break
-        return y
-
-    y = np.array(initial, dtype=float)
-    # open with a draft bisection at the initial angles: it always brackets
-    # (emerged weight excess versus the float precondition) and hands the
-    # Newton iteration a healthy waterplane to start from
-    y[0] = _bisect_heave(mesh, env, m, y[1], y[2])
-    r = residual(y)
-    uphill_budget = 12
-    best_norm = np.inf
-    best_iteration = 0
-
-    for iteration in range(1, max_iter + 1):
-        if norm(r) <= tol * weight:
-            pose = Pose(0.0, 0.0, y[0], 0.0, y[1], y[2])
-            return EquilibriumResult(pose, r, iteration - 1, abs(y[0]), True)
-
-        if norm(r) < 0.99 * best_norm:
-            best_norm = norm(r)
-            best_iteration = iteration
-        elif iteration - best_iteration > 8:
-            # stagnating or cycling: climb the force function directly
-            y = ascent_rescue(y)
-            y[0] = _bisect_heave(mesh, env, m, y[1], y[2])
-            r = residual(y)
-            best_norm = norm(r)
-            best_iteration = iteration
-            uphill_budget = max(uphill_budget, 4)
-            continue
-
-        jac = jacobian(y)
-        step = None
-        try:
-            step = np.linalg.solve(jac, -r)
-            if not np.all(np.isfinite(step)):
-                step = None
-        except np.linalg.LinAlgError:
-            step = None
-
-        if step is None:
-            y[0] = _bisect_heave(mesh, env, m, y[1], y[2])
-            r = residual(y)
-            continue
-
-        # clamp by scaling the whole vector: the direction stays Newton's,
-        # which is a guaranteed descent direction for the residual norm
-        factor = min(
-            1.0,
-            max_heave_step / max(abs(step[0]), 1e-300),
-            max_angle_step / max(abs(step[1]), 1e-300),
-            max_angle_step / max(abs(step[2]), 1e-300),
-        )
-        step = factor * step
-
-        base = norm(r)
-        lam = 1.0
-        improved = False
-        while lam >= 1.0 / 64.0:
-            trial = y + lam * step
-            if abs(trial[1]) < np.pi / 2 - 1e-3:
-                r_trial = residual(trial)
-                if norm(r_trial) < base:
-                    y, r = trial, r_trial
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
-            # clamped steps far from the solution may ride uphill in the
-            # norm before the basin is reached; allow a bounded number
-            if uphill_budget > 0 and abs(y[1] + step[1]) < np.pi / 2 - 1e-3:
-                uphill_budget -= 1
-                y = y + step
-                r = residual(y)
-                continue
-            try:
-                y[0] = _bisect_heave(mesh, env, m, y[1], y[2])
-            except SingularJacobian:
-                raise Diverged(
-                    f"no descent step at iteration {iteration}, residual "
-                    f"{base:.3e}; equilibria are found per initial guess, "
-                    "try starting closer to the expected attitude"
-                )
-            r_new = residual(y)
-            if norm(r_new) >= base:
-                raise Diverged(
-                    f"stalled at iteration {iteration}, residual {base:.3e}; "
-                    "equilibria are found per initial guess, try starting "
-                    "closer to the expected attitude"
-                )
-            r = r_new
+        scaled = max(abs(r[0]), abs(r[1]) / diameter, abs(r[2]) / diameter)
+        if scaled <= tol * weight:
+            # the climb may cross the pole of the angle chart: read the
+            # same down axis with the pitch inside (-pi/2, pi/2)
+            theta, phi = math.remainder(pose.theta, 2.0 * math.pi), pose.phi
+            if abs(theta) > math.pi / 2:
+                theta = math.copysign(math.pi, theta) - theta
+                phi = math.remainder(phi + math.pi, 2.0 * math.pi)
+                r[1] = -r[1]
+            if abs(theta) >= math.pi / 2 - GIMBAL_GUARD:
+                raise GimbalLock(f"equilibrium at pitch {theta:.9g}: the first body axis "
+                                 "is vertical, where the angles are singular; rotate the mesh")
+            pose = Pose(0.0, 0.0, pose.zeta, 0.0, theta, phi)
+            return EquilibriumResult(pose, r, iteration, abs(pose.zeta), True)
+        if iteration == max_iter:
+            break
+        hessian = _force_gradient(integrals, pose, env)[_RESTORING]
+        curvature = hessian[1:, 1:]
+        if hessian[0, 0] < 0.0:
+            curvature = curvature - np.outer(hessian[1:, 0], hessian[0, 1:]) / hessian[0, 0]
+        gradient = r[1:]
+        step = _dogleg(gradient, curvature, radius)
+        predicted = gradient @ step + 0.5 * step @ curvature @ step
+        length = float(np.hypot(*step))
+        trial = balance(pose.zeta, pose.theta + step[0], pose.phi + step[1])
+        r_trial = residual(*trial)
+        # trapezoid rule on the exact gradient: differencing F loses the
+        # gain to roundoff near the peak
+        gain = 0.5 * (gradient + r_trial[1:]) @ step
+        if gain < 0.25 * predicted:
+            radius = 0.25 * length
+        elif gain > 0.75 * predicted and length > 0.99 * radius:
+            radius = min(2.0 * radius, math.pi / 2)
+        if gain > 0.1 * predicted:
+            (pose, integrals), r = trial, r_trial
 
     raise Diverged(
-        f"no convergence in {max_iter} iterations, residual {norm(r):.3e}; "
-        "equilibria are found per initial guess, try starting closer to "
-        "the expected attitude"
+        f"no convergence in {max_iter} iterations, residual {scaled:.3e}; equilibria are "
+        "found per initial guess, try starting closer to the expected attitude"
     )
 
 
-def _heave_residual(mesh, env, m, zeta, theta, phi):
-    pose = Pose(0.0, 0.0, zeta, 0.0, theta, phi)
-    forces = generalized_forces(mesh, pose, env)
-    return m * env.g + forces[2]
+def _dogleg(gradient, curvature, radius):
+    """Dogleg ascent step for the model ``g.p + p.B.p / 2`` in ``|p| <= radius``.
 
-
-def _bisect_heave(mesh, env, m, theta, phi, max_expand: int = 40, iters: int = 200):
-    """Solve the draft balance at frozen angles by bisection.
-
-    The heave residual is non-increasing in the draft (the submerged
-    volume can only grow), so once bracketed the root is certain.
+    Steepest ascent to the model's peak or the boundary (the Cauchy
+    point), then, for a negative definite ``B``, on towards the Newton step.
     """
-    span = mesh.diameter
-    lo, hi = -span, span
-    r_lo = _heave_residual(mesh, env, m, lo, theta, phi)
-    r_hi = _heave_residual(mesh, env, m, hi, theta, phi)
-    n = 0
-    while r_lo <= 0.0 and n < max_expand:
-        lo -= span
-        r_lo = _heave_residual(mesh, env, m, lo, theta, phi)
-        n += 1
-    n = 0
-    while r_hi >= 0.0 and n < max_expand:
-        hi += span
-        r_hi = _heave_residual(mesh, env, m, hi, theta, phi)
-        n += 1
-    if r_lo <= 0.0 or r_hi >= 0.0:
-        raise SingularJacobian("heave residual could not be bracketed")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        r_mid = _heave_residual(mesh, env, m, mid, theta, phi)
-        if r_mid > 0.0:
-            lo = mid
-        elif r_mid < 0.0:
-            hi = mid
-        else:
-            return mid
-        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    g_norm = max(float(np.hypot(*gradient)), 1e-300)
+    along = gradient @ curvature @ gradient
+    reach = radius / g_norm
+    cauchy = (min(g_norm**2 / -along, reach) if along < 0.0 else reach) * gradient
+    if np.all(np.linalg.eigvalsh(curvature) < 0.0):
+        newton = np.linalg.solve(curvature, -gradient)
+        if np.hypot(*newton) <= radius:
+            return newton
+        leg = newton - cauchy
+        # |cauchy + tau leg| = radius with tau in [0, 1]
+        a, b, c = leg @ leg, 2.0 * cauchy @ leg, cauchy @ cauchy - radius**2
+        if c < 0.0:
+            return cauchy + (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a) * leg
+    return cauchy

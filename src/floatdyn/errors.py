@@ -54,10 +54,6 @@ class Diverged(FloatDynError):
     """Iterative solver hit its iteration or step limit without converging."""
 
 
-class SingularJacobian(FloatDynError):
-    """Equilibrium Jacobian is singular and every fallback failed."""
-
-
 class SingularCyclicBlock(FloatDynError):
     """Cyclic block of the kinetic metric is not invertible (invalid metric)."""
 

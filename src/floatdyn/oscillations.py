@@ -48,6 +48,20 @@ class ModalResult:
     def all_positive(self) -> bool:
         return bool(np.all(self.lambdas > 0.0))
 
+    def to_dict(self) -> dict:
+        """JSON-native eigenvalues, frequencies and shapes.
+
+        A non-finite frequency (a mode that does not oscillate) becomes None.
+        """
+        return {
+            "lambdas": self.lambdas.tolist(),
+            "omegas_rad_s": [w if math.isfinite(w) else None for w in self.omegas.tolist()],
+            "frequencies_hz": [
+                f if math.isfinite(f) else None for f in self.frequencies_hz.tolist()
+            ],
+            "mode_shapes": self.mode_shapes.tolist(),
+        }
+
 
 def _check_symmetric(name, mat, tol=1e-8):
     mat = np.asarray(mat, dtype=float)

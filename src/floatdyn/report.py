@@ -303,17 +303,7 @@ def run_analysis(config: AnalysisConfig):
             "margins": list(stability.margins),
             "marginal": stability.marginal,
         },
-        modal={
-            "lambdas": _listify(modal.lambdas),
-            "omegas_rad_s": [
-                None if not np.isfinite(w) else float(w) for w in modal.omegas
-            ],
-            "frequencies_hz": [
-                None if not np.isfinite(f) else float(f) for f in modal.frequencies_hz
-            ],
-            "mode_shapes": _listify(modal.mode_shapes),
-            "reduced_mass": _listify(m_red),
-        },
+        modal={**modal.to_dict(), "reduced_mass": _listify(m_red)},
     )
     objects = {
         "mesh": mesh,

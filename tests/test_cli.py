@@ -326,6 +326,9 @@ class TestModes:
         modal = json.loads(out.read_text())
         stored = Report.load(report_path).modal
         np.testing.assert_allclose(modal["lambdas"], stored["lambdas"], rtol=1e-12)
+        # one formatter serves both: the payload is the report's modal
+        # block without the reduced mass it was computed from
+        assert modal == {k: v for k, v in stored.items() if k != "reduced_mass"}
 
 
 class TestVerify:

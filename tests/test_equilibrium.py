@@ -172,10 +172,19 @@ class TestLollEquilibrium:
         assert np.all(np.linalg.eigvalsh(-h_loll) > 0.0)
 
 
+def assert_pseudo_stable(mesh, body, env, result):
+    state = fd.hydrostatic_state(mesh, result.pose, env)
+    assert state.volume * env.rho == pytest.approx(body.mass, rel=1e-9)
+    hessian = fd.hessian_at_equilibrium(
+        mesh, result.pose, env, mass=body.mass, method="general"
+    )
+    assert np.all(np.linalg.eigvalsh(-hessian) > 0.0)
+
+
 class TestSolverRobustness:
     def test_formerly_cycling_convex_blob(self, env):
         # regression: clamped Newton used to enter a pitch limit cycle on
-        # this hull; the force-function ascent rescue walks it out
+        # this hull; the trust-region climb has no cycle to enter
         mesh = fd.shapes.random_convex_mesh(n_points=37, seed=112)
         mass, inertia = fd.inertia_from_mesh(mesh, env.rho * 0.5225263813465054)
         body = BodyProperties(mass, inertia)
@@ -208,6 +217,85 @@ class TestSolverRobustness:
             assert state.volume * env.rho == pytest.approx(mass, rel=1e-9)
             converged += 1
         assert converged == 10
+
+    @pytest.mark.parametrize(
+        "n_points, seed, fraction, guess",
+        [
+            (20, 500, 0.5295230059112959,
+             (0.07997646635479279, 0.008341171784436274, 0.33053046049534907)),
+            (35, 515, 0.5629670147819531,
+             (-0.1278338450967473, 0.12446072775829103, 0.23951834166555253)),
+            (53, 533, 0.8588244037989058,
+             (0.08587406847953669, -0.09745927643760405, 0.18987488013382736)),
+        ],
+    )
+    def test_formerly_diverging_convex_hulls(self, env, n_points, seed, fraction, guess):
+        # regression: the damped Newton stack ran out of its 60 iterations
+        mesh = fd.shapes.random_convex_mesh(n_points=n_points, seed=seed)
+        body = uniform_body(mesh, RHO * fraction)
+        result = find_equilibrium(mesh, body, env, initial=guess)
+        assert_pseudo_stable(mesh, body, env, result)
+
+    def test_convergence_on_the_last_allowed_step_is_returned(self, env):
+        # regression: the residual was never rechecked after the last step,
+        # so a solve converging on it still raised Diverged
+        mesh = fd.shapes.random_convex_mesh(n_points=26, seed=506)
+        body = uniform_body(mesh, RHO * 0.2952598152524136)
+        guess = (-0.5287989422970065, -0.173568015633911, -0.28336501384738466)
+        result = find_equilibrium(mesh, body, env, initial=guess)
+        assert result.iterations > 0
+        edge = find_equilibrium(mesh, body, env, initial=guess, max_iter=result.iterations)
+        assert edge.pose == result.pose
+        np.testing.assert_array_equal(edge.residual, result.residual)
+        with pytest.raises(fd.Diverged):
+            find_equilibrium(mesh, body, env, initial=guess, max_iter=result.iterations - 1)
+
+    def test_off_slice_guesses_reach_pseudo_stable_equilibria(self, env):
+        # the climb goes uphill in the force function, so it ends on a
+        # maximum: never on the saddles a guess off the symmetry slices
+        # used to settle on
+        rng = np.random.default_rng(2611)
+        for seed in range(600, 612):
+            mesh = fd.shapes.random_convex_mesh(n_points=int(rng.integers(16, 48)), seed=seed)
+            body = uniform_body(mesh, RHO * rng.uniform(0.2, 0.85))
+            guess = (0.0, *rng.uniform(0.05, 0.5, 2) * rng.choice([-1.0, 1.0], 2))
+            result = find_equilibrium(mesh, body, env, initial=guess)
+            assert_pseudo_stable(mesh, body, env, result)
+
+    def test_guess_past_the_pole_gives_the_mirror_guess_pose(self, convex_blob, env):
+        # (theta, phi) and (pi - theta, phi + pi) put the same axis down;
+        # a climb crossing the pole is read back with |theta| < pi/2
+        body = uniform_body(convex_blob, 0.5 * RHO)
+        near = find_equilibrium(convex_blob, body, env, initial=(0.0, 0.2, 0.1))
+        far = find_equilibrium(
+            convex_blob, body, env, initial=(0.0, np.pi - 0.2, 0.1 + np.pi)
+        )
+        assert abs(far.pose.theta) < np.pi / 2
+        np.testing.assert_allclose(
+            far.pose.as_array(), near.pose.as_array(), rtol=0.0, atol=1e-9
+        )
+
+    def test_tilted_l_prism_solve_evaluation_count(self, l_prism, env, monkeypatch):
+        # the Newton draft balance needs few evaluations per attitude:
+        # 22 for this whole solve, where bisecting the draft needs more
+        # than 30
+        calls = []
+        real = fd.equilibrium.evaluate
+        monkeypatch.setattr(
+            fd.equilibrium, "evaluate", lambda *args: calls.append(1) or real(*args)
+        )
+        body = uniform_body(l_prism, 0.6 * RHO)
+        result = find_equilibrium(l_prism, body, env, initial=(0.0, 0.1, 0.05))
+        assert_pseudo_stable(l_prism, body, env, result)
+        assert len(calls) <= 30
+
+    def test_equilibrium_on_the_pole_is_refused(self, env):
+        # a flat box floats on its largest face; with the short first axis
+        # vertical that pose has pitch pi/2, where the angles are singular
+        mesh = fd.shapes.box(0.5, 1.5, 1.2)
+        body = uniform_body(mesh, 0.4 * RHO)
+        with pytest.raises(fd.GimbalLock, match="rotate the mesh"):
+            find_equilibrium(mesh, body, env, initial=(0.0, 0.5, 0.3))
 
 
 class TestCanonicalize:

@@ -222,12 +222,12 @@ class TestHessianAtEquilibrium:
             hessian_at_equilibrium(cube, Pose(zeta=0.2, theta=0.3), env)
 
     def test_asymmetric_body_requires_general_route(self, l_prism, env):
-        pose = _level_equilibrium_pose(l_prism, env)
+        pose = _half_density_equilibrium_pose(l_prism, env)
         with pytest.raises(AsymmetricBody):
             hessian_at_equilibrium(l_prism, pose, env, method="closed_form")
 
     def test_auto_falls_back_for_asymmetric_body(self, l_prism, env):
-        pose = _level_equilibrium_pose(l_prism, env)
+        pose = _half_density_equilibrium_pose(l_prism, env)
         auto = hessian_at_equilibrium(l_prism, pose, env)
         general = hessian_at_equilibrium(l_prism, pose, env, method="general")
         np.testing.assert_array_equal(auto, general)
@@ -237,8 +237,8 @@ class TestHessianAtEquilibrium:
             hessian_at_equilibrium(cube, Pose(zeta=-0.8), env)
 
 
-def _level_equilibrium_pose(mesh, env):
-    """Equilibrium of the uniform half-density body at zero angles."""
+def _half_density_equilibrium_pose(mesh, env):
+    """Equilibrium of the uniform half-density body, solved from zero angles."""
     from floatdyn import BodyProperties, find_equilibrium, inertia_from_mesh
 
     mass, inertia = inertia_from_mesh(mesh, env.rho / 2.0)
