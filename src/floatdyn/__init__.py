@@ -72,10 +72,8 @@ from .kinematics import (
     CYCLIC,
     NONCYCLIC,
     Pose,
-    R3Partials,
     k3_body,
     omega_map,
-    partials_r3,
     rotation_matrix,
 )
 from .mesh import HullMesh, inertia_from_mesh, load_mesh, load_obj, load_stl, save_stl

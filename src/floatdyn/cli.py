@@ -25,7 +25,7 @@ import numpy as np
 from .dynamics import FullState, ReducedState, integrate_full, integrate_reduced
 from .clipping import clip_by_waterplane
 from .errors import ConfigError, FloatDynError
-from .kinematics import Pose
+from .kinematics import COORD_NAMES, Pose
 from .mesh import save_stl
 from .oscillations import normal_modes
 from .report import AnalysisConfig, Report, load_body, run_analysis
@@ -161,13 +161,11 @@ def _cmd_simulate(args) -> int:
 
     mesh, body, env = objects["mesh"], objects["body"], objects["env"]
     try:
-        initial = _initial_state(mode, objects["equilibrium"].pose, sim)
+        start = _initial_state(mode, objects["equilibrium"].pose, sim)
     except ValueError as exc:
         raise ConfigError(f"invalid 'simulate' start: {exc}") from exc
-    if mode == "full":
-        traj = integrate_full(mesh, body, env, initial, t_end, dt, **kwargs)
-    else:
-        traj = integrate_reduced(mesh, body, env, initial, t_end, dt, **kwargs)
+    integrate = integrate_full if mode == "full" else integrate_reduced
+    traj = integrate(mesh, body, env, t_end=t_end, dt=dt, **start, **kwargs)
 
     if args.out:
         traj.to_csv(args.out)
@@ -183,34 +181,41 @@ def _cmd_simulate(args) -> int:
 
 
 def _initial_state(mode, eq_pose, sim):
-    """The start state: the equilibrium plus the ``simulate.initial`` deviation."""
+    """Integrator start arguments: the equilibrium plus ``simulate.initial``.
+
+    A reduced run starts surge, sway and yaw from the deviation too, but
+    takes their rates from ``simulate.momenta``, so it rejects them here.
+    """
     deviation = sim.get("initial", {})
+
+    def value(name):
+        return float(deviation.get(name, 0.0))
+
     if mode == "full":
         pose = Pose(
-            xi=float(deviation.get("xi", 0.0)),
-            eta=float(deviation.get("eta", 0.0)),
-            zeta=eq_pose.zeta + float(deviation.get("zeta", 0.0)),
-            psi=float(deviation.get("psi", 0.0)),
-            theta=eq_pose.theta + float(deviation.get("theta", 0.0)),
-            phi=eq_pose.phi + float(deviation.get("phi", 0.0)),
+            xi=value("xi"),
+            eta=value("eta"),
+            zeta=eq_pose.zeta + value("zeta"),
+            psi=value("psi"),
+            theta=eq_pose.theta + value("theta"),
+            phi=eq_pose.phi + value("phi"),
         )
-        rates = np.array(
-            [float(deviation.get(f"{name}_dot", 0.0))
-             for name in ("xi", "eta", "zeta", "psi", "theta", "phi")]
-        )
-        return FullState(pose, rates)
+        rates = np.array([value(f"{name}_dot") for name in COORD_NAMES])
+        return {"initial": FullState(pose, rates)}
+    for name in ("xi_dot", "eta_dot", "psi_dot"):
+        if name in deviation:
+            raise ConfigError(
+                f"'simulate.initial.{name}' is fixed by 'simulate.momenta' in reduced mode"
+            )
     coords = np.array(
-        [
-            eq_pose.zeta + float(deviation.get("zeta", 0.0)),
-            eq_pose.theta + float(deviation.get("theta", 0.0)),
-            eq_pose.phi + float(deviation.get("phi", 0.0)),
-        ]
+        [eq_pose.zeta + value("zeta"), eq_pose.theta + value("theta"), eq_pose.phi + value("phi")]
     )
-    rates = np.array(
-        [float(deviation.get(f"{name}_dot", 0.0)) for name in ("zeta", "theta", "phi")]
-    )
+    rates = np.array([value(f"{name}_dot") for name in ("zeta", "theta", "phi")])
     momenta = np.asarray(sim.get("momenta", (0.0, 0.0, 0.0)), dtype=float)
-    return ReducedState(coords, rates, momenta)
+    return {
+        "initial": ReducedState(coords, rates, momenta),
+        "cyclic_start": (value("xi"), value("eta"), value("psi")),
+    }
 
 
 def _cmd_modes(args) -> int:
@@ -229,11 +234,15 @@ def _cmd_modes(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = AnalysisConfig.from_file(args.config)
+    if args.seed is not None:
+        # the command-line seed goes through the config check too
+        config = dataclasses.replace(config, seed=args.seed)
+    for flag, count in (("--poses", args.poses), ("--loops", args.loops)):
+        if count < 1:
+            raise ConfigError(f"'{flag}' must be a positive integer, got {count}")
     mesh, _, _ = load_body(config)
-    env = config.environment()
-    seed = args.seed if args.seed is not None else config.seed
     summary = run_verification(
-        mesh, env, seed=seed, n_poses=args.poses, n_loops=args.loops
+        mesh, config.environment(), seed=config.seed, n_poses=args.poses, n_loops=args.loops
     )
     for name in ("loop_work", "gradient", "gradient_symmetry", "planar_invariance"):
         value = getattr(summary, name)
@@ -250,6 +259,8 @@ def _cmd_clip(args) -> int:
     mesh, _, _ = load_body(config)
     try:
         values = [float(x) for x in args.pose.split(",")]
+        if len(values) > 6:
+            raise ValueError(f"expected at most six values, got {len(values)}")
         while len(values) < 6:
             values.append(0.0)
         zeta, theta, phi, psi, xi, eta = values[:6]

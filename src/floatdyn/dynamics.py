@@ -17,10 +17,13 @@ each other.
 
 State ordering is ``(xi, eta, zeta, psi, theta, phi)`` everywhere;
 cyclic indices ``(0, 1, 3)``.  Angle partials of the metric are closed
-form: no finite differences run inside the integration loop.
+form: each right-hand side takes the metric and both partials from one
+evaluation of the chart, and no finite differences run inside the
+integration loop.
 
-``solve_ivp`` is imported inside the two integrators, so importing the
-package (and every CLI subcommand but ``simulate``) loads no SciPy.
+Both integrators run through one driver, which imports ``solve_ivp``
+when called, so importing the package (and every CLI subcommand but
+``simulate``) loads no SciPy.
 """
 
 from __future__ import annotations
@@ -33,15 +36,7 @@ import numpy as np
 
 from .errors import SingularCyclicBlock
 from .hydrostatics import FluidEnvironment, generalized_forces, potential
-from .kinematics import (
-    CYCLIC,
-    NONCYCLIC,
-    Pose,
-    _omega_matrix,
-    _pose_unchecked,
-    omega_map,
-    omega_map_partials,
-)
+from .kinematics import CYCLIC, NONCYCLIC, Pose, _pose_unchecked, omega_chart, omega_map
 from .mesh import HullMesh
 
 _IX_AA = np.ix_(CYCLIC, CYCLIC)
@@ -141,33 +136,34 @@ def kinetic_metric(body: BodyProperties, theta: float, phi: float) -> KineticMet
     angle-rate map congruence of the inertia tensor, positive definite
     away from gimbal lock.
     """
-    omega_map(theta, phi)  # raises GimbalLock near pitch +-pi/2
-    return KineticMetric(_metric_matrix(body, theta, phi), theta, phi)
+    return KineticMetric(_metric_matrix(body, omega_map(theta, phi)), theta, phi)
 
 
-def _metric_matrix(body: BodyProperties, theta: float, phi: float) -> np.ndarray:
-    """The matrix of :func:`kinetic_metric` without the gimbal check."""
-    w = _omega_matrix(theta, phi)
-    rot = w.T @ body.inertia @ w
+def _metric_matrix(body: BodyProperties, w: np.ndarray) -> np.ndarray:
+    """The 6x6 metric from the angle-rate map ``w``."""
     a = np.zeros((6, 6))
     a[0, 0] = a[1, 1] = a[2, 2] = body.mass
-    a[3:, 3:] = rot
+    a[3:, 3:] = w.T @ body.inertia @ w
     return a
+
+
+def _metric_and_partials(body: BodyProperties, theta: float, phi: float):
+    """The metric and its pitch and roll partials from one chart, unchecked."""
+    w, dw_th, dw_ph = omega_chart(theta, phi)
+    iw = body.inertia @ w
+    out = [_metric_matrix(body, w)]
+    for dw in (dw_th, dw_ph):
+        block = dw.T @ iw
+        da = np.zeros((6, 6))
+        da[3:, 3:] = block + block.T
+        out.append(da)
+    return out
 
 
 def metric_partials(body: BodyProperties, theta: float, phi: float):
     """Closed-form angle partials of the kinetic metric, two 6x6 arrays."""
-    w = _omega_matrix(theta, phi)
-    dw_th, dw_ph = omega_map_partials(theta, phi)
-    iw = body.inertia @ w
-    out = []
-    for dw in (dw_th, dw_ph):
-        block = dw.T @ iw
-        block = block + block.T
-        da = np.zeros((6, 6))
-        da[3:, 3:] = block
-        out.append(da)
-    return out[0], out[1]
+    _, da_th, da_ph = _metric_and_partials(body, theta, phi)
+    return da_th, da_ph
 
 
 def lagrangian(
@@ -277,14 +273,6 @@ class Trajectory:
 GIMBAL_HALT_MARGIN = 1e-3
 
 
-def _gimbal_event(theta_index):
-    def event(t, y):
-        return (math.pi / 2 - GIMBAL_HALT_MARGIN) - abs(y[theta_index])
-
-    event.terminal = True
-    return event
-
-
 def integrate_full(
     mesh: HullMesh,
     body: BodyProperties,
@@ -305,17 +293,12 @@ def integrate_full(
     over ten-thousand-step runs; conservation columns in the returned
     trajectory let callers police that.
     """
-    from scipy.integrate import solve_ivp
-
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("t_end and dt must be positive")
     weight = body.mass * env.g
 
     def rhs(t, y):
         q, qd = y[:6], y[6:]
         pose = _pose_unchecked(q)
-        a = _metric_matrix(body, q[4], q[5])
-        da_th, da_ph = metric_partials(body, q[4], q[5])
+        a, da_th, da_ph = _metric_and_partials(body, q[4], q[5])
         grad_u = generalized_forces(mesh, pose, env)
         grad_u[2] += weight
         adot = qd[4] * da_th + qd[5] * da_ph
@@ -324,32 +307,8 @@ def integrate_full(
         rhs_vec[5] += 0.5 * qd @ da_ph @ qd
         return np.concatenate([qd, np.linalg.solve(a, rhs_vec)])
 
-    t_eval = _sample_times(t_end, dt)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        initial.as_array(),
-        method=method,
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-        max_step=max_step,
-        events=[_gimbal_event(4)],
-        dense_output=False,
-    )
-    q = sol.y[:6].T
-    qd = sol.y[6:].T
-    energy, momenta = _full_diagnostics(mesh, body, env, q, qd)
-    return Trajectory(
-        t=sol.t,
-        q=q,
-        qdot=qd,
-        energy=energy,
-        momenta=momenta,
-        mode="full",
-        terminated_early=(sol.status == 1),
-        nfev=sol.nfev,
-    )
+    sol = _solve(rhs, initial.as_array(), 4, t_end, dt, method, rtol, atol, max_step)
+    return _trajectory(mesh, body, env, sol, sol.y[:6].T, sol.y[6:].T, "full")
 
 
 def integrate_reduced(
@@ -368,24 +327,18 @@ def integrate_reduced(
     """Integrate the three reduced equations at fixed cyclic momenta.
 
     The state is augmented with surge, sway and yaw driven by the
-    reconstructed rates, so the output trajectory carries all six
-    coordinates and is directly comparable with :func:`integrate_full`.
-    The reported energy uses the reconstructed full velocity and is
-    conserved along reduced motions.
+    reconstructed rates, starting at ``cyclic_start``, so the output
+    trajectory carries all six coordinates and is directly comparable
+    with :func:`integrate_full`.  The reported energy uses the
+    reconstructed full velocity and is conserved along reduced motions.
     """
-    from scipy.integrate import solve_ivp
-
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("t_end and dt must be positive")
     weight = body.mass * env.g
     p = np.asarray(initial.momenta, dtype=float)
 
     def rhs(t, y):
         coords, qd_n = y[:3], y[3:6]
         pose = _pose_unchecked((0.0, 0.0, coords[0], 0.0, coords[1], coords[2]))
-        theta, phi = coords[1], coords[2]
-        a = _metric_matrix(body, theta, phi)
-        da_th, da_ph = metric_partials(body, theta, phi)
+        a, da_th, da_ph = _metric_and_partials(body, coords[1], coords[2])
 
         a_aa = a[_IX_AA]
         a_an = a[_IX_AN]
@@ -422,39 +375,40 @@ def integrate_reduced(
         return np.concatenate([qd_n, qdd_n, u_dot])
 
     y0 = np.concatenate([initial.coords, initial.rates, np.asarray(cyclic_start, float)])
-    t_eval = _sample_times(t_end, dt)
-    sol = solve_ivp(
+    sol = _solve(rhs, y0, 1, t_end, dt, method, rtol, atol, max_step)
+    q = np.zeros((len(sol.t), 6))
+    qd = np.zeros((len(sol.t), 6))
+    q[:, list(NONCYCLIC)] = sol.y[:3].T
+    q[:, list(CYCLIC)] = sol.y[6:9].T
+    qd[:, list(NONCYCLIC)] = sol.y[3:6].T
+    return _trajectory(mesh, body, env, sol, q, qd, "reduced", momenta=p)
+
+
+def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
+    """``solve_ivp`` sampled every ``dt``, halting as pitch nears gimbal lock.
+
+    ``theta_index`` is the place of pitch in the state vector ``y0``.
+    """
+    from scipy.integrate import solve_ivp
+
+    if dt <= 0 or t_end <= 0:
+        raise ValueError("t_end and dt must be positive")
+
+    def gimbal(t, y):
+        return (math.pi / 2 - GIMBAL_HALT_MARGIN) - abs(y[theta_index])
+
+    gimbal.terminal = True
+    return solve_ivp(
         rhs,
         (0.0, t_end),
         y0,
         method=method,
         rtol=rtol,
         atol=atol,
-        t_eval=t_eval,
+        t_eval=_sample_times(t_end, dt),
         max_step=max_step,
-        events=[_gimbal_event(1)],
+        events=[gimbal],
         dense_output=False,
-    )
-
-    n = len(sol.t)
-    q = np.zeros((n, 6))
-    qd = np.zeros((n, 6))
-    q[:, list(NONCYCLIC)] = sol.y[:3].T
-    q[:, list(CYCLIC)] = sol.y[6:9].T
-    qd[:, list(NONCYCLIC)] = sol.y[3:6].T
-    for k in range(n):
-        metric = kinetic_metric(body, q[k, 4], q[k, 5])
-        qd[k, list(CYCLIC)] = cyclic_rates(metric, qd[k, list(NONCYCLIC)], p)
-    energy, momenta = _full_diagnostics(mesh, body, env, q, qd)
-    return Trajectory(
-        t=sol.t,
-        q=q,
-        qdot=qd,
-        energy=energy,
-        momenta=momenta,
-        mode="reduced",
-        terminated_early=(sol.status == 1),
-        nfev=sol.nfev,
     )
 
 
@@ -471,15 +425,31 @@ def _sample_times(t_end, dt):
     return t
 
 
-def _full_diagnostics(mesh, body, env, q, qd):
-    n = len(q)
+def _trajectory(mesh, body, env, sol, q, qd, mode, momenta=None):
+    """The solver's samples with the energy and cyclic momenta of each.
+
+    Given the fixed cyclic ``momenta`` of a reduced run, the cyclic rates
+    in ``qd`` are first reconstructed from them, sample by sample.
+    """
+    n = len(sol.t)
     energy = np.empty(n)
-    momenta = np.empty((n, 3))
+    p_cyclic = np.empty((n, 3))
     for k in range(n):
-        pose = Pose.from_array(q[k])
-        a = kinetic_metric(body, q[k, 4], q[k, 5]).matrix
+        metric = kinetic_metric(body, q[k, 4], q[k, 5])
+        if momenta is not None:
+            qd[k, list(CYCLIC)] = cyclic_rates(metric, qd[k, list(NONCYCLIC)], momenta)
+        a = metric.matrix
         kinetic = 0.5 * qd[k] @ a @ qd[k]
-        u = body.mass * env.g * q[k, 2] + potential(mesh, pose, env)
+        u = body.mass * env.g * q[k, 2] + potential(mesh, Pose.from_array(q[k]), env)
         energy[k] = kinetic - u
-        momenta[k] = (a @ qd[k])[list(CYCLIC)]
-    return energy, momenta
+        p_cyclic[k] = (a @ qd[k])[list(CYCLIC)]
+    return Trajectory(
+        t=sol.t,
+        q=q,
+        qdot=qd,
+        energy=energy,
+        momenta=p_cyclic,
+        mode=mode,
+        terminated_early=(sol.status == 1),
+        nfev=sol.nfev,
+    )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .clipping import SubmergedIntegrals, WaterplaneProperties, evaluate
 from .errors import AsymmetricBody, NotAnEquilibrium, ZeroVolume
-from .kinematics import NONCYCLIC, Pose, partials_r3, rotation_matrix
+from .kinematics import NONCYCLIC, Pose, omega_chart, rotation_matrix
 from .mesh import HullMesh
 
 #: the (zeta, theta, phi) block of a 6x6 matrix
@@ -98,12 +98,12 @@ def generalized_forces(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.
 
 
 def _generalized_forces(integrals: SubmergedIntegrals, pose: Pose, env) -> np.ndarray:
-    parts = partials_r3(pose)
+    _, d_theta, d_phi = omega_chart(pose.theta, pose.phi)
     rg = env.rho * env.g
     forces = np.zeros(6)
     forces[2] = -rg * integrals.volume
-    forces[4] = -rg * (parts.d_theta @ integrals.first)
-    forces[5] = -rg * (parts.d_phi @ integrals.first)
+    forces[4] = -rg * (d_theta[:, 0] @ integrals.first)
+    forces[5] = -rg * (d_phi[:, 0] @ integrals.first)
     return forces
 
 
@@ -143,16 +143,28 @@ def force_gradient(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.ndar
 
 
 def _force_gradient(integrals: SubmergedIntegrals, pose: Pose, env) -> np.ndarray:
-    parts = partials_r3(pose)
+    w, d_theta, d_phi = omega_chart(pose.theta, pose.phi)
+    k3, k3_th = w[:, 0].tolist(), d_theta[:, 0].tolist()
     lin = np.zeros((3, 4))
     lin[0, 0] = 1.0
-    lin[1, 1:] = parts.d_theta
-    lin[2, 1:] = parts.d_phi
+    lin[1, 1:] = k3_th
+    lin[2, 1:] = d_phi[:, 0]
     cap = np.empty((4, 4))
     cap[0, 0] = integrals.cap_area
     cap[0, 1:] = cap[1:, 0] = integrals.cap_first
     cap[1:, 1:] = integrals.cap_second
-    block = parts.second[:3, :3] @ integrals.first + lin @ cap @ lin.T
+    # second partials of k3 (theta-theta, theta-phi, phi-phi) by sign flips;
+    # the tolist above makes packing them cheap (Python floats, not scalars)
+    second = np.array(
+        [
+            [-k3[0], -k3[1], -k3[2]],
+            [0.0, k3_th[2], -k3_th[1]],
+            [0.0, -k3[1], -k3[2]],
+        ]
+    )
+    curvature = np.zeros((3, 3))
+    curvature[1, 1], curvature[1, 2], curvature[2, 2] = second @ integrals.first
+    block = curvature + lin @ cap @ lin.T
     # mirror the upper triangle so the result is symmetric bitwise
     block[_LOWER] = block.T[_LOWER]
     grad = np.zeros((6, 6))

@@ -1,4 +1,4 @@
-"""Pose coordinates, rotation matrices and the angle-rate map.
+"""Pose coordinates, rotation matrices and the yaw-pitch-roll chart.
 
 Frame conventions used throughout the package:
 
@@ -16,6 +16,12 @@ Frame conventions used throughout the package:
 Coordinate order is ``(xi, eta, zeta, psi, theta, phi)`` everywhere; the
 ``CYCLIC`` indices (surge, sway, yaw) carry no hydrostatic restoring
 force, the ``NONCYCLIC`` ones (heave, pitch, roll) do.
+
+One builder, :func:`omega_chart`, serves both halves of the mechanics
+from one set of sines and cosines of pitch and roll: the angle-rate map
+W and its two partials feed the kinetic metric, and their first columns
+are the depth row ``k3`` and its partials, which the generalized forces
+and the force gradient contract with the submerged moments.
 """
 
 from __future__ import annotations
@@ -116,16 +122,42 @@ def k3_body(pose: Pose) -> np.ndarray:
     return np.array([-sth, cth * sph, cth * cph])
 
 
-def _omega_matrix(theta: float, phi: float) -> np.ndarray:
+def omega_chart(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angle-rate map W and its pitch and roll partials, one trig pass.
+
+    Column 0 of W is the depth row :func:`k3_body` and column 0 of each
+    partial is the matching depth-row partial, so the hydrostatic moments
+    and the kinetic metric read the same chart.  The second partials of
+    the depth row are exact sign flips of these entries:
+    ``d2k3/dtheta2 = -k3``, ``d2k3/dphi2 = (0, -k3_2, -k3_3)`` and
+    ``d2k3/dtheta dphi = (0, dk3_3/dtheta, -dk3_2/dtheta)``.
+
+    No gimbal check; :func:`omega_map` adds it.
+    """
     cth, sth = math.cos(theta), math.sin(theta)
     cph, sph = math.cos(phi), math.sin(phi)
-    return np.array(
+    w = np.array(
         [
             [-sth, 0.0, 1.0],
             [cth * sph, cph, 0.0],
             [cth * cph, -sph, 0.0],
         ]
     )
+    d_theta = np.array(
+        [
+            [-cth, 0.0, 0.0],
+            [-sth * sph, 0.0, 0.0],
+            [-sth * cph, 0.0, 0.0],
+        ]
+    )
+    d_phi = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [cth * cph, -sph, 0.0],
+            [-cth * sph, -cph, 0.0],
+        ]
+    )
+    return w, d_theta, d_phi
 
 
 def omega_map(theta: float, phi: float) -> np.ndarray:
@@ -141,74 +173,4 @@ def omega_map(theta: float, phi: float) -> np.ndarray:
     """
     if abs(theta) >= math.pi / 2 - GIMBAL_GUARD:
         raise GimbalLock(f"pitch {theta} within guard of pi/2")
-    return _omega_matrix(theta, phi)
-
-
-def omega_map_partials(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives of :func:`omega_map` with respect to theta and phi."""
-    cth, sth = math.cos(theta), math.sin(theta)
-    cph, sph = math.cos(phi), math.sin(phi)
-    d_theta = np.array(
-        [
-            [-cth, 0.0, 0.0],
-            [-sth * sph, 0.0, 0.0],
-            [-sth * cph, 0.0, 0.0],
-        ]
-    )
-    d_phi = np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [cth * cph, -sph, 0.0],
-            [-cth * sph, -cph, 0.0],
-        ]
-    )
-    return d_theta, d_phi
-
-
-@dataclass(frozen=True)
-class R3Partials:
-    """Derivatives of the depth row (third row of the rotation matrix).
-
-    ``first[k]`` and ``second[k, r]`` are 3-vectors of partial
-    derivatives with respect to the coordinates in :attr:`coords` order
-    ``(zeta, theta, phi, psi)``.  The depth row does not involve zeta or
-    psi, so those slices are identically zero; they are kept so callers
-    can index by coordinate without special cases.
-    """
-
-    value: np.ndarray
-    first: np.ndarray
-    second: np.ndarray
-
-    coords = ("zeta", "theta", "phi", "psi")
-
-    @property
-    def d_theta(self) -> np.ndarray:
-        return self.first[1]
-
-    @property
-    def d_phi(self) -> np.ndarray:
-        return self.first[2]
-
-
-def partials_r3(pose: Pose) -> R3Partials:
-    """First and second derivatives of the depth row of the rotation matrix.
-
-    At zero angles the classic contractions hold: ``d/dtheta . x = -x1``,
-    ``d/dphi . x = x2`` and both pure second derivatives contract to
-    ``-x3`` while the mixed theta-phi term vanishes.
-    """
-    cth, sth = math.cos(pose.theta), math.sin(pose.theta)
-    cph, sph = math.cos(pose.phi), math.sin(pose.phi)
-
-    value = np.array([-sth, cth * sph, cth * cph])
-    first = np.zeros((4, 3))
-    first[1] = [-cth, -sth * sph, -sth * cph]
-    first[2] = [0.0, cth * cph, -cth * sph]
-
-    second = np.zeros((4, 4, 3))
-    second[1, 1] = [sth, -cth * sph, -cth * cph]
-    second[1, 2] = [0.0, -sth * cph, sth * sph]
-    second[2, 1] = second[1, 2]
-    second[2, 2] = [0.0, -cth * sph, -cth * cph]
-    return R3Partials(value=value, first=first, second=second)
+    return omega_chart(theta, phi)[0]

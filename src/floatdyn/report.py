@@ -26,7 +26,6 @@ from .hydrostatics import (
     FluidEnvironment,
     hessian_at_equilibrium,
     hydrostatic_state,
-    metacentric_heights,
     pseudo_stability_check,
 )
 from .mesh import inertia_from_mesh, load_mesh
@@ -108,6 +107,10 @@ class AnalysisConfig:
             value = getattr(self, name)
             if value is not None and not _all_finite(value):
                 raise ConfigError(f"'{name}' must hold finite numbers, got {value!r}")
+        if isinstance(self.seed, bool) or not (
+            isinstance(self.seed, numbers.Integral) and self.seed >= 0
+        ):
+            raise ConfigError(f"'seed' must be a non-negative integer, got {self.seed!r}")
         if len(tuple(self.initial_guess)) != 3:
             raise ConfigError("'initial_guess' must be (zeta0, theta0, phi0)")
         # normalize to JSON-native types so the config echo round-trips
@@ -251,9 +254,6 @@ def run_analysis(config: AnalysisConfig):
 
     state = hydrostatic_state(mesh, result.pose, env)
     hessian = hessian_at_equilibrium(mesh, result.pose, env, mass=body.mass)
-    gm_t, gm_l = metacentric_heights(
-        state.volume, state.buoyancy_center[2], state.waterplane.second_moment
-    )
     stability = pseudo_stability_check(
         hessian,
         v_star=state.volume,

@@ -316,6 +316,32 @@ class TestSimulate:
         np.testing.assert_allclose(data[:, 16], 30.0, atol=1e-9)  # p_psi column
         assert abs(data[-1, 4]) > 1e-3  # yaw actually advances
 
+    def test_reduced_mode_starts_from_cyclic_coordinates(self, tmp_path, barge_config):
+        config = json.loads(barge_config.read_text())
+        config["simulate"] = {
+            "t_end": 0.1, "dt": 0.05,
+            "initial": {"zeta": 0.01, "xi": 2.0, "psi": 0.5},
+        }
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "red.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out),
+                     "--mode", "reduced"]) == 0
+        data = np.genfromtxt(out, delimiter=",", skip_header=1)
+        assert data[0, 1] == 2.0  # xi
+        assert data[0, 4] == 0.5  # psi
+
+    @pytest.mark.parametrize("key", ["xi_dot", "eta_dot", "psi_dot"])
+    def test_reduced_mode_rejects_cyclic_rates(self, barge_config, capsys, key):
+        config = json.loads(barge_config.read_text())
+        config["simulate"] = {"t_end": 0.1, "dt": 0.05, "initial": {key: 0.3}}
+        barge_config.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(barge_config), "--mode", "reduced"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"'simulate.initial.{key}'" in err
+        assert "Traceback" not in err
+
 
 class TestModes:
     def test_modal_recompute_from_report(self, barge_config, tmp_path, capsys):
@@ -356,6 +382,31 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "edge" in err or "partner" in err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--poses", "0"), ("--poses", "-2"), ("--loops", "0")]
+    )
+    def test_non_positive_counts_exit_one(self, cube_config, capsys, flag, value):
+        code = main(["verify", "--config", str(cube_config), flag, value])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert f"error: '{flag}'" in err
+        assert "PASS" not in out
+
+    def test_negative_seed_exits_one(self, cube_config, capsys):
+        code = main(["verify", "--config", str(cube_config), "--seed", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: 'seed'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+    def test_bad_config_seed_exits_one(self, cube_config, capsys, seed):
+        config = json.loads(cube_config.read_text())
+        config["seed"] = seed
+        cube_config.write_text(json.dumps(config))
+        assert main(["verify", "--config", str(cube_config)]) == 1
+        assert "error: 'seed'" in capsys.readouterr().err
+
 
 class TestClip:
     def test_exports_solid(self, cube_config, tmp_path, capsys):
@@ -371,3 +422,11 @@ class TestClip:
         code = main(["clip", "--config", str(cube_config), "--out", str(out),
                      "--pose=-5.0,0,0"])
         assert code == 1
+
+    def test_more_than_six_pose_values_rejected(self, cube_config, tmp_path, capsys):
+        out = tmp_path / "clip.stl"
+        code = main(["clip", "--config", str(cube_config), "--out", str(out),
+                     "--pose", "0.01,0,0,0,0,0,9"])
+        assert code == 1
+        assert "six" in capsys.readouterr().err
+        assert not out.exists()

@@ -8,10 +8,9 @@ from floatdyn import (
     Pose,
     k3_body,
     omega_map,
-    partials_r3,
     rotation_matrix,
 )
-from floatdyn.kinematics import omega_map_partials
+from floatdyn.kinematics import omega_chart
 
 
 def random_poses(rng, n, max_angle=1.4):
@@ -112,7 +111,7 @@ class TestOmegaMap:
         for _ in range(50):
             theta = rng.uniform(-1.3, 1.3)
             phi = rng.uniform(-3.0, 3.0)
-            d_th, d_ph = omega_map_partials(theta, phi)
+            _, d_th, d_ph = omega_chart(theta, phi)
             fd_th = (omega_map(theta + h, phi) - omega_map(theta - h, phi)) / (2 * h)
             fd_ph = (omega_map(theta, phi + h) - omega_map(theta, phi - h)) / (2 * h)
             np.testing.assert_allclose(d_th, fd_th, atol=1e-8)
@@ -151,34 +150,45 @@ class TestOmegaMap:
             np.testing.assert_allclose(r @ skew, r_dot_fd, atol=1e-6)
 
 
+def depth_row_partials(pose):
+    """k3 and its first and second angle partials, read from the chart.
+
+    The second partials are the sign flips the hydrostatics use.
+    """
+    w, d_th, d_ph = omega_chart(pose.theta, pose.phi)
+    k3, k3_th, k3_ph = w[:, 0], d_th[:, 0], d_ph[:, 0]
+    k3_thth = -k3
+    k3_thph = np.array([0.0, k3_th[2], -k3_th[1]])
+    k3_phph = np.array([0.0, -k3[1], -k3[2]])
+    return k3, k3_th, k3_ph, k3_thth, k3_thph, k3_phph
+
+
 class TestPartialsR3:
+    """Partials of the depth row, the third row r3 of the rotation matrix."""
+
+    def test_chart_column_zero_is_k3_body(self):
+        rng = np.random.default_rng(23)
+        for pose in random_poses(rng, 200):
+            w = omega_chart(pose.theta, pose.phi)[0]
+            assert w[:, 0].tobytes() == k3_body(pose).tobytes()
+
     def test_values_at_upright_pose(self):
-        parts = partials_r3(Pose())
-        np.testing.assert_array_equal(parts.d_theta, [-1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(parts.d_phi, [0.0, 1.0, 0.0])
+        _, d_theta, d_phi, thth, thph, phph = depth_row_partials(Pose())
+        np.testing.assert_array_equal(d_theta, [-1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(d_phi, [0.0, 1.0, 0.0])
         x = np.array([1.7, -0.3, 2.2])
         # contractions with a body point reproduce the classic table
-        assert parts.d_theta @ x == -x[0]
-        assert parts.d_phi @ x == x[1]
-        assert parts.second[1, 1] @ x == -x[2]
-        assert parts.second[2, 2] @ x == -x[2]
-        assert parts.second[1, 2] @ x == 0.0
-
-    def test_zeta_and_psi_rows_vanish(self):
-        rng = np.random.default_rng(13)
-        for pose in random_poses(rng, 20):
-            parts = partials_r3(pose)
-            assert np.all(parts.first[0] == 0.0)
-            assert np.all(parts.first[3] == 0.0)
-            assert np.all(parts.second[0] == 0.0)
-            assert np.all(parts.second[:, 0] == 0.0)
-            assert np.all(parts.second[3] == 0.0)
+        assert d_theta @ x == -x[0]
+        assert d_phi @ x == x[1]
+        assert thth @ x == -x[2]
+        assert phph @ x == -x[2]
+        assert thph @ x == 0.0
 
     def test_first_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(17)
         h = 1e-6
         for pose in random_poses(rng, 100):
-            parts = partials_r3(pose)
+            _, d_theta, d_phi, *_ = depth_row_partials(pose)
             fd_th = (
                 k3_body(pose.replace(theta=pose.theta + h))
                 - k3_body(pose.replace(theta=pose.theta - h))
@@ -187,27 +197,33 @@ class TestPartialsR3:
                 k3_body(pose.replace(phi=pose.phi + h))
                 - k3_body(pose.replace(phi=pose.phi - h))
             ) / (2 * h)
-            np.testing.assert_allclose(parts.d_theta, fd_th, atol=1e-6)
-            np.testing.assert_allclose(parts.d_phi, fd_ph, atol=1e-6)
+            np.testing.assert_allclose(d_theta, fd_th, atol=1e-6)
+            np.testing.assert_allclose(d_phi, fd_ph, atol=1e-6)
 
     def test_second_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(19)
         h = 1e-5
         for pose in random_poses(rng, 30):
-            parts = partials_r3(pose)
+            _, _, _, thth, thph, phph = depth_row_partials(pose)
             fd_thth = (
                 k3_body(pose.replace(theta=pose.theta + h))
                 - 2 * k3_body(pose)
                 + k3_body(pose.replace(theta=pose.theta - h))
             ) / h**2
-            np.testing.assert_allclose(parts.second[1, 1], fd_thth, atol=1e-5)
+            np.testing.assert_allclose(thth, fd_thth, atol=1e-5)
             fd_thph = (
                 k3_body(pose.replace(theta=pose.theta + h, phi=pose.phi + h))
                 - k3_body(pose.replace(theta=pose.theta + h, phi=pose.phi - h))
                 - k3_body(pose.replace(theta=pose.theta - h, phi=pose.phi + h))
                 + k3_body(pose.replace(theta=pose.theta - h, phi=pose.phi - h))
             ) / (4 * h**2)
-            np.testing.assert_allclose(parts.second[1, 2], fd_thph, atol=1e-5)
+            np.testing.assert_allclose(thph, fd_thph, atol=1e-5)
+            fd_phph = (
+                k3_body(pose.replace(phi=pose.phi + h))
+                - 2 * k3_body(pose)
+                + k3_body(pose.replace(phi=pose.phi - h))
+            ) / h**2
+            np.testing.assert_allclose(phph, fd_phph, atol=1e-5)
 
 
 class TestPose:
