@@ -22,10 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import FullState, ReducedState, integrate_full, integrate_reduced
+from .dynamics import (
+    FullState, ReducedState, cyclic_rates, integrate_full, integrate_reduced, kinetic_metric,
+)
 from .clipping import clip_by_waterplane
 from .errors import ConfigError, FloatDynError
-from .kinematics import COORD_NAMES, Pose
+from .kinematics import COORD_NAMES, CYCLIC, NONCYCLIC, Pose
 from .mesh import save_stl
 from .oscillations import normal_modes
 from .report import AnalysisConfig, Report, load_body, run_analysis
@@ -152,20 +154,14 @@ def _cmd_simulate(args) -> int:
     mode = args.mode or sim.get("mode", "full")
     t_end = float(sim.get("t_end", 10.0))
     dt = float(sim.get("dt", 0.01))
-    kwargs = {
-        "method": integrator.get("method", "DOP853"),
-        "rtol": float(integrator.get("rtol", 1e-9)),
-        "atol": float(integrator.get("atol", 1e-10)),
-        "max_step": float(integrator.get("max_step", np.inf)),
-    }
 
     mesh, body, env = objects["mesh"], objects["body"], objects["env"]
     try:
-        start = _initial_state(mode, objects["equilibrium"].pose, sim)
+        start = _initial_state(mode, objects["equilibrium"].pose, sim, body)
     except ValueError as exc:
         raise ConfigError(f"invalid 'simulate' start: {exc}") from exc
     integrate = integrate_full if mode == "full" else integrate_reduced
-    traj = integrate(mesh, body, env, t_end=t_end, dt=dt, **start, **kwargs)
+    traj = integrate(mesh, body, env, t_end=t_end, dt=dt, **start, **integrator)
 
     if args.out:
         traj.to_csv(args.out)
@@ -180,42 +176,38 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _initial_state(mode, eq_pose, sim):
+def _initial_state(mode, eq_pose, sim, body):
     """Integrator start arguments: the equilibrium plus ``simulate.initial``.
 
-    A reduced run starts surge, sway and yaw from the deviation too, but
-    takes their rates from ``simulate.momenta``, so it rejects them here.
+    ``simulate.momenta`` fixes the surge, sway and yaw rates: a reduced
+    run holds them, a full run starts from the rates they give at the
+    start pose.  Either way those rates may not be given as well.
     """
     deviation = sim.get("initial", {})
 
     def value(name):
         return float(deviation.get(name, 0.0))
 
-    if mode == "full":
-        pose = Pose(
-            xi=value("xi"),
-            eta=value("eta"),
-            zeta=eq_pose.zeta + value("zeta"),
-            psi=value("psi"),
-            theta=eq_pose.theta + value("theta"),
-            phi=eq_pose.phi + value("phi"),
-        )
-        rates = np.array([value(f"{name}_dot") for name in COORD_NAMES])
-        return {"initial": FullState(pose, rates)}
-    for name in ("xi_dot", "eta_dot", "psi_dot"):
-        if name in deviation:
-            raise ConfigError(
-                f"'simulate.initial.{name}' is fixed by 'simulate.momenta' in reduced mode"
-            )
-    coords = np.array(
-        [eq_pose.zeta + value("zeta"), eq_pose.theta + value("theta"), eq_pose.phi + value("phi")]
-    )
-    rates = np.array([value(f"{name}_dot") for name in ("zeta", "theta", "phi")])
+    if mode == "reduced" or "momenta" in sim:
+        for name in ("xi_dot", "eta_dot", "psi_dot"):
+            if name in deviation:
+                raise ConfigError(
+                    f"'simulate.initial.{name}' is fixed by 'simulate.momenta' in {mode} mode"
+                )
+    q = np.array([value(name) for name in COORD_NAMES])
+    q[list(NONCYCLIC)] += (eq_pose.zeta, eq_pose.theta, eq_pose.phi)
+    rates = np.array([value(f"{name}_dot") for name in COORD_NAMES])
     momenta = np.asarray(sim.get("momenta", (0.0, 0.0, 0.0)), dtype=float)
-    return {
-        "initial": ReducedState(coords, rates, momenta),
-        "cyclic_start": (value("xi"), value("eta"), value("psi")),
-    }
+    if mode == "reduced":
+        return {
+            "initial": ReducedState(q[list(NONCYCLIC)], rates[list(NONCYCLIC)], momenta),
+            "cyclic_start": q[list(CYCLIC)],
+        }
+    pose = Pose.from_array(q)
+    if "momenta" in sim:
+        metric = kinetic_metric(body, pose.theta, pose.phi)
+        rates[list(CYCLIC)] = cyclic_rates(metric, rates[list(NONCYCLIC)], momenta)
+    return {"initial": FullState(pose, rates)}
 
 
 def _cmd_modes(args) -> int:

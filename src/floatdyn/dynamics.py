@@ -9,17 +9,19 @@ block built from the angle-rate map, depending on pitch and roll only.
 
 Surge, sway and yaw are cyclic: their conjugate momenta are conserved,
 and eliminating their rates in favor of those constants reduces the
-problem to three coordinates (heave, pitch, roll).  The reduced
-equations integrated here are the Euler-Lagrange equations of that
-partial Legendre transform at fixed momenta; they are assembled
-independently of the full system so the two integrations cross-check
-each other.
+problem to three coordinates (heave, pitch, roll).  The cyclic block of
+the metric is ``diag(m, m, c)`` with ``c = k3' I k3 > 0``, and only yaw
+couples to pitch and roll, so the reduced equations are in closed form:
+surge and sway rates are ``p / m``, the yaw rate is
+``(p_psi - b . (theta_dot, phi_dot)) / c``, heave decouples, and pitch
+and roll take one 2x2 solve with ``K - b b' / c``.  The full route
+solves the generic 6x6 Euler-Lagrange equations and is the reference
+the reduced one is checked against; the momenta of every trajectory are
+recomputed from the generic metric.
 
 State ordering is ``(xi, eta, zeta, psi, theta, phi)`` everywhere;
-cyclic indices ``(0, 1, 3)``.  Angle partials of the metric are closed
-form: each right-hand side takes the metric and both partials from one
-evaluation of the chart, and no finite differences run inside the
-integration loop.
+cyclic indices ``(0, 1, 3)``.  Each right-hand side takes the metric
+and its closed-form angle partials from one evaluation of the chart.
 
 Both integrators run through one driver, which imports ``solve_ivp``
 when called, so importing the package (and every CLI subcommand but
@@ -332,54 +334,35 @@ def integrate_reduced(
     with :func:`integrate_full`.  The reported energy uses the
     reconstructed full velocity and is conserved along reduced motions.
     """
-    weight = body.mass * env.g
+    mass, weight = body.mass, body.mass * env.g
     p = np.asarray(initial.momenta, dtype=float)
 
     def rhs(t, y):
-        coords, qd_n = y[:3], y[3:6]
-        pose = _pose_unchecked((0.0, 0.0, coords[0], 0.0, coords[1], coords[2]))
-        a, da_th, da_ph = _metric_and_partials(body, coords[1], coords[2])
-
-        a_aa = a[_IX_AA]
-        a_an = a[_IX_AN]
-        a_nn = a[_IX_NN]
-        w = p - a_an @ qd_n
-        u_dot = np.linalg.solve(a_aa, w)
-        m_red = a_nn - a_an.T @ np.linalg.solve(a_aa, a_an)
-
-        qd_full = np.zeros(6)
-        qd_full[list(CYCLIC)] = u_dot
-        qd_full[list(NONCYCLIC)] = qd_n
-
+        zeta, theta, phi, zeta_dot, theta_dot, phi_dot = y[:6]
+        pose = _pose_unchecked((0.0, 0.0, zeta, 0.0, theta, phi))
+        a, da_th, da_ph = _metric_and_partials(body, theta, phi)
+        # rotational block [[c, b'], [b, K]] in (psi, theta, phi) order
+        j, dj_th, dj_ph = a[3:, 3:], da_th[3:, 3:], da_ph[3:, 3:]
+        c, b = j[0, 0], j[1:, 0]
+        psi_dot = (p[2] - b @ y[4:6]) / c
+        omega = np.array([psi_dot, theta_dot, phi_dot])
+        jdot_omega = (theta_dot * dj_th + phi_dot * dj_ph) @ omega
         grad_u = generalized_forces(mesh, pose, env)
-        grad_u[2] += weight
-        d_r = np.array(
-            [
-                grad_u[2],
-                grad_u[4] + 0.5 * qd_full @ da_th @ qd_full,
-                grad_u[5] + 0.5 * qd_full @ da_ph @ qd_full,
-            ]
+        force = np.array(
+            [grad_u[4] + 0.5 * omega @ dj_th @ omega, grad_u[5] + 0.5 * omega @ dj_ph @ omega]
         )
-
-        adot = qd_n[1] * da_th + qd_n[2] * da_ph
-        adot_aa = adot[_IX_AA]
-        adot_an = adot[_IX_AN]
-        adot_nn = adot[_IX_NN]
-        gamma = (
-            adot_nn @ qd_n
-            + adot_an.T @ u_dot
-            - a_an.T @ np.linalg.solve(a_aa, adot_aa @ u_dot)
-            - a_an.T @ np.linalg.solve(a_aa, adot_an @ qd_n)
-        )
-        qdd_n = np.linalg.solve(m_red, d_r - gamma)
-        return np.concatenate([qd_n, qdd_n, u_dot])
+        force -= jdot_omega[1:] - b * (jdot_omega[0] / c)
+        theta_ddot, phi_ddot = np.linalg.solve(j[1:, 1:] - np.outer(b, b) / c, force)
+        return np.array([
+            zeta_dot, theta_dot, phi_dot,
+            (grad_u[2] + weight) / mass, theta_ddot, phi_ddot,
+            p[0] / mass, p[1] / mass, psi_dot,
+        ])
 
     y0 = np.concatenate([initial.coords, initial.rates, np.asarray(cyclic_start, float)])
     sol = _solve(rhs, y0, 1, t_end, dt, method, rtol, atol, max_step)
-    q = np.zeros((len(sol.t), 6))
+    q = sol.y[[6, 7, 0, 8, 1, 2]].T  # (xi, eta, zeta, psi, theta, phi)
     qd = np.zeros((len(sol.t), 6))
-    q[:, list(NONCYCLIC)] = sol.y[:3].T
-    q[:, list(CYCLIC)] = sol.y[6:9].T
     qd[:, list(NONCYCLIC)] = sol.y[3:6].T
     return _trajectory(mesh, body, env, sol, q, qd, "reduced", momenta=p)
 

@@ -28,19 +28,25 @@ from .hydrostatics import (
     hydrostatic_state,
     pseudo_stability_check,
 )
+from .kinematics import COORD_NAMES
 from .mesh import inertia_from_mesh, load_mesh
 from .oscillations import normal_modes
 
 SCHEMA_VERSION = 1
 
-#: numeric options inside the config's sections and the values each
-#: takes: "positive" or "non-negative" finite numbers (max_step may also
-#: be infinite); zero tolerances are valid for solve_ivp (atol 0 is pure
-#: relative error control)
-_OPTION_RANGES = {
-    "solver": {"tol": "positive", "max_iter": "non-negative"},
-    "integrator": {"rtol": "non-negative", "atol": "non-negative", "max_step": "positive"},
-    "simulate": {"t_end": "positive", "dt": "positive"},
+#: every key the config's sections accept and the values each numeric
+#: one takes: "positive" or "non-negative" finite numbers (max_step may
+#: also be infinite), or a "count"; zero tolerances are valid for
+#: solve_ivp (atol 0 is pure relative error control).  Keys mapped to
+#: None are checked on their own.
+_SECTION_OPTIONS = {
+    "solver": {"tol": "positive", "max_iter": "count"},
+    "integrator": {
+        "method": None, "rtol": "non-negative", "atol": "non-negative", "max_step": "positive",
+    },
+    "simulate": {
+        "mode": None, "t_end": "positive", "dt": "positive", "initial": None, "momenta": None,
+    },
 }
 
 #: the ``method`` names solve_ivp accepts; a copy, so checking a config
@@ -49,12 +55,25 @@ _INTEGRATOR_METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
 
 
 def _require_number(name, value, kind="positive", allow_inf=False):
-    in_range = isinstance(value, numbers.Real) and (
+    in_range = isinstance(value, numbers.Real) and not isinstance(value, bool) and (
         value > 0 if kind == "positive" else value >= 0
     )
     if not (in_range and (math.isfinite(value) or (allow_inf and value == math.inf))):
         finite = "" if allow_inf else " finite"
         raise ConfigError(f"'{name}' must be a {kind}{finite} number, got {value!r}")
+
+
+def _require_count(name, value):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ConfigError(f"'{name}' must be a non-negative integer, got {value!r}")
+
+
+def _require_known_keys(name, options, known):
+    if not isinstance(options, dict):
+        raise ConfigError(f"'{name}' must be a JSON object, got {options!r}")
+    unknown = set(options) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown '{name}' keys: {sorted(unknown)}")
 
 
 def _all_finite(value) -> bool:
@@ -89,14 +108,23 @@ class AnalysisConfig:
             value = getattr(self, name)
             if value is not None:
                 _require_number(name, value)
-        for section, ranges in _OPTION_RANGES.items():
+        for section, ranges in _SECTION_OPTIONS.items():
             options = getattr(self, section)
-            for key, kind in ranges.items():
-                if key in options:
+            _require_known_keys(section, options, ranges)
+            for key, value in options.items():
+                if ranges[key] == "count":
+                    _require_count(f"{section}.{key}", value)
+                elif ranges[key] is not None:
                     # max_step defaults to infinity: no step limit
                     _require_number(
-                        f"{section}.{key}", options[key], kind, allow_inf=key == "max_step"
+                        f"{section}.{key}", value, ranges[key], allow_inf=key == "max_step"
                     )
+        # a deviation from equilibrium and a rate per coordinate
+        initial_keys = COORD_NAMES + tuple(f"{name}_dot" for name in COORD_NAMES)
+        _require_known_keys("simulate.initial", self.simulate.get("initial", {}), initial_keys)
+        momenta = self.simulate.get("momenta", (0.0, 0.0, 0.0))
+        if not (_all_finite(momenta) and np.shape(momenta) == (3,)):
+            raise ConfigError(f"'simulate.momenta' must be three finite numbers, got {momenta!r}")
         if self.integrator.get("method", "DOP853") not in _INTEGRATOR_METHODS:
             raise ConfigError(
                 f"'integrator.method' must be one of {', '.join(_INTEGRATOR_METHODS)}"
@@ -107,10 +135,7 @@ class AnalysisConfig:
             value = getattr(self, name)
             if value is not None and not _all_finite(value):
                 raise ConfigError(f"'{name}' must hold finite numbers, got {value!r}")
-        if isinstance(self.seed, bool) or not (
-            isinstance(self.seed, numbers.Integral) and self.seed >= 0
-        ):
-            raise ConfigError(f"'seed' must be a non-negative integer, got {self.seed!r}")
+        _require_count("seed", self.seed)
         if len(tuple(self.initial_guess)) != 3:
             raise ConfigError("'initial_guess' must be (zeta0, theta0, phi0)")
         # normalize to JSON-native types so the config echo round-trips
@@ -242,14 +267,8 @@ def run_analysis(config: AnalysisConfig):
     mesh, body, cg_shift = load_body(config)
     env = config.environment()
 
-    solver_opts = dict(config.solver)
     result = find_equilibrium(
-        mesh,
-        body,
-        env,
-        initial=tuple(config.initial_guess),
-        tol=float(solver_opts.pop("tol", 1e-12)),
-        max_iter=int(solver_opts.pop("max_iter", 60)),
+        mesh, body, env, initial=tuple(config.initial_guess), **config.solver
     )
 
     state = hydrostatic_state(mesh, result.pose, env)

@@ -281,16 +281,19 @@ class VerificationSummary:
         return out
 
 
+#: thresholds of the standard suite, one per check
+LOOP_WORK_TOL = 1e-6
+GRADIENT_TOL = 1e-5
+GRADIENT_SYMMETRY_TOL = 1e-8
+PLANAR_INVARIANCE_TOL = 0.0
+
+
 def run_verification(
     mesh: HullMesh,
     env: FluidEnvironment,
     seed: int = 0,
     n_poses: int = 25,
     n_loops: int = 5,
-    loop_work_tol: float = 1e-6,
-    gradient_tol: float = 1e-5,
-    gradient_symmetry_tol: float = 1e-8,
-    planar_invariance_tol: float = 0.0,
 ) -> VerificationSummary:
     """Run the standard residual suite on one mesh."""
     rng = np.random.default_rng(seed)
@@ -300,8 +303,8 @@ def run_verification(
         gradient=gradient_residual(mesh, env, poses),
         gradient_symmetry=gradient_symmetry_residual(mesh, env, poses),
         planar_invariance=planar_invariance_residual(mesh, env, poses, rng),
-        loop_work_tol=loop_work_tol,
-        gradient_tol=gradient_tol,
-        gradient_symmetry_tol=gradient_symmetry_tol,
-        planar_invariance_tol=planar_invariance_tol,
+        loop_work_tol=LOOP_WORK_TOL,
+        gradient_tol=GRADIENT_TOL,
+        gradient_symmetry_tol=GRADIENT_SYMMETRY_TOL,
+        planar_invariance_tol=PLANAR_INVARIANCE_TOL,
     )

@@ -117,6 +117,42 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             AnalysisConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("solver", "tolerance"), ("integrator", "rtl"), ("simulate", "tend"),
+         ("simulate.initial", "thta")],
+    )
+    def test_unknown_section_keys_exit_one(self, barge_config, capsys, section, key):
+        # a misspelled option must not silently fall back to its default
+        config = json.loads(barge_config.read_text())
+        if section == "simulate.initial":
+            config["simulate"] = {"initial": {key: 0.1}}
+        else:
+            config[section] = {key: 0.1}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config), "--t-end", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown '{section}' keys: ['{key}']" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [60.5, True, "60"])
+    def test_non_integer_max_iter_rejected(self, barge_config, capsys, value):
+        config = json.loads(barge_config.read_text())
+        config["solver"] = {"max_iter": value}
+        barge_config.write_text(json.dumps(config))
+        assert main(["analyze", "--config", str(barge_config)]) == 1
+        assert "'solver.max_iter' must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "momenta", [[0.0, 30.0], [0.0, 0.0, float("nan")], "spin"], ids=["two", "nan", "text"]
+    )
+    def test_bad_momenta_rejected(self, barge_config, capsys, momenta):
+        config = json.loads(barge_config.read_text())
+        config["simulate"] = {"momenta": momenta}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config), "--t-end", "0.1"]) == 1
+        assert "'simulate.momenta'" in capsys.readouterr().err
+
     def test_config_errors_exit_one(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
@@ -188,7 +224,8 @@ class TestConfigValidation:
         assert main(["analyze", "--config", str(barge_config)]) == 0
 
     @pytest.mark.parametrize(
-        "key, value", [("atol", -1e-10), ("max_step", 0.0), ("max_step", float("nan"))]
+        "key, value",
+        [("atol", -1e-10), ("max_step", 0.0), ("max_step", float("nan")), ("rtol", True)],
     )
     def test_out_of_range_integrator_option_rejected(self, barge_config, capsys, key, value):
         config = json.loads(barge_config.read_text())
@@ -315,6 +352,38 @@ class TestSimulate:
         data = np.genfromtxt(out, delimiter=",", skip_header=1)
         np.testing.assert_allclose(data[:, 16], 30.0, atol=1e-9)  # p_psi column
         assert abs(data[-1, 4]) > 1e-3  # yaw actually advances
+
+    def test_momenta_give_the_same_motion_in_both_modes(self, tmp_path, barge_config):
+        config = json.loads(barge_config.read_text())
+        config["simulate"] = {
+            "t_end": 1.0, "dt": 0.01,
+            "initial": {"zeta": 0.01, "theta": 0.02, "phi": -0.03},
+            "momenta": [0.0, 0.0, 30.0],
+        }
+        config["integrator"] = {"rtol": 1e-11, "atol": 1e-12}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(config))
+        tables = {}
+        for mode in ("full", "reduced"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["simulate", "--config", str(path), "--out", str(out),
+                         "--mode", mode]) == 0
+            tables[mode] = np.genfromtxt(out, delimiter=",", skip_header=1)
+            np.testing.assert_allclose(tables[mode][:, 16], 30.0, atol=1e-9)  # p_psi
+        np.testing.assert_allclose(  # zeta, theta, phi
+            tables["reduced"][:, [3, 5, 6]], tables["full"][:, [3, 5, 6]], atol=1e-6
+        )
+
+    def test_full_mode_rejects_cyclic_rates_with_momenta(self, barge_config, capsys):
+        config = json.loads(barge_config.read_text())
+        config["simulate"] = {
+            "t_end": 0.1, "dt": 0.05, "initial": {"psi_dot": 0.3}, "momenta": [0, 0, 30],
+        }
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config), "--mode", "full"]) == 1
+        err = capsys.readouterr().err
+        assert "'simulate.initial.psi_dot'" in err
+        assert "Traceback" not in err
 
     def test_reduced_mode_starts_from_cyclic_coordinates(self, tmp_path, barge_config):
         config = json.loads(barge_config.read_text())

@@ -310,6 +310,42 @@ class TestIntegrateFull:
         assert np.abs(traj.q[:, 4]).max() < np.pi / 2
 
 
+def _spinning_start(hull, request):
+    """``(mesh, body, coords, rates, momenta)`` of a start with yaw momentum.
+
+    The barge is a small heave-pitch-roll release with yaw momentum
+    only.  The jittered L-prism, centered on G, has products of inertia
+    and starts trimmed and heeled by about 1 rad at its displacement
+    draft, with all three cyclic momenta nonzero.
+    """
+    if hull == "barge":
+        zeta = request.getfixturevalue("barge_equilibrium").pose.zeta
+        return (
+            request.getfixturevalue("barge"),
+            request.getfixturevalue("barge_body"),
+            np.array([zeta + 0.015, 0.03, 0.05]),
+            np.array([0.0, 0.02, -0.04]),
+            np.array([0.0, 0.0, 40.0]),
+        )
+    l_prism, rho = request.getfixturevalue("l_prism"), request.getfixturevalue("env").rho
+    mesh = l_prism.translated(-l_prism.volume_centroid)
+    body = BodyProperties(*fd.inertia_from_mesh(mesh, 0.5 * rho))
+    assert abs(body.inertia[0, 2]) > 0.1 * body.inertia[0, 0]
+    theta, phi = 0.9, -0.7
+    lo, hi = -1.0, 1.0
+    for _ in range(60):
+        zeta = 0.5 * (lo + hi)
+        volume = fd.evaluate(mesh, Pose(zeta=zeta, theta=theta, phi=phi)).volume
+        lo, hi = (zeta, hi) if rho * volume < body.mass else (lo, zeta)
+    return (
+        mesh,
+        body,
+        np.array([zeta + 0.02, theta, phi]),
+        np.array([0.03, 0.1, -0.15]),
+        np.array([4.0, -3.0, 25.0]),
+    )
+
+
 class TestIntegrateReduced:
     def test_rest_at_equilibrium_stays(self, barge, barge_body, env, barge_equilibrium):
         initial = ReducedState(
@@ -347,31 +383,34 @@ class TestIntegrateReduced:
             traj_red.q[:, [0, 1, 3]], traj_full.q[:, [0, 1, 3]], atol=1e-8
         )
 
-    def test_matches_full_projection_at_nonzero_yaw_momentum(
-        self, barge, barge_body, env, barge_equilibrium
-    ):
-        coords = np.array([barge_equilibrium.pose.zeta + 0.015, 0.03, 0.05])
-        rates = np.array([0.0, 0.02, -0.04])
-        p_target = np.array([0.0, 0.0, 40.0])
-        metric = kinetic_metric(barge_body, coords[1], coords[2])
+    @pytest.mark.parametrize("hull", ["barge", "l_prism"])
+    def test_matches_full_projection_at_nonzero_yaw_momentum(self, hull, request, env):
+        mesh, body, coords, rates, p_target = _spinning_start(hull, request)
+        metric = kinetic_metric(body, coords[1], coords[2])
         full_rates = np.zeros(6)
         full_rates[[2, 4, 5]] = rates
         full_rates[[0, 1, 3]] = cyclic_rates(metric, rates, p_target)
         pose0 = Pose(0, 0, coords[0], 0, coords[1], coords[2])
         state = FullState(pose0, full_rates)
         np.testing.assert_allclose(
-            conserved_momenta(barge_body, state), p_target, atol=1e-12
+            conserved_momenta(body, state), p_target, atol=1e-12
         )
         t_end, dt = 2.0, 0.02
         traj_full = integrate_full(
-            barge, barge_body, env, state, t_end, dt, rtol=1e-11, atol=1e-12
+            mesh, body, env, state, t_end, dt, rtol=1e-11, atol=1e-12
         )
         traj_red = integrate_reduced(
-            barge, barge_body, env, ReducedState(coords, rates, p_target),
+            mesh, body, env, ReducedState(coords, rates, p_target),
             t_end, dt, rtol=1e-11, atol=1e-12,
         )
+        assert not traj_full.terminated_early and len(traj_red.t) == len(traj_full.t)
+        volumes = [fd.evaluate(mesh, Pose.from_array(q)).volume for q in traj_full.q]
+        assert 0.0 < min(volumes) and max(volumes) < mesh.volume  # partly submerged
         np.testing.assert_allclose(
             traj_red.q[:, [2, 4, 5]], traj_full.q[:, [2, 4, 5]], atol=1e-8
+        )
+        np.testing.assert_allclose(
+            traj_red.q[:, [0, 1, 3]], traj_full.q[:, [0, 1, 3]], atol=1e-8
         )
         assert np.abs(traj_red.momenta - p_target).max() < 1e-9
 

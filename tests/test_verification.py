@@ -1,4 +1,8 @@
 from floatdyn.verification import (
+    GRADIENT_SYMMETRY_TOL,
+    GRADIENT_TOL,
+    LOOP_WORK_TOL,
+    PLANAR_INVARIANCE_TOL,
     gradient_residual,
     gradient_symmetry_residual,
     loop_work_residual,
@@ -47,3 +51,7 @@ def test_run_verification_summary(cube, env):
     assert payload["passed"] is True
     assert set(payload) >= {"loop_work", "gradient", "gradient_symmetry",
                             "planar_invariance"}
+    # the thresholds are the module's, echoed unchanged
+    assert (payload["loop_work_tol"], payload["gradient_tol"],
+            payload["gradient_symmetry_tol"], payload["planar_invariance_tol"]) == (
+        LOOP_WORK_TOL, GRADIENT_TOL, GRADIENT_SYMMETRY_TOL, PLANAR_INVARIANCE_TOL)
