@@ -44,7 +44,9 @@ from .errors import (
     FloatDynError,
     GimbalLock,
     IndefiniteMass,
+    IntegrationFailed,
     InvalidMesh,
+    MissingDependency,
     NonSymmetricInput,
     NonWatertightMesh,
     NotAnEquilibrium,

@@ -23,9 +23,12 @@ State ordering is ``(xi, eta, zeta, psi, theta, phi)`` everywhere;
 cyclic indices ``(0, 1, 3)``.  Each right-hand side takes the metric
 and its closed-form angle partials from one evaluation of the chart.
 
-Both integrators run through one driver, which imports ``solve_ivp``
-when called, so importing the package (and every CLI subcommand but
-``simulate``) loads no SciPy.
+Both integrators run through one solve routine.  The explicit Runge-Kutta
+methods (``DOP853``, the default, ``RK45`` and ``RK23``) are the
+in-package :mod:`floatdyn.rk`, which reproduces SciPy's ``solve_ivp``
+bit for bit; the implicit ones (``Radau``, ``BDF``, ``LSODA``) call
+``solve_ivp`` and need SciPy.  The routine imports either only when
+called, so no other subcommand loads them.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SingularCyclicBlock
+from .errors import IntegrationFailed, SingularCyclicBlock, require_scipy
 from .hydrostatics import FluidEnvironment, generalized_forces, potential
 from .kinematics import CYCLIC, NONCYCLIC, Pose, _pose_unchecked, omega_chart, omega_map
 from .mesh import HullMesh
@@ -368,11 +371,16 @@ def integrate_reduced(
 
 
 def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
-    """``solve_ivp`` sampled every ``dt``, halting as pitch nears gimbal lock.
+    """Integrate from 0 to ``t_end``, sampled every ``dt``, halting as pitch nears gimbal lock.
 
-    ``theta_index`` is the place of pitch in the state vector ``y0``.
+    ``theta_index`` is the place of pitch in the state vector ``y0``.  The
+    explicit methods run on :mod:`floatdyn.rk`; ``Radau``, ``BDF`` and
+    ``LSODA`` on SciPy's ``solve_ivp``.  Both are imported only here.
+    Either way the result has ``t``, ``y``, ``status`` (1 after the
+    gimbal halt) and ``nfev``; a run that cannot advance raises
+    :class:`IntegrationFailed`.
     """
-    from scipy.integrate import solve_ivp
+    from . import rk
 
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
@@ -380,26 +388,38 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     def gimbal(t, y):
         return (math.pi / 2 - GIMBAL_HALT_MARGIN) - abs(y[theta_index])
 
+    t_eval = _sample_times(t_end, dt)
+    if method in rk.TABLEAUS:
+        return rk.solve(rhs, (0.0, t_end), y0, t_eval, gimbal, method, rtol, atol, max_step)
+    solve_ivp = require_scipy("scipy.integrate", f"integrator method {method!r}").solve_ivp
     gimbal.terminal = True
-    return solve_ivp(
+    sol = solve_ivp(
         rhs,
         (0.0, t_end),
         y0,
         method=method,
         rtol=rtol,
         atol=atol,
-        t_eval=_sample_times(t_end, dt),
+        t_eval=t_eval,
         max_step=max_step,
         events=[gimbal],
         dense_output=False,
     )
+    if sol.status < 0:
+        last = sol.t[-1] if len(sol.t) else 0.0
+        raise IntegrationFailed(
+            f"integration failed after the sample at t = {last:.9g}: {sol.message}"
+        )
+    return sol
 
 
 def _sample_times(t_end, dt):
     """Output times ``0, dt, 2 dt, ...`` up to ``t_end``, none past it.
 
     A last sample that overshoots ``t_end`` by roundoff is pulled back to
-    exactly ``t_end`` (solve_ivp rejects any sample outside the span).
+    exactly ``t_end``, so every sample lies in the integration span: the
+    dense output is only valid there, and ``solve_ivp`` rejects a sample
+    outside it.
     """
     n = int(round(t_end / dt))
     t = np.arange(n + 1) * dt

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import importlib
+
 
 class FloatDynError(Exception):
     """Base class for all package errors."""
@@ -72,3 +74,25 @@ class UnstableMode(FloatDynError):
 
 class ConfigError(FloatDynError):
     """Analysis configuration is malformed or inconsistent."""
+
+
+class IntegrationFailed(FloatDynError):
+    """The integrator could not advance: its step size underflowed."""
+
+
+class MissingDependency(ConfigError):
+    """The requested feature needs SciPy, which is not installed."""
+
+
+def require_scipy(module: str, feature: str):
+    """Import the SciPy submodule ``module`` that ``feature`` needs.
+
+    SciPy is an optional dependency: without it, the feature raises
+    :class:`MissingDependency` instead of a bare import error.
+    """
+    try:
+        return importlib.import_module(module)
+    except ImportError as exc:
+        raise MissingDependency(
+            f"{feature} needs SciPy, which is not installed: pip install floatdyn[scipy]"
+        ) from exc

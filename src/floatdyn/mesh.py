@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMesh, InvalidMesh, NonWatertightMesh
+from .errors import EmptyMesh, InvalidMesh, NonWatertightMesh, require_scipy
 from .polygons import triangulate_simple_polygon
 
 #: cyclic successors and predecessors of the axes, for cross products
@@ -153,9 +153,8 @@ class HullMesh:
         if self.symmetry_flag:
             tol = symmetry_tol if symmetry_tol is not None else 1e-9 * self.diameter
             mirrored = self.vertices * np.array([1.0, -1.0, 1.0])
-            from scipy.spatial import cKDTree
-
-            tree = cKDTree(self.vertices)
+            spatial = require_scipy("scipy.spatial", "the port-starboard symmetry check")
+            tree = spatial.cKDTree(self.vertices)
             dist, _ = tree.query(mirrored, k=1)
             if dist.max() > tol:
                 raise InvalidMesh(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require_scipy
 from .mesh import HullMesh
 from .polygons import polygon_moments, triangulate_simple_polygon
 
@@ -148,10 +149,9 @@ def l_prism(
 
 def convex_hull_mesh(points) -> HullMesh:
     """Watertight triangulation of the convex hull of a point cloud."""
-    from scipy.spatial import ConvexHull
-
+    spatial = require_scipy("scipy.spatial", "convex_hull_mesh")
     points = np.asarray(points, dtype=float)
-    hull = ConvexHull(points)
+    hull = spatial.ConvexHull(points)
     verts = points[hull.vertices]
     remap = {old: new for new, old in enumerate(hull.vertices)}
     center = verts.mean(axis=0)

@@ -282,6 +282,31 @@ class TestSimulate:
         np.testing.assert_allclose(data[:, 3], data[0, 3], atol=1e-9)  # zeta
         np.testing.assert_allclose(data[:, 5], 0.0, atol=1e-10)        # theta
 
+    def test_failed_integration_exits_one(self, barge_config, tmp_path, capsys, monkeypatch):
+        # the metric turns NaN mid-run, so no step can be accepted: simulate
+        # must fail rather than write the samples so far and exit 0
+        from floatdyn import dynamics
+
+        metric = dynamics._metric_and_partials
+        calls = []
+
+        def poisoned(*args):
+            calls.append(None)
+            out = metric(*args)
+            return [np.full_like(a, np.nan) for a in out] if len(calls) > 60 else out
+
+        monkeypatch.setattr(dynamics, "_metric_and_partials", poisoned)
+        out = tmp_path / "traj.csv"
+        code = main([
+            "simulate", "--config", str(barge_config), "--out", str(out),
+            "--t-end", "1.0", "--dt", "0.1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: integration failed at t = ")
+        assert "step size" in err
+        assert not out.exists()
+
     def test_last_sample_overshooting_by_roundoff_ends_at_t_end(self, barge_config, tmp_path):
         # 7 * 0.1 = 0.7000000000000001 > 0.7: solve_ivp would reject it
         out = tmp_path / "traj.csv"
