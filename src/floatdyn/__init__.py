@@ -16,6 +16,7 @@ from .clipping import (
     WaterplaneProperties,
     clip_by_waterplane,
     evaluate,
+    evaluate_many,
     volume_and_first_moments,
     waterplane_properties,
 )

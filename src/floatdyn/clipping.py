@@ -18,7 +18,11 @@ Mass Properties", JGT 1996).  Fully wetted faces are summed from a
 per-face moment table built once per mesh; each face crossing the surface
 adds its wet corner triangle or subtracts its dry one.  Nothing assumes
 convexity, and any waterline topology, a vertex exactly on the plane
-included, integrates without special cases.
+included, integrates without special cases.  :func:`evaluate_many` does
+the same for stacked poses, bit for bit; it pays off where many poses
+are known at once (the verification suites, the energy pass of a
+trajectory), while the callers that need one pose at a time keep the
+cheaper single-pose :func:`evaluate`.
 
 :func:`clip_by_waterplane` builds the submerged boundary explicitly, the
 clipped hull triangles plus one planar cap polygon per waterline loop,
@@ -513,3 +517,106 @@ def evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
         normal, zeta, volume, first, depth_integral,
         cap_area, cap_first, cap_second, totals[:3],
     )
+
+
+#: poses per pass of :func:`evaluate_many`; bounds its temporaries to a few
+#: pose-by-face arrays of this many rows
+EVALUATE_CHUNK = 32
+
+
+def evaluate_many(mesh: HullMesh, zeta, k3) -> SubmergedIntegrals:
+    """:func:`evaluate` for stacked poses, one row per pose.
+
+    ``zeta`` holds ``n`` drafts and ``k3`` the matching ``(n, 3)`` down
+    axes in body components (the bits :func:`k3_body` gives).  Returns
+    a :class:`SubmergedIntegrals` whose fields carry a leading pose
+    axis; row ``i`` of every field equals the field of :func:`evaluate`
+    at pose ``i`` bitwise.  Each scalar contraction of :func:`evaluate`
+    is mirrored by a stacked matmul, and the tip-triangle rows of the
+    poses sharing a crossed-face count are summed in one reduction.
+    Poses go through in chunks of :data:`EVALUATE_CHUNK`.
+    """
+    zeta = np.asarray(zeta, dtype=float)
+    k3 = np.asarray(k3, dtype=float).reshape(-1, 3)
+    n = len(zeta)
+    out = SubmergedIntegrals(
+        k3, zeta, np.zeros(n), np.zeros((n, 3)), np.zeros(n),
+        np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3)), np.zeros((n, 3)),
+    )
+    for start in range(0, n, EVALUATE_CHUNK):
+        _evaluate_chunk(mesh, out, slice(start, start + EVALUATE_CHUNK))
+    return out
+
+
+def _evaluate_chunk(mesh, out, rows):
+    """Fill ``rows`` of the batch ``out`` as :func:`evaluate` would."""
+    zeta, normal = out.plane_offset[rows], out.plane_normal[rows]
+    c = len(zeta)
+    depths = zeta[:, None] + (mesh.vertices @ normal[:, :, None])[:, :, 0]
+    depths[np.abs(depths) < DEFAULT_SNAP_FRACTION * mesh.diameter] = 0.0
+    # fully emerged rows keep the exact zeros they start with
+    live = (depths > 0.0).any(axis=1)
+    if not live.all():
+        rows = np.arange(rows.start, rows.start + c)[live]
+        zeta, normal, depths = zeta[live], normal[live], depths[live]
+        c = len(zeta)
+        if c == 0:
+            return
+
+    tri_d = depths[:, mesh.triangles]
+    wet = tri_d > 0.0
+    dry = tri_d < 0.0
+    wet8, dry8 = wet.view(np.int8), dry.view(np.int8)
+    n_wet = wet8[:, :, 0] + wet8[:, :, 1] + wet8[:, :, 2]
+    n_dry = dry8[:, :, 0] + dry8[:, :, 1] + dry8[:, :, 2]
+    whole = n_wet > n_dry
+    totals = (whole.astype(float)[:, None, :] @ mesh.face_moments)[:, 0]
+    crossed = (n_wet > 0) & (n_dry > 0)
+    pose, faces = np.nonzero(crossed)
+    counts = np.bincount(pose, minlength=c)
+    if len(faces):
+        minus = whole[pose, faces]
+        lone = np.where(
+            minus[:, None], dry[pose, faces], wet[pose, faces]
+        ).argmax(axis=1)
+        order = _LONE_FIRST[lone + 3 * minus]
+        corners = mesh.triangles[faces[:, None], order]
+        tips = mesh.vertices[corners]
+        corner_d = depths[pose[:, None], corners]
+        lone_d = corner_d[:, :1]
+        t = lone_d / (lone_d - corner_d[:, 1:])
+        apex = tips[:, :1]
+        tips[:, 1:] = apex + t[:, :, None] * (tips[:, 1:] - apex)
+        moments = triangle_moments(tips)
+        # each pose's rows are contiguous; poses with the same count k sum
+        # theirs in one (g, k, 39) reduction, in the order evaluate does
+        first_row = np.cumsum(counts) - counts
+        for k in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+            group = np.flatnonzero(counts == k)
+            picked = moments[first_row[group, None] + np.arange(k)]
+            totals[group] = totals[group] + picked.sum(axis=1)
+    has_waterline = (counts > 0) | (whole & (n_wet == 1)).any(axis=1)
+
+    k_col = normal[:, :, None]
+    projected = (totals.reshape(c, 13, 3) @ k_col)[:, :, 0]
+    area = projected[:, 0]
+    n1k = projected[:, 1:4]
+    n2k = projected[:, 4:].reshape(c, 3, 3)
+    n2kk = (n2k @ k_col)[:, :, 0]
+    kn1k = (normal[:, None, :] @ n1k[:, :, None])[:, 0, 0]
+    k_n2kk = (normal[:, None, :] @ n2kk[:, :, None])[:, 0, 0]
+    volume = zeta * area + kn1k
+    depth_integral = 0.5 * (zeta * (zeta * area + 2.0 * kn1k) + k_n2kk)
+    first = zeta[:, None] * n1k + n2kk - depth_integral[:, None] * normal
+    cross = normal[:, :, None] * first[:, None, :]
+    out.cap_area[rows] = np.where(has_waterline, area, 0.0)
+    out.cap_first[rows] = np.where(
+        has_waterline[:, None], n1k - volume[:, None] * normal, 0.0
+    )
+    out.cap_second[rows] = np.where(
+        has_waterline[:, None, None], n2k - (cross + cross.transpose(0, 2, 1)), 0.0
+    )
+    out.volume[rows] = np.where(volume < 0.0, 0.0, volume)
+    out.first[rows] = first
+    out.depth_integral[rows] = depth_integral
+    out.wetted_area_vector[rows] = totals[:, :3]

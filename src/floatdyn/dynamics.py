@@ -378,7 +378,9 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     ``LSODA`` on SciPy's ``solve_ivp``.  Both are imported only here.
     Either way the result has ``t``, ``y``, ``status`` (1 after the
     gimbal halt) and ``nfev``; a run that cannot advance raises
-    :class:`IntegrationFailed`.
+    :class:`IntegrationFailed`, and so does an implicit run whose
+    right-hand side or samples turn non-finite (``BDF`` would raise
+    SciPy's ``ValueError``, ``LSODA`` would return the NaN samples).
     """
     from . import rk
 
@@ -393,22 +395,49 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
         return rk.solve(rhs, (0.0, t_end), y0, t_eval, gimbal, method, rtol, atol, max_step)
     solve_ivp = require_scipy("scipy.integrate", f"integrator method {method!r}").solve_ivp
     gimbal.terminal = True
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        y0,
-        method=method,
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-        max_step=max_step,
-        events=[gimbal],
-        dense_output=False,
-    )
+    not_finite = []
+
+    def checked(t, y):
+        out = rhs(t, y)
+        if not not_finite and not np.isfinite(out).all():
+            not_finite.append(t)
+        return out
+
+    try:
+        sol = solve_ivp(
+            checked,
+            (0.0, t_end),
+            y0,
+            method=method,
+            rtol=rtol,
+            atol=atol,
+            t_eval=t_eval,
+            max_step=max_step,
+            events=[gimbal],
+            dense_output=False,
+        )
+    except ValueError as exc:
+        # BDF factors a Jacobian built from the non-finite values and its
+        # linear algebra rejects them
+        if not not_finite:
+            raise
+        raise IntegrationFailed(
+            f"integration failed at t = {not_finite[0]:.9g}: the right-hand side "
+            f"is not finite ({exc})"
+        ) from exc
     if sol.status < 0:
         last = sol.t[-1] if len(sol.t) else 0.0
         raise IntegrationFailed(
             f"integration failed after the sample at t = {last:.9g}: {sol.message}"
+        )
+    finite = np.isfinite(sol.y).all(axis=0)
+    if not finite.all():
+        # LSODA carries non-finite states to the end and reports success
+        bad = int(np.argmin(finite))
+        last = sol.t[bad - 1] if bad else 0.0
+        raise IntegrationFailed(
+            f"integration failed after the sample at t = {last:.9g}: the state "
+            "is not finite"
         )
     return sol
 
@@ -432,18 +461,20 @@ def _trajectory(mesh, body, env, sol, q, qd, mode, momenta=None):
     """The solver's samples with the energy and cyclic momenta of each.
 
     Given the fixed cyclic ``momenta`` of a reduced run, the cyclic rates
-    in ``qd`` are first reconstructed from them, sample by sample.
+    in ``qd`` are first reconstructed from them, sample by sample.  The
+    buoyancy potential of all samples comes from one batched call.
     """
     n = len(sol.t)
     energy = np.empty(n)
     p_cyclic = np.empty((n, 3))
+    u_b = potential(mesh, q, env)
     for k in range(n):
         metric = kinetic_metric(body, q[k, 4], q[k, 5])
         if momenta is not None:
             qd[k, list(CYCLIC)] = cyclic_rates(metric, qd[k, list(NONCYCLIC)], momenta)
         a = metric.matrix
         kinetic = 0.5 * qd[k] @ a @ qd[k]
-        u = body.mass * env.g * q[k, 2] + potential(mesh, Pose.from_array(q[k]), env)
+        u = body.mass * env.g * q[k, 2] + u_b[k]
         energy[k] = kinetic - u
         p_cyclic[k] = (a @ qd[k])[list(CYCLIC)]
     return Trajectory(

@@ -77,7 +77,8 @@ class ConfigError(FloatDynError):
 
 
 class IntegrationFailed(FloatDynError):
-    """The integrator could not advance: its step size underflowed."""
+    """The integrator could not advance: its step size underflowed, or an
+    implicit method met a non-finite right-hand side or state."""
 
 
 class MissingDependency(ConfigError):

@@ -21,9 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clipping import SubmergedIntegrals, WaterplaneProperties, evaluate
+from .clipping import (
+    EVALUATE_CHUNK,
+    SubmergedIntegrals,
+    WaterplaneProperties,
+    evaluate,
+    evaluate_many,
+)
 from .errors import AsymmetricBody, NotAnEquilibrium, ZeroVolume
-from .kinematics import NONCYCLIC, Pose, omega_chart, rotation_matrix
+from .kinematics import NONCYCLIC, Pose, depth_rows, omega_chart, rotation_matrix
 from .mesh import HullMesh
 
 #: the (zeta, theta, phi) block of a 6x6 matrix
@@ -47,14 +53,45 @@ class FluidEnvironment:
                 raise ValueError(f"fluid '{name}' must be positive and finite, got {value!r}")
 
 
-def potential(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> float:
+def potential(mesh: HullMesh, pose, env: FluidEnvironment):
     """Buoyancy force function: ``-rho g V * (depth of buoyancy center)``.
 
     Zero for a fully emerged body, ``-rho g V_total zeta`` plus a
     body-fixed constant once fully submerged, and never positive while
     the fixed origin sits on the free surface.
+
+    ``pose`` is a :class:`Pose`, or an ``(n, 6)`` array of coordinates
+    in the order ``(xi, eta, zeta, psi, theta, phi)``: the result is
+    then an ``(n,)`` array, entry ``i`` equal bitwise to the value at
+    ``Pose(*q[i])``.  The array form reads only the ``zeta``, ``theta``
+    and ``phi`` columns, checks no pitch range and evaluates all rows
+    through :func:`~floatdyn.clipping.evaluate_many`.
     """
-    return _potential(evaluate(mesh, pose), env)
+    if isinstance(pose, Pose):
+        return _potential(evaluate(mesh, pose), env)
+    q = _coordinate_rows(pose)
+    out = np.empty(len(q))
+    for rows, integrals, _, _ in _chunks(mesh, q):
+        out[rows] = _potential(integrals, env)
+    return out
+
+
+def _coordinate_rows(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 6:
+        raise ValueError(f"expected a Pose or an (n, 6) coordinate array, got shape {q.shape}")
+    return q
+
+
+def _chunks(mesh: HullMesh, q):
+    """Per chunk of :data:`~floatdyn.clipping.EVALUATE_CHUNK` rows of the
+    coordinates ``q``: the row slice, the batched integrals and the pitch
+    and roll partials of the depth rows.  Chunking here keeps every
+    per-row temporary of the array forms bounded too."""
+    for start in range(0, len(q), EVALUATE_CHUNK):
+        rows = slice(start, start + EVALUATE_CHUNK)
+        k3, k3_theta, k3_phi = depth_rows(q[rows, 4], q[rows, 5])
+        yield rows, evaluate_many(mesh, q[rows, 2], k3), k3_theta, k3_phi
 
 
 def _potential(integrals: SubmergedIntegrals, env: FluidEnvironment) -> float:
@@ -86,15 +123,30 @@ def surface_term(
     )
 
 
-def generalized_forces(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.ndarray:
+def generalized_forces(mesh: HullMesh, pose, env: FluidEnvironment) -> np.ndarray:
     """Generalized buoyancy forces, coordinate order (xi..phi).
 
     Surge, sway and yaw entries are exactly zero.  Heave carries the
     Archimedean force ``-rho g V``; pitch and roll carry the moment
     integrals obtained by contracting the derivatives of the depth row
     with the first moments of the submerged region.
+
+    ``pose`` may also be an ``(n, 6)`` coordinate array, as for
+    :func:`potential`; the result is then ``(n, 6)``, row ``i`` equal
+    bitwise to the forces at ``Pose(*q[i])``.
     """
-    return _generalized_forces(evaluate(mesh, pose), pose, env)
+    if isinstance(pose, Pose):
+        return _generalized_forces(evaluate(mesh, pose), pose, env)
+    q = _coordinate_rows(pose)
+    rg = env.rho * env.g
+    forces = np.zeros((len(q), 6))
+    for rows, integrals, k3_theta, k3_phi in _chunks(mesh, q):
+        first = integrals.first[:, :, None]
+        forces[rows, 2] = -rg * integrals.volume
+        # stacked (1, 3) @ (3, 1) products: the bits of the one-pose dot
+        forces[rows, 4] = -rg * (k3_theta[:, None, :] @ first)[:, 0, 0]
+        forces[rows, 5] = -rg * (k3_phi[:, None, :] @ first)[:, 0, 0]
+    return forces
 
 
 def _generalized_forces(integrals: SubmergedIntegrals, pose: Pose, env) -> np.ndarray:

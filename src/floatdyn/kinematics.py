@@ -122,6 +122,27 @@ def k3_body(pose: Pose) -> np.ndarray:
     return np.array([-sth, cth * sph, cth * cph])
 
 
+def depth_rows(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Depth rows ``k3`` and their pitch and roll partials for arrays of angles.
+
+    Returns three ``(n, 3)`` arrays whose row ``i`` holds the bits
+    :func:`k3_body` and the first columns of :func:`omega_chart` give at
+    ``(theta[i], phi[i])``: the sines and cosines come from :mod:`math`,
+    as there.
+    """
+    theta = np.asarray(theta, dtype=float).tolist()
+    phi = np.asarray(phi, dtype=float).tolist()
+    n = len(theta)
+    cth = np.fromiter(map(math.cos, theta), float, n)
+    sth = np.fromiter(map(math.sin, theta), float, n)
+    cph = np.fromiter(map(math.cos, phi), float, n)
+    sph = np.fromiter(map(math.sin, phi), float, n)
+    k3 = np.stack([-sth, cth * sph, cth * cph], axis=1)
+    k3_theta = np.stack([-cth, -sth * sph, -sth * cph], axis=1)
+    k3_phi = np.stack([np.zeros(n), cth * cph, -cth * sph], axis=1)
+    return k3, k3_theta, k3_phi
+
+
 def omega_chart(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The angle-rate map W and its pitch and roll partials, one trig pass.
 

@@ -139,16 +139,7 @@ class HullMesh:
             bad = int(np.argmin(areas))
             raise InvalidMesh(f"degenerate triangle {bad} with area {areas[bad]:.3e}")
 
-        edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-        directed = {}
-        for i, j in edges:
-            key = (int(i), int(j))
-            if key in directed:
-                raise NonWatertightMesh(f"directed edge {key} appears twice")
-            directed[key] = True
-        for i, j in directed:
-            if (j, i) not in directed:
-                raise NonWatertightMesh(f"edge ({i}, {j}) has no opposite partner")
+        _check_edges(tri, len(self.vertices))
 
         if self.symmetry_flag:
             tol = symmetry_tol if symmetry_tol is not None else 1e-9 * self.diameter
@@ -182,6 +173,32 @@ class HullMesh:
                 points[start:stop], self._tri_vertices, _RAY_DIRECTION
             )
         return out
+
+
+def _check_edges(tri, n_vertices):
+    """Raise unless each directed edge occurs once and has its reverse.
+
+    Edges are taken in the order ``(0, 1)`` of every triangle, then
+    ``(1, 2)``, then ``(2, 0)``, each encoded as the int64
+    ``i * n_vertices + j``; one stable sort finds the repeated codes and
+    a search of the sorted codes the missing reverses.  The edge named
+    in a message is the first offending one in that order.
+    """
+    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+    codes = edges[:, 0] * n_vertices + edges[:, 1]
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    # the later members of each run of equal codes are the repeats
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if len(repeats):
+        i, j = edges[repeats.min()].tolist()
+        raise NonWatertightMesh(f"directed edge {(i, j)} appears twice")
+    reverse = edges[:, 1] * n_vertices + edges[:, 0]
+    found = ranked[np.minimum(np.searchsorted(ranked, reverse), len(ranked) - 1)]
+    missing = np.flatnonzero(found != reverse)
+    if len(missing):
+        i, j = edges[missing[0]].tolist()
+        raise NonWatertightMesh(f"edge ({i}, {j}) has no opposite partner")
 
 
 def _signed_det(tris) -> np.ndarray:

@@ -12,6 +12,17 @@ used by the command-line ``verify`` subcommand:
 * planar invariance: horizontal translation and yaw must leave every
   body-frame hydrostatic quantity bitwise unchanged.
 
+The suites evaluate their poses in batches: the quadrature nodes of a
+whole loop, the waypoint scales, the finite-difference potentials and
+the planar-invariance pairs each go through one call of the array forms
+of :func:`~floatdyn.hydrostatics.potential` and
+:func:`~floatdyn.hydrostatics.generalized_forces` (or of
+:func:`~floatdyn.clipping.evaluate_many`), which integrate
+:data:`~floatdyn.clipping.EVALUATE_CHUNK` poses per pass and give the
+same bits as one call per pose.  Only the force-gradient symmetry check
+goes pose by pose.  The Gauss-Legendre nodes come from an eigensolve of
+the Jacobi matrix, so :mod:`numpy.polynomial` never loads.
+
 A rejection-sampling volume estimator provides the independent
 Monte-Carlo oracle for the clipped volume and first moments.
 """
@@ -22,9 +33,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .clipping import evaluate
+from .clipping import evaluate_many
 from .hydrostatics import FluidEnvironment, force_gradient, generalized_forces, potential
-from .kinematics import Pose, k3_body
+from .kinematics import CYCLIC, NONCYCLIC, Pose, depth_rows, k3_body
 from .mesh import HullMesh
 
 
@@ -60,6 +71,13 @@ def random_partial_poses(
     return poses
 
 
+def _coordinates(zeta, theta, phi) -> np.ndarray:
+    """``(n, 6)`` coordinate rows with zero surge, sway and yaw."""
+    q = np.zeros((len(zeta), 6))
+    q[:, 2], q[:, 4], q[:, 5] = zeta, theta, phi
+    return q
+
+
 def gradient_residual(
     mesh: HullMesh,
     env: FluidEnvironment,
@@ -70,57 +88,70 @@ def gradient_residual(
 
     The cyclic coordinates are checked for exact zeros (their finite
     differences vanish identically); the three restoring coordinates are
-    compared at the given step.
+    compared at the given step.  The forces of all poses come from one
+    batched call, the six shifted potentials of every pose from another.
     """
-    worst = 0.0
-    for pose in poses:
-        forces = generalized_forces(mesh, pose, env)
-        assert forces[0] == 0.0 and forces[1] == 0.0 and forces[3] == 0.0
-        q = pose.as_array()
-        scale = max(np.abs(forces).max(), 1e-300)
-        for k in (2, 4, 5):
-            qp, qm = q.copy(), q.copy()
-            qp[k] += step
-            qm[k] -= step
-            fd = (
-                potential(mesh, Pose.from_array(qp), env)
-                - potential(mesh, Pose.from_array(qm), env)
-            ) / (2.0 * step)
-            worst = max(worst, abs(fd - forces[k]) / scale)
-    return worst
+    q = np.array([pose.as_array() for pose in poses])
+    forces = generalized_forces(mesh, q, env)
+    assert not forces[:, list(CYCLIC)].any()
+    scale = np.maximum(np.abs(forces).max(axis=1), 1e-300)
+    shifted = np.repeat(q[None, None], 2, axis=0).repeat(3, axis=1)
+    for row, k in enumerate(NONCYCLIC):
+        shifted[0, row, :, k] += step
+        shifted[1, row, :, k] -= step
+    u = potential(mesh, shifted.reshape(-1, 6), env).reshape(2, 3, len(q))
+    fd = (u[0] - u[1]) / (2.0 * step)
+    return float((np.abs(fd - forces[:, list(NONCYCLIC)].T) / scale).max())
 
 
 def _vertex_crossings(mesh, a, b, grid: int = 33):
-    """Parameter values in (0, 1) where a vertex depth changes sign.
+    """Per segment ``a[i] -> b[i]``, the sorted parameters in (0, 1) where a
+    vertex depth changes sign.
 
     The clipped volume is piecewise analytic in the configuration with
     breakpoints exactly at vertex-plane crossings, so splitting the
-    quadrature there keeps every piece smooth.  Depth evaluation never
-    clips the mesh, so scanning is cheap.
+    quadrature there keeps every piece smooth.  Each segment's depths are
+    scanned on a ``grid``-point table in one batch, and every bracketed
+    sign change of all segments is then halved 60 times together.  Depth
+    evaluation never clips the mesh, so scanning is cheap.
     """
+    a = np.asarray(a, dtype=float)
+    delta = np.asarray(b, dtype=float) - a
     s_grid = np.linspace(0.0, 1.0, grid)
+    brackets = []
+    for seg in range(len(a)):
+        y = a[seg] + s_grid[:, None] * delta[seg]
+        k3 = depth_rows(y[:, 1], y[:, 2])[0]
+        table = y[:, :1] + (mesh.vertices @ k3[:, :, None])[:, :, 0]
+        i, j = np.nonzero(table[:-1] * table[1:] < 0.0)
+        brackets.append((np.full(len(i), seg), i, j, table[i, j]))
+    seg, i, j, flo = (np.concatenate(parts) for parts in zip(*brackets))
+    lo, hi = s_grid[i], s_grid[i + 1]
+    corner = mesh.vertices[j][:, None, :]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        y = a[seg] + mid[:, None] * delta[seg]
+        k3 = depth_rows(y[:, 1], y[:, 2])[0]
+        fmid = y[:, 0] + (corner @ k3[:, :, None])[:, 0, 0]
+        left = flo * fmid <= 0.0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fmid)
+    cuts = 0.5 * (lo + hi)
+    return [sorted(cuts[seg == k].tolist()) for k in range(len(a))]
 
-    def depths_at(s):
-        y = a + s * (b - a)
-        pose = Pose(0.0, 0.0, y[0], 0.0, y[1], y[2])
-        return y[0] + mesh.vertices @ k3_body(pose)
 
-    table = np.array([depths_at(s) for s in s_grid])
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch.
 
-    cuts = []
-    sign_change = table[:-1] * table[1:] < 0.0
-    for i, j in zip(*np.nonzero(sign_change)):
-        lo, hi = s_grid[i], s_grid[i + 1]
-        flo = table[i, j]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fmid = depths_at(mid)[j]
-            if flo * fmid <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        cuts.append(0.5 * (lo + hi))
-    return sorted(cuts)
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of the
+    Legendre recurrence, the weights twice the squared first components
+    of its eigenvectors.
+    """
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
 
 
 def loop_work_residual(
@@ -139,42 +170,44 @@ def loop_work_residual(
     segment is split at vertex-plane crossings and every smooth piece is
     integrated by composite Gauss-Legendre quadrature, so the residual
     reflects the forces, not quadrature error at submersion-topology
-    kinks.  Normalized by the largest force-function magnitude seen
-    along the loop.
+    kinks.  The forces at every quadrature node of a loop come from one
+    batched call.  Normalized by the largest force-function magnitude
+    seen at the loop's waypoints.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(gauss_points)
+    nodes, weights = _gauss_legendre(gauss_points)
     worst = 0.0
     for _ in range(n_loops):
         waypoints = np.array(
             [
-                p.as_array()[[2, 4, 5]]
+                p.as_array()[list(NONCYCLIC)]
                 for p in random_partial_poses(mesh, n_segments, rng, max_angle)
             ]
         )
-        u_scale = max(
-            abs(potential(mesh, Pose(0, 0, w[0], 0, w[1], w[2]), env))
-            for w in waypoints
-        )
-        work = 0.0
-        for seg in range(n_segments):
-            a = waypoints[seg]
-            b = waypoints[(seg + 1) % n_segments]
-            delta = b - a
-            breaks = [0.0] + _vertex_crossings(mesh, a, b) + [1.0]
+        u_scale = np.abs(potential(mesh, _coordinates(*waypoints.T), env)).max()
+        ends = np.roll(waypoints, -1, axis=0)
+        delta = ends - waypoints
+        segment, s_nodes, coef = [], [], []
+        for seg, cuts in enumerate(_vertex_crossings(mesh, waypoints, ends)):
+            breaks = [0.0, *cuts, 1.0]
             for left, right in zip(breaks[:-1], breaks[1:]):
                 width = (right - left) / panels
                 if width <= 0.0:
                     continue
                 for panel in range(panels):
                     start = left + panel * width
-                    for node, wt in zip(nodes, weights):
-                        s = start + width * 0.5 * (node + 1.0)
-                        y = a + s * delta
-                        pose = Pose(0.0, 0.0, y[0], 0.0, y[1], y[2])
-                        forces = generalized_forces(mesh, pose, env)
-                        work += wt * 0.5 * width * (forces[[2, 4, 5]] @ delta)
+                    segment.append(np.full(gauss_points, seg))
+                    s_nodes.append(start + width * 0.5 * (nodes + 1.0))
+                    coef.append(weights * 0.5 * width)
+        segment, s_nodes = np.concatenate(segment), np.concatenate(s_nodes)
+        y = waypoints[segment] + s_nodes[:, None] * delta[segment]
+        forces = generalized_forces(mesh, _coordinates(*y.T), env)
+        power = (forces[:, None, list(NONCYCLIC)] @ delta[segment][:, :, None])[:, 0, 0]
+        work = 0.0
+        # summed node by node, in the order of the segments and panels
+        for term in (np.concatenate(coef) * power).tolist():
+            work += term
         worst = max(worst, abs(work) / max(u_scale, 1e-300))
-    return worst
+    return float(worst)
 
 
 def gradient_symmetry_residual(mesh: HullMesh, env: FluidEnvironment, poses) -> float:
@@ -194,28 +227,29 @@ def planar_invariance_residual(
 
     The submerged integrals, the potential and the generalized forces may
     not depend on those coordinates at all, so the expected residual is
-    exactly zero.
+    exactly zero.  Each pose is shifted by fresh random draws and both
+    sets are evaluated in batches.
     """
-    worst = 0.0
-    for pose in poses:
-        shifted = Pose(
-            pose.xi + rng.uniform(-5, 5),
-            pose.eta + rng.uniform(-5, 5),
-            pose.zeta,
-            pose.psi + rng.uniform(-3, 3),
-            pose.theta,
-            pose.phi,
+    q = np.array([pose.as_array() for pose in poses])
+    shifted = q.copy()
+    for row in shifted:
+        row[0] += rng.uniform(-5, 5)
+        row[1] += rng.uniform(-5, 5)
+        row[3] += rng.uniform(-3, 3)
+    a, b = (
+        evaluate_many(mesh, coords[:, 2], depth_rows(coords[:, 4], coords[:, 5])[0])
+        for coords in (q, shifted)
+    )
+    return float(
+        max(
+            np.abs(a.volume - b.volume).max(),
+            np.abs(a.first - b.first).max(),
+            np.abs(potential(mesh, q, env) - potential(mesh, shifted, env)).max(),
+            np.abs(
+                generalized_forces(mesh, q, env) - generalized_forces(mesh, shifted, env)
+            ).max(),
         )
-        a = evaluate(mesh, pose)
-        b = evaluate(mesh, shifted)
-        worst = max(worst, abs(a.volume - b.volume), np.abs(a.first - b.first).max())
-        worst = max(
-            worst, abs(potential(mesh, pose, env) - potential(mesh, shifted, env))
-        )
-        qa = generalized_forces(mesh, pose, env)
-        qb = generalized_forces(mesh, shifted, env)
-        worst = max(worst, np.abs(qa - qb).max())
-    return worst
+    )
 
 
 class SubmergedMonteCarlo:

@@ -307,6 +307,37 @@ class TestSimulate:
         assert "step size" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["BDF", "LSODA"])
+    def test_implicit_method_with_non_finite_forces_exits_one(
+        self, barge_config, tmp_path, capsys, monkeypatch, method
+    ):
+        # BDF raised SciPy's ValueError (a traceback) and LSODA wrote NaN
+        # samples and exited 0 on the same failure
+        pytest.importorskip("scipy")
+        from floatdyn import dynamics
+
+        forces = dynamics.generalized_forces
+        calls = []
+
+        def poisoned(mesh, pose, env):
+            calls.append(None)
+            out = forces(mesh, pose, env)
+            return np.full_like(out, np.nan) if len(calls) > 30 else out
+
+        monkeypatch.setattr(dynamics, "generalized_forces", poisoned)
+        config = json.loads(barge_config.read_text())
+        config.update(integrator={"method": method}, simulate={"initial": {"zeta": 0.05}})
+        barge_config.write_text(json.dumps(config))
+        out = tmp_path / "traj.csv"
+        code = main([
+            "simulate", "--config", str(barge_config), "--out", str(out),
+            "--t-end", "1.0", "--dt", "0.1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: integration failed ") and "not finite" in err
+        assert not out.exists()
+
     def test_last_sample_overshooting_by_roundoff_ends_at_t_end(self, barge_config, tmp_path):
         # 7 * 0.1 = 0.7000000000000001 > 0.7: solve_ivp would reject it
         out = tmp_path / "traj.csv"

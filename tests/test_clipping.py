@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from floatdyn import Pose, clip_by_waterplane, volume_and_first_moments, waterplane_properties
 from floatdyn import shapes
-from floatdyn.clipping import DEFAULT_SNAP_FRACTION, cap_raw_moments, evaluate
+from floatdyn.clipping import (
+    DEFAULT_SNAP_FRACTION,
+    EVALUATE_CHUNK,
+    cap_raw_moments,
+    evaluate,
+    evaluate_many,
+)
 from floatdyn.errors import ClipDegenerate
 from floatdyn.kinematics import k3_body
 from floatdyn.verification import random_partial_poses, rejection_sample_submerged
@@ -346,3 +352,78 @@ class TestWettedSurfaceEvaluator:
             assert not got.cap_first.any() and not got.cap_second.any()
         if kind == "emerged":
             assert got.volume == 0.0 and not got.first.any()
+
+
+#: every field of SubmergedIntegrals, compared row by row
+INTEGRAL_FIELDS = (
+    "plane_normal", "plane_offset", "volume", "first", "depth_integral",
+    "cap_area", "cap_first", "cap_second", "wetted_area_vector",
+)
+
+
+def pose_sweep(mesh, rng, n):
+    """Poses cycling through four kinds: a vertex exactly on the plane,
+    pierced, fully submerged and fully emerged; then level poses with
+    faces in the plane and at their edges."""
+    poses = []
+    for k in range(n):
+        theta, phi = (float(x) for x in rng.uniform(-0.6, 0.6, 2))
+        heights = mesh.vertices @ k3_body(Pose(theta=theta, phi=phi))
+        lo, hi = heights.min(), heights.max()
+        zeta = [
+            -heights[rng.integers(len(heights))],
+            -(lo + rng.uniform(0.05, 0.95) * (hi - lo)),
+            -lo + rng.uniform(1e-3, 1.0) * mesh.diameter,
+            -hi - rng.uniform(1e-3, 1.0) * mesh.diameter,
+        ][k % 4]
+        poses.append(Pose(zeta=float(zeta), theta=theta, phi=phi))
+    lo, hi = mesh.bbox
+    for zeta in (-lo[2], -hi[2], 0.0, -0.5 * (lo[2] + hi[2]) + 0.01):
+        poses.append(Pose(zeta=float(zeta)))
+    return poses
+
+
+class TestEvaluateMany:
+    @staticmethod
+    def assert_rows_equal(mesh, poses):
+        batch = evaluate_many(
+            mesh, [p.zeta for p in poses], np.array([k3_body(p) for p in poses])
+        )
+        for name in INTEGRAL_FIELDS:
+            got = getattr(batch, name)
+            assert got.shape[0] == len(poses), name
+            for row, pose in zip(got, poses):
+                want = np.asarray(getattr(evaluate(mesh, pose), name), dtype=float)
+                # bytes, not values: signed zeros count too
+                assert row.tobytes() == want.tobytes(), (name, pose)
+
+    @pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "cube", "convex_blob"])
+    def test_rows_equal_evaluate_bitwise(self, mesh_name, request):
+        mesh = request.getfixturevalue(mesh_name)
+        rng = np.random.default_rng(31)
+        # longer than one chunk, and not a multiple of it
+        poses = pose_sweep(mesh, rng, 3 * EVALUATE_CHUNK + 5)
+        on_plane = [
+            p for p in poses
+            if (np.abs(p.zeta + mesh.vertices @ k3_body(p)) == 0.0).any()
+        ]
+        assert len(on_plane) >= EVALUATE_CHUNK // 2
+        self.assert_rows_equal(mesh, poses)
+
+    @pytest.mark.parametrize("kind", range(4))
+    def test_one_pose_batches(self, l_prism, kind):
+        pose = pose_sweep(l_prism, np.random.default_rng(kind), 4)[kind]
+        self.assert_rows_equal(l_prism, [pose])
+
+    def test_emerged_and_submerged_rows(self, cube):
+        poses = [Pose(zeta=-2.0, theta=0.1), Pose(zeta=2.0, phi=0.2), Pose(zeta=0.1)]
+        batch = evaluate_many(cube, [p.zeta for p in poses], [k3_body(p) for p in poses])
+        assert batch.volume[0] == 0.0 and not batch.first[0].any()
+        assert batch.volume[1] == pytest.approx(1.0, rel=1e-14)
+        assert batch.cap_area[1] == 0.0 and not batch.cap_second[1].any()
+        assert batch.cap_area[2] == pytest.approx(1.0, rel=1e-14)
+        self.assert_rows_equal(cube, poses)
+
+    def test_empty_batch(self, cube):
+        batch = evaluate_many(cube, np.zeros(0), np.zeros((0, 3)))
+        assert batch.volume.shape == (0,) and batch.cap_second.shape == (0, 3, 3)

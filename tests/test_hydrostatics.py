@@ -437,6 +437,42 @@ class TestHydrostaticState:
         )
 
 
+class TestArrayForms:
+    """``potential`` and ``generalized_forces`` on ``(n, 6)`` coordinates."""
+
+    @pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "convex_blob"])
+    def test_rows_equal_the_pose_values_bitwise(self, mesh_name, request, env):
+        mesh = request.getfixturevalue(mesh_name)
+        rng = np.random.default_rng(41)
+        poses = random_partial_poses(mesh, 70, rng) + [
+            Pose(zeta=-5.0, theta=0.2), Pose(zeta=5.0, phi=-0.3), Pose(zeta=0.1)
+        ]
+        q = np.array([p.as_array() for p in poses])
+        u = potential(mesh, q, env)
+        forces = generalized_forces(mesh, q, env)
+        assert u.shape == (len(poses),) and forces.shape == (len(poses), 6)
+        for k, pose in enumerate(poses):
+            assert u[k].tobytes() == np.float64(potential(mesh, pose, env)).tobytes()
+            assert forces[k].tobytes() == generalized_forces(mesh, pose, env).tobytes()
+
+    def test_surge_sway_and_yaw_columns_are_ignored(self, l_prism, env):
+        rng = np.random.default_rng(43)
+        q = np.array([p.as_array() for p in random_partial_poses(l_prism, 40, rng)])
+        moved = q.copy()
+        moved[:, [0, 1, 3]] = rng.uniform(-10.0, 10.0, (len(q), 3))
+        assert potential(l_prism, moved, env).tobytes() == potential(l_prism, q, env).tobytes()
+        assert (
+            generalized_forces(l_prism, moved, env).tobytes()
+            == generalized_forces(l_prism, q, env).tobytes()
+        )
+
+    def test_rejects_other_shapes(self, cube, env):
+        with pytest.raises(ValueError, match=r"\(n, 6\)"):
+            potential(cube, np.zeros(6), env)
+        with pytest.raises(ValueError, match=r"\(n, 6\)"):
+            generalized_forces(cube, np.zeros((4, 3)), env)
+
+
 class TestNonManifoldWaterline:
     def test_lprism_poses_the_clipper_rejects_integrate(self, l_prism, env):
         # a vertex exactly on the plane can pinch the waterline into loops

@@ -2,7 +2,8 @@
 
 ``import floatdyn``, the ``analyze``, ``verify``, ``clip`` and ``modes``
 subcommands and ``simulate`` with an explicit Runge-Kutta method load no
-SciPy.  Only the implicit integrator methods, the symmetry check and
+SciPy, and no subcommand loads ``numpy.polynomial`` or ``numpy.ma`` (each
+adds over a megabyte to the process).  Only the implicit integrator methods, the symmetry check and
 ``shapes.convex_hull_mesh`` need it, and without it they raise a typed
 error naming the ``scipy`` extra.  The integrator module ``floatdyn.rk``
 loads only in ``simulate``.  Each check runs in a fresh
@@ -30,11 +31,16 @@ if sys.argv[2] == "without-scipy":
 import floatdyn, floatdyn.cli
 
 def tracked_modules():
-    # SciPy's, and the integrator only simulate needs; a blocked SciPy
-    # sits in sys.modules as None
+    # SciPy's, the integrator only simulate needs, and the numpy
+    # subpackages nothing needs (numpy.polynomial held the Gauss nodes,
+    # numpy.ma loads with np.unique); a blocked SciPy sits in sys.modules
+    # as None
     return sorted(
         m for m, module in sys.modules.items()
-        if module is not None and (m in ("scipy", "floatdyn.rk") or m.startswith("scipy."))
+        if module is not None and (
+            m in ("scipy", "floatdyn.rk", "numpy.polynomial", "numpy.ma")
+            or m.startswith("scipy.")
+        )
     )
 
 loaded = {"import": tracked_modules()}

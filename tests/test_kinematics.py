@@ -10,7 +10,7 @@ from floatdyn import (
     omega_map,
     rotation_matrix,
 )
-from floatdyn.kinematics import omega_chart
+from floatdyn.kinematics import depth_rows, omega_chart
 
 
 def random_poses(rng, n, max_angle=1.4):
@@ -74,6 +74,17 @@ class TestK3Body:
         rng = np.random.default_rng(11)
         for pose in random_poses(rng, 200):
             assert abs(np.linalg.norm(k3_body(pose)) - 1.0) < 1e-12
+
+
+    def test_depth_rows_are_the_bits_of_k3_body_and_the_chart(self):
+        rng = np.random.default_rng(12)
+        poses = random_poses(rng, 200)
+        k3, k3_th, k3_ph = depth_rows([p.theta for p in poses], [p.phi for p in poses])
+        for i, pose in enumerate(poses):
+            _, d_th, d_ph = omega_chart(pose.theta, pose.phi)
+            assert k3[i].tobytes() == k3_body(pose).tobytes()
+            assert k3_th[i].tobytes() == d_th[:, 0].tobytes()
+            assert k3_ph[i].tobytes() == d_ph[:, 0].tobytes()
 
 
 class TestOmegaMap:

@@ -24,6 +24,41 @@ class TestHullMeshValidation:
         with pytest.raises(NonWatertightMesh):
             HullMesh(cube.vertices, tris)
 
+    @staticmethod
+    def first_edge_fault(tris):
+        """The message of the edge-by-edge check the sorted one replaced."""
+        tris = np.asarray(tris)
+        edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+        directed = {}
+        for i, j in edges.tolist():
+            if (i, j) in directed:
+                return f"directed edge {(i, j)} appears twice"
+            directed[(i, j)] = True
+        for i, j in directed:
+            if (j, i) not in directed:
+                return f"edge ({i}, {j}) has no opposite partner"
+        return None
+
+    @pytest.mark.parametrize("flipped", [[3, 7], [0, 5, 11], [10, 2]])
+    def test_first_repeated_edge_is_reported(self, cube, flipped):
+        # each flipped face repeats the directed edges of its neighbours
+        tris = cube.triangles.copy()
+        tris[flipped] = tris[flipped][:, ::-1]
+        expected = self.first_edge_fault(tris)
+        assert expected is not None and "appears twice" in expected
+        with pytest.raises(NonWatertightMesh) as info:
+            HullMesh(cube.vertices, tris)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("removed", [[2, 5, 9], [11, 0], [4, 6, 7, 8]])
+    def test_first_unpaired_edge_is_reported(self, cube, removed):
+        tris = np.delete(cube.triangles, removed, axis=0)
+        expected = self.first_edge_fault(tris)
+        assert expected is not None and "no opposite partner" in expected
+        with pytest.raises(NonWatertightMesh) as info:
+            HullMesh(cube.vertices, tris)
+        assert str(info.value) == expected
+
     def test_inverted_mesh_rejected(self, cube):
         with pytest.raises(InvalidMesh):
             HullMesh(cube.vertices, cube.triangles[:, ::-1])

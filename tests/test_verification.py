@@ -1,3 +1,8 @@
+import numpy as np
+import pytest
+
+from floatdyn import Pose
+from floatdyn.kinematics import k3_body
 from floatdyn.verification import (
     GRADIENT_SYMMETRY_TOL,
     GRADIENT_TOL,
@@ -7,14 +12,14 @@ from floatdyn.verification import (
     gradient_symmetry_residual,
     loop_work_residual,
     planar_invariance_residual,
+    _gauss_legendre,
+    _vertex_crossings,
     random_partial_poses,
     run_verification,
 )
 
 
 def test_sampled_poses_stay_partially_submerged(cube, rng):
-    from floatdyn.kinematics import k3_body
-
     for pose in random_partial_poses(cube, 50, rng):
         depths = pose.zeta + cube.vertices @ k3_body(pose)
         assert depths.min() < 0.0 < depths.max()
@@ -55,3 +60,55 @@ def test_run_verification_summary(cube, env):
     assert (payload["loop_work_tol"], payload["gradient_tol"],
             payload["gradient_symmetry_tol"], payload["planar_invariance_tol"]) == (
         LOOP_WORK_TOL, GRADIENT_TOL, GRADIENT_SYMMETRY_TOL, PLANAR_INVARIANCE_TOL)
+
+
+def scalar_crossings(mesh, a, b, grid=33):
+    """One segment's vertex-plane crossings, one depth scan per pose."""
+    s_grid = np.linspace(0.0, 1.0, grid)
+
+    def depths_at(s):
+        y = a + s * (b - a)
+        return y[0] + mesh.vertices @ k3_body(Pose(zeta=y[0], theta=y[1], phi=y[2]))
+
+    table = np.array([depths_at(s) for s in s_grid])
+    cuts = []
+    for i, j in zip(*np.nonzero(table[:-1] * table[1:] < 0.0)):
+        lo, hi, flo = s_grid[i], s_grid[i + 1], table[i, j]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fmid = depths_at(mid)[j]
+            if flo * fmid <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        cuts.append(0.5 * (lo + hi))
+    return sorted(cuts)
+
+
+@pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "convex_blob"])
+def test_batched_crossings_match_the_scalar_bisection(mesh_name, request, rng):
+    mesh = request.getfixturevalue(mesh_name)
+    waypoints = np.array(
+        [p.as_array()[[2, 4, 5]] for p in random_partial_poses(mesh, 12, rng, 0.25)]
+    )
+    ends = np.roll(waypoints, -1, axis=0)
+    batched = _vertex_crossings(mesh, waypoints, ends)
+    assert len(batched) == len(waypoints)
+    assert sum(map(len, batched)) > len(waypoints)
+    for a, b, cuts in zip(waypoints, ends, batched):
+        expected = scalar_crossings(mesh, a, b)
+        assert len(cuts) == len(expected)
+        np.testing.assert_allclose(cuts, expected, rtol=0.0, atol=1e-15)
+
+
+def test_segment_without_crossings(cube):
+    level = np.array([[0.1, 0.0, 0.0], [0.2, 0.0, 0.0]])
+    assert _vertex_crossings(cube, level[:1], level[1:]) == [[]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20])
+def test_gauss_nodes_match_leggauss(n):
+    nodes, weights = _gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=2e-15)
+    np.testing.assert_allclose(weights, ref_weights, rtol=0.0, atol=2e-15)
