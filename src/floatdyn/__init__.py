@@ -39,7 +39,6 @@ from .dynamics import (
 from .equilibrium import EquilibriumResult, canonicalize, find_equilibrium
 from .errors import (
     AsymmetricBody,
-    ClipDegenerate,
     ConfigError,
     Diverged,
     FloatDynError,

@@ -91,7 +91,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except FloatDynError as exc:
+    except (FloatDynError, OSError) as exc:
+        # OSError: an --out path that cannot be written, an unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

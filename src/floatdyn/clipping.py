@@ -27,16 +27,18 @@ cheaper single-pose :func:`evaluate`.
 :func:`clip_by_waterplane` builds the submerged boundary explicitly, the
 clipped hull triangles plus one planar cap polygon per waterline loop,
 for ``floatdyn clip`` STL export; the tests use it as an independent
-oracle for :func:`evaluate`.  Loops of either orientation (holes) and
-several loops (catamaran sections) are supported.  Waterline crossing
-points are computed once per mesh edge in canonical index order, which
-makes the two triangles sharing an edge agree bitwise and lets cap loops
-chain exactly.
+oracle for :func:`evaluate`.  Loops of either orientation (holes),
+several loops (catamaran sections) and loops touching at a vertex on the
+plane (split into simple loops) are supported; it never raises for a
+validated mesh.  Waterline crossing points are computed per mesh edge in
+canonical index order, so the two triangles sharing an edge agree
+bitwise and the cap segments match up by key.
 
-Both routes share the snap rule: vertex depths within ``snap_tol`` of
-zero are snapped to exactly zero and triangles are then classified by
-their sign pattern, so coplanar faces (flat-bottomed barges, decks awash)
-give clean waterplanes instead of sliver geometry.
+Both routes share the snap rule: vertex depths within
+:data:`DEFAULT_SNAP_FRACTION` of the mesh diameter from zero are snapped
+to exactly zero and triangles are then classified by their sign pattern,
+so coplanar faces (flat-bottomed barges, decks awash) give clean
+waterplanes instead of sliver geometry.
 """
 
 from __future__ import annotations
@@ -46,25 +48,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClipDegenerate
 from .kinematics import Pose, k3_body
-from .mesh import HullMesh, triangle_moments
+from .mesh import HullMesh, _volume_integrals, triangle_moments
 from .polygons import fan_triangles, planar_moments_3d
 
 
-def _cross_rows(a, b):
-    """Row-wise cross product without numpy.cross axis juggling."""
-    out = np.empty_like(a)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return out
-
 #: fraction of the mesh diameter below which a vertex depth is treated as zero
 DEFAULT_SNAP_FRACTION = 1e-10
-
-#: closure tolerance: net area vector must vanish to this times diameter^2
-CLOSURE_FRACTION = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,8 +64,10 @@ class SubmergedSolid:
     ``hull_triangles`` are the clipped wetted-surface triangles and
     ``cap_polygons`` the waterline loops closing them, wound so their
     outward normal is the *up* direction ``-plane_normal`` (hole loops
-    wind the other way).  ``depth(x) = plane_offset + plane_normal . x``
-    is positive on the submerged side.
+    wind the other way).  Each loop is simple: loops touching at a
+    point come as separate loops sharing it.
+    ``depth(x) = plane_offset + plane_normal . x`` is positive on the
+    submerged side.
     """
 
     hull_triangles: np.ndarray
@@ -98,43 +90,26 @@ class SubmergedSolid:
         parts = [self.hull_triangles.reshape(-1, 3, 3)]
         for loop in self.cap_polygons:
             parts.append(fan_triangles(loop))
-        return np.concatenate(parts) if parts else np.zeros((0, 3, 3))
+        return np.concatenate(parts)
 
     def boundary_triangles(self) -> np.ndarray:
         """Hull triangles plus fanned cap triangles: the closed boundary."""
         return self._boundary_triangles
-
-    def closure_residual(self) -> float:
-        """Norm of the net area vector of the full boundary (0 if closed)."""
-        if self.is_empty:
-            return 0.0
-        tris = self.hull_triangles
-        net = np.zeros(3)
-        if len(tris):
-            net += 0.5 * _cross_rows(
-                tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
-            ).sum(axis=0)
-        for loop in self.cap_polygons:
-            net += 0.5 * _cross_rows(loop, np.roll(loop, -1, axis=0)).sum(axis=0)
-        return float(np.linalg.norm(net))
 
     def depth_of(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         return self.plane_offset + points @ self.plane_normal
 
 
-def _snapped_depths(mesh, offset, normal, snap_tol=None):
-    """Vertex depths with those within ``snap_tol`` of the plane set to zero."""
-    if snap_tol is None:
-        snap_tol = DEFAULT_SNAP_FRACTION * mesh.diameter
+def _snapped_depths(mesh, offset, normal):
+    """Vertex depths with those within the snap distance of the plane set
+    to zero."""
     depths = offset + mesh.vertices @ normal
-    depths[np.abs(depths) < snap_tol] = 0.0
+    depths[np.abs(depths) < DEFAULT_SNAP_FRACTION * mesh.diameter] = 0.0
     return depths
 
 
-def clip_by_waterplane(
-    mesh: HullMesh, pose: Pose, snap_tol: float | None = None
-) -> SubmergedSolid:
+def clip_by_waterplane(mesh: HullMesh, pose: Pose) -> SubmergedSolid:
     """Split the hull at the free surface, keeping the submerged side.
 
     Parameters
@@ -145,31 +120,16 @@ def clip_by_waterplane(
         Current configuration; only ``zeta``, ``theta`` and ``phi``
         enter (horizontal position and yaw do not move the plane in
         body coordinates).
-    snap_tol : float, optional
-        Absolute depth below which vertices snap onto the plane.
-        Defaults to ``1e-10 * mesh.diameter``.
 
     Returns
     -------
     SubmergedSolid
         Empty when fully emerged; the whole mesh with no caps when
         strictly fully submerged.
-
-    Raises
-    ------
-    ClipDegenerate
-        If waterline loops fail to chain or the clipped boundary does
-        not close to tolerance.
     """
     normal = k3_body(pose)
     offset = pose.zeta
-    depths = _snapped_depths(mesh, offset, normal, snap_tol)
-
-    if not np.any(depths > 0.0):
-        return SubmergedSolid(
-            np.zeros((0, 3, 3)), [], plane_normal=normal, plane_offset=offset
-        )
-
+    depths = _snapped_depths(mesh, offset, normal)
     tri_d = depths[mesh.triangles]
     any_neg = (tri_d < 0.0).any(axis=1)
     any_pos = (tri_d > 0.0).any(axis=1)
@@ -180,49 +140,25 @@ def clip_by_waterplane(
     keep = ~any_neg & (n_zero < 3)
     crossed = any_neg & any_pos
 
-    if not np.any(any_neg) and not np.any(n_zero):
-        return SubmergedSolid(
-            mesh.triangle_vertices.copy(), [], plane_normal=normal, plane_offset=offset
-        )
-
     hull_parts = [mesh.triangle_vertices[keep]]
-    segments: dict[tuple, tuple] = {}
+    # directed waterline segments: (start key, end key) -> start point
+    segments: dict[tuple, np.ndarray] = {}
 
-    def add_segment(key_a, key_b, pt_a, pt_b):
+    def add_segment(key_a, key_b, pt_a):
         # opposite duplicates cancel (ridges lying exactly in the plane)
         if (key_b, key_a) in segments:
             del segments[(key_b, key_a)]
         else:
-            segments[(key_a, key_b)] = (pt_a, pt_b)
+            segments[(key_a, key_b)] = pt_a
 
-    # plane-resident edges of kept faces become cap boundary pieces
-    kept_two_zero = np.nonzero(keep & (n_zero == 2) & any_pos)[0]
-    for ti in kept_two_zero:
-        ia, ib, ic = mesh.triangles[ti]
-        za, zb, zc = tri_d[ti] == 0.0
-        if za and zb:
-            i, j = ia, ib
-        elif zb and zc:
-            i, j = ib, ic
-        else:
-            i, j = ic, ia
-        add_segment(("v", int(i)), ("v", int(j)), mesh.vertices[i], mesh.vertices[j])
+    # plane-resident edges of kept faces become cap boundary pieces: the
+    # edge after the face's wet vertex
+    for ti in np.nonzero(keep & (n_zero == 2))[0]:
+        k = int(np.argmax(tri_d[ti] != 0.0))
+        i, j = int(mesh.triangles[ti, (k + 1) % 3]), int(mesh.triangles[ti, (k + 2) % 3])
+        add_segment(("v", i), ("v", j), mesh.vertices[i])
 
     verts = mesh.vertices
-    crossing_cache: dict[tuple, np.ndarray] = {}
-
-    def crossing(i, j):
-        # canonical index order makes both adjacent faces agree bitwise
-        if i > j:
-            i, j = j, i
-        key = ("e", i, j)
-        pt = crossing_cache.get(key)
-        if pt is None:
-            t = depths[i] / (depths[i] - depths[j])
-            pt = verts[i] + t * (verts[j] - verts[i])
-            crossing_cache[key] = pt
-        return key, pt
-
     extra_tris = []
     for ti in np.nonzero(crossed)[0]:
         idx = mesh.triangles[ti]
@@ -236,70 +172,66 @@ def clip_by_waterplane(
                 poly_keys.append(("v", i))
                 poly_depth.append(di)
             if di * dj < 0.0:
-                key, pt = crossing(i, j)
-                poly_pts.append(pt)
-                poly_keys.append(key)
+                # canonical index order makes both adjacent faces agree bitwise
+                a, b = min(i, j), max(i, j)
+                t = depths[a] / (depths[a] - depths[b])
+                poly_pts.append(verts[a] + t * (verts[b] - verts[a]))
+                poly_keys.append(("e", a, b))
                 poly_depth.append(0.0)
+        # a wet vertex, the crossing towards a dry one and the third
+        # vertex or its crossing: m >= 3
         m = len(poly_pts)
-        if m < 3:
-            continue
         for k in range(1, m - 1):
             extra_tris.append((poly_pts[0], poly_pts[k], poly_pts[k + 1]))
         for k in range(m):
             k2 = (k + 1) % m
             if poly_depth[k] == 0.0 and poly_depth[k2] == 0.0:
-                add_segment(poly_keys[k], poly_keys[k2], poly_pts[k], poly_pts[k2])
+                add_segment(poly_keys[k], poly_keys[k2], poly_pts[k])
 
     if extra_tris:
         hull_parts.append(np.array(extra_tris))
-    hull = np.concatenate(hull_parts) if hull_parts else np.zeros((0, 3, 3))
+    hull = np.concatenate(hull_parts)
 
     caps = _chain_loops(segments)
-    solid = SubmergedSolid(hull, caps, plane_normal=normal, plane_offset=offset)
-
-    residual = solid.closure_residual()
-    if residual > CLOSURE_FRACTION * mesh.diameter**2:
-        raise ClipDegenerate(
-            f"clipped boundary does not close (residual {residual:.3e})"
-        )
-    return solid
+    return SubmergedSolid(hull, caps, plane_normal=normal, plane_offset=offset)
 
 
 def _chain_loops(segments) -> list[np.ndarray]:
-    """Chain directed plane segments into closed loops, cap-oriented.
+    """Split directed plane segments into simple closed loops, cap-oriented.
 
-    Face windings trace each waterline loop counter-clockwise around the
+    The segments are the boundary of the wetted surface, so every
+    waterline point has as many segments leaving as arriving, and a walk
+    along unused outgoing segments never gets stuck (Hierholzer, Math.
+    Ann. 6, 1873).  A point met again closes the cycle walked since its
+    first visit, so loops that touch at a point come out as separate
+    simple loops and every directed boundary edge has exactly one
+    reverse.  Face windings trace each loop counter-clockwise around the
     *down* normal; caps must wind around the up normal, so finished
     loops are reversed.
     """
-    if not segments:
-        return []
     outgoing: dict[tuple, list] = {}
-    for (ka, kb), (pa, pb) in segments.items():
-        if ka in outgoing:
-            raise ClipDegenerate(f"non-manifold waterline at {ka}")
-        outgoing[ka] = (kb, pa)
+    for (ka, kb), pa in segments.items():
+        outgoing.setdefault(ka, []).append((kb, pa))
 
     loops = []
-    visited = set()
-    for start in list(outgoing):
-        if start in visited:
-            continue
-        pts = []
-        key = start
-        while True:
-            if key not in outgoing:
-                raise ClipDegenerate("open waterline chain; loop failed to close")
-            nxt, pt = outgoing[key]
-            visited.add(key)
-            pts.append(pt)
-            key = nxt
-            if key == start:
-                break
-            if key in visited:
-                raise ClipDegenerate("waterline chain re-entered a finished loop")
-        if len(pts) >= 3:
-            loops.append(np.array(pts)[::-1])
+    for start, unused in outgoing.items():
+        while unused:
+            # the open walk: path[k] is the key of point pts[k]
+            path, pts, at = [start], [], {start: 0}
+            while True:
+                key, pt = outgoing[path[-1]].pop(0)
+                pts.append(pt)
+                i = at.get(key)
+                if i is None:
+                    at[key] = len(path)
+                    path.append(key)
+                    continue
+                loops.append(np.array(pts[i:])[::-1])
+                for done in path[i + 1:]:
+                    del at[done]
+                del path[i + 1:], pts[i:]
+                if i == 0:
+                    break
     return loops
 
 
@@ -313,16 +245,9 @@ def volume_and_first_moments(solid: SubmergedSolid):
     """
     if solid.is_empty:
         return 0.0, np.zeros(3)
-    tris = solid.boundary_triangles()
-    v6 = np.einsum(
-        "ij,ij->i", tris[:, 0], _cross_rows(tris[:, 1], tris[:, 2])
-    )
-    volume = v6.sum() / 6.0
-    first = (v6[:, None] * tris.sum(axis=1)).sum(axis=0) / 24.0
-    if volume < 0.0:
-        # roundoff on slivers; a genuinely inverted boundary fails closure first
-        volume = 0.0
-    return volume, first
+    volume, first, _ = _volume_integrals(solid.boundary_triangles())
+    # clamp roundoff on slivers
+    return max(volume, 0.0), first
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Clipping and the submerged integrals raise none for a validated mesh,
+whatever the waterline topology.
+"""
 
 import importlib
 
@@ -13,15 +17,6 @@ class InvalidMesh(FloatDynError):
 
 class NonWatertightMesh(InvalidMesh):
     """Edge pairing failed: the surface has a boundary or non-manifold edge."""
-
-
-class ClipDegenerate(FloatDynError):
-    """A waterline loop failed to chain or close while building the clipped solid.
-
-    Only :func:`floatdyn.clipping.clip_by_waterplane`, which builds the
-    explicit cap polygons for ``floatdyn clip`` STL export, raises it;
-    the hydrostatic integrals never build waterline loops.
-    """
 
 
 class SelfIntersecting(FloatDynError):

@@ -19,12 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMesh, InvalidMesh, NonWatertightMesh, require_scipy
+from .errors import EmptyMesh, InvalidMesh, NonWatertightMesh
 from .polygons import triangulate_simple_polygon
 
 #: cyclic successors and predecessors of the axes, for cross products
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
+
+#: the corners of a grid cell: the offsets of the cells probed per point
+_CORNERS = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
 
 #: default ray direction for point containment tests; fixed irrationalish
 #: components dodge edge-aligned degeneracies on axis-aligned meshes
@@ -143,15 +146,7 @@ class HullMesh:
 
         if self.symmetry_flag:
             tol = symmetry_tol if symmetry_tol is not None else 1e-9 * self.diameter
-            mirrored = self.vertices * np.array([1.0, -1.0, 1.0])
-            spatial = require_scipy("scipy.spatial", "the port-starboard symmetry check")
-            tree = spatial.cKDTree(self.vertices)
-            dist, _ = tree.query(mirrored, k=1)
-            if dist.max() > tol:
-                raise InvalidMesh(
-                    "symmetry_flag set but vertex set is not mirror symmetric "
-                    f"about x2=0 (max mismatch {dist.max():.3e})"
-                )
+            _check_mirror(self.vertices, tol)
 
     # -- integrals ---------------------------------------------------------------
 
@@ -199,6 +194,45 @@ def _check_edges(tri, n_vertices):
     if len(missing):
         i, j = edges[missing[0]].tolist()
         raise NonWatertightMesh(f"edge ({i}, {j}) has no opposite partner")
+
+
+def _check_mirror(vertices, tol):
+    """Raise unless every vertex mirrored in ``x2 = 0`` has a vertex
+    within ``tol``.
+
+    On a grid of cells at least ``2 tol`` wide (and at most ``2**20`` per
+    axis, so a cell code fits an int64) the vertices within ``tol`` of a
+    point lie in the 8 cells around its nearest grid corner.  One sort of
+    the vertex cell codes and a search per probed cell give the
+    candidates, and their distances decide.
+    """
+    mirrored = vertices * np.array([1.0, -1.0, 1.0])
+    both = np.concatenate([vertices, mirrored])
+    origin = both.min(axis=0)
+    size = max(2.0 * tol, (both.max(axis=0) - origin).max() / 2**20)
+    # cell codes, shifted by one: probed cells reach one past either end
+    weights = np.array([(2**20 + 3) ** 2, 2**20 + 3, 1])
+    scaled = (mirrored - origin) / size
+    base = np.floor(scaled).astype(np.int64)
+    step = np.where(scaled - base < 0.5, -1, 1)
+    probed = ((base[:, None] + _CORNERS * step[:, None] + 1) @ weights).ravel()
+    own = (np.floor((vertices - origin) / size).astype(np.int64) + 1) @ weights
+    order = np.argsort(own, kind="stable")
+    first = np.searchsorted(own[order], probed, "left")
+    count = np.searchsorted(own[order], probed, "right") - first
+    probe = np.repeat(np.arange(len(probed)), count)
+    # the k-th candidate of a probe sits k places after its first
+    nth = np.arange(len(probe)) - np.repeat(np.cumsum(count) - count, count)
+    owner = probe // len(_CORNERS)
+    candidate = vertices[order[first[probe] + nth]]
+    matched = np.zeros(len(vertices), dtype=bool)
+    matched[owner[np.linalg.norm(candidate - mirrored[owner], axis=1) <= tol]] = True
+    if not matched.all():
+        bad = int(np.argmin(matched))
+        raise InvalidMesh(
+            "symmetry_flag set but vertex set is not mirror symmetric about "
+            f"x2=0: vertex {bad} has no mirror image within {tol:.3e}"
+        )
 
 
 def _signed_det(tris) -> np.ndarray:

@@ -76,6 +76,22 @@ def _require_known_keys(name, options, known):
         raise ConfigError(f"unknown '{name}' keys: {sorted(unknown)}")
 
 
+def _read_json(path, what, known, required) -> dict:
+    """The JSON object in the ``what`` file at ``path``, with keys among
+    ``known`` and every key of ``required``."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}")
+    _require_known_keys(what, data, known)
+    missing = set(required) - set(data)
+    if missing:
+        raise ConfigError(f"{what} file {path} lacks the keys {sorted(missing)}")
+    return data
+
+
 def _all_finite(value) -> bool:
     try:
         return bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
@@ -143,17 +159,7 @@ class AnalysisConfig:
 
     @classmethod
     def from_file(cls, path) -> "AnalysisConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**_read_json(path, "config", cls.__dataclass_fields__, ["mesh_path"]))
 
     def environment(self) -> FluidEnvironment:
         return FluidEnvironment(rho=self.fluid_density, g=self.gravity)
@@ -250,7 +256,8 @@ class Report:
 
     @classmethod
     def load(cls, path) -> "Report":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        fields = cls.__dataclass_fields__
+        return cls.from_dict(_read_json(path, "report", fields, set(fields) - {"verification"}))
 
 
 def _listify(value):

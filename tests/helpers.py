@@ -1,0 +1,50 @@
+"""Checks on clipped solids shared by the clipping, hydrostatics and CLI tests."""
+
+import numpy as np
+
+from floatdyn import Pose, volume_and_first_moments
+from floatdyn.clipping import cap_raw_moments, evaluate
+from floatdyn.kinematics import k3_body
+from floatdyn.mesh import _check_edges
+
+
+def vertex_on_plane_poses(mesh, rng, count):
+    """Seeded poses, heel and trim in [-0.3, 0.3], that put a random mesh
+    vertex exactly on the waterplane."""
+    for _ in range(count):
+        theta, phi = (float(x) for x in rng.uniform(-0.3, 0.3, 2))
+        vertex = mesh.vertices[rng.integers(len(mesh.vertices))]
+        zeta = float(-vertex @ k3_body(Pose(theta=theta, phi=phi)))
+        yield Pose(zeta=zeta, theta=theta, phi=phi)
+
+
+def touching_loops(solid):
+    """Whether some cap point occurs twice, bitwise, across the cap loops:
+    waterline loops touching at a vertex on the plane."""
+    points = np.concatenate(solid.cap_polygons or [np.zeros((0, 3))])
+    return len(np.unique(points.view(np.void(24)))) < len(points)
+
+
+def assert_edges_paired(solid):
+    """Every directed edge of the exported boundary occurs once and has
+    exactly one reverse, corners compared by their bits: the boundary is
+    closed and consistently oriented.  Raises ``NonWatertightMesh``
+    otherwise."""
+    corners = np.ascontiguousarray(solid.boundary_triangles().reshape(-1, 3))
+    _, ids = np.unique(corners.view(np.void(24))[:, 0], return_inverse=True)
+    _check_edges(ids.reshape(-1, 3), len(corners))
+
+
+def assert_clip_matches_evaluate(mesh, pose, solid, tol=1e-12):
+    """Volume, first moments and cap moments of the clipped solid equal
+    those of the wetted-face integrals to ``tol`` relative to the mesh
+    diameter's powers."""
+    got = evaluate(mesh, pose)
+    volume, first = volume_and_first_moments(solid)
+    area, cap_first, cap_second = cap_raw_moments(solid)
+    d = mesh.diameter
+    assert abs(volume - got.volume) <= tol * d**3
+    assert np.abs(first - got.first).max() <= tol * d**4
+    assert abs(area - got.cap_area) <= tol * d**2
+    assert np.abs(cap_first - got.cap_first).max() <= tol * d**3
+    assert np.abs(cap_second - got.cap_second).max() <= tol * d**4

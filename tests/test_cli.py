@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from floatdyn import Report, save_stl, shapes
+from floatdyn import Report, clip_by_waterplane, save_stl, shapes
 from floatdyn.cli import main
-from floatdyn.report import AnalysisConfig, run_analysis
+from floatdyn.clipping import evaluate
+from floatdyn.mesh import load_stl
+from floatdyn.report import AnalysisConfig, load_body, run_analysis
 from floatdyn.errors import ConfigError
+from helpers import touching_loops, vertex_on_plane_poses
 
 
 @pytest.fixture()
@@ -108,6 +111,12 @@ class TestConfigValidation:
         path.write_text(json.dumps({"mesh_path": "x.stl"}))
         with pytest.raises(ConfigError):
             AnalysisConfig.from_file(path)
+
+    def test_missing_mesh_path_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"uniform_density": 500.0}))
+        assert main(["analyze", "--config", str(path)]) == 1
+        assert "error: config file" in capsys.readouterr().err
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -482,6 +491,41 @@ class TestModes:
         assert modal == {k: v for k, v in stored.items() if k != "reduced_mass"}
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "report file not found"), ("{not json", "is not valid JSON"),
+         ('{"schema_version": 1, "config": {}}', "lacks the keys"), ("[1]", "JSON object")],
+    )
+    def test_bad_report_exits_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "report.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["modes", "--report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "modes", "verify", "clip"])
+    def test_out_in_missing_directory_exits_one(self, barge_config, tmp_path, capsys, command):
+        config = str(barge_config)
+        report = tmp_path / "report.json"
+        if command == "modes":
+            assert main(["analyze", "--config", config, "--out", str(report)]) == 0
+        argv = {
+            "analyze": ["analyze", "--config", config],
+            "simulate": ["simulate", "--config", config, "--t-end", "0.05"],
+            "modes": ["modes", "--report", str(report)],
+            "verify": ["verify", "--config", config, "--poses", "3", "--loops", "1"],
+            "clip": ["clip", "--config", config],
+        }[command]
+        capsys.readouterr()
+        out = tmp_path / "missing" / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing" in err
+
+
 class TestVerify:
     def test_cube_geometry_passes(self, cube_config, tmp_path, capsys):
         out = tmp_path / "verify.json"
@@ -541,6 +585,29 @@ class TestClip:
         assert code == 0
         assert out.exists()
         assert "cap loop" in capsys.readouterr().out
+
+    def test_touching_waterline_loops_export(self, tmp_path, capsys):
+        # a vertex on the plane pinching the waterline into loops that
+        # touch: the export succeeds and holds the submerged volume
+        l_prism = shapes.l_prism(outer=(1.0, 1.0), notch=(0.5, 0.5), length=1.0,
+                                 jitter=0.02, seed=11)
+        save_stl(tmp_path / "l.stl", l_prism)
+        config = tmp_path / "l.json"
+        config.write_text(json.dumps({"mesh_path": str(tmp_path / "l.stl"),
+                                      "uniform_density": 600.0}))
+        mesh, _, _ = load_body(AnalysisConfig.from_file(config))
+        pose = next(
+            p for p in vertex_on_plane_poses(mesh, np.random.default_rng(12), 240)
+            if touching_loops(clip_by_waterplane(mesh, p))
+        )
+        out = tmp_path / "clip.stl"
+        code = main(["clip", "--config", str(config), "--out", str(out),
+                     f"--pose={pose.zeta!r},{pose.theta!r},{pose.phi!r}"])
+        assert code == 0
+        tris = load_stl(out).triangle_vertices
+        volume = np.einsum("ij,ij->i", tris[:, 0], np.cross(tris[:, 1], tris[:, 2])).sum() / 6
+        # the STL stores single precision
+        assert volume == pytest.approx(evaluate(mesh, pose).volume, rel=1e-6)
 
     def test_emerged_pose_fails(self, cube_config, tmp_path):
         out = tmp_path / "clip.stl"

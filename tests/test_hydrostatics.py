@@ -19,9 +19,10 @@ from floatdyn import (
     volume_and_first_moments,
     waterplane_properties,
 )
-from floatdyn.errors import AsymmetricBody, ClipDegenerate, NotAnEquilibrium, ZeroVolume
+from floatdyn.errors import AsymmetricBody, NotAnEquilibrium, ZeroVolume
 from floatdyn.kinematics import k3_body, omega_map, rotation_matrix
 from floatdyn.verification import random_partial_poses
+from helpers import assert_clip_matches_evaluate, touching_loops, vertex_on_plane_poses
 
 RHO_G = 1000.0 * 9.81
 
@@ -474,31 +475,26 @@ class TestArrayForms:
 
 
 class TestNonManifoldWaterline:
-    def test_lprism_poses_the_clipper_rejects_integrate(self, l_prism, env):
+    def test_lprism_poses_with_touching_loops_integrate(self, l_prism, env):
         # a vertex exactly on the plane can pinch the waterline into loops
-        # that touch; chaining them fails, integrating the wetted faces
-        # does not, and the volume stays between the shifted poses'
-        rng = np.random.default_rng(12)
+        # that touch; the clipped solid and the wetted faces agree there,
+        # and the volume stays between the shifted poses'
         eps = 1e-7 * l_prism.diameter
         found = 0
-        for _ in range(240):
-            theta, phi = (float(x) for x in rng.uniform(-0.3, 0.3, 2))
-            vertex = l_prism.vertices[rng.integers(len(l_prism.vertices))]
-            zeta = float(-vertex @ k3_body(Pose(theta=theta, phi=phi)))
-            pose = Pose(zeta=zeta, theta=theta, phi=phi)
-            try:
-                clip_by_waterplane(l_prism, pose)
+        for pose in vertex_on_plane_poses(l_prism, np.random.default_rng(12), 240):
+            solid = clip_by_waterplane(l_prism, pose)
+            if not touching_loops(solid):
                 continue
-            except ClipDegenerate:
-                found += 1
+            found += 1
+            assert_clip_matches_evaluate(l_prism, pose, solid)
             state = hydrostatic_state(l_prism, pose, env)
             grad = force_gradient(l_prism, pose, env)
             assert np.all(np.isfinite(state.forces))
             assert np.isfinite(state.potential)
             assert np.all(np.isfinite(state.waterplane.second_moment))
             assert np.all(np.isfinite(grad))
-            v_lo = hydrostatic_state(l_prism, pose.replace(zeta=zeta - eps), env).volume
-            v_hi = hydrostatic_state(l_prism, pose.replace(zeta=zeta + eps), env).volume
+            v_lo = hydrostatic_state(l_prism, pose.replace(zeta=pose.zeta - eps), env).volume
+            v_hi = hydrostatic_state(l_prism, pose.replace(zeta=pose.zeta + eps), env).volume
             assert v_lo - 1e-12 <= state.volume <= v_hi + 1e-12
             assert v_hi - v_lo < 1e-5 * max(l_prism.volume, 1.0)
         assert found >= 5

@@ -2,8 +2,9 @@
 
 ``import floatdyn``, the ``analyze``, ``verify``, ``clip`` and ``modes``
 subcommands and ``simulate`` with an explicit Runge-Kutta method load no
-SciPy, and no subcommand loads ``numpy.polynomial`` or ``numpy.ma`` (each
-adds over a megabyte to the process).  Only the implicit integrator methods, the symmetry check and
+SciPy, the port-starboard symmetry check included, and no subcommand
+loads ``numpy.polynomial`` or ``numpy.ma`` (each adds over a megabyte to
+the process).  Only the implicit integrator methods and
 ``shapes.convex_hull_mesh`` need it, and without it they raise a typed
 error naming the ``scipy`` extra.  The integrator module ``floatdyn.rk``
 loads only in ``simulate``.  Each check runs in a fresh
@@ -54,17 +55,16 @@ print(json.dumps(loaded))
 
 @pytest.fixture()
 def barge_config(tmp_path):
-    # no "symmetry": that check builds a KD-tree from scipy.spatial; and
-    # a box centered in y would run it when built, so this one is offset
-    # (loading re-centers the mesh)
+    # the mirror check of "symmetry" runs on numpy alone
     mesh_path = tmp_path / "barge.stl"
-    save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5, center=(0.0, 0.125, 0.0)))
+    save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5))
     path = tmp_path / "barge.json"
     path.write_text(json.dumps({
         "mesh_path": str(mesh_path),
         "uniform_density": 500.0,
         "fluid_density": 1000.0,
         "gravity": 9.81,
+        "symmetry": True,
         "simulate": {"t_end": 0.2, "dt": 0.1},
     }))
     return path
@@ -126,7 +126,7 @@ def test_numpy_only_subcommands_load_no_scipy(barge_config, tmp_path):
 @pytest.mark.parametrize("scipy", ["with-scipy", "without-scipy"])
 def test_simulate_loads_no_scipy(barge_config, tmp_path, scipy):
     # the default DOP853 and RK45 in both modes run on floatdyn.rk;
-    # with SciPy blocked they must still succeed
+    # with SciPy blocked they must still succeed, the symmetry check too
     rk45 = with_config(barge_config, integrator={"method": "RK45"})
     loaded = run_child([
         ["simulate", "--config", str(barge_config), "--out", str(tmp_path / "t.csv")],
@@ -147,19 +147,16 @@ def test_radau_simulate_loads_scipy_integrate(barge_config, tmp_path):
 
 def test_features_needing_scipy_raise_a_typed_error_without_it(barge_config, tmp_path):
     out = run_child({
-        "symmetry": ["analyze", "--config", with_config(barge_config, symmetry=True)],
         "implicit": [
             "simulate", "--config", with_config(barge_config, integrator={"method": "BDF"}),
             "--out", str(tmp_path / "t.csv"),
         ],
     }, script=MISSING_SCIPY)
     hint = "pip install floatdyn[scipy]"
-    for name in ("symmetry", "implicit"):
-        code, err = out[name]
-        assert code == 1 and err.startswith("error: ") and hint in err, (name, err)
-        assert "Traceback" not in err
-    assert "symmetry check" in out["symmetry"][1]
-    assert "'BDF'" in out["implicit"][1]
+    code, err = out["implicit"]
+    assert code == 1 and err.startswith("error: ") and hint in err, err
+    assert "Traceback" not in err
+    assert "'BDF'" in err
     kind, message = out["convex_hull_mesh"]
     assert kind == "MissingDependency" and hint in message
     assert not (tmp_path / "t.csv").exists()
