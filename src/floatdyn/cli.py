@@ -30,7 +30,7 @@ from .errors import ConfigError, FloatDynError
 from .kinematics import COORD_NAMES, CYCLIC, NONCYCLIC, Pose
 from .mesh import save_stl
 from .oscillations import normal_modes
-from .report import AnalysisConfig, Report, load_body, run_analysis
+from .report import AnalysisConfig, Report, load_body, load_equilibrium, run_analysis
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -151,16 +151,12 @@ def _cmd_simulate(args) -> int:
     if args.tol is not None:
         integrator.update(rtol=args.tol, atol=args.tol / 10.0)
     config = dataclasses.replace(config, simulate=sim, integrator=integrator)
-    report, objects = run_analysis(config)
+    mesh, body, _, env, equilibrium = load_equilibrium(config)
     mode = args.mode or sim.get("mode", "full")
     t_end = float(sim.get("t_end", 10.0))
     dt = float(sim.get("dt", 0.01))
 
-    mesh, body, env = objects["mesh"], objects["body"], objects["env"]
-    try:
-        start = _initial_state(mode, objects["equilibrium"].pose, sim, body)
-    except ValueError as exc:
-        raise ConfigError(f"invalid 'simulate' start: {exc}") from exc
+    start = _initial_state(mode, equilibrium.pose, sim, body)
     integrate = integrate_full if mode == "full" else integrate_reduced
     traj = integrate(mesh, body, env, t_end=t_end, dt=dt, **start, **integrator)
 
@@ -213,8 +209,8 @@ def _initial_state(mode, eq_pose, sim, body):
 
 def _cmd_modes(args) -> int:
     report = Report.load(args.report)
-    hessian = np.asarray(report.stability["hessian"], dtype=float)
-    m_red = np.asarray(report.modal["reduced_mass"], dtype=float)
+    hessian = _report_matrix(args.report, report, "stability", "hessian")
+    m_red = _report_matrix(args.report, report, "modal", "reduced_mass")
     modal = normal_modes(hessian, m_red)
     text = json.dumps(modal.to_dict(), indent=2)
     if args.out:
@@ -223,6 +219,14 @@ def _cmd_modes(args) -> int:
     else:
         print(text)
     return EXIT_OK
+
+
+def _report_matrix(path, report, section, key):
+    """The numeric array stored under ``section.key`` of a loaded report."""
+    try:
+        return np.asarray(getattr(report, section)[key], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"report file {path} lacks a numeric '{section}.{key}'") from None
 
 
 def _cmd_verify(args) -> int:

@@ -377,10 +377,10 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     explicit methods run on :mod:`floatdyn.rk`; ``Radau``, ``BDF`` and
     ``LSODA`` on SciPy's ``solve_ivp``.  Both are imported only here.
     Either way the result has ``t``, ``y``, ``status`` (1 after the
-    gimbal halt) and ``nfev``; a run that cannot advance raises
-    :class:`IntegrationFailed`, and so does an implicit run whose
-    right-hand side or samples turn non-finite (``BDF`` would raise
-    SciPy's ``ValueError``, ``LSODA`` would return the NaN samples).
+    gimbal halt) and ``nfev``.  The right-hand side is checked for
+    finite values at every call, so a non-finite one raises
+    :class:`IntegrationFailed` with one message whatever the method; a
+    run that cannot advance raises it too.
     """
     from . import rk
 
@@ -390,54 +390,35 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     def gimbal(t, y):
         return (math.pi / 2 - GIMBAL_HALT_MARGIN) - abs(y[theta_index])
 
-    t_eval = _sample_times(t_end, dt)
-    if method in rk.TABLEAUS:
-        return rk.solve(rhs, (0.0, t_end), y0, t_eval, gimbal, method, rtol, atol, max_step)
-    solve_ivp = require_scipy("scipy.integrate", f"integrator method {method!r}").solve_ivp
-    gimbal.terminal = True
-    not_finite = []
-
-    def checked(t, y):
+    def finite(t, y):
         out = rhs(t, y)
-        if not not_finite and not np.isfinite(out).all():
-            not_finite.append(t)
+        if not np.isfinite(out).all():
+            raise IntegrationFailed(
+                f"integration failed at t = {t:.9g}: the right-hand side is not finite"
+            )
         return out
 
-    try:
-        sol = solve_ivp(
-            checked,
-            (0.0, t_end),
-            y0,
-            method=method,
-            rtol=rtol,
-            atol=atol,
-            t_eval=t_eval,
-            max_step=max_step,
-            events=[gimbal],
-            dense_output=False,
-        )
-    except ValueError as exc:
-        # BDF factors a Jacobian built from the non-finite values and its
-        # linear algebra rejects them
-        if not not_finite:
-            raise
-        raise IntegrationFailed(
-            f"integration failed at t = {not_finite[0]:.9g}: the right-hand side "
-            f"is not finite ({exc})"
-        ) from exc
+    t_eval = _sample_times(t_end, dt)
+    if method in rk.TABLEAUS:
+        return rk.solve(finite, (0.0, t_end), y0, t_eval, gimbal, method, rtol, atol, max_step)
+    solve_ivp = require_scipy("scipy.integrate", f"integrator method {method!r}").solve_ivp
+    gimbal.terminal = True
+    sol = solve_ivp(
+        finite,
+        (0.0, t_end),
+        y0,
+        method=method,
+        rtol=rtol,
+        atol=atol,
+        t_eval=t_eval,
+        max_step=max_step,
+        events=[gimbal],
+        dense_output=False,
+    )
     if sol.status < 0:
         last = sol.t[-1] if len(sol.t) else 0.0
         raise IntegrationFailed(
             f"integration failed after the sample at t = {last:.9g}: {sol.message}"
-        )
-    finite = np.isfinite(sol.y).all(axis=0)
-    if not finite.all():
-        # LSODA carries non-finite states to the end and reports success
-        bad = int(np.argmin(finite))
-        last = sol.t[bad - 1] if bad else 0.0
-        raise IntegrationFailed(
-            f"integration failed after the sample at t = {last:.9g}: the state "
-            "is not finite"
         )
     return sol
 

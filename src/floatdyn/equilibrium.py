@@ -29,7 +29,9 @@ import numpy as np
 from .clipping import evaluate
 from .dynamics import BodyProperties
 from .errors import Diverged, GimbalLock, WontFloat
-from .hydrostatics import _RESTORING, FluidEnvironment, _force_gradient, _generalized_forces
+from .hydrostatics import (
+    _RESTORING, FluidEnvironment, _force_gradient, _generalized_forces, _scaled_residual,
+)
 from .kinematics import GIMBAL_GUARD, Pose, _pose_unchecked, k3_body
 from .mesh import HullMesh
 
@@ -72,8 +74,8 @@ def find_equilibrium(
         (cube face-up versus edge-up) are reached from different
         guesses; there is no global search.
     tol : float
-        Convergence threshold on the scaled residual norm, relative to
-        the weight ``m g``.
+        Convergence threshold on the scaled residual (moments divided by
+        the hull diameter), relative to the weight ``m g``.
 
     Raises
     ------
@@ -91,7 +93,6 @@ def find_equilibrium(
         raise WontFloat(f"mass {m} exceeds maximum displaceable mass {env.rho * mesh.volume}")
     weight = m * env.g
     rg = env.rho * env.g
-    diameter = mesh.diameter
 
     def balance(zeta, theta, phi):
         """Pose and integrals at the balancing draft for fixed angles.
@@ -124,8 +125,7 @@ def find_equilibrium(
     r = residual(pose, integrals)
     radius = 0.2  # rad: a first step short enough to keep the waterplane topology
     for iteration in range(max_iter + 1):
-        # moments scaled by the diameter so the norm is commensurate with N
-        scaled = max(abs(r[0]), abs(r[1]) / diameter, abs(r[2]) / diameter)
+        scaled = _scaled_residual(r, mesh.diameter)
         if scaled <= tol * weight:
             # the climb may cross the pole of the angle chart: read the
             # same down axis with the pitch inside (-pi/2, pi/2)

@@ -72,8 +72,8 @@ class ConfigError(FloatDynError):
 
 
 class IntegrationFailed(FloatDynError):
-    """The integrator could not advance: its step size underflowed, or an
-    implicit method met a non-finite right-hand side or state."""
+    """The integrator could not advance: the right-hand side turned
+    non-finite, or the step size underflowed."""
 
 
 class MissingDependency(ConfigError):

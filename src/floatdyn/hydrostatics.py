@@ -12,6 +12,11 @@ a maximum of ``U`` (equivalently a minimum of the potential energy
 Surge, sway and yaw never acquire a restoring force: the corresponding
 entries of the generalized force vector are structural zeros, not small
 numbers.
+
+Stability is decided from the Hessian alone: an equilibrium is
+pseudo-stable exactly when the (zeta, theta, phi) Hessian of ``U`` is
+negative definite.  The metacentric heights reported beside the verdict
+are body-axis quantities, the classic ones only for an upright hull.
 """
 
 from __future__ import annotations
@@ -251,13 +256,24 @@ def hydrostatic_state(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> Hydr
     )
 
 
+#: default residual, relative to the displacement, of hessian_at_equilibrium
+RESIDUAL_TOL = 1e-8
+
+
+def _scaled_residual(residual, diameter: float) -> float:
+    """Size in N of an equilibrium residual ``(m g + Q_zeta, Q_theta, Q_phi)``,
+    the moments divided by the hull diameter: the one measure by which the
+    solver converges and :func:`hessian_at_equilibrium` accepts."""
+    return max(abs(residual[0]), abs(residual[1]) / diameter, abs(residual[2]) / diameter)
+
+
 def hessian_at_equilibrium(
     mesh: HullMesh,
     q_star: Pose,
     env: FluidEnvironment,
     mass: float | None = None,
     method: str = "auto",
-    residual_tol: float = 1e-8,
+    residual_tol: float = RESIDUAL_TOL,
 ) -> np.ndarray:
     """Hessian of the total force function at equilibrium, (zeta, theta, phi).
 
@@ -282,7 +298,8 @@ def hessian_at_equilibrium(
     Raises
     ------
     NotAnEquilibrium
-        If residual forces exceed ``residual_tol`` times the displacement.
+        If the residual, measured as in the equilibrium solver, exceeds
+        ``residual_tol`` times the displacement.
     AsymmetricBody
         If ``method="closed_form"`` without the mesh symmetry claim.
     """
@@ -294,17 +311,10 @@ def hessian_at_equilibrium(
     displacement = m_eff * env.g
 
     forces = _generalized_forces(integrals, q_star, env)
-    resid = np.array(
-        [
-            m_eff * env.g + forces[2],
-            forces[4] / max(mesh.diameter, 1e-300),
-            forces[5] / max(mesh.diameter, 1e-300),
-        ]
-    )
-    if np.max(np.abs(resid)) > residual_tol * displacement:
+    residual = _scaled_residual((m_eff * env.g + forces[2], forces[4], forces[5]), mesh.diameter)
+    if residual > residual_tol * displacement:
         raise NotAnEquilibrium(
-            f"residual force {np.max(np.abs(resid)):.3e} exceeds "
-            f"{residual_tol:.1e} * displacement"
+            f"residual force {residual:.3e} exceeds {residual_tol:.1e} * displacement"
         )
 
     if method not in ("auto", "closed_form", "general"):
@@ -347,7 +357,8 @@ def metacentric_heights(v_star: float, z_b_star: float, second_moment) -> tuple[
     ``GM_T = S22 / V* - z_B*`` and ``GM_L = S11 / V* - z_B*`` where the
     second-moment tensor is taken about the projection of G on the
     static waterplane and ``z_B*`` is the body-frame depth of the
-    buoyancy center below G (positive down).
+    buoyancy center below G (positive down).  Both are body-axis
+    quantities: the metacentric heights only for an upright hull.
     """
     if v_star <= 0.0:
         raise ZeroVolume("metacentric heights need positive submerged volume")
@@ -359,11 +370,10 @@ def metacentric_heights(v_star: float, z_b_star: float, second_moment) -> tuple[
 class StabilityReport:
     """Equilibrium stiffness data and the restricted-problem verdict.
 
-    ``margins`` are the two scalar stability margins in m^4,
-    ``(S22 - V z_B, S11 - V z_B - A x_C^2)``; the configuration is
-    pseudo-stable exactly when both are strictly positive, which matches
-    the classic conditions ``GM_T > 0`` and
-    ``Delta GM_L > rho g A x_C^2``.
+    ``margins`` are the roll and pitch pivots of ``-H / (rho g)`` in m^4
+    (see :func:`pseudo_stability_check`); at the upright equilibrium of
+    a port-starboard symmetric hull they are the classic
+    ``(S22 - V z_B, S11 - V z_B - A x_C^2)``.
     """
 
     hessian: np.ndarray
@@ -381,55 +391,41 @@ def pseudo_stability_check(
     *,
     v_star: float,
     z_b_star: float,
-    waterplane_area: float,
-    x_c: float,
     second_moment,
     env: FluidEnvironment,
     margin_tol: float = 1e-9,
 ) -> StabilityReport:
-    """Classify an equilibrium by the two scalar stability margins.
+    """Classify an equilibrium by the Hessian of the force function alone.
 
-    The verdict must and does agree with negative definiteness of the
-    Hessian tested by leading principal minors; disagreement outside the
-    marginal band raises ``ValueError`` because it means the inputs are
-    mutually inconsistent.  ``marginal`` flags margins within
-    ``margin_tol`` (relative to the second-moment scale) of zero; it is
-    a flag, not an error.
+    Pseudo-stable means ``-hessian`` is positive definite: all pivots of
+    its LDL' factorization, in the order heave, pitch, roll, are
+    positive.  The margins are the pitch pivot (after heave) and the roll
+    pivot (after heave and pitch) of ``-hessian / (rho g)``; ``marginal``
+    flags one within ``margin_tol`` of zero, relative to the largest
+    pitch-roll stiffness.  The other arguments give only the body-axis
+    metacentric heights and the displacement.
     """
     hessian = np.asarray(hessian, dtype=float)
-    s = np.asarray(second_moment, dtype=float)
-    gm_t, gm_l = metacentric_heights(v_star, z_b_star, s)
-    displacement = env.rho * env.g * v_star
-
-    margin_t = float(s[1, 1] - v_star * z_b_star)
-    margin_l = float(s[0, 0] - v_star * z_b_star - waterplane_area * x_c**2)
-    stable = margin_t > 0.0 and margin_l > 0.0
-
-    scale = max(abs(s[0, 0]), abs(s[1, 1]), abs(v_star * z_b_star), waterplane_area * x_c**2)
-    marginal = bool(
-        min(abs(margin_t), abs(margin_l)) <= margin_tol * max(scale, 1e-300)
-    )
-
-    neg = -hessian
-    minors = (
-        neg[0, 0],
-        np.linalg.det(neg[:2, :2]),
-        np.linalg.det(neg),
-    )
-    stable_by_minors = all(m > 0.0 for m in minors)
-    if stable_by_minors != stable and not marginal:
-        raise ValueError(
-            "stability verdict from margins disagrees with the Hessian minors; "
-            "inconsistent inputs"
-        )
+    gm_t, gm_l = metacentric_heights(v_star, z_b_star, second_moment)
+    stiffness = -hessian / (env.rho * env.g)
+    scale = np.abs(stiffness[1:, 1:]).max()
+    pivots = []
+    for k in range(3):
+        pivot = float(stiffness[k, k])
+        pivots.append(pivot)
+        if pivot != 0.0:
+            rest = slice(k + 1, 3)
+            stiffness[rest, rest] -= np.outer(stiffness[rest, k], stiffness[k, rest]) / pivot
+    _, margin_l, margin_t = pivots
+    marginal = min(abs(margin_t), abs(margin_l)) <= margin_tol * max(scale, 1e-300)
 
     return StabilityReport(
         hessian=hessian,
         gm_transverse=gm_t,
         gm_longitudinal=gm_l,
         z_b_star=float(z_b_star),
-        displacement=float(displacement),
-        pseudo_stable=stable,
+        displacement=float(env.rho * env.g * v_star),
+        pseudo_stable=all(pivot > 0.0 for pivot in pivots),
         margins=(margin_t, margin_l),
-        marginal=marginal,
+        marginal=bool(marginal),
     )

@@ -337,7 +337,8 @@ def load_stl(path, symmetry_flag: bool = False) -> HullMesh:
         (count,) = struct.unpack_from("<I", raw, 80)
         if len(raw) == 84 + 50 * count:
             return _mesh_from_soup(_parse_stl_binary(raw, count), symmetry_flag)
-    return _mesh_from_soup(_parse_stl_ascii(raw.decode("ascii", "replace")), symmetry_flag)
+    text = raw.decode("ascii", "replace")
+    return _mesh_from_soup(_parse_stl_ascii(text, path), symmetry_flag)
 
 
 def _parse_stl_binary(raw, count):
@@ -347,15 +348,28 @@ def _parse_stl_binary(raw, count):
     return floats[:, 1:4, :].astype(float)
 
 
-def _parse_stl_ascii(text):
+def _coordinates(parts, path, number):
+    """The coordinates of a ``v`` or ``vertex`` record split into ``parts``."""
+    try:
+        if len(parts) >= 4:
+            return [float(x) for x in parts[1:4]]
+    except ValueError:
+        pass
+    raise InvalidMesh(
+        f"{path}, line {number}: expected three coordinates after "
+        f"{parts[0]!r}, got {' '.join(parts[1:])!r}"
+    )
+
+
+def _parse_stl_ascii(text, path):
     tris = []
     current = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if not parts:
             continue
         if parts[0] == "vertex":
-            current.append([float(x) for x in parts[1:4]])
+            current.append(_coordinates(parts, path, number))
         elif parts[0] == "endfacet":
             if len(current) != 3:
                 raise InvalidMesh("ASCII STL facet without exactly 3 vertices")
@@ -378,18 +392,21 @@ def load_obj(path, symmetry_flag: bool = False) -> HullMesh:
     """Read a Wavefront OBJ file (v/f records, polygonal faces allowed)."""
     vertices = []
     faces = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         parts = line.split()
         if not parts:
             continue
         if parts[0] == "v":
-            vertices.append([float(x) for x in parts[1:4]])
+            vertices.append(_coordinates(parts, path, number))
         elif parts[0] == "f":
-            idx = []
-            for token in parts[1:]:
-                i = int(token.split("/")[0])
-                idx.append(i - 1 if i > 0 else len(vertices) + i)
-            faces.append(idx)
+            try:
+                indices = [int(token.split("/")[0]) for token in parts[1:]]
+            except ValueError:
+                raise InvalidMesh(
+                    f"{path}, line {number}: face indices must be integers, "
+                    f"got {' '.join(parts[1:])!r}"
+                ) from None
+            faces.append([i - 1 if i > 0 else len(vertices) + i for i in indices])
     if not vertices or not faces:
         raise EmptyMesh("no geometry found in OBJ file")
     vertices = np.array(vertices, dtype=float)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .dynamics import BodyProperties, kinetic_metric, reduced_mass_matrix
 from .equilibrium import find_equilibrium
 from .errors import ConfigError
 from .hydrostatics import (
+    RESIDUAL_TOL,
     FluidEnvironment,
     hessian_at_equilibrium,
     hydrostatic_state,
@@ -56,7 +58,7 @@ _INTEGRATOR_METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
 
 def _require_number(name, value, kind="positive", allow_inf=False):
     in_range = isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-        value > 0 if kind == "positive" else value >= 0
+        kind == "real" or (value > 0 if kind == "positive" else value >= 0)
     )
     if not (in_range and (math.isfinite(value) or (allow_inf and value == math.inf))):
         finite = "" if allow_inf else " finite"
@@ -138,6 +140,8 @@ class AnalysisConfig:
         # a deviation from equilibrium and a rate per coordinate
         initial_keys = COORD_NAMES + tuple(f"{name}_dot" for name in COORD_NAMES)
         _require_known_keys("simulate.initial", self.simulate.get("initial", {}), initial_keys)
+        for key, value in self.simulate.get("initial", {}).items():
+            _require_number(f"simulate.initial.{key}", value, "real")
         momenta = self.simulate.get("momenta", (0.0, 0.0, 0.0))
         if not (_all_finite(momenta) and np.shape(momenta) == (3,)):
             raise ConfigError(f"'simulate.momenta' must be three finite numbers, got {momenta!r}")
@@ -147,14 +151,17 @@ class AnalysisConfig:
             )
         if self.simulate.get("mode", "full") not in ("full", "reduced"):
             raise ConfigError("'simulate.mode' must be 'full' or 'reduced'")
-        for name in ("initial_guess", "inertia", "cg"):
+        for name, shape in (("initial_guess", (3,)), ("inertia", (3, 3)), ("cg", (3,))):
             value = getattr(self, name)
-            if value is not None and not _all_finite(value):
-                raise ConfigError(f"'{name}' must hold finite numbers, got {value!r}")
+            if value is not None and not (_all_finite(value) and np.shape(value) == shape):
+                raise ConfigError(
+                    f"'{name}' must hold {'x'.join(map(str, shape))} finite numbers, got {value!r}"
+                )
         _require_count("seed", self.seed)
-        if len(tuple(self.initial_guess)) != 3:
-            raise ConfigError("'initial_guess' must be (zeta0, theta0, phi0)")
+        if not isinstance(self.mesh_path, (str, os.PathLike)):
+            raise ConfigError(f"'mesh_path' must be a file path, got {self.mesh_path!r}")
         # normalize to JSON-native types so the config echo round-trips
+        self.mesh_path = str(self.mesh_path)
         self.initial_guess = [float(x) for x in self.initial_guess]
 
     @classmethod
@@ -174,7 +181,8 @@ def load_body(config: AnalysisConfig):
     """Resolve the mesh (re-centered on G) and the body mass properties.
 
     ``uniform_density`` pins the mass center to the volume centroid and
-    derives the inertia from exact mesh integrals.  An explicit ``mass``
+    derives the inertia from exact mesh integrals, so it takes neither
+    ``cg`` nor ``inertia``.  An explicit ``mass``
     assumes the mesh is already G-centered; giving ``cg`` (mesh
     coordinates of the mass center) requires an explicit ``inertia``
     about that point, because no consistent tensor can be derived for a
@@ -186,11 +194,12 @@ def load_body(config: AnalysisConfig):
     mesh = load_mesh(path, symmetry_flag=config.symmetry)
 
     if config.uniform_density is not None:
-        if config.cg is not None:
-            raise ConfigError(
-                "'cg' contradicts 'uniform_density': a uniform body has its "
-                "mass center at the volume centroid"
-            )
+        for name, fixed in (("cg", "mass center"), ("inertia", "inertia")):
+            if getattr(config, name) is not None:
+                raise ConfigError(
+                    f"'{name}' contradicts 'uniform_density': a uniform body has "
+                    f"its {fixed} from the mesh"
+                )
         mass, inertia = inertia_from_mesh(mesh, config.uniform_density)
         center = mesh.volume_centroid
     else:
@@ -264,28 +273,35 @@ def _listify(value):
     return np.asarray(value, dtype=float).tolist()
 
 
+def load_equilibrium(config: AnalysisConfig):
+    """``(mesh, body, cg_shift, env, result)``: :func:`load_body`, the
+    fluid and the equilibrium the configured solver finds."""
+    mesh, body, cg_shift = load_body(config)
+    env = config.environment()
+    result = find_equilibrium(
+        mesh, body, env, initial=tuple(config.initial_guess), **config.solver
+    )
+    return mesh, body, cg_shift, env, result
+
+
 def run_analysis(config: AnalysisConfig):
     """Equilibrium, stability and modal pipeline for one configuration.
 
     Returns ``(report, objects)`` where ``objects`` carries the live
-    mesh/body/equilibrium instances for callers that keep computing
-    (simulation, verification).
+    mesh/body/equilibrium instances for callers that keep computing.
+    The Hessian checks the equilibrium at the solver's tolerance or its
+    own default, whichever is looser.
     """
-    mesh, body, cg_shift = load_body(config)
-    env = config.environment()
-
-    result = find_equilibrium(
-        mesh, body, env, initial=tuple(config.initial_guess), **config.solver
-    )
-
+    mesh, body, cg_shift, env, result = load_equilibrium(config)
     state = hydrostatic_state(mesh, result.pose, env)
-    hessian = hessian_at_equilibrium(mesh, result.pose, env, mass=body.mass)
+    hessian = hessian_at_equilibrium(
+        mesh, result.pose, env, mass=body.mass,
+        residual_tol=max(config.solver.get("tol", 0.0), RESIDUAL_TOL),
+    )
     stability = pseudo_stability_check(
         hessian,
         v_star=state.volume,
         z_b_star=float(state.buoyancy_center[2]),
-        waterplane_area=state.waterplane.area,
-        x_c=state.waterplane.x_c,
         second_moment=state.waterplane.second_moment,
         env=env,
     )

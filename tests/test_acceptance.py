@@ -152,8 +152,6 @@ def test_criterion_4_metacentric_oracle(cube, barge, env, barge_setup):
         hessian,
         v_star=state.volume,
         z_b_star=float(state.buoyancy_center[2]),
-        waterplane_area=state.waterplane.area,
-        x_c=state.waterplane.x_c,
         second_moment=state.waterplane.second_moment,
         env=env,
     )
@@ -171,8 +169,6 @@ def test_criterion_4_metacentric_oracle(cube, barge, env, barge_setup):
         hessian_at_equilibrium(cube, cube_pose, env),
         v_star=cube_volume,
         z_b_star=float(cube_first[2] / cube_volume),
-        waterplane_area=cube_wp.area,
-        x_c=cube_wp.x_c,
         second_moment=cube_wp.second_moment,
         env=env,
     )

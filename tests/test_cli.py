@@ -8,7 +8,7 @@ from floatdyn.cli import main
 from floatdyn.clipping import evaluate
 from floatdyn.mesh import load_stl
 from floatdyn.report import AnalysisConfig, load_body, run_analysis
-from floatdyn.errors import ConfigError
+from floatdyn.errors import ConfigError, GimbalLock
 from helpers import touching_loops, vertex_on_plane_poses
 
 
@@ -95,6 +95,19 @@ class TestAnalyze:
         }))
         report, _ = run_analysis(AnalysisConfig.from_file(config))
         assert report.equilibrium["pose"]["zeta"] == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("command", ["analyze", "analyze --tol 1e-6", "simulate"])
+    def test_loose_solver_tolerance_is_accepted(self, tmp_path, command):
+        # what the solver accepts at solver.tol, the Hessian check accepts
+        mesh_path = tmp_path / "lprism.stl"
+        save_stl(mesh_path, shapes.l_prism(jitter=0.02, seed=11))
+        config = tmp_path / "lprism.json"
+        config.write_text(json.dumps({
+            "mesh_path": str(mesh_path), "uniform_density": 600.0, "fluid_density": 1000.0,
+            "initial_guess": [0.0, 0.1, 0.05], "solver": {"tol": 1e-6},
+        }))
+        argv = command.split() + ["--config", str(config)]
+        assert main(argv + (["--t-end", "0.05"] if command == "simulate" else [])) == 0
 
 
 class TestConfigValidation:
@@ -215,7 +228,7 @@ class TestConfigValidation:
         barge_config.write_text(json.dumps(config))
         assert main(["simulate", "--config", str(barge_config)]) == 1
         err = capsys.readouterr().err
-        assert "'simulate'" in err
+        assert "'simulate.initial.theta'" in err
         assert "Traceback" not in err
 
     def test_unknown_integrator_method_rejected(self, barge_config, capsys):
@@ -242,6 +255,36 @@ class TestConfigValidation:
         barge_config.write_text(json.dumps(config))
         assert main(["simulate", "--config", str(barge_config)]) == 1
         assert f"'integrator.{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"simulate": {"initial": {"theta": None}}}, "'simulate.initial.theta'"),
+            ({"simulate": {"initial": {"zeta": [0.1]}}}, "'simulate.initial.zeta'"),
+            ({"initial_guess": [[0], [0], [0]]}, "'initial_guess'"),
+            ({"mesh_path": 5}, "'mesh_path'"),
+            ({"uniform_density": None, "mass": 500.0, "cg": [0.1, 0.0],
+              "inertia": (500.0 / 12.0 * np.diag([1.25, 4.25, 5.0])).tolist()}, "'cg'"),
+            ({"inertia": (500.0 / 12.0 * np.diag([1.25, 4.25, 5.0])).tolist()}, "'inertia'"),
+        ],
+        ids=["initial-null", "initial-list", "nested-guess", "numeric-mesh-path", "short-cg",
+             "density-and-inertia"],
+    )
+    def test_bad_value_exits_one_naming_the_key(self, barge_config, capsys, change, key):
+        config = {**json.loads(barge_config.read_text()), **change}
+        config = {name: value for name, value in config.items() if value is not None}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config), "--t-end", "0.05"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    def test_malformed_mesh_exits_one_naming_the_line(self, barge_config, tmp_path, capsys):
+        mesh_path = tmp_path / "bad.obj"
+        mesh_path.write_text("v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n")
+        config = {**json.loads(barge_config.read_text()), "mesh_path": str(mesh_path)}
+        barge_config.write_text(json.dumps(config))
+        assert main(["analyze", "--config", str(barge_config)]) == 1
+        assert "bad.obj, line 2: expected three coordinates" in capsys.readouterr().err
 
     def test_cg_with_uniform_density_rejected(self, tmp_path):
         from floatdyn.report import load_body
@@ -277,7 +320,95 @@ class TestConfigValidation:
                                    atol=1e-12)
 
 
+@pytest.fixture()
+def tilted_box_config(tmp_path):
+    """A box that floats pitched by about 0.64 rad, pseudo-stable."""
+    mesh_path = tmp_path / "box.stl"
+    save_stl(mesh_path, shapes.box(1.058, 1.541, 1.032))
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({
+        "mesh_path": str(mesh_path), "uniform_density": 323, "fluid_density": 1000,
+        "initial_guess": [0, 0.18, 0.54],
+    }))
+    return path
+
+
+def sweep_hulls(count, rng):
+    """Seeded boxes of random size and jittered L-prisms, alternately."""
+    for k in range(count):
+        if k % 2:
+            outer = rng.uniform(0.5, 2.0, 2)
+            yield shapes.l_prism(
+                outer=tuple(outer), notch=tuple(outer * rng.uniform(0.2, 0.8, 2)),
+                length=float(rng.uniform(0.5, 2.0)), jitter=0.02,
+                seed=int(rng.integers(1 << 30)),
+            )
+        else:
+            yield shapes.box(*rng.uniform(0.3, 2.0, 3))
+
+
+class TestStabilitySweep:
+    """The verdict and the margins come from the Hessian alone, at any
+    equilibrium the solver reports, trimmed and heeled ones included."""
+
+    def test_seeded_hulls(self, tmp_path):
+        rng = np.random.default_rng(2)
+        analysed = unstable = 0
+        for k, mesh in enumerate(sweep_hulls(60, rng)):
+            path = tmp_path / f"hull{k}.stl"
+            save_stl(path, mesh)
+            density = float(rng.uniform(100.0, 900.0))
+            angles = rng.uniform(-0.6, 0.6, 2)
+            if k % 3 == 0:
+                # a box from a level guess has no moments: returned as
+                # found, stable or not
+                angles[:] = 0.0
+            config = AnalysisConfig(
+                mesh_path=str(path), uniform_density=density, fluid_density=1000.0,
+                initial_guess=[0.0, *angles],
+            )
+            try:
+                report, objects = run_analysis(config)
+            except GimbalLock:
+                continue  # the first body axis floats vertical
+            analysed += 1
+            stability = report.stability
+            try:
+                np.linalg.cholesky(-np.asarray(stability["hessian"]))
+                definite = True
+            except np.linalg.LinAlgError:
+                definite = False
+            margins_positive = min(stability["margins"]) > 0.0
+            assert stability["pseudo_stable"] == definite == margins_positive, k
+            assert objects["modal"].all_positive == definite, k
+            unstable += not definite
+        assert analysed >= 40 and 0 < unstable < analysed
+
+    def test_tilted_box(self, tilted_box_config, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(tilted_box_config), "--out", str(out)]) == 0
+        assert "verdict: pseudo-stable" in capsys.readouterr().out
+        report = Report.load(out)
+        assert report.equilibrium["pose"]["theta"] == pytest.approx(0.638, abs=1e-3)
+        eigenvalues = np.linalg.eigvalsh(-np.asarray(report.stability["hessian"]))
+        np.testing.assert_allclose(eigenvalues, [429.2, 1167.0, 18422.0], rtol=1e-3)
+        assert main(["simulate", "--config", str(tilted_box_config), "--t-end", "0.05"]) == 0
+
+
 class TestSimulate:
+    def test_runs_no_stability_stage(self, tilted_box_config, monkeypatch):
+        # simulate starts from the equilibrium and reads nothing else
+        from floatdyn import cli, report
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate ran a stability stage")
+
+        for module, name in ((report, "hessian_at_equilibrium"),
+                             (report, "pseudo_stability_check"),
+                             (report, "normal_modes"), (cli, "normal_modes")):
+            monkeypatch.setattr(module, name, refuse)
+        assert main(["simulate", "--config", str(tilted_box_config), "--t-end", "0.05"]) == 0
+
     def test_equilibrium_start_constant_columns(self, barge_config, tmp_path):
         out = tmp_path / "traj.csv"
         code = main([
@@ -313,7 +444,7 @@ class TestSimulate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: integration failed at t = ")
-        assert "step size" in err
+        assert "the right-hand side is not finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["BDF", "LSODA"])
@@ -477,6 +608,13 @@ class TestSimulate:
         assert "Traceback" not in err
 
 
+#: a report with every top-level key and no content
+EMPTY_REPORT = {
+    "schema_version": 1, "config": {}, "cg_shift": [], "equilibrium": {}, "hydrostatics": {},
+    "stability": {}, "modal": {},
+}
+
+
 class TestModes:
     def test_modal_recompute_from_report(self, barge_config, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -494,7 +632,15 @@ class TestModes:
     @pytest.mark.parametrize(
         "text, message",
         [(None, "report file not found"), ("{not json", "is not valid JSON"),
-         ('{"schema_version": 1, "config": {}}', "lacks the keys"), ("[1]", "JSON object")],
+         ('{"schema_version": 1, "config": {}}', "lacks the keys"), ("[1]", "JSON object"),
+         pytest.param(
+             json.dumps({**EMPTY_REPORT, "modal": {"reduced_mass": np.eye(3).tolist()}}),
+             "'stability.hessian'", id="no-hessian"),
+         pytest.param(
+             json.dumps({**EMPTY_REPORT, "stability": {"hessian": (-np.eye(3)).tolist()}}),
+             "'modal.reduced_mass'", id="no-reduced-mass"),
+         pytest.param(json.dumps({**EMPTY_REPORT, "stability": None}),
+                      "'stability.hessian'", id="null-stability")],
     )
     def test_bad_report_exits_one(self, tmp_path, capsys, text, message):
         path = tmp_path / "report.json"

@@ -294,8 +294,6 @@ class TestPseudoStability:
             hessian,
             v_star=volume,
             z_b_star=first[2] / volume,
-            waterplane_area=wp.area,
-            x_c=wp.x_c,
             second_moment=wp.second_moment,
             env=env,
         )
@@ -320,6 +318,30 @@ class TestPseudoStability:
             0.5 * report.gm_longitudinal, rel=1e-12
         )
 
+    def test_margins_are_the_classic_formulas_upright(self, cube, barge, env):
+        # at the upright equilibrium of a symmetric hull the Hessian pivots
+        # are S22 - V z_B and S11 - V z_B - A x_C^2
+        for mesh in (cube, barge):
+            solid = clip_by_waterplane(mesh, Pose(zeta=0.0))
+            _, first = volume_and_first_moments(solid)
+            wp = waterplane_properties(solid)
+            s = wp.second_moment
+            expected = (s[1, 1] - first[2], s[0, 0] - first[2] - wp.area * wp.x_c**2)
+            assert self._report(mesh, env).margins == pytest.approx(expected, rel=1e-12)
+
+    def test_margins_are_pivots_of_a_coupled_hessian(self, env):
+        # heave, pitch and roll all coupled, as at a trimmed and heeled pose
+        a = np.random.default_rng(3).normal(size=(3, 3))
+        stiffness = a @ a.T
+        minors = [np.linalg.det(stiffness[:k, :k]) for k in (1, 2, 3)]
+        kwargs = dict(v_star=1.0, z_b_star=0.1, second_moment=np.eye(3), env=env)
+        report = pseudo_stability_check(-RHO_G * stiffness, **kwargs)
+        assert report.margins == pytest.approx(
+            (minors[2] / minors[1], minors[1] / minors[0]), rel=1e-12
+        )
+        assert report.pseudo_stable and not report.marginal
+        assert not pseudo_stability_check(RHO_G * stiffness, **kwargs).pseudo_stable
+
     def test_verdict_matches_hessian_minors(self, cube, barge, env):
         for mesh in (cube, barge):
             report = self._report(mesh, env)
@@ -334,8 +356,6 @@ class TestPseudoStability:
             hessian,
             v_star=1.0,
             z_b_star=0.1,
-            waterplane_area=1.0,
-            x_c=0.0,
             second_moment=np.diag([0.1, 0.1, 0.0]),
             env=env,
         )
@@ -384,8 +404,6 @@ class TestOffsetFloatingCenter:
             hessian,
             v_star=volume,
             z_b_star=first[2] / volume,
-            waterplane_area=wp.area,
-            x_c=wp.x_c,
             second_moment=wp.second_moment,
             env=env,
         )

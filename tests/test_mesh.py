@@ -221,6 +221,21 @@ class TestFileIO:
         mesh = load_obj(path)
         assert mesh.volume == pytest.approx(1.0 / 6.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "name, lines, line",
+        [
+            ("short.obj", ["v 0 0 0", "v 1 0", "v 0 1 0", "f 1 2 3"], 2),
+            ("letter.obj", ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 x"], 4),
+            ("short.stl", ["solid s", "facet normal 0 0 1", "outer loop", "vertex 0 0 0",
+                           "vertex 0 0", "vertex 0 1 0", "endloop", "endfacet", "endsolid s"], 5),
+        ],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, name, lines, line):
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidMesh, match=rf"{name}, line {line}: "):
+            load_mesh(path)
+
     def test_load_mesh_dispatch_and_unknown_extension(self, tmp_path, cube):
         path = tmp_path / "cube.stl"
         save_stl(path, cube)
