@@ -14,9 +14,11 @@ sums over the wetted faces, and closure of the submerged boundary
 (``sum of f n dS = integral of grad f dV`` for ``f = 1, x_i, x_i x_j``)
 gives the waterplane area, first and second moments without building the
 waterplane itself (Mirtich, "Fast and Accurate Computation of Polyhedral
-Mass Properties", JGT 1996).  Fully wetted faces are summed from a
-per-face moment table built once per mesh; each face crossing the surface
-adds its wet corner triangle or subtracts its dry one.  Nothing assumes
+Mass Properties", JGT 1996).  Each face's sums enter contracted with the
+down axis ``k``: ``n . k`` times 13 weights of its corners, from a table
+built once per mesh for whole faces.  One lookup of each face's sign code
+(its corner depth signs in base 3) says whether it counts whole and which
+corner triangle of a crossed face is added or taken off.  Nothing assumes
 convexity, and any waterline topology, a vertex exactly on the plane
 included, integrates without special cases.  :func:`evaluate_many` does
 the same for stacked poses, bit for bit; it pays off where many poses
@@ -43,13 +45,14 @@ waterplanes instead of sliver geometry.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .kinematics import Pose, k3_body
-from .mesh import HullMesh, _volume_integrals, triangle_moments
+from .mesh import HullMesh, _volume_integrals, surface_weights
 from .polygons import fan_triangles, planar_moments_3d
 
 
@@ -304,19 +307,16 @@ def waterplane_properties(
 
 
 def _waterplane_about(area, first, second, normal, offset, ref_point):
-    """Shift raw waterplane moments to the projection of ``ref_point``."""
+    """Shift raw waterplane moments to the projection of ``ref_point``, in floats."""
     if area == 0.0:
         return WaterplaneProperties(0.0, np.zeros(2), np.zeros((3, 3)))
-    ref = np.asarray(ref_point, dtype=float)
-    proj = ref - (offset + ref @ normal) * normal
-    offset3 = first / area - proj
-    shifted = (
-        second
-        - np.outer(first, proj)
-        - np.outer(proj, first)
-        + area * np.outer(proj, proj)
-    )
-    return WaterplaneProperties(float(area), offset3[:2].copy(), shifted)
+    ref, k, first = [float(x) for x in ref_point], normal.tolist(), first.tolist()
+    depth = offset + _dot(ref, k)
+    p = [ref[i] - depth * k[i] for i in range(3)]
+    shifted = [[s - first[i] * p[j] - p[i] * first[j] + area * (p[i] * p[j])
+                for j, s in enumerate(row)] for i, row in enumerate(second.tolist())]
+    offset2 = [first[0] / area - p[0], first[1] / area - p[1]]
+    return WaterplaneProperties(float(area), np.array(offset2), np.array(shifted))
 
 
 @dataclass(frozen=True)
@@ -348,99 +348,131 @@ class SubmergedIntegrals:
     def waterplane(self) -> WaterplaneProperties:
         """Waterplane properties about the body origin projected onto the
         plane, as :func:`waterplane_properties` gives them for the clipped
-        solid."""
+        solid; the shift runs on floats of the down axis and the moments."""
         return _waterplane_about(
             self.cap_area, self.cap_first, self.cap_second,
-            self.plane_normal, self.plane_offset, np.zeros(3),
+            self.plane_normal, self.plane_offset, (0.0, 0.0, 0.0),
         )
 
 
-#: corner orders putting the lone vertex first: the face's own winding
-#: (rows 0-2) and the reversed one (rows 3-5), which negates the moments
-_LONE_FIRST = np.array(
-    [[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2], [2, 1, 0]]
-)
+def _sign_code_tables():
+    """Per face sign code ``s0 + 3 s1 + 9 s2`` (``s_k`` the sign of corner
+    ``k``'s depth; a negative code indexes from the end): whether the face
+    counts whole (a wet corner and no dry one, or two wet and one dry), the
+    sign of its tip triangle (+1 at a lone wet corner, -1 at a lone dry one
+    under a whole face, 0 uncrossed), its corners rotated lone corner first
+    (the tip keeps the face's winding), and whether it is a wetted face
+    with an edge in the plane."""
+    whole, tip = np.zeros(27), np.zeros(27)
+    order = np.zeros((27, 3), dtype=np.intp)
+    plane_edge = np.zeros(27, dtype=bool)
+    for signs in itertools.product((-1, 0, 1), repeat=3):
+        code = signs[0] + 3 * signs[1] + 9 * signs[2]
+        n_wet, n_dry = signs.count(1), signs.count(-1)
+        whole[code] = n_wet > n_dry
+        if n_wet and n_dry:
+            tip[code] = -1.0 if n_wet > n_dry else 1.0
+            order[code] = np.roll([0, 1, 2], -signs.index(tip[code]))
+        plane_edge[code] = (n_wet, n_dry) == (1, 0)
+    return whole, tip, order, plane_edge
+
+
+_WHOLE, _TIP, _LONE_FIRST, _PLANE_EDGE = _sign_code_tables()
+_PLACES = np.array([1.0, 3.0, 9.0])
+
+
+def _sign_codes(depths, triangles) -> np.ndarray:
+    """Sign code of every face, for the last axis of the vertex depths."""
+    return (np.sign(depths).take(triangles, axis=-1) @ _PLACES).astype(np.intp)
+
+
+def _tip_triangles(mesh, corners, corner_d):
+    """Area fractions ``t1 t2`` and surface weights of the tip triangles
+    spanned by each lone corner (first in ``corners``, depths ``corner_d``)
+    and the crossings at ``t1`` and ``t2`` along its edges."""
+    tips = mesh.vertices[corners]
+    lone_d = corner_d[:, :1]
+    t = lone_d / (lone_d - corner_d[:, 1:])
+    apex = tips[:, :1]
+    tips[:, 1:] = apex + t[:, :, None] * (tips[:, 1:] - apex)
+    return t[:, 0] * t[:, 1], surface_weights(tips)
+
+
+def _dot(a, b):
+    """``a . b`` for 3-sequences of floats or of equally long arrays."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _finish(zeta, k, projected):
+    """Volume, depth integral, first moments and closure's cap moments from
+    the wetted-surface integrals of ``n . k`` times ``1``, ``x_i`` and
+    ``x_i x_j`` in ``projected``.  The arguments are floats, or arrays with
+    one entry per pose: the same operations give :func:`evaluate` and
+    :func:`evaluate_many` the same bits."""
+    area, n1k, n2k = projected[0], projected[1:4], projected[4:]
+    n2kk = [_dot(n2k[3 * i:3 * i + 3], k) for i in range(3)]
+    kn1k, k_n2kk = _dot(k, n1k), _dot(k, n2kk)
+    # depth vanishes on the waterplane, so the wetted faces carry
+    # V = sum d (k.n) dS, integral of d dV = 1/2 sum d^2 (k.n) dS and
+    # integral of x dV = sum x d (k.n) dS - k integral of d dV
+    volume = zeta * area + kn1k
+    depth_integral = 0.5 * (zeta * (zeta * area + 2.0 * kn1k) + k_n2kk)
+    first = [zeta * n1k[i] + n2kk[i] - depth_integral * k[i] for i in range(3)]
+    # closure, with the waterplane's outward normal -k
+    cap_first = [n1k[i] - volume * k[i] for i in range(3)]
+    cap_second = [n2k[3 * i + j] - (k[i] * first[j] + k[j] * first[i])
+                  for i in range(3) for j in range(3)]
+    return volume, depth_integral, first, area, cap_first, cap_second
+
 
 def evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
     """Submerged-volume and waterplane integrals from the wetted faces.
 
-    Faces with no dry vertex contribute their row of
-    :attr:`HullMesh.face_moments`.  A face crossing the surface has one
-    vertex alone on its side: a lone wet vertex contributes the wet
-    triangle it spans with the two edge crossings, a lone dry vertex
-    the negated dry triangle, subtracted from the face's full row.
-    Faces lying in the plane are left out, like any dry face; the
-    waterplane re-covers them.  Only ``zeta``, ``theta`` and ``phi``
-    enter.  Never raises for a validated mesh.
+    Each face is classified by one lookup of its sign code (see
+    :func:`_sign_code_tables`) and its sums are contracted with the down
+    axis ``k`` before they are added: a whole face adds ``n . k`` times
+    its :attr:`HullMesh.face_table` weights, a tip triangle
+    ``+-t1 t2 (n . k)`` times its own.  Faces in the plane are left out,
+    like dry ones; the waterplane re-covers them.  Only ``zeta``,
+    ``theta`` and ``phi`` enter.  Never raises for a validated mesh.
     """
     normal = k3_body(pose)
     zeta = pose.zeta
     depths = _snapped_depths(mesh, zeta, normal)
-    if not (depths > 0.0).any():
+    if not depths.max() > 0.0:
         return SubmergedIntegrals(
             normal, zeta, 0.0, np.zeros(3), 0.0,
             0.0, np.zeros(3), np.zeros((3, 3)), np.zeros(3),
         )
 
-    tri_d = depths[mesh.triangles]
-    wet = tri_d > 0.0
-    dry = tri_d < 0.0
-    # column adds on int8 views: a boolean sum(axis=1) is about 8x slower
-    # on 65k rows
-    wet8, dry8 = wet.view(np.int8), dry.view(np.int8)
-    n_wet = wet8[:, 0] + wet8[:, 1] + wet8[:, 2]
-    n_dry = dry8[:, 0] + dry8[:, 1] + dry8[:, 2]
-    # whole rows: no dry vertex, or two wet vertices and a dry tip
-    whole = n_wet > n_dry
-    # a product, not a sum over the selected rows: no copy of the table
-    totals = whole.astype(float) @ mesh.face_moments
-    crossed = (n_wet > 0) & (n_dry > 0)
-    if crossed.any():
-        faces = np.flatnonzero(crossed)
-        minus = whole[faces]
-        lone = np.where(minus[:, None], dry[faces], wet[faces]).argmax(axis=1)
-        order = _LONE_FIRST[lone + 3 * minus]
-        corners = mesh.triangles[faces[:, None], order]
-        # the tip triangle: the lone vertex and the crossings on its two edges
-        tips = mesh.vertices[corners]
-        corner_d = depths[corners]
-        lone_d = corner_d[:, :1]
-        t = lone_d / (lone_d - corner_d[:, 1:])
-        apex = tips[:, :1]
-        tips[:, 1:] = apex + t[:, :, None] * (tips[:, 1:] - apex)
-        totals = totals + triangle_moments(tips).sum(axis=0)
+    normals, weights = mesh.face_table
+    codes = _sign_codes(depths, mesh.triangles)
+    whole, tip = _WHOLE[codes], _TIP[codes]
+    nk = normals @ normal
+    projected = (whole * nk) @ weights
+    wetted = whole @ normals
+    faces = tip.nonzero()[0]
+    if len(faces):
+        corners = mesh.triangles[faces[:, None], _LONE_FIRST[codes[faces]]]
+        frac, tip_weights = _tip_triangles(mesh, corners, depths[corners])
+        frac = tip[faces] * frac
+        projected = projected + (frac * nk[faces]) @ tip_weights
+        wetted = wetted + frac @ normals[faces]
         has_waterline = True
     else:
-        # a wetted face with two vertices on the plane has a waterline edge
-        has_waterline = bool((whole & (n_wet == 1)).any())
+        has_waterline = _PLANE_EDGE[codes].any()
 
-    # contract every normal index with k: area, then (N1 k)_i, then (N2 k)_ij
-    projected = totals.reshape(13, 3) @ normal
-    area = projected[0]
-    n1k = projected[1:4]
-    n2k = projected[4:].reshape(3, 3)
-    n2kk = n2k @ normal
-    kn1k = normal @ n1k
-    # depth vanishes on the waterplane, so the wetted faces carry
-    # V = sum d (k.n) dS, integral of d dV = 1/2 sum d^2 (k.n) dS and
-    # integral of x dV = sum x d (k.n) dS - k integral of d dV
-    volume = float(zeta * area + kn1k)
-    depth_integral = float(0.5 * (zeta * (zeta * area + 2.0 * kn1k) + normal @ n2kk))
-    first = zeta * n1k + n2kk - depth_integral * normal
-    if not has_waterline:
-        cap_area, cap_first, cap_second = 0.0, np.zeros(3), np.zeros((3, 3))
+    volume, depth_integral, first, area, cap_first, cap_second = _finish(
+        zeta, normal.tolist(), projected.tolist())
+    if has_waterline:
+        cap_first, cap_second = np.array(cap_first), np.array(cap_second).reshape(3, 3)
     else:
-        # closure, with the waterplane's outward normal -k
-        cap_area = float(area)
-        cap_first = n1k - volume * normal
-        cross = np.outer(normal, first)
-        cap_second = n2k - (cross + cross.T)
-    if volume < 0.0:
-        # roundoff on slivers
+        area, cap_first, cap_second = 0.0, np.zeros(3), np.zeros((3, 3))
+    if volume < 0.0:  # roundoff on slivers
         volume = 0.0
     return SubmergedIntegrals(
-        normal, zeta, volume, first, depth_integral,
-        cap_area, cap_first, cap_second, totals[:3],
+        normal, zeta, volume, np.array(first), depth_integral,
+        area, cap_first, cap_second, 0.5 * wetted,
     )
 
 
@@ -456,10 +488,10 @@ def evaluate_many(mesh: HullMesh, zeta, k3) -> SubmergedIntegrals:
     axes in body components (the bits :func:`k3_body` gives).  Returns
     a :class:`SubmergedIntegrals` whose fields carry a leading pose
     axis; row ``i`` of every field equals the field of :func:`evaluate`
-    at pose ``i`` bitwise.  Each scalar contraction of :func:`evaluate`
-    is mirrored by a stacked matmul, and the tip-triangle rows of the
-    poses sharing a crossed-face count are summed in one reduction.
-    Poses go through in chunks of :data:`EVALUATE_CHUNK`.
+    at pose ``i`` bitwise: each product of :func:`evaluate` is mirrored by
+    a stacked matmul (one for the tips of all poses with as many crossed
+    faces) and :func:`_finish` runs on columns.  Poses go through in
+    chunks of :data:`EVALUATE_CHUNK`.
     """
     zeta = np.asarray(zeta, dtype=float)
     k3 = np.asarray(k3, dtype=float).reshape(-1, 3)
@@ -480,7 +512,7 @@ def _evaluate_chunk(mesh, out, rows):
     depths = zeta[:, None] + (mesh.vertices @ normal[:, :, None])[:, :, 0]
     depths[np.abs(depths) < DEFAULT_SNAP_FRACTION * mesh.diameter] = 0.0
     # fully emerged rows keep the exact zeros they start with
-    live = (depths > 0.0).any(axis=1)
+    live = depths.max(axis=1) > 0.0
     if not live.all():
         rows = np.arange(rows.start, rows.start + c)[live]
         zeta, normal, depths = zeta[live], normal[live], depths[live]
@@ -488,60 +520,38 @@ def _evaluate_chunk(mesh, out, rows):
         if c == 0:
             return
 
-    tri_d = depths[:, mesh.triangles]
-    wet = tri_d > 0.0
-    dry = tri_d < 0.0
-    wet8, dry8 = wet.view(np.int8), dry.view(np.int8)
-    n_wet = wet8[:, :, 0] + wet8[:, :, 1] + wet8[:, :, 2]
-    n_dry = dry8[:, :, 0] + dry8[:, :, 1] + dry8[:, :, 2]
-    whole = n_wet > n_dry
-    totals = (whole.astype(float)[:, None, :] @ mesh.face_moments)[:, 0]
-    crossed = (n_wet > 0) & (n_dry > 0)
-    pose, faces = np.nonzero(crossed)
+    normals, weights = mesh.face_table
+    codes = _sign_codes(depths, mesh.triangles)
+    whole, tip = _WHOLE[codes], _TIP[codes]
+    nk = (normals @ normal[:, :, None])[:, :, 0]
+    projected = ((whole * nk)[:, None, :] @ weights)[:, 0]
+    wetted = (whole[:, None, :] @ normals)[:, 0]
+    pose, faces = np.nonzero(tip)
     counts = np.bincount(pose, minlength=c)
     if len(faces):
-        minus = whole[pose, faces]
-        lone = np.where(
-            minus[:, None], dry[pose, faces], wet[pose, faces]
-        ).argmax(axis=1)
-        order = _LONE_FIRST[lone + 3 * minus]
-        corners = mesh.triangles[faces[:, None], order]
-        tips = mesh.vertices[corners]
-        corner_d = depths[pose[:, None], corners]
-        lone_d = corner_d[:, :1]
-        t = lone_d / (lone_d - corner_d[:, 1:])
-        apex = tips[:, :1]
-        tips[:, 1:] = apex + t[:, :, None] * (tips[:, 1:] - apex)
-        moments = triangle_moments(tips)
-        # each pose's rows are contiguous; poses with the same count k sum
-        # theirs in one (g, k, 39) reduction, in the order evaluate does
+        corners = mesh.triangles[faces[:, None], _LONE_FIRST[codes[pose, faces]]]
+        frac, tip_weights = _tip_triangles(mesh, corners, depths[pose[:, None], corners])
+        frac = tip[pose, faces] * frac
+        coef = frac * nk[pose, faces]
+        # each pose's tips are contiguous; poses with the same count k
+        # contract theirs in one stacked (1, k) product, as evaluate does
         first_row = np.cumsum(counts) - counts
         for k in np.flatnonzero(np.bincount(counts)[1:]) + 1:
             group = np.flatnonzero(counts == k)
-            picked = moments[first_row[group, None] + np.arange(k)]
-            totals[group] = totals[group] + picked.sum(axis=1)
-    has_waterline = (counts > 0) | (whole & (n_wet == 1)).any(axis=1)
+            picked = first_row[group, None] + np.arange(k)
+            summed = coef[picked][:, None, :] @ tip_weights[picked]
+            projected[group] = projected[group] + summed[:, 0]
+            summed = frac[picked][:, None, :] @ normals[faces[picked]]
+            wetted[group] = wetted[group] + summed[:, 0]
+    has_waterline = (counts > 0) | _PLANE_EDGE[codes].any(axis=1)
 
-    k_col = normal[:, :, None]
-    projected = (totals.reshape(c, 13, 3) @ k_col)[:, :, 0]
-    area = projected[:, 0]
-    n1k = projected[:, 1:4]
-    n2k = projected[:, 4:].reshape(c, 3, 3)
-    n2kk = (n2k @ k_col)[:, :, 0]
-    kn1k = (normal[:, None, :] @ n1k[:, :, None])[:, 0, 0]
-    k_n2kk = (normal[:, None, :] @ n2kk[:, :, None])[:, 0, 0]
-    volume = zeta * area + kn1k
-    depth_integral = 0.5 * (zeta * (zeta * area + 2.0 * kn1k) + k_n2kk)
-    first = zeta[:, None] * n1k + n2kk - depth_integral[:, None] * normal
-    cross = normal[:, :, None] * first[:, None, :]
+    volume, depth_integral, first, area, cap_first, cap_second = _finish(
+        zeta, normal.T, projected.T)
     out.cap_area[rows] = np.where(has_waterline, area, 0.0)
-    out.cap_first[rows] = np.where(
-        has_waterline[:, None], n1k - volume[:, None] * normal, 0.0
-    )
+    out.cap_first[rows] = np.where(has_waterline[:, None], np.stack(cap_first, 1), 0.0)
     out.cap_second[rows] = np.where(
-        has_waterline[:, None, None], n2k - (cross + cross.transpose(0, 2, 1)), 0.0
-    )
+        has_waterline[:, None], np.stack(cap_second, 1), 0.0).reshape(c, 3, 3)
     out.volume[rows] = np.where(volume < 0.0, 0.0, volume)
-    out.first[rows] = first
+    out.first[rows] = np.stack(first, axis=1)
     out.depth_integral[rows] = depth_integral
-    out.wetted_area_vector[rows] = totals[:, :3]
+    out.wetted_area_vector[rows] = 0.5 * wetted

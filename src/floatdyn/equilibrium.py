@@ -32,7 +32,7 @@ from .errors import Diverged, GimbalLock, WontFloat
 from .hydrostatics import (
     _RESTORING, FluidEnvironment, _force_gradient, _generalized_forces, _scaled_residual,
 )
-from .kinematics import GIMBAL_GUARD, Pose, _pose_unchecked, k3_body
+from .kinematics import GIMBAL_GUARD, Pose, _pose_unchecked, depth_row, k3_body
 from .mesh import HullMesh
 
 
@@ -118,7 +118,7 @@ def find_equilibrium(
         return pose, integrals
 
     def residual(pose, integrals):
-        forces = _generalized_forces(integrals, pose, env)
+        forces = _generalized_forces(integrals, depth_row(pose.theta, pose.phi), env)
         return np.array([weight + forces[2], forces[4], forces[5]])
 
     pose, integrals = balance(None, float(initial[1]), float(initial[2]))
@@ -141,7 +141,7 @@ def find_equilibrium(
             return EquilibriumResult(pose, r, iteration, abs(pose.zeta), True)
         if iteration == max_iter:
             break
-        hessian = _force_gradient(integrals, pose, env)[_RESTORING]
+        hessian = _force_gradient(integrals, depth_row(pose.theta, pose.phi), env)[_RESTORING]
         curvature = hessian[1:, 1:]
         if hessian[0, 0] < 0.0:
             curvature = curvature - np.outer(hessian[1:, 0], hessian[0, 1:]) / hessian[0, 0]

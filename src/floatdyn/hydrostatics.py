@@ -30,18 +30,16 @@ from .clipping import (
     EVALUATE_CHUNK,
     SubmergedIntegrals,
     WaterplaneProperties,
+    _dot,
     evaluate,
     evaluate_many,
 )
 from .errors import AsymmetricBody, NotAnEquilibrium, ZeroVolume
-from .kinematics import NONCYCLIC, Pose, depth_rows, omega_chart, rotation_matrix
+from .kinematics import NONCYCLIC, Pose, depth_row, depth_rows, rotation_matrix
 from .mesh import HullMesh
 
 #: the (zeta, theta, phi) block of a 6x6 matrix
 _RESTORING = np.ix_(NONCYCLIC, NONCYCLIC)
-
-#: strict lower triangle of a 3x3 matrix
-_LOWER = np.tril_indices(3, -1)
 
 
 @dataclass(frozen=True)
@@ -141,27 +139,29 @@ def generalized_forces(mesh: HullMesh, pose, env: FluidEnvironment) -> np.ndarra
     bitwise to the forces at ``Pose(*q[i])``.
     """
     if isinstance(pose, Pose):
-        return _generalized_forces(evaluate(mesh, pose), pose, env)
+        return _generalized_forces(evaluate(mesh, pose), depth_row(pose.theta, pose.phi), env)
     q = _coordinate_rows(pose)
     rg = env.rho * env.g
     forces = np.zeros((len(q), 6))
     for rows, integrals, k3_theta, k3_phi in _chunks(mesh, q):
-        first = integrals.first[:, :, None]
+        # columns, one entry per pose: the arithmetic of the one-pose floats
+        first = integrals.first.T
         forces[rows, 2] = -rg * integrals.volume
-        # stacked (1, 3) @ (3, 1) products: the bits of the one-pose dot
-        forces[rows, 4] = -rg * (k3_theta[:, None, :] @ first)[:, 0, 0]
-        forces[rows, 5] = -rg * (k3_phi[:, None, :] @ first)[:, 0, 0]
+        forces[rows, 4] = -rg * _dot(k3_theta.T, first)
+        forces[rows, 5] = -rg * _dot(k3_phi.T, first)
     return forces
 
 
-def _generalized_forces(integrals: SubmergedIntegrals, pose: Pose, env) -> np.ndarray:
-    _, d_theta, d_phi = omega_chart(pose.theta, pose.phi)
+def _generalized_forces(integrals: SubmergedIntegrals, rows, env) -> np.ndarray:
+    """The forces from the integrals and the :func:`depth_row` triple of
+    the pose's attitude."""
+    _, k3_theta, k3_phi = rows
+    first = integrals.first.tolist()
     rg = env.rho * env.g
-    forces = np.zeros(6)
-    forces[2] = -rg * integrals.volume
-    forces[4] = -rg * (d_theta[:, 0] @ integrals.first)
-    forces[5] = -rg * (d_phi[:, 0] @ integrals.first)
-    return forces
+    return np.array(
+        [0.0, 0.0, -rg * integrals.volume, 0.0,
+         -rg * _dot(k3_theta, first), -rg * _dot(k3_phi, first)]
+    )
 
 
 def buoyant_force_torque(mesh: HullMesh, pose: Pose, env: FluidEnvironment):
@@ -196,36 +196,31 @@ def force_gradient(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.ndar
     second moments.  For a fully submerged body the waterplane term is
     absent and the heave-heave entry vanishes.
     """
-    return _force_gradient(evaluate(mesh, pose), pose, env)
+    return _force_gradient(evaluate(mesh, pose), depth_row(pose.theta, pose.phi), env)
 
 
-def _force_gradient(integrals: SubmergedIntegrals, pose: Pose, env) -> np.ndarray:
-    w, d_theta, d_phi = omega_chart(pose.theta, pose.phi)
-    k3, k3_th = w[:, 0].tolist(), d_theta[:, 0].tolist()
-    lin = np.zeros((3, 4))
-    lin[0, 0] = 1.0
-    lin[1, 1:] = k3_th
-    lin[2, 1:] = d_phi[:, 0]
-    cap = np.empty((4, 4))
-    cap[0, 0] = integrals.cap_area
-    cap[0, 1:] = cap[1:, 0] = integrals.cap_first
-    cap[1:, 1:] = integrals.cap_second
-    # second partials of k3 (theta-theta, theta-phi, phi-phi) by sign flips;
-    # the tolist above makes packing them cheap (Python floats, not scalars)
-    second = np.array(
-        [
-            [-k3[0], -k3[1], -k3[2]],
-            [0.0, k3_th[2], -k3_th[1]],
-            [0.0, -k3[1], -k3[2]],
-        ]
-    )
-    curvature = np.zeros((3, 3))
-    curvature[1, 1], curvature[1, 2], curvature[2, 2] = second @ integrals.first
-    block = curvature + lin @ cap @ lin.T
-    # mirror the upper triangle so the result is symmetric bitwise
-    block[_LOWER] = block.T[_LOWER]
+def _force_gradient(integrals: SubmergedIntegrals, rows, env) -> np.ndarray:
+    """The gradient from the integrals and the :func:`depth_row` triple of
+    the pose's attitude, in floats; each off-diagonal entry is computed
+    once, so the matrix is symmetric by construction."""
+    k3, k3_th, k3_ph = rows
+    first, c1 = integrals.first.tolist(), integrals.cap_first.tolist()
+    c2 = integrals.cap_second.tolist()
+    c2_th, c2_ph = [_dot(row, k3_th) for row in c2], [_dot(row, k3_ph) for row in c2]
+    # the second partials of k3 (theta-theta, theta-phi, phi-phi) are sign
+    # flips of k3 and its pitch partial; the volume term contracts them
+    # with the first moments, the waterplane term is L G L^T
+    zz, zt, zp = integrals.cap_area, _dot(c1, k3_th), _dot(c1, k3_ph)
+    tt = -_dot(k3, first) + _dot(k3_th, c2_th)
+    tp = (k3_th[2] * first[1] - k3_th[1] * first[2]) + _dot(k3_th, c2_ph)
+    pp = -(k3[1] * first[1] + k3[2] * first[2]) + _dot(k3_ph, c2_ph)
+    rg = env.rho * env.g
     grad = np.zeros((6, 6))
-    grad[_RESTORING] = -env.rho * env.g * block
+    grad[_RESTORING] = [
+        [-rg * zz, -rg * zt, -rg * zp],
+        [-rg * zt, -rg * tt, -rg * tp],
+        [-rg * zp, -rg * tp, -rg * pp],
+    ]
     return grad
 
 
@@ -244,6 +239,7 @@ class HydrostaticState:
 def hydrostatic_state(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> HydrostaticState:
     """Evaluate once and assemble volume, centers, potential and forces."""
     integrals = evaluate(mesh, pose)
+    rows = depth_row(pose.theta, pose.phi)
     volume = integrals.volume
     center = integrals.first / volume if volume > 0.0 else np.zeros(3)
     return HydrostaticState(
@@ -252,7 +248,7 @@ def hydrostatic_state(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> Hydr
         center,
         integrals.waterplane(),
         _potential(integrals, env),
-        _generalized_forces(integrals, pose, env),
+        _generalized_forces(integrals, rows, env),
     )
 
 
@@ -310,7 +306,8 @@ def hessian_at_equilibrium(
     m_eff = env.rho * volume if mass is None else mass
     displacement = m_eff * env.g
 
-    forces = _generalized_forces(integrals, q_star, env)
+    rows = depth_row(q_star.theta, q_star.phi)
+    forces = _generalized_forces(integrals, rows, env)
     residual = _scaled_residual((m_eff * env.g + forces[2], forces[4], forces[5]), mesh.diameter)
     if residual > residual_tol * displacement:
         raise NotAnEquilibrium(
@@ -333,7 +330,7 @@ def hessian_at_equilibrium(
     )
 
     if not use_closed:
-        return _force_gradient(integrals, q_star, env)[_RESTORING]
+        return _force_gradient(integrals, rows, env)[_RESTORING]
 
     wp = integrals.waterplane()
     z_b = first[2] / volume

@@ -17,11 +17,11 @@ Coordinate order is ``(xi, eta, zeta, psi, theta, phi)`` everywhere; the
 ``CYCLIC`` indices (surge, sway, yaw) carry no hydrostatic restoring
 force, the ``NONCYCLIC`` ones (heave, pitch, roll) do.
 
-One builder, :func:`omega_chart`, serves both halves of the mechanics
-from one set of sines and cosines of pitch and roll: the angle-rate map
-W and its two partials feed the kinetic metric, and their first columns
-are the depth row ``k3`` and its partials, which the generalized forces
-and the force gradient contract with the submerged moments.
+One function, :func:`depth_row`, gives the depth row ``k3`` and its pitch
+and roll partials as floats, which the generalized forces and the force
+gradient contract with the submerged moments; :func:`omega_chart` puts
+them in the first columns of the angle-rate map W and its two partials,
+which feed the kinetic metric.
 """
 
 from __future__ import annotations
@@ -117,9 +117,17 @@ def k3_body(pose: Pose) -> np.ndarray:
     gradient of the depth function ``zeta + k3 . x`` with respect to the
     body point ``x``.
     """
-    cth, sth = math.cos(pose.theta), math.sin(pose.theta)
-    cph, sph = math.cos(pose.phi), math.sin(pose.phi)
-    return np.array([-sth, cth * sph, cth * cph])
+    return np.array(depth_row(pose.theta, pose.phi)[0])
+
+
+def depth_row(theta: float, phi: float) -> tuple[tuple[float, ...], ...]:
+    """The depth row ``k3`` and its pitch and roll partials at one attitude,
+    as tuples of floats: the bits of :func:`k3_body`, of the first columns
+    of :func:`omega_chart` and of the rows of :func:`depth_rows`."""
+    cth, sth = math.cos(theta), math.sin(theta)
+    cph, sph = math.cos(phi), math.sin(phi)
+    k3 = (-sth, cth * sph, cth * cph)
+    return k3, (-cth, -sth * sph, -sth * cph), (0.0, cth * cph, -cth * sph)
 
 
 def depth_rows(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,40 +152,22 @@ def depth_rows(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def omega_chart(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The angle-rate map W and its pitch and roll partials, one trig pass.
+    """The angle-rate map W and its pitch and roll partials.
 
-    Column 0 of W is the depth row :func:`k3_body` and column 0 of each
-    partial is the matching depth-row partial, so the hydrostatic moments
-    and the kinetic metric read the same chart.  The second partials of
-    the depth row are exact sign flips of these entries:
+    Column 0 of W is the depth row and column 0 of each partial is the
+    matching depth-row partial, the floats of :func:`depth_row`, so the
+    hydrostatic moments and the kinetic metric read the same chart.  The
+    second partials of the depth row are exact sign flips of these entries:
     ``d2k3/dtheta2 = -k3``, ``d2k3/dphi2 = (0, -k3_2, -k3_3)`` and
     ``d2k3/dtheta dphi = (0, dk3_3/dtheta, -dk3_2/dtheta)``.
 
     No gimbal check; :func:`omega_map` adds it.
     """
-    cth, sth = math.cos(theta), math.sin(theta)
+    (k0, k1, k2), (t0, t1, t2), (_, p1, p2) = depth_row(theta, phi)
     cph, sph = math.cos(phi), math.sin(phi)
-    w = np.array(
-        [
-            [-sth, 0.0, 1.0],
-            [cth * sph, cph, 0.0],
-            [cth * cph, -sph, 0.0],
-        ]
-    )
-    d_theta = np.array(
-        [
-            [-cth, 0.0, 0.0],
-            [-sth * sph, 0.0, 0.0],
-            [-sth * cph, 0.0, 0.0],
-        ]
-    )
-    d_phi = np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [cth * cph, -sph, 0.0],
-            [-cth * sph, -cph, 0.0],
-        ]
-    )
+    w = np.array([[k0, 0.0, 1.0], [k1, cph, 0.0], [k2, -sph, 0.0]])
+    d_theta = np.array([[t0, 0.0, 0.0], [t1, 0.0, 0.0], [t2, 0.0, 0.0]])
+    d_phi = np.array([[0.0, 0.0, 0.0], [p1, -sph, 0.0], [p2, -cph, 0.0]])
     return w, d_theta, d_phi
 
 

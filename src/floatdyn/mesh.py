@@ -22,10 +22,6 @@ import numpy as np
 from .errors import EmptyMesh, InvalidMesh, NonWatertightMesh
 from .polygons import triangulate_simple_polygon
 
-#: cyclic successors and predecessors of the axes, for cross products
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
-
 #: the corners of a grid cell: the offsets of the cells probed per point
 _CORNERS = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
 
@@ -117,15 +113,20 @@ class HullMesh:
         return self._tri_vertices
 
     @cached_property
-    def face_moments(self) -> np.ndarray:
-        """Surface moments of each face, shape (m, 39), built on first use.
+    def face_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Normals and surface weights of each face, built on first use.
 
-        Row layout as in :func:`triangle_moments`.  The waterplane
-        evaluator sums rows of this table for every fully wetted face.
+        ``normals`` (m, 3) holds twice each face's area times its outward
+        unit normal, ``weights`` (m, 13) the rows of
+        :func:`surface_weights`.  The waterplane evaluator contracts both
+        with the down axis for every fully wetted face.
         """
-        table = triangle_moments(self._tri_vertices)
-        table.setflags(write=False)
-        return table
+        p, q, r = (self._tri_vertices[:, k] for k in range(3))
+        normals = np.cross(q - p, r - p)
+        weights = surface_weights(self._tri_vertices)
+        normals.setflags(write=False)
+        weights.setflags(write=False)
+        return normals, weights
 
     # -- validation ------------------------------------------------------------
 
@@ -241,30 +242,23 @@ def _signed_det(tris) -> np.ndarray:
     return np.einsum("ij,ij->i", p, np.cross(q, r))
 
 
-def triangle_moments(tris) -> np.ndarray:
-    """Moments of the outward normal over each triangle, shape (m, 39).
+def surface_weights(tris) -> np.ndarray:
+    """Surface weights of each triangle, shape (m, 13).
 
-    With ``n`` the outward unit normal, row ``t`` holds ``integral of n dS``
-    (columns 0-2), ``integral of x_i n_l dS`` at column ``3 + 3 i + l`` and
-    ``integral of x_i x_j n_l dS`` at column ``12 + 9 i + 3 j + l``, all
-    over triangle ``t``.  Every entry is linear in the normal, so a
-    triangle with reversed winding contributes the negated row.
+    With ``n`` twice the triangle's area times its outward unit normal,
+    the integrals of ``1``, ``x_i`` and ``x_i x_j`` times the unit normal
+    over triangle ``t`` are ``w[t, a] n`` for ``a = 0``, ``1 + i`` and
+    ``4 + 3 i + j``: ``1/2``, ``s_i / 6`` and ``(sum_v v_i v_j + s_i s_j) / 24``
+    with ``s`` the corner sum, whatever the winding.
     """
-    p, q, r = tris[:, 0], tris[:, 1], tris[:, 2]
-    e, f = q - p, r - p
-    # twice the area times the unit normal
-    n = e[:, _NEXT] * f[:, _PREV] - e[:, _PREV] * f[:, _NEXT]
-    s = p + q + r
+    s = tris.sum(axis=1)
     m = len(tris)
-    # column 3 a + l holds weight_a * n_l; with n twice the area times the
-    # unit normal, the weights 1/2, s_i / 6 and (sum_v v_i v_j + s_i s_j) / 24
-    # give the integrals of 1, x_i and x_i x_j times the unit normal
     corners = np.concatenate((tris, s[:, None]), axis=1)
     weights = np.empty((m, 13))
     weights[:, 0] = 0.5
     weights[:, 1:4] = s / 6.0
     weights[:, 4:] = (corners.transpose(0, 2, 1) @ corners).reshape(m, 9) / 24.0
-    return (weights[:, :, None] * n[:, None, :]).reshape(m, 39)
+    return weights
 
 
 def _volume_integrals(tris):

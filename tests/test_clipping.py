@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,13 @@ from hypothesis import strategies as st
 from floatdyn import Pose, clip_by_waterplane, volume_and_first_moments, waterplane_properties
 from floatdyn import shapes
 from floatdyn.clipping import (
+    _LONE_FIRST,
+    _PLANE_EDGE,
+    _TIP,
+    _WHOLE,
     DEFAULT_SNAP_FRACTION,
     EVALUATE_CHUNK,
+    _sign_codes,
     cap_raw_moments,
     evaluate,
     evaluate_many,
@@ -334,10 +341,10 @@ class TestWettedSurfaceEvaluator:
     @pytest.mark.parametrize("mesh_name", ["cube", "l_prism", "convex_blob"])
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def test_matches_the_clipped_solid(self, mesh_name, data, cube, l_prism, convex_blob):
+    def test_matches_the_clipped_solid(self, mesh_name, data, request):
         # the wetted-face integrals against the explicit boundary: clipped
         # hull triangles plus chained, fanned cap loops
-        mesh = {"cube": cube, "l_prism": l_prism, "convex_blob": convex_blob}[mesh_name]
+        mesh = request.getfixturevalue(mesh_name)
         kind, pose = data.draw(waterplane_poses(mesh))
         solid = clip_by_waterplane(mesh, pose)
         volume, first = volume_and_first_moments(solid)
@@ -368,6 +375,61 @@ class TestWettedSurfaceEvaluator:
             assert not got.cap_first.any() and not got.cap_second.any()
         if kind == "emerged":
             assert got.volume == 0.0 and not got.first.any()
+
+
+class TestSignCodes:
+    def test_every_pattern_against_corner_counts(self):
+        # one triangle per sign pattern of its corner depths, coded as the
+        # evaluator codes its faces
+        codes = set()
+        for signs in itertools.product((-1, 0, 1), repeat=3):
+            code = int(_sign_codes(np.array(signs, dtype=float), np.array([[0, 1, 2]]))[0])
+            codes.add(code % 27)
+            n_wet, n_dry, n_zero = signs.count(1), signs.count(-1), signs.count(0)
+            # whole: a wet corner and no dry one, or two wet and one dry
+            assert _WHOLE[code] == ((n_wet > 0 and n_dry == 0) or (n_wet, n_dry) == (2, 1))
+            assert _PLANE_EDGE[code] == (n_wet == 1 and n_zero == 2)
+            if not (n_wet and n_dry):
+                assert _TIP[code] == 0.0, signs
+                continue
+            order = _LONE_FIRST[code].tolist()
+            assert order in ([0, 1, 2], [1, 2, 0], [2, 0, 1]), signs
+            lone = signs[order[0]]
+            # the tip is added at a lone wet corner, taken off at a lone dry one
+            assert _TIP[code] == lone
+            assert signs.count(lone) == 1
+        assert len(codes) == 27
+
+    @pytest.mark.parametrize(
+        "pose",
+        [Pose(zeta=0.25), Pose(zeta=-0.25), Pose(zeta=0.0),
+         Pose(zeta=0.5 * np.sin(0.3) + 0.25 * np.cos(0.3), phi=0.3),
+         Pose(zeta=1.0), Pose(zeta=1.0, theta=0.2, phi=-0.1),
+         Pose(zeta=-1.0), Pose(zeta=-1.0, theta=0.2, phi=-0.1)],
+        ids=["deck", "bottom", "level", "deck_edge", "submerged", "submerged_tilted",
+             "emerged", "emerged_tilted"],
+    )
+    def test_barge_faces_in_the_plane_and_off_it(self, barge, pose):
+        # the deck or the bottom in the plane, a heeled deck edge on it,
+        # and no waterline at all
+        assert_clip_matches_evaluate(barge, pose, clip_by_waterplane(barge, pose))
+
+    @pytest.mark.parametrize("mesh_name", ["l_prism", "cube"])
+    def test_wetted_area_vector_balances_the_cap(self, mesh_name, request):
+        # closure: the wetted faces' area vector is the cap's, along k
+        mesh = request.getfixturevalue(mesh_name)
+        d = mesh.diameter
+        for pose in vertex_on_plane_poses(mesh, np.random.default_rng(0), 2000):
+            got = evaluate(mesh, pose)
+            gap = got.wetted_area_vector - got.cap_area * got.plane_normal
+            assert np.abs(gap).max() <= 1e-12 * d**2
+
+    def test_face_table_is_built_at_the_first_evaluation(self):
+        mesh = shapes.box(2.0, 1.0, 0.5)
+        assert "face_table" not in vars(mesh)
+        evaluate(mesh, Pose(zeta=0.1))
+        normals, weights = vars(mesh)["face_table"]
+        assert normals.shape == (12, 3) and weights.shape == (12, 13)
 
 
 #: every field of SubmergedIntegrals, compared row by row

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floatdyn import Pose
+from floatdyn import Pose, verification
 from floatdyn.kinematics import k3_body
 from floatdyn.verification import (
     GRADIENT_SYMMETRY_TOL,
@@ -35,9 +35,28 @@ def test_gradient_residual_small_on_random_convex_hull(convex_blob, env, rng):
     assert gradient_residual(convex_blob, env, poses) < 1e-5
 
 
-def test_gradient_symmetry_exact(cube, env, rng):
+@pytest.mark.parametrize("mesh_name", ["cube", "l_prism"])
+def test_gradient_symmetry_residual_below_tolerance(mesh_name, request, env, rng):
+    mesh = request.getfixturevalue(mesh_name)
+    poses = random_partial_poses(mesh, 10, rng)
+    assert gradient_symmetry_residual(mesh, env, poses) < GRADIENT_SYMMETRY_TOL
+
+
+def test_gradient_symmetry_catches_nonconservative_forces(cube, env, rng, monkeypatch):
+    # a pitch moment growing with roll, Q_theta += c phi, has no force
+    # function: dQ_theta/dphi gains c while dQ_phi/dtheta does not
+    conservative = verification.generalized_forces
+    c = 1e-5 * env.rho * env.g
+
+    def skewed(mesh, q, env):
+        forces = conservative(mesh, q, env)
+        forces[:, 4] += c * np.asarray(q)[:, 5]
+        return forces
+
     poses = random_partial_poses(cube, 10, rng)
-    assert gradient_symmetry_residual(cube, env, poses) == 0.0
+    assert gradient_symmetry_residual(cube, env, poses) < GRADIENT_SYMMETRY_TOL
+    monkeypatch.setattr(verification, "generalized_forces", skewed)
+    assert gradient_symmetry_residual(cube, env, poses) > 100 * GRADIENT_SYMMETRY_TOL
 
 
 def test_planar_invariance_is_bitwise(l_prism, env, rng):
