@@ -21,7 +21,7 @@ One function, :func:`depth_row`, gives the depth row ``k3`` and its pitch
 and roll partials as floats, which the generalized forces and the force
 gradient contract with the submerged moments; :func:`omega_chart` puts
 them in the first columns of the angle-rate map W and its two partials,
-which feed the kinetic metric.
+which feed the kinetic metric; :func:`depth_rows` stacks them.
 """
 
 from __future__ import annotations
@@ -124,31 +124,25 @@ def depth_row(theta: float, phi: float) -> tuple[tuple[float, ...], ...]:
     """The depth row ``k3`` and its pitch and roll partials at one attitude,
     as tuples of floats: the bits of :func:`k3_body`, of the first columns
     of :func:`omega_chart` and of the rows of :func:`depth_rows`."""
-    cth, sth = math.cos(theta), math.sin(theta)
-    cph, sph = math.cos(phi), math.sin(phi)
+    return _depth_row(math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi), 0.0)
+
+
+def _depth_row(cth, sth, cph, sph, zero):
+    """The formulas of :func:`depth_row`, on floats or on arrays of them."""
     k3 = (-sth, cth * sph, cth * cph)
-    return k3, (-cth, -sth * sph, -sth * cph), (0.0, cth * cph, -cth * sph)
+    return k3, (-cth, -sth * sph, -sth * cph), (zero, cth * cph, -cth * sph)
 
 
 def depth_rows(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Depth rows ``k3`` and their pitch and roll partials for arrays of angles.
 
-    Returns three ``(n, 3)`` arrays whose row ``i`` holds the bits
-    :func:`k3_body` and the first columns of :func:`omega_chart` give at
-    ``(theta[i], phi[i])``: the sines and cosines come from :mod:`math`,
-    as there.
+    Returns three ``(n, 3)`` arrays whose row ``i`` is the :func:`depth_row`
+    triple at ``(theta[i], phi[i])``: the same formulas on the sines and
+    cosines of :mod:`math`, so the same bits.
     """
-    theta = np.asarray(theta, dtype=float).tolist()
-    phi = np.asarray(phi, dtype=float).tolist()
-    n = len(theta)
-    cth = np.fromiter(map(math.cos, theta), float, n)
-    sth = np.fromiter(map(math.sin, theta), float, n)
-    cph = np.fromiter(map(math.cos, phi), float, n)
-    sph = np.fromiter(map(math.sin, phi), float, n)
-    k3 = np.stack([-sth, cth * sph, cth * cph], axis=1)
-    k3_theta = np.stack([-cth, -sth * sph, -sth * cph], axis=1)
-    k3_phi = np.stack([np.zeros(n), cth * cph, -cth * sph], axis=1)
-    return k3, k3_theta, k3_phi
+    angles = [np.asarray(a, dtype=float).tolist() for a in (theta, phi)]
+    trig = [np.fromiter(map(f, a), float, len(a)) for a in angles for f in (math.cos, math.sin)]
+    return tuple(np.stack(row, axis=1) for row in _depth_row(*trig, np.zeros(len(angles[0]))))
 
 
 def omega_chart(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -62,7 +62,7 @@ def random_partial_poses(
             raise RuntimeError("could not sample enough partially submerged poses")
         theta = rng.uniform(-max_angle, max_angle)
         phi = rng.uniform(-max_angle, max_angle)
-        zeta = rng.uniform(lo[2] - 0.2 * mesh.height, hi[2] + 0.2 * mesh.height)
+        zeta = rng.uniform(-hi[2] - 0.2 * mesh.height, -lo[2] + 0.2 * mesh.height)
         pose = Pose(0.0, 0.0, zeta, 0.0, theta, phi)
         depths = zeta + mesh.vertices @ k3_body(pose)
         if depths.min() < -margin and depths.max() > margin:
@@ -72,6 +72,10 @@ def random_partial_poses(
 
 #: unit shifts along zeta, theta and phi, then their reverses
 _SHIFTS = np.concatenate([np.eye(6)[list(NONCYCLIC)], -np.eye(6)[list(NONCYCLIC)]])
+
+#: largest vertex-depth move of one symmetry-check step, in hull diameters;
+#: it trades roundoff (``1/step``) for truncation near the plane (``step**2``)
+_SYMMETRY_STEP = 2e-6
 
 
 def _coordinates(zeta, theta, phi) -> np.ndarray:
@@ -210,21 +214,23 @@ def loop_work_residual(
     return float(worst)
 
 
-def gradient_symmetry_residual(
-    mesh: HullMesh, env: FluidEnvironment, poses, step: float = 3e-6
-) -> float:
+def gradient_symmetry_residual(mesh: HullMesh, env: FluidEnvironment, poses) -> float:
     """Worst relative asymmetry of the force Jacobian, by central differences.
 
     Conservative forces have a symmetric Jacobian, ``dQ_i/dq_j = dQ_j/dq_i``;
     both sides come from the forces at six shifted rows per pose, in one
-    batched call, relative to the pose's largest entry.  The step balances
-    roundoff (``1/step``) against truncation near the plane (``step**2``).
+    batched call.  The heave step is :data:`_SYMMETRY_STEP` diameters, the
+    angle steps that length over the farthest vertex's distance from the
+    origin; ``J_ij h_i h_j`` is compared, relative to the pose's largest
+    entry, so hull size and origin do not set the residual.
     """
     q = np.array([pose.as_array() for pose in poses])
-    shifted = (q + step * _SHIFTS[:, None]).reshape(-1, 6)
+    reach = np.sqrt((mesh.vertices**2).sum(axis=1).max())
+    steps = _SYMMETRY_STEP * mesh.diameter * np.array([1.0, 1.0 / reach, 1.0 / reach])
+    shifted = (q + (np.tile(steps, 2)[:, None] * _SHIFTS)[:, None]).reshape(-1, 6)
     forces = generalized_forces(mesh, shifted, env).reshape(2, 3, len(q), 6)
-    # jac[p, i, j] = dQ_i / dq_j over the restoring coordinates
-    jac = ((forces[0] - forces[1]) / (2.0 * step))[:, :, list(NONCYCLIC)].transpose(1, 2, 0)
+    # jac[p, i, j] = h_i h_j dQ_i / dq_j over the restoring coordinates
+    jac = (0.5 * (forces[0] - forces[1])[:, :, list(NONCYCLIC)] * steps).transpose(1, 2, 0)
     asymmetry = np.abs(jac - jac.transpose(0, 2, 1)).max(axis=(1, 2))
     return float((asymmetry / np.maximum(np.abs(jac).max(axis=(1, 2)), 1e-300)).max())
 

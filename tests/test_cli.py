@@ -682,6 +682,18 @@ class TestVerify:
         assert payload["passed"] is True
         assert "PASS" in capsys.readouterr().out
 
+    def test_mesh_off_its_origin_passes(self, tmp_path, capsys):
+        # an explicit mass without 'cg' keeps the file's origin, here 1 m
+        # above the hull's centre (the third axis points down)
+        mesh_path = tmp_path / "off.stl"
+        save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5).translated((0.0, 0.0, 1.0)))
+        config = tmp_path / "off.json"
+        config.write_text(json.dumps({"mesh_path": str(mesh_path), "mass": 500.0,
+                                      "symmetry": True}))
+        code = main(["verify", "--config", str(config), "--poses", "10", "--loops", "1"])
+        assert code == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+
     def test_corrupted_mesh_reports_watertightness(self, tmp_path, capsys):
         # drop one facet from the cube: the leak must surface as a clear
         # watertightness diagnostic, not a crash

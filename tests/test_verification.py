@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floatdyn import Pose, verification
+from floatdyn import Pose, shapes, verification
 from floatdyn.kinematics import k3_body
 from floatdyn.verification import (
     GRADIENT_SYMMETRY_TOL,
@@ -19,9 +19,31 @@ from floatdyn.verification import (
 )
 
 
+def elliptic_cylinder(sides=96):
+    """A fine tessellation: 380 faces, most of them long slivers."""
+    angle = np.linspace(0.0, 2.0 * np.pi, sides, endpoint=False)
+    return shapes.extrude_polygon(np.c_[1.2 * np.cos(angle), 0.5 * np.sin(angle)], 3.0)
+
+
+#: hulls whose body origin lies away from the hull, by up to five hull lengths
+OFF_ORIGIN = {
+    "barge_x1": lambda: shapes.box(2.0, 1.0, 0.5).translated((6.0, 0.0, 0.0)),
+    "barge_x3": lambda: shapes.box(2.0, 1.0, 0.5).translated((0.0, 0.0, 1.0)),
+    "fine_cylinder": lambda: elliptic_cylinder().translated((-10.0, 0.0, 2.0)),
+}
+
+
 def test_sampled_poses_stay_partially_submerged(cube, rng):
     for pose in random_partial_poses(cube, 50, rng):
         depths = pose.zeta + cube.vertices @ k3_body(pose)
+        assert depths.min() < 0.0 < depths.max()
+
+
+@pytest.mark.parametrize("mesh_name", list(OFF_ORIGIN))
+def test_sampled_poses_pierce_a_hull_off_its_origin(mesh_name, rng):
+    mesh = OFF_ORIGIN[mesh_name]()
+    for pose in random_partial_poses(mesh, 50, rng):
+        depths = pose.zeta + mesh.vertices @ k3_body(pose)
         assert depths.min() < 0.0 < depths.max()
 
 
@@ -39,6 +61,14 @@ def test_gradient_residual_small_on_random_convex_hull(convex_blob, env, rng):
 def test_gradient_symmetry_residual_below_tolerance(mesh_name, request, env, rng):
     mesh = request.getfixturevalue(mesh_name)
     poses = random_partial_poses(mesh, 10, rng)
+    assert gradient_symmetry_residual(mesh, env, poses) < GRADIENT_SYMMETRY_TOL
+
+
+@pytest.mark.parametrize("mesh_name", list(OFF_ORIGIN))
+def test_gradient_symmetry_residual_below_tolerance_off_origin(mesh_name, env, rng):
+    # 50 poses: at a flat step the far barge fails on a few of them
+    mesh = OFF_ORIGIN[mesh_name]()
+    poses = random_partial_poses(mesh, 50, rng)
     assert gradient_symmetry_residual(mesh, env, poses) < GRADIENT_SYMMETRY_TOL
 
 
