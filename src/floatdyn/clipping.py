@@ -20,9 +20,17 @@ built once per mesh for whole faces.  One lookup of each face's sign code
 (its corner depth signs in base 3) says whether it counts whole and which
 corner triangle of a crossed face is added or taken off.  Nothing assumes
 convexity, and any waterline topology, a vertex exactly on the plane
-included, integrates without special cases.  :func:`evaluate_many` does
-the same for stacked poses, bit for bit; it pays off where many poses
-are known at once (the verification suites, the energy pass of a
+included, integrates without special cases.
+
+Each mesh keeps one slot with the last pose :func:`evaluate` integrated,
+keyed by the exact bits of ``(zeta, theta, phi)``, so the potential, the
+forces and their gradient at one pose come from one kernel run whichever
+of them asks first.  The stored result's arrays are read-only, and the
+slot is swapped whole, so threads sharing a mesh at worst recompute.
+
+:func:`evaluate_many` integrates stacked poses as :func:`evaluate` does
+one, bit for bit, and keeps no slot; it pays off where many poses are
+known at once (the verification suites, the energy pass of a
 trajectory), while the callers that need one pose at a time keep the
 cheaper single-pose :func:`evaluate`.
 
@@ -46,6 +54,7 @@ waterplanes instead of sliver geometry.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,6 +67,9 @@ from .polygons import fan_triangles, planar_moments_3d
 
 #: fraction of the mesh diameter below which a vertex depth is treated as zero
 DEFAULT_SNAP_FRACTION = 1e-10
+
+#: the exact bits of ``(zeta, theta, phi)``: the key of :func:`evaluate`'s slot
+_POSE_KEY = struct.Struct("<3d")
 
 
 @dataclass(frozen=True)
@@ -427,6 +439,30 @@ def _finish(zeta, k, projected):
 
 def evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
     """Submerged-volume and waterplane integrals from the wetted faces.
+
+    The mesh remembers the last pose it integrated, in one slot keyed by
+    the exact bits of ``(zeta, theta, phi)`` (so ``0.0`` and ``-0.0``
+    never share it): a repeat of that pose returns the stored result, any
+    other pose runs :func:`_evaluate` and takes the slot.  Every array of
+    the result is read-only, so no caller can change what another gets.
+    The slot is swapped by one attribute store of a ``(key, result)``
+    tuple, so a thread never pairs one pose's key with another's result;
+    threads sharing a mesh may only recompute more often.
+    """
+    key = _POSE_KEY.pack(pose.zeta, pose.theta, pose.phi)
+    slot = mesh._last_evaluation
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    integrals = _evaluate(mesh, pose)
+    for array in (integrals.plane_normal, integrals.first, integrals.cap_first,
+                  integrals.cap_second, integrals.wetted_area_vector):
+        array.setflags(write=False)
+    mesh._last_evaluation = (key, integrals)
+    return integrals
+
+
+def _evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
+    """The kernel of :func:`evaluate`, run at every pose it has not stored.
 
     Each face is classified by one lookup of its sign code (see
     :func:`_sign_code_tables`) and its sums are contracted with the down

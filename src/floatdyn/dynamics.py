@@ -41,7 +41,9 @@ import numpy as np
 
 from .errors import IntegrationFailed, SingularCyclicBlock, require_scipy
 from .hydrostatics import FluidEnvironment, generalized_forces, potential
-from .kinematics import CYCLIC, NONCYCLIC, Pose, _pose_unchecked, omega_chart, omega_map
+from .kinematics import (
+    CYCLIC, NONCYCLIC, Pose, _pose_unchecked, omega_chart, omega_map, omega_maps,
+)
 from .mesh import HullMesh
 
 _IX_AA = np.ix_(CYCLIC, CYCLIC)
@@ -145,10 +147,11 @@ def kinetic_metric(body: BodyProperties, theta: float, phi: float) -> KineticMet
 
 
 def _metric_matrix(body: BodyProperties, w: np.ndarray) -> np.ndarray:
-    """The 6x6 metric from the angle-rate map ``w``."""
-    a = np.zeros((6, 6))
-    a[0, 0] = a[1, 1] = a[2, 2] = body.mass
-    a[3:, 3:] = w.T @ body.inertia @ w
+    """The 6x6 metric from the angle-rate map ``w``, or one per map of a
+    stack of them."""
+    a = np.zeros(w.shape[:-2] + (6, 6))
+    a[..., 0, 0] = a[..., 1, 1] = a[..., 2, 2] = body.mass
+    a[..., 3:, 3:] = w.swapaxes(-1, -2) @ body.inertia @ w
     return a
 
 
@@ -442,22 +445,25 @@ def _trajectory(mesh, body, env, sol, q, qd, mode, momenta=None):
     """The solver's samples with the energy and cyclic momenta of each.
 
     Given the fixed cyclic ``momenta`` of a reduced run, the cyclic rates
-    in ``qd`` are first reconstructed from them, sample by sample.  The
-    buoyancy potential of all samples comes from one batched call.
+    in ``qd`` are first reconstructed from them.  The kinetic metrics,
+    the cyclic-rate solves and the quadratic forms of all samples are
+    stacked; each slice runs the product or solve of one sample, so the
+    results are the bits of :func:`kinetic_metric` and
+    :func:`cyclic_rates` sample by sample.  The buoyancy potential of all
+    samples comes from one batched call.
     """
-    n = len(sol.t)
-    energy = np.empty(n)
-    p_cyclic = np.empty((n, 3))
-    u_b = potential(mesh, q, env)
-    for k in range(n):
-        metric = kinetic_metric(body, q[k, 4], q[k, 5])
-        if momenta is not None:
-            qd[k, list(CYCLIC)] = cyclic_rates(metric, qd[k, list(NONCYCLIC)], momenta)
-        a = metric.matrix
-        kinetic = 0.5 * qd[k] @ a @ qd[k]
-        u = body.mass * env.g * q[k, 2] + u_b[k]
-        energy[k] = kinetic - u
-        p_cyclic[k] = (a @ qd[k])[list(CYCLIC)]
+    a = _metric_matrix(body, omega_maps(q[:, 4], q[:, 5]))
+    if momenta is not None:
+        # fancy indexing leaves the stack axis innermost; copied, each
+        # block is contiguous like the one-sample coupling, so its product
+        # takes the same BLAS path and gives the same bits
+        coupling = a[(slice(None), *_IX_AN)].copy()
+        w = momenta - (coupling @ qd[:, list(NONCYCLIC), None])[:, :, 0]
+        cyclic_block = a[(slice(None), *_IX_AA)]
+        qd[:, list(CYCLIC)] = np.linalg.solve(cyclic_block, w[:, :, None])[:, :, 0]
+    kinetic = ((0.5 * qd)[:, None, :] @ a @ qd[:, :, None])[:, 0, 0]
+    energy = kinetic - (body.mass * env.g * q[:, 2] + potential(mesh, q, env))
+    p_cyclic = (a @ qd[:, :, None])[:, list(CYCLIC), 0]
     return Trajectory(
         t=sol.t,
         q=q,

@@ -179,3 +179,22 @@ def omega_map(theta: float, phi: float) -> np.ndarray:
     if abs(theta) >= math.pi / 2 - GIMBAL_GUARD:
         raise GimbalLock(f"pitch {theta} within guard of pi/2")
     return omega_chart(theta, phi)[0]
+
+
+def omega_maps(theta, phi) -> np.ndarray:
+    """:func:`omega_map` for arrays of angles, with its gimbal check.
+
+    Returns an ``(n, 3, 3)`` array whose slice ``i`` is the map at
+    ``(theta[i], phi[i])``: the depth rows of :func:`depth_rows` and the
+    sines and cosines of :mod:`math`, so the same bits.
+    """
+    phi = np.asarray(phi, dtype=float)
+    beyond = np.flatnonzero(np.abs(theta) >= math.pi / 2 - GIMBAL_GUARD)
+    if len(beyond):
+        raise GimbalLock(f"pitch {float(theta[beyond[0]])} within guard of pi/2")
+    cph, sph = (np.fromiter(map(f, phi.tolist()), float, len(phi)) for f in (math.cos, math.sin))
+    w = np.zeros((len(phi), 3, 3))
+    w[:, :, 0] = depth_rows(theta, phi)[0]
+    w[:, 0, 2] = 1.0
+    w[:, 1, 1], w[:, 2, 1] = cph, -sph
+    return w

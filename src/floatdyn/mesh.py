@@ -83,6 +83,8 @@ class HullMesh:
 
         self._tri_vertices = vertices[triangles]
         self._tri_vertices.setflags(write=False)
+        # (pose key, integrals) of the last pose clipping.evaluate integrated
+        self._last_evaluation = None
 
         self._validate(area_tol, symmetry_tol)
 

@@ -85,6 +85,17 @@ def _coordinates(zeta, theta, phi) -> np.ndarray:
     return q
 
 
+def _shifted_rows(mesh: HullMesh, q, fraction: float):
+    """Heave, pitch and roll steps that move no vertex depth by more than
+    ``fraction`` hull diameters (the heave step is that length, the angle
+    steps that length over the farthest vertex's distance from the
+    origin), and the coordinates ``q`` shifted by each step and its
+    reverse: ``(steps, rows)`` with the rows in :data:`_SHIFTS` order."""
+    reach = np.sqrt((mesh.vertices**2).sum(axis=1).max())
+    steps = fraction * mesh.diameter * np.array([1.0, 1.0 / reach, 1.0 / reach])
+    return steps, (q + (np.tile(steps, 2)[:, None] * _SHIFTS)[:, None]).reshape(-1, 6)
+
+
 def gradient_residual(
     mesh: HullMesh,
     env: FluidEnvironment,
@@ -95,16 +106,21 @@ def gradient_residual(
 
     The cyclic coordinates are checked for exact zeros (their finite
     differences vanish identically); the three restoring coordinates are
-    compared at the given step.  The forces of all poses come from one
-    batched call, the six shifted potentials of every pose from another.
+    compared at steps scaled to the hull as in
+    :func:`gradient_symmetry_residual`: ``step`` diameters in heave, that
+    length over the farthest vertex's distance from the origin in the
+    angles, so a hull far from its body origin keeps the angle
+    differences' truncation as small as one centred on it.  The forces of
+    all poses come from one batched call, the six shifted potentials of
+    every pose from another.
     """
     q = np.array([pose.as_array() for pose in poses])
     forces = generalized_forces(mesh, q, env)
     assert not forces[:, list(CYCLIC)].any()
     scale = np.maximum(np.abs(forces).max(axis=1), 1e-300)
-    shifted = (q + step * _SHIFTS[:, None]).reshape(-1, 6)
+    steps, shifted = _shifted_rows(mesh, q, step)
     u = potential(mesh, shifted, env).reshape(2, 3, len(q))
-    fd = (u[0] - u[1]) / (2.0 * step)
+    fd = (u[0] - u[1]) / (2.0 * steps[:, None])
     return float((np.abs(fd - forces[:, list(NONCYCLIC)].T) / scale).max())
 
 
@@ -225,9 +241,7 @@ def gradient_symmetry_residual(mesh: HullMesh, env: FluidEnvironment, poses) -> 
     entry, so hull size and origin do not set the residual.
     """
     q = np.array([pose.as_array() for pose in poses])
-    reach = np.sqrt((mesh.vertices**2).sum(axis=1).max())
-    steps = _SYMMETRY_STEP * mesh.diameter * np.array([1.0, 1.0 / reach, 1.0 / reach])
-    shifted = (q + (np.tile(steps, 2)[:, None] * _SHIFTS)[:, None]).reshape(-1, 6)
+    steps, shifted = _shifted_rows(mesh, q, _SYMMETRY_STEP)
     forces = generalized_forces(mesh, shifted, env).reshape(2, 3, len(q), 6)
     # jac[p, i, j] = h_i h_j dQ_i / dq_j over the restoring coordinates
     jac = (0.5 * (forces[0] - forces[1])[:, :, list(NONCYCLIC)] * steps).transpose(1, 2, 0)

@@ -694,6 +694,17 @@ class TestVerify:
         assert code == 0
         assert capsys.readouterr().out.count("PASS") == 4
 
+    def test_mesh_far_from_its_origin_passes(self, tmp_path, capsys):
+        # 20 m off: the gradient check's steps scale with the hull's reach
+        mesh_path = tmp_path / "far.stl"
+        save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5).translated((-20.0, 0.0, 2.0)))
+        config = tmp_path / "far.json"
+        config.write_text(json.dumps({"mesh_path": str(mesh_path), "mass": 500.0,
+                                      "symmetry": True}))
+        code = main(["verify", "--config", str(config), "--seed", "0", "--loops", "1"])
+        assert code == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+
     def test_corrupted_mesh_reports_watertightness(self, tmp_path, capsys):
         # drop one facet from the cube: the leak must surface as a clear
         # watertightness diagnostic, not a crash

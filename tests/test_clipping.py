@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floatdyn import Pose, clip_by_waterplane, volume_and_first_moments, waterplane_properties
-from floatdyn import shapes
+from floatdyn import clipping, hydrostatics, save_stl, shapes
 from floatdyn.clipping import (
     _LONE_FIRST,
     _PLANE_EDGE,
@@ -20,6 +22,7 @@ from floatdyn.clipping import (
     evaluate_many,
 )
 from floatdyn.kinematics import k3_body
+from floatdyn.report import AnalysisConfig, run_analysis
 from floatdyn.verification import random_partial_poses, rejection_sample_submerged
 from helpers import (
     assert_clip_matches_evaluate,
@@ -505,3 +508,126 @@ class TestEvaluateMany:
     def test_empty_batch(self, cube):
         batch = evaluate_many(cube, np.zeros(0), np.zeros((0, 3)))
         assert batch.volume.shape == (0,) and batch.cap_second.shape == (0, 3, 3)
+
+
+class TestLastPoseSlot:
+    """evaluate keeps the last pose's integrals on the mesh, one slot."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Record the (zeta, theta, phi) of every kernel run."""
+        poses = []
+        kernel = clipping._evaluate
+
+        def counted(mesh, pose):
+            poses.append((pose.zeta, pose.theta, pose.phi))
+            return kernel(mesh, pose)
+
+        monkeypatch.setattr(clipping, "_evaluate", counted)
+        return poses
+
+    @pytest.mark.parametrize("mesh_name", ["barge", "l_prism"])
+    def test_a_hit_equals_a_fresh_kernel_run_bitwise(self, mesh_name, request):
+        mesh = request.getfixturevalue(mesh_name)
+        for pose in pose_sweep(mesh, np.random.default_rng(5), 40):
+            stored = evaluate(mesh, pose)
+            hit = evaluate(mesh, pose)
+            assert hit is stored
+            fresh = clipping._evaluate(mesh, pose)
+            for name in INTEGRAL_FIELDS:
+                want = np.asarray(getattr(fresh, name), dtype=float)
+                got = np.asarray(getattr(hit, name), dtype=float)
+                assert got.tobytes() == want.tobytes(), (name, pose)
+
+    def test_signed_zero_angles_do_not_share_the_slot(self, barge):
+        # equal values, different bits: -sin(theta) is -0.0 at +0.0
+        plus = evaluate(barge, Pose(zeta=0.1, theta=0.0))
+        minus = evaluate(barge, Pose(zeta=0.1, theta=-0.0))
+        assert minus is not plus
+        assert plus.plane_normal.tobytes() != minus.plane_normal.tobytes()
+        for got, theta in ((plus, 0.0), (minus, -0.0)):
+            fresh = clipping._evaluate(barge, Pose(zeta=0.1, theta=theta))
+            assert got.plane_normal.tobytes() == fresh.plane_normal.tobytes()
+
+    @pytest.mark.parametrize("zeta", [0.1, -2.0], ids=["pierced", "emerged"])
+    def test_returned_arrays_are_read_only(self, zeta):
+        mesh = shapes.box(2.0, 1.0, 0.5)
+        pose = Pose(zeta=zeta, theta=0.1, phi=-0.2)
+        for integrals in (evaluate(mesh, pose), evaluate(mesh, pose)):
+            arrays = [getattr(integrals, name) for name in INTEGRAL_FIELDS
+                      if isinstance(getattr(integrals, name), np.ndarray)]
+            assert len(arrays) == 5
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 1.0
+
+    def test_state_and_gradient_share_one_kernel_run(self, env, monkeypatch):
+        mesh = shapes.box(2.0, 1.0, 0.5)
+        runs = self.counting(monkeypatch)
+        pose = Pose(zeta=0.2, theta=0.05, phi=-0.1)
+        state = hydrostatics.hydrostatic_state(mesh, pose, env)
+        grad = hydrostatics.force_gradient(mesh, pose, env)
+        assert len(runs) == 1
+        # the same numbers a second mesh computes from two kernel runs
+        other = shapes.box(2.0, 1.0, 0.5)
+        assert np.array_equal(grad, hydrostatics.force_gradient(other, pose, env))
+        assert np.array_equal(state.forces, hydrostatics.generalized_forces(other, pose, env))
+        assert len(runs) == 2
+
+    def test_alternating_poses_recompute_every_time(self, monkeypatch):
+        mesh = shapes.box(2.0, 1.0, 0.5)
+        runs = self.counting(monkeypatch)
+        a, b = Pose(zeta=0.2), Pose(zeta=0.2, phi=0.1)
+        for pose in (a, b, a, b, b):
+            evaluate(mesh, pose)
+        assert len(runs) == 4
+
+    def test_threads_sharing_a_mesh_get_their_own_pose(self):
+        # a slot swapped in two stores could pair one pose's key with
+        # another's result; each thread checks it always gets its own
+        mesh = shapes.box(2.0, 1.0, 0.5)
+        poses = [Pose(zeta=0.05 * k, theta=0.02 * k, phi=-0.03 * k) for k in range(6)]
+        want = {id(pose): clipping._evaluate(mesh, pose) for pose in poses}
+        wrong = []
+
+        def work(offset):
+            for i in range(300):
+                pose = poses[(offset + i) % len(poses)]
+                got = evaluate(mesh, pose)
+                if got.plane_normal.tobytes() != want[id(pose)].plane_normal.tobytes() or (
+                    got.volume != want[id(pose)].volume
+                ):
+                    wrong.append(pose)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+
+    @pytest.mark.parametrize(
+        "hull, density, guess",
+        [("barge", 500.0, (0.0, 0.0, 0.0)), ("l_prism", 600.0, (0.0, 0.1, 0.05))],
+    )
+    def test_analysis_integrates_the_equilibrium_once(
+        self, hull, density, guess, request, tmp_path, monkeypatch
+    ):
+        # the solver's last step, the hydrostatic state and the Hessian all
+        # read the equilibrium pose: one kernel run between them
+        mesh_path = tmp_path / "hull.stl"
+        save_stl(mesh_path, request.getfixturevalue(hull))
+        config = AnalysisConfig(
+            mesh_path=str(mesh_path), uniform_density=density, fluid_density=1000.0,
+            initial_guess=guess,
+        )
+        runs = self.counting(monkeypatch)
+        _, objects = run_analysis(config)
+        pose = objects["equilibrium"].pose
+        assert runs.count((pose.zeta, pose.theta, pose.phi)) == 1

@@ -499,6 +499,34 @@ class TestTrajectory:
         data = np.genfromtxt(p1, delimiter=",", skip_header=1)
         np.testing.assert_array_equal(data, traj1.as_table())
 
+    @pytest.mark.parametrize("hull", ["barge", "l_prism"])
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_stacked_diagnostics_equal_the_per_sample_loop(self, hull, mode, request, env):
+        # the loop the stacked post-pass replaced: one metric, cyclic-rate
+        # solve and quadratic form per sample, bit for bit
+        mesh, body, coords, rates, momenta = _spinning_start(hull, request)
+        if mode == "reduced":
+            traj = integrate_reduced(
+                mesh, body, env, ReducedState(coords, rates, momenta), 1.0, 0.01)
+        else:
+            full_rates = np.zeros(6)
+            full_rates[[2, 4, 5]] = rates
+            full_rates[[0, 1, 3]] = cyclic_rates(
+                kinetic_metric(body, coords[1], coords[2]), rates, momenta)
+            pose = Pose(0, 0, coords[0], 0, coords[1], coords[2])
+            traj = integrate_full(mesh, body, env, FullState(pose, full_rates), 1.0, 0.01)
+        qd = traj.qdot.copy()
+        u_b = fd.potential(mesh, traj.q, env)
+        for k, q in enumerate(traj.q):
+            metric = kinetic_metric(body, q[4], q[5])
+            if mode == "reduced":
+                qd[k, [0, 1, 3]] = cyclic_rates(metric, qd[k, [2, 4, 5]], momenta)
+            a = metric.matrix
+            energy = 0.5 * qd[k] @ a @ qd[k] - (body.mass * env.g * q[2] + u_b[k])
+            assert energy.tobytes() == traj.energy[k].tobytes(), k
+            assert (a @ qd[k])[[0, 1, 3]].tobytes() == traj.momenta[k].tobytes(), k
+        assert qd.tobytes() == traj.qdot.tobytes()
+
     def test_invalid_sampling_arguments(self, barge, barge_body, env):
         state = FullState(Pose(), np.zeros(6))
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from floatdyn import (
     omega_map,
     rotation_matrix,
 )
-from floatdyn.kinematics import depth_rows, omega_chart
+from floatdyn.kinematics import GIMBAL_GUARD, depth_rows, omega_chart, omega_maps
 
 
 def random_poses(rng, n, max_angle=1.4):
@@ -88,6 +88,18 @@ class TestK3Body:
 
 
 class TestOmegaMap:
+    def test_stacked_maps_are_the_bits_of_omega_map(self):
+        rng = np.random.default_rng(13)
+        poses = random_poses(rng, 200)
+        maps = omega_maps(np.array([p.theta for p in poses]), [p.phi for p in poses])
+        for w, pose in zip(maps, poses):
+            assert w.tobytes() == omega_map(pose.theta, pose.phi).tobytes()
+
+    def test_stacked_maps_keep_the_gimbal_check(self):
+        theta = np.array([0.1, math.pi / 2 - 0.5 * GIMBAL_GUARD])
+        with pytest.raises(GimbalLock, match="within guard"):
+            omega_maps(theta, np.zeros(2))
+
     def test_zero_angles_permutation(self):
         w = omega_map(0.0, 0.0)
         rates = np.array([1.5, -2.0, 0.7])  # (psi, theta, phi) rates

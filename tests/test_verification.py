@@ -57,6 +57,37 @@ def test_gradient_residual_small_on_random_convex_hull(convex_blob, env, rng):
     assert gradient_residual(convex_blob, env, poses) < 1e-5
 
 
+def far_barge():
+    """The barge with its body origin 20 m off, where flat steps of 1e-5
+    leave an angle truncation of 1.4e-5 (seed 0)."""
+    return shapes.box(2.0, 1.0, 0.5).translated((-20.0, 0.0, 2.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gradient_residual_passes_far_from_the_origin(env, seed):
+    mesh = far_barge()
+    poses = random_partial_poses(mesh, 25, np.random.default_rng(seed))
+    assert gradient_residual(mesh, env, poses) < GRADIENT_TOL
+
+
+def test_gradient_residual_catches_nonconservative_forces(env, monkeypatch):
+    # a pitch moment growing with roll, Q_theta += c phi, is no gradient
+    # of the buoyancy force function, so differences of U_B miss it
+    mesh = far_barge()
+    conservative = verification.generalized_forces
+    c = 1e-3 * env.rho * env.g
+
+    def skewed(mesh, q, env):
+        forces = conservative(mesh, q, env)
+        forces[:, 4] += c * np.asarray(q)[:, 5]
+        return forces
+
+    poses = random_partial_poses(mesh, 25, np.random.default_rng(0))
+    assert gradient_residual(mesh, env, poses) < GRADIENT_TOL
+    monkeypatch.setattr(verification, "generalized_forces", skewed)
+    assert gradient_residual(mesh, env, poses) > 10 * GRADIENT_TOL
+
+
 @pytest.mark.parametrize("mesh_name", ["cube", "l_prism"])
 def test_gradient_symmetry_residual_below_tolerance(mesh_name, request, env, rng):
     mesh = request.getfixturevalue(mesh_name)
