@@ -38,7 +38,6 @@ from .dynamics import (
 )
 from .equilibrium import EquilibriumResult, canonicalize, find_equilibrium
 from .errors import (
-    AsymmetricBody,
     ConfigError,
     Diverged,
     FloatDynError,

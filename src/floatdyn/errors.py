@@ -20,7 +20,7 @@ class NonWatertightMesh(InvalidMesh):
 
 
 class SelfIntersecting(FloatDynError):
-    """Polygon edges cross each other; moments would be meaningless."""
+    """Ear clipping found no ear: the polygon is not simple or is degenerate."""
 
 
 class GimbalLock(FloatDynError):
@@ -33,10 +33,6 @@ class EmptyMesh(InvalidMesh):
 
 class NotAnEquilibrium(FloatDynError):
     """Residual generalized forces at the supposed equilibrium exceed tolerance."""
-
-
-class AsymmetricBody(FloatDynError):
-    """Operation requires the port-starboard symmetry claim on the mesh."""
 
 
 class ZeroVolume(FloatDynError):

@@ -14,9 +14,10 @@ entries of the generalized force vector are structural zeros, not small
 numbers.
 
 Stability is decided from the Hessian alone: an equilibrium is
-pseudo-stable exactly when the (zeta, theta, phi) Hessian of ``U`` is
-negative definite.  The metacentric heights reported beside the verdict
-are body-axis quantities, the classic ones only for an upright hull.
+pseudo-stable exactly when the (zeta, theta, phi) Hessian of ``U``, the
+restoring block of :func:`force_gradient` at every pose, is negative
+definite.  The metacentric heights reported beside the verdict are
+body-axis quantities, the classic ones only for an upright hull.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .clipping import (
     evaluate,
     evaluate_many,
 )
-from .errors import AsymmetricBody, NotAnEquilibrium, ZeroVolume
+from .errors import NotAnEquilibrium, ZeroVolume
 from .kinematics import NONCYCLIC, Pose, depth_row, depth_rows, rotation_matrix
 from .mesh import HullMesh
 
@@ -254,6 +255,8 @@ def hydrostatic_state(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> Hydr
 
 #: default residual, relative to the displacement, of hessian_at_equilibrium
 RESIDUAL_TOL = 1e-8
+#: margin, relative to the pitch-roll stiffness, that pseudo_stability_check flags
+MARGIN_TOL = 1e-9
 
 
 def _scaled_residual(residual, diameter: float) -> float:
@@ -268,39 +271,30 @@ def hessian_at_equilibrium(
     q_star: Pose,
     env: FluidEnvironment,
     mass: float | None = None,
-    method: str = "auto",
     residual_tol: float = RESIDUAL_TOL,
 ) -> np.ndarray:
     """Hessian of the total force function at equilibrium, (zeta, theta, phi).
 
-    With the symmetry claim on the mesh and the canonical zero-angle
-    equilibrium the closed form applies::
-
-        rho g [[-A,     A x_C,          0          ],
-               [A x_C,  V z_B - S11,    0          ],
-               [0,      0,              V z_B - S22]]
-
-    otherwise (``method="general"`` or automatic fallback) the matrix is
-    the non-cyclic block of :func:`force_gradient`, which is valid at
-    any pose.  Gravity is linear in zeta and contributes nothing.
+    The hydrostatic effects are conservative, so this is the restoring
+    block of :func:`force_gradient`, for any hull and pose; at the upright
+    equilibrium of a port-starboard symmetric hull it is the textbook
+    ``rho g [[-A, A x_C, 0], [A x_C, V z_B - S11, 0], [0, 0, V z_B - S22]]``.
+    Gravity is linear in zeta and contributes nothing.
 
     Parameters
     ----------
     mass : float, optional
         Body mass for the equilibrium residual check; inferred from the
         Archimedean relation ``m = rho V*`` when omitted.
-    method : {"auto", "closed_form", "general"}
 
     Raises
     ------
     NotAnEquilibrium
         If the residual, measured as in the equilibrium solver, exceeds
         ``residual_tol`` times the displacement.
-    AsymmetricBody
-        If ``method="closed_form"`` without the mesh symmetry claim.
     """
     integrals = evaluate(mesh, q_star)
-    volume, first = integrals.volume, integrals.first
+    volume = integrals.volume
     if volume <= 0.0:
         raise ZeroVolume("no submerged volume at the supposed equilibrium")
     m_eff = env.rho * volume if mass is None else mass
@@ -313,39 +307,7 @@ def hessian_at_equilibrium(
         raise NotAnEquilibrium(
             f"residual force {residual:.3e} exceeds {residual_tol:.1e} * displacement"
         )
-
-    if method not in ("auto", "closed_form", "general"):
-        raise ValueError(f"unknown method {method!r}")
-    zero_angles = max(abs(q_star.theta), abs(q_star.phi)) < 1e-9
-    if method == "closed_form":
-        if not mesh.symmetry_flag:
-            raise AsymmetricBody("closed form requires the mesh symmetry claim")
-        if not zero_angles:
-            raise ValueError(
-                "closed form is only valid at the canonical zero-angle "
-                "equilibrium; use method='general' for trimmed or heeled poses"
-            )
-    use_closed = method == "closed_form" or (
-        method == "auto" and mesh.symmetry_flag and zero_angles
-    )
-
-    if not use_closed:
-        return _force_gradient(integrals, rows, env)[_RESTORING]
-
-    wp = integrals.waterplane()
-    z_b = first[2] / volume
-    area = wp.area
-    x_c = wp.x_c
-    s11 = wp.second_moment[0, 0]
-    s22 = wp.second_moment[1, 1]
-    rg = env.rho * env.g
-    return rg * np.array(
-        [
-            [-area, area * x_c, 0.0],
-            [area * x_c, volume * z_b - s11, 0.0],
-            [0.0, 0.0, volume * z_b - s22],
-        ]
-    )
+    return _force_gradient(integrals, rows, env)[_RESTORING]
 
 
 def metacentric_heights(v_star: float, z_b_star: float, second_moment) -> tuple[float, float]:
@@ -390,7 +352,6 @@ def pseudo_stability_check(
     z_b_star: float,
     second_moment,
     env: FluidEnvironment,
-    margin_tol: float = 1e-9,
 ) -> StabilityReport:
     """Classify an equilibrium by the Hessian of the force function alone.
 
@@ -398,7 +359,7 @@ def pseudo_stability_check(
     its LDL' factorization, in the order heave, pitch, roll, are
     positive.  The margins are the pitch pivot (after heave) and the roll
     pivot (after heave and pitch) of ``-hessian / (rho g)``; ``marginal``
-    flags one within ``margin_tol`` of zero, relative to the largest
+    flags one within :data:`MARGIN_TOL` of zero, relative to the largest
     pitch-roll stiffness.  The other arguments give only the body-axis
     metacentric heights and the displacement.
     """
@@ -414,7 +375,7 @@ def pseudo_stability_check(
             rest = slice(k + 1, 3)
             stiffness[rest, rest] -= np.outer(stiffness[rest, k], stiffness[k, rest]) / pivot
     _, margin_l, margin_t = pivots
-    marginal = min(abs(margin_t), abs(margin_l)) <= margin_tol * max(scale, 1e-300)
+    marginal = min(abs(margin_t), abs(margin_l)) <= MARGIN_TOL * max(scale, 1e-300)
 
     return StabilityReport(
         hessian=hessian,

@@ -4,7 +4,7 @@ A :class:`HullMesh` is a triangle surface in body coordinates (meters)
 whose triangles wind counter-clockwise seen from outside.  Validation
 enforces the invariants every downstream algorithm relies on: each edge
 shared by exactly two triangles with opposite traversal, strictly
-positive enclosed volume, no degenerate faces.
+positive enclosed volume, no face of area ``1e-12 * diameter**2`` or less.
 
 Volume, centroid and inertia integrals use the signed-tetrahedron
 decomposition against the origin, which is exact for polyhedral
@@ -29,6 +29,13 @@ _CORNERS = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
 #: components dodge edge-aligned degeneracies on axis-aligned meshes
 _RAY_DIRECTION = np.array([0.540302305868, 0.173648177667, 0.823411951498])
 
+#: HullMesh validation: the minimum triangle area relative to the squared
+#: diameter and the mirror-matching tolerance relative to the diameter
+_AREA_TOL = 1e-12
+_SYMMETRY_TOL = 1e-9
+#: points per batch of HullMesh.contains_points
+_CONTAINS_CHUNK = 20000
+
 
 class HullMesh:
     """Validated, immutable watertight triangle mesh in body coordinates.
@@ -40,12 +47,8 @@ class HullMesh:
     triangles : (m, 3) array_like of int
         Vertex index triples, counter-clockwise seen from outside.
     symmetry_flag : bool
-        Claim that the plane ``x2 = 0`` is a geometric symmetry plane;
-        checked against the vertex set when set.
-    area_tol : float, optional
-        Minimum triangle area; defaults to ``1e-12 * diameter**2``.
-    symmetry_tol : float, optional
-        Mirror-matching tolerance; defaults to ``1e-9 * diameter``.
+        Claim that the plane ``x2 = 0`` is a geometric symmetry plane,
+        only checked: each mirrored vertex needs one within ``1e-9 * diameter``.
     """
 
     def __init__(
@@ -53,8 +56,6 @@ class HullMesh:
         vertices,
         triangles,
         symmetry_flag: bool = False,
-        area_tol: float | None = None,
-        symmetry_tol: float | None = None,
     ):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -86,7 +87,7 @@ class HullMesh:
         # (pose key, integrals) of the last pose clipping.evaluate integrated
         self._last_evaluation = None
 
-        self._validate(area_tol, symmetry_tol)
+        self._validate()
 
         v6 = _signed_det(self._tri_vertices)
         self.volume = float(v6.sum() / 6.0)
@@ -132,24 +133,21 @@ class HullMesh:
 
     # -- validation ------------------------------------------------------------
 
-    def _validate(self, area_tol, symmetry_tol):
+    def _validate(self):
         tri = self.triangles
         if np.any((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 2] == tri[:, 0])):
             raise InvalidMesh("triangle with repeated vertex index")
 
-        if area_tol is None:
-            area_tol = 1e-12 * self.diameter**2
         p, q, r = (self._tri_vertices[:, k] for k in range(3))
         areas = 0.5 * np.linalg.norm(np.cross(q - p, r - p), axis=1)
-        if np.any(areas <= area_tol):
+        if np.any(areas <= _AREA_TOL * self.diameter**2):
             bad = int(np.argmin(areas))
             raise InvalidMesh(f"degenerate triangle {bad} with area {areas[bad]:.3e}")
 
         _check_edges(tri, len(self.vertices))
 
         if self.symmetry_flag:
-            tol = symmetry_tol if symmetry_tol is not None else 1e-9 * self.diameter
-            _check_mirror(self.vertices, tol)
+            _check_mirror(self.vertices, _SYMMETRY_TOL * self.diameter)
 
     # -- integrals ---------------------------------------------------------------
 
@@ -161,12 +159,12 @@ class HullMesh:
         """
         return _volume_integrals(self._tri_vertices)
 
-    def contains_points(self, points, chunk: int = 20000) -> np.ndarray:
+    def contains_points(self, points) -> np.ndarray:
         """Parity ray-cast containment test for a batch of points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty(len(points), dtype=bool)
-        for start in range(0, len(points), chunk):
-            stop = min(start + chunk, len(points))
+        for start in range(0, len(points), _CONTAINS_CHUNK):
+            stop = min(start + _CONTAINS_CHUNK, len(points))
             out[start:stop] = _ray_parity(
                 points[start:stop], self._tri_vertices, _RAY_DIRECTION
             )

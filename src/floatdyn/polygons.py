@@ -33,8 +33,8 @@ class PolygonMoments:
     second_moment: np.ndarray
 
 
-def polygon_moments(vertices, about=None, validate: bool = False) -> PolygonMoments:
-    """Shoelace-family moments of a simple 2D polygon.
+def polygon_moments(vertices, about=None) -> PolygonMoments:
+    """Shoelace-family moments of a 2D polygon, assumed simple (unchecked).
 
     Parameters
     ----------
@@ -45,17 +45,12 @@ def polygon_moments(vertices, about=None, validate: bool = False) -> PolygonMome
     about : (2,) array_like, optional
         Point the second moments are taken about (default origin).  The
         centroid is reported in the same shifted coordinates.
-    validate : bool
-        Run an O(n^2) proper-intersection test on non-adjacent edges and
-        raise :class:`SelfIntersecting` on failure.
     """
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise ValueError("polygon needs an (n, 2) array with n >= 3")
     if about is not None:
         pts = pts - np.asarray(about, dtype=float)
-    if validate and _has_self_intersection(pts):
-        raise SelfIntersecting("polygon edges cross")
 
     x, y = pts[:, 0], pts[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
@@ -72,31 +67,6 @@ def polygon_moments(vertices, about=None, validate: bool = False) -> PolygonMome
     ixy = np.sum((x * yn + 2.0 * x * y + 2.0 * xn * yn + xn * y) * cross) / 24.0
     second = np.array([[ixx, ixy], [ixy, iyy]])
     return PolygonMoments(float(area), np.array([cx, cy]), second)
-
-
-def _segments_cross(p, q, r, s) -> bool:
-    """Proper intersection of open segments pq and rs."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(r, s, p)
-    d2 = orient(r, s, q)
-    d3 = orient(p, q, r)
-    d4 = orient(p, q, s)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def _has_self_intersection(pts) -> bool:
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or j == (i + 1) % n:
-                continue
-            if _segments_cross(a, b, pts[j], pts[(j + 1) % n]):
-                return True
-    return False
 
 
 def fan_triangles(loop) -> np.ndarray:

@@ -158,6 +158,8 @@ class AnalysisConfig:
                     f"'{name}' must hold {'x'.join(map(str, shape))} finite numbers, got {value!r}"
                 )
         _require_count("seed", self.seed)
+        if not isinstance(self.symmetry, bool):
+            raise ConfigError(f"'symmetry' must be true or false, got {self.symmetry!r}")
         if not isinstance(self.mesh_path, (str, os.PathLike)):
             raise ConfigError(f"'mesh_path' must be a file path, got {self.mesh_path!r}")
         # normalize to JSON-native types so the config echo round-trips

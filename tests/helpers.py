@@ -1,8 +1,9 @@
-"""Checks on clipped solids shared by the clipping, hydrostatics and CLI tests."""
+"""Checks on clipped solids shared by the clipping, hydrostatics and CLI
+tests, and the clip-side oracle of the equilibrium Hessian."""
 
 import numpy as np
 
-from floatdyn import Pose, volume_and_first_moments
+from floatdyn import Pose, clip_by_waterplane, volume_and_first_moments, waterplane_properties
 from floatdyn.clipping import cap_raw_moments, evaluate
 from floatdyn.kinematics import k3_body
 from floatdyn.mesh import _check_edges
@@ -48,3 +49,24 @@ def assert_clip_matches_evaluate(mesh, pose, solid, tol=1e-12):
     assert abs(area - got.cap_area) <= tol * d**2
     assert np.abs(cap_first - got.cap_first).max() <= tol * d**3
     assert np.abs(cap_second - got.cap_second).max() <= tol * d**4
+
+
+def textbook_hessian(mesh, pose, env):
+    """The textbook equilibrium stiffness of a port-starboard symmetric
+    hull floating upright::
+
+        rho g [[-A,     A x_C,          0          ],
+               [A x_C,  V z_B - S11,    0          ],
+               [0,      0,              V z_B - S22]]
+
+    from the clipped solid, its waterplane and its volume integrals: a
+    route that shares no code with ``evaluate``.  The zeros are exact."""
+    solid = clip_by_waterplane(mesh, pose)
+    volume, first = volume_and_first_moments(solid)
+    wp = waterplane_properties(solid)
+    area, x_c, second = wp.area, wp.x_c, wp.second_moment
+    return env.rho * env.g * np.array([
+        [-area, area * x_c, 0.0],
+        [area * x_c, first[2] - second[0, 0], 0.0],
+        [0.0, 0.0, first[2] - second[1, 1]],
+    ])

@@ -96,6 +96,17 @@ class TestAnalyze:
         report, _ = run_analysis(AnalysisConfig.from_file(config))
         assert report.equilibrium["pose"]["zeta"] == pytest.approx(0.0, abs=1e-10)
 
+    def test_symmetry_claim_moves_no_stability_or_modal_number(self, barge_config):
+        # the claim only runs the mirror check: the Hessian has one route,
+        # so the blocks agree to the bit (signed zeros included)
+        blocks = []
+        for claim in (True, False):
+            config = {**json.loads(barge_config.read_text()), "symmetry": claim}
+            barge_config.write_text(json.dumps(config))
+            report, _ = run_analysis(AnalysisConfig.from_file(barge_config))
+            blocks.append(json.dumps([report.stability, report.modal]))
+        assert blocks[0] == blocks[1]
+
     @pytest.mark.parametrize("command", ["analyze", "analyze --tol 1e-6", "simulate"])
     def test_loose_solver_tolerance_is_accepted(self, tmp_path, command):
         # what the solver accepts at solver.tol, the Hessian check accepts
@@ -174,6 +185,23 @@ class TestConfigValidation:
         barge_config.write_text(json.dumps(config))
         assert main(["simulate", "--config", str(barge_config), "--t-end", "0.1"]) == 1
         assert "'simulate.momenta'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["false", 0, [1]], ids=["text", "zero", "list"])
+    def test_non_boolean_symmetry_exits_one_naming_the_key(self, barge_config, capsys, value):
+        config = {**json.loads(barge_config.read_text()), "symmetry": value}
+        barge_config.write_text(json.dumps(config))
+        assert main(["analyze", "--config", str(barge_config)]) == 1
+        err = capsys.readouterr().err
+        assert "'symmetry' must be true or false" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_symmetry_analyzes(self, barge_config, tmp_path, value):
+        config = {**json.loads(barge_config.read_text()), "symmetry": value}
+        barge_config.write_text(json.dumps(config))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(barge_config), "--out", str(out)]) == 0
+        assert Report.load(out).config["symmetry"] is value
 
     def test_config_errors_exit_one(self, tmp_path):
         path = tmp_path / "c.json"

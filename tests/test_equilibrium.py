@@ -166,23 +166,23 @@ class TestLollEquilibrium:
         lolled = find_equilibrium(
             mesh, body, env, initial=(upright.pose.zeta, 0.0, 0.25)
         )
-        h_loll = fd.hessian_at_equilibrium(
-            mesh, lolled.pose, env, mass=body.mass, method="general"
-        )
+        h_loll = fd.hessian_at_equilibrium(mesh, lolled.pose, env, mass=body.mass)
         assert np.all(np.linalg.eigvalsh(-h_loll) > 0.0)
 
 
 def assert_pseudo_stable(mesh, body, env, result):
     state = fd.hydrostatic_state(mesh, result.pose, env)
     assert state.volume * env.rho == pytest.approx(body.mass, rel=1e-9)
-    hessian = fd.hessian_at_equilibrium(
-        mesh, result.pose, env, mass=body.mass, method="general"
-    )
+    hessian = fd.hessian_at_equilibrium(mesh, result.pose, env, mass=body.mass)
     assert np.all(np.linalg.eigvalsh(-hessian) > 0.0)
 
 
 class TestSolverRobustness:
+    # the cases on shapes.random_convex_mesh skip without SciPy, which its
+    # hull triangulation needs
+
     def test_formerly_cycling_convex_blob(self, env):
+        pytest.importorskip("scipy")
         # regression: clamped Newton used to enter a pitch limit cycle on
         # this hull; the trust-region climb has no cycle to enter
         mesh = fd.shapes.random_convex_mesh(n_points=37, seed=112)
@@ -197,6 +197,7 @@ class TestSolverRobustness:
         assert state.volume * env.rho == pytest.approx(mass, rel=1e-10)
 
     def test_random_bodies_and_guesses(self, env):
+        pytest.importorskip("scipy")
         rng = np.random.default_rng(7)
         converged = 0
         for seed in range(10):
@@ -230,6 +231,7 @@ class TestSolverRobustness:
         ],
     )
     def test_formerly_diverging_convex_hulls(self, env, n_points, seed, fraction, guess):
+        pytest.importorskip("scipy")
         # regression: the damped Newton stack ran out of its 60 iterations
         mesh = fd.shapes.random_convex_mesh(n_points=n_points, seed=seed)
         body = uniform_body(mesh, RHO * fraction)
@@ -237,6 +239,7 @@ class TestSolverRobustness:
         assert_pseudo_stable(mesh, body, env, result)
 
     def test_convergence_on_the_last_allowed_step_is_returned(self, env):
+        pytest.importorskip("scipy")
         # regression: the residual was never rechecked after the last step,
         # so a solve converging on it still raised Diverged
         mesh = fd.shapes.random_convex_mesh(n_points=26, seed=506)
@@ -251,6 +254,7 @@ class TestSolverRobustness:
             find_equilibrium(mesh, body, env, initial=guess, max_iter=result.iterations - 1)
 
     def test_off_slice_guesses_reach_pseudo_stable_equilibria(self, env):
+        pytest.importorskip("scipy")
         # the climb goes uphill in the force function, so it ends on a
         # maximum: never on the saddles a guess off the symmetry slices
         # used to settle on

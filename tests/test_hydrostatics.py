@@ -19,10 +19,15 @@ from floatdyn import (
     volume_and_first_moments,
     waterplane_properties,
 )
-from floatdyn.errors import AsymmetricBody, NotAnEquilibrium, ZeroVolume
+from floatdyn.errors import NotAnEquilibrium, ZeroVolume
 from floatdyn.kinematics import k3_body, omega_map, rotation_matrix
 from floatdyn.verification import random_partial_poses
-from helpers import assert_clip_matches_evaluate, touching_loops, vertex_on_plane_poses
+from helpers import (
+    assert_clip_matches_evaluate,
+    textbook_hessian,
+    touching_loops,
+    vertex_on_plane_poses,
+)
 
 RHO_G = 1000.0 * 9.81
 
@@ -211,9 +216,23 @@ class TestHessianAtEquilibrium:
         assert h[2, 0] == 0.0 and h[2, 1] == 0.0
 
     def test_closed_form_matches_general_block(self, barge, env):
-        h_closed = hessian_at_equilibrium(barge, Pose(zeta=0.0), env, method="closed_form")
-        h_general = hessian_at_equilibrium(barge, Pose(zeta=0.0), env, method="general")
+        h_closed = textbook_hessian(barge, Pose(zeta=0.0), env)
+        h_general = hessian_at_equilibrium(barge, Pose(zeta=0.0), env)
         assert np.abs(h_closed - h_general).max() <= 1e-8 * np.abs(h_closed).max()
+
+    @pytest.mark.parametrize("hull", ["cube", "barge", "raked_prism", "wedge", "l_prism"])
+    def test_equals_force_gradient_block(self, hull, request, env):
+        # one route at every pose, whatever the hull and its symmetry claim
+        mesh = request.getfixturevalue(hull)
+        if hull == "raked_prism":
+            mesh, pose, _ = mesh
+        elif hull in ("wedge", "l_prism"):
+            pose = _half_density_equilibrium_pose(mesh, env)
+        else:
+            pose = Pose(zeta=0.0)
+        hessian = hessian_at_equilibrium(mesh, pose, env)
+        gradient = force_gradient(mesh, pose, env)[np.ix_([2, 4, 5], [2, 4, 5])]
+        assert np.array_equal(hessian, gradient)
 
     def test_not_an_equilibrium_rejected(self, cube, env):
         with pytest.raises(NotAnEquilibrium):
@@ -221,17 +240,6 @@ class TestHessianAtEquilibrium:
         with pytest.raises(NotAnEquilibrium):
             # strong pitch moment at a tilted non-equilibrium pose
             hessian_at_equilibrium(cube, Pose(zeta=0.2, theta=0.3), env)
-
-    def test_asymmetric_body_requires_general_route(self, l_prism, env):
-        pose = _half_density_equilibrium_pose(l_prism, env)
-        with pytest.raises(AsymmetricBody):
-            hessian_at_equilibrium(l_prism, pose, env, method="closed_form")
-
-    def test_auto_falls_back_for_asymmetric_body(self, l_prism, env):
-        pose = _half_density_equilibrium_pose(l_prism, env)
-        auto = hessian_at_equilibrium(l_prism, pose, env)
-        general = hessian_at_equilibrium(l_prism, pose, env, method="general")
-        np.testing.assert_array_equal(auto, general)
 
     def test_zero_volume_rejected(self, cube, env):
         with pytest.raises(ZeroVolume):
@@ -377,14 +385,14 @@ class TestOffsetFloatingCenter:
 
     def test_coupling_entry_sign_against_force_gradient(self, raked_prism, env):
         mesh, pose, body = raked_prism
-        closed = hessian_at_equilibrium(mesh, pose, env, method="closed_form")
-        general = hessian_at_equilibrium(mesh, pose, env, method="general")
+        closed = textbook_hessian(mesh, pose, env)
+        general = hessian_at_equilibrium(mesh, pose, env)
         assert np.abs(closed - general).max() <= 1e-8 * np.abs(closed).max()
         wp = waterplane_properties(clip_by_waterplane(mesh, pose))
-        assert closed[0, 1] == pytest.approx(
+        assert general[0, 1] == pytest.approx(
             env.rho * env.g * wp.area * wp.x_c, rel=1e-12
         )
-        assert closed[0, 1] > 0.0
+        assert general[0, 1] > 0.0
         # the independent route: finite differences of the pitch force
         # with respect to draft
         h = 1e-6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floatdyn import SelfIntersecting, polygon_moments
+from floatdyn import polygon_moments
 from floatdyn.polygons import (
     fan_triangles,
     planar_moments_3d,
@@ -50,14 +50,6 @@ def test_parallel_axis_shift():
 def test_clockwise_winding_gives_negative_area():
     m = polygon_moments(UNIT_SQUARE[::-1])
     assert m.area == pytest.approx(-1.0)
-
-
-def test_self_intersection_detected():
-    bowtie = [[0, 0], [1, 1], [1, 0], [0, 1]]
-    with pytest.raises(SelfIntersecting):
-        polygon_moments(bowtie, validate=True)
-    # without validation the sums still evaluate (garbage in, garbage out)
-    polygon_moments(bowtie)
 
 
 def random_simple_polygon(rng, n):
