@@ -70,6 +70,9 @@ DEFAULT_SNAP_FRACTION = 1e-10
 
 #: the exact bits of ``(zeta, theta, phi)``: the key of :func:`evaluate`'s slot
 _POSE_KEY = struct.Struct("<3d")
+#: the down axis, first moments, cap first and cap second moments of one
+#: pose: numpy views the packed bytes read-only, without a copy
+_RESULT_ARRAYS = struct.Struct("<18d")
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,6 @@ class SubmergedSolid:
     def boundary_triangles(self) -> np.ndarray:
         """Hull triangles plus fanned cap triangles: the closed boundary."""
         return self._boundary_triangles
-
-    def depth_of(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return self.plane_offset + points @ self.plane_normal
 
 
 def _snapped_depths(mesh, offset, normal):
@@ -341,10 +340,7 @@ class SubmergedIntegrals:
     ``cap_second`` are the raw waterplane moments about the body origin
     (area, integral of ``x``, integral of ``x x^T``), the same numbers
     :func:`cap_raw_moments` returns for the clipped solid; they are exact
-    zeros when no waterline exists.  ``wetted_area_vector`` is the
-    integral of the outward normal over the wetted hull surface; closure
-    puts it along ``plane_normal`` on a watertight mesh, which the tests
-    check (nothing checks it at run time).
+    zeros when no waterline exists.
     """
 
     plane_normal: np.ndarray
@@ -355,7 +351,6 @@ class SubmergedIntegrals:
     cap_area: float
     cap_first: np.ndarray
     cap_second: np.ndarray
-    wetted_area_vector: np.ndarray
 
     def waterplane(self) -> WaterplaneProperties:
         """Waterplane properties about the body origin projected onto the
@@ -437,6 +432,18 @@ def _finish(zeta, k, projected):
     return volume, depth_integral, first, area, cap_first, cap_second
 
 
+#: the cap moments of a pose without a waterline, and its first moments when
+#: nothing is submerged
+_ZEROS = [0.0] * 9
+
+
+def _frozen(k, first, cap_first, cap_second):
+    """The arrays of one :class:`SubmergedIntegrals` from their floats: views
+    of one read-only buffer, so no caller can change what another gets."""
+    flat = np.frombuffer(_RESULT_ARRAYS.pack(*k, *first, *cap_first, *cap_second))
+    return flat[:3], flat[3:6], flat[6:9], flat[9:].reshape(3, 3)
+
+
 def evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
     """Submerged-volume and waterplane integrals from the wetted faces.
 
@@ -454,9 +461,6 @@ def evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
     if slot is not None and slot[0] == key:
         return slot[1]
     integrals = _evaluate(mesh, pose)
-    for array in (integrals.plane_normal, integrals.first, integrals.cap_first,
-                  integrals.cap_second, integrals.wetted_area_vector):
-        array.setflags(write=False)
     mesh._last_evaluation = (key, integrals)
     return integrals
 
@@ -470,46 +474,39 @@ def _evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
     its :attr:`HullMesh.face_table` weights, a tip triangle
     ``+-t1 t2 (n . k)`` times its own.  Faces in the plane are left out,
     like dry ones; the waterplane re-covers them.  Only ``zeta``,
-    ``theta`` and ``phi`` enter.  Never raises for a validated mesh.
+    ``theta`` and ``phi`` enter.  Never raises for a validated mesh.  The
+    result's arrays are built read-only.
     """
     normal = k3_body(pose)
-    zeta = pose.zeta
+    zeta, k = pose.zeta, normal.tolist()
     depths = _snapped_depths(mesh, zeta, normal)
     if not depths.max() > 0.0:
-        return SubmergedIntegrals(
-            normal, zeta, 0.0, np.zeros(3), 0.0,
-            0.0, np.zeros(3), np.zeros((3, 3)), np.zeros(3),
-        )
+        normal, first, cap_first, cap_second = _frozen(k, _ZEROS[:3], _ZEROS[:3], _ZEROS)
+        return SubmergedIntegrals(normal, zeta, 0.0, first, 0.0, 0.0, cap_first, cap_second)
 
     normals, weights = mesh.face_table
     codes = _sign_codes(depths, mesh.triangles)
     whole, tip = _WHOLE[codes], _TIP[codes]
     nk = normals @ normal
     projected = (whole * nk) @ weights
-    wetted = whole @ normals
     faces = tip.nonzero()[0]
     if len(faces):
         corners = mesh.triangles[faces[:, None], _LONE_FIRST[codes[faces]]]
         frac, tip_weights = _tip_triangles(mesh, corners, depths[corners])
-        frac = tip[faces] * frac
-        projected = projected + (frac * nk[faces]) @ tip_weights
-        wetted = wetted + frac @ normals[faces]
+        projected = projected + (tip[faces] * frac * nk[faces]) @ tip_weights
         has_waterline = True
     else:
         has_waterline = _PLANE_EDGE[codes].any()
 
     volume, depth_integral, first, area, cap_first, cap_second = _finish(
-        zeta, normal.tolist(), projected.tolist())
-    if has_waterline:
-        cap_first, cap_second = np.array(cap_first), np.array(cap_second).reshape(3, 3)
-    else:
-        area, cap_first, cap_second = 0.0, np.zeros(3), np.zeros((3, 3))
+        zeta, k, projected.tolist())
+    if not has_waterline:
+        area, cap_first, cap_second = 0.0, _ZEROS[:3], _ZEROS
     if volume < 0.0:  # roundoff on slivers
         volume = 0.0
+    normal, first, cap_first, cap_second = _frozen(k, first, cap_first, cap_second)
     return SubmergedIntegrals(
-        normal, zeta, volume, np.array(first), depth_integral,
-        area, cap_first, cap_second, 0.5 * wetted,
-    )
+        normal, zeta, volume, first, depth_integral, area, cap_first, cap_second)
 
 
 #: poses per pass of :func:`evaluate_many`; bounds its temporaries to a few
@@ -534,7 +531,7 @@ def evaluate_many(mesh: HullMesh, zeta, k3) -> SubmergedIntegrals:
     n = len(zeta)
     out = SubmergedIntegrals(
         k3, zeta, np.zeros(n), np.zeros((n, 3)), np.zeros(n),
-        np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3)), np.zeros((n, 3)),
+        np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3)),
     )
     for start in range(0, n, EVALUATE_CHUNK):
         _evaluate_chunk(mesh, out, slice(start, start + EVALUATE_CHUNK))
@@ -561,14 +558,12 @@ def _evaluate_chunk(mesh, out, rows):
     whole, tip = _WHOLE[codes], _TIP[codes]
     nk = (normals @ normal[:, :, None])[:, :, 0]
     projected = ((whole * nk)[:, None, :] @ weights)[:, 0]
-    wetted = (whole[:, None, :] @ normals)[:, 0]
     pose, faces = np.nonzero(tip)
     counts = np.bincount(pose, minlength=c)
     if len(faces):
         corners = mesh.triangles[faces[:, None], _LONE_FIRST[codes[pose, faces]]]
         frac, tip_weights = _tip_triangles(mesh, corners, depths[pose[:, None], corners])
-        frac = tip[pose, faces] * frac
-        coef = frac * nk[pose, faces]
+        coef = tip[pose, faces] * frac * nk[pose, faces]
         # each pose's tips are contiguous; poses with the same count k
         # contract theirs in one stacked (1, k) product, as evaluate does
         first_row = np.cumsum(counts) - counts
@@ -577,8 +572,6 @@ def _evaluate_chunk(mesh, out, rows):
             picked = first_row[group, None] + np.arange(k)
             summed = coef[picked][:, None, :] @ tip_weights[picked]
             projected[group] = projected[group] + summed[:, 0]
-            summed = frac[picked][:, None, :] @ normals[faces[picked]]
-            wetted[group] = wetted[group] + summed[:, 0]
     has_waterline = (counts > 0) | _PLANE_EDGE[codes].any(axis=1)
 
     volume, depth_integral, first, area, cap_first, cap_second = _finish(
@@ -590,4 +583,3 @@ def _evaluate_chunk(mesh, out, rows):
     out.volume[rows] = np.where(volume < 0.0, 0.0, volume)
     out.first[rows] = np.stack(first, axis=1)
     out.depth_integral[rows] = depth_integral
-    out.wetted_area_vector[rows] = 0.5 * wetted

@@ -27,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clipping import (
-    EVALUATE_CHUNK,
-    SubmergedIntegrals,
-    WaterplaneProperties,
-    _dot,
-    evaluate,
-    evaluate_many,
-)
+from .clipping import SubmergedIntegrals, WaterplaneProperties, _dot, evaluate, evaluate_many
 from .errors import NotAnEquilibrium, ZeroVolume
 from .kinematics import NONCYCLIC, Pose, depth_row, depth_rows, rotation_matrix
 from .mesh import HullMesh
@@ -74,10 +67,7 @@ def potential(mesh: HullMesh, pose, env: FluidEnvironment):
     if isinstance(pose, Pose):
         return _potential(evaluate(mesh, pose), env)
     q = _coordinate_rows(pose)
-    out = np.empty(len(q))
-    for rows, integrals, _, _ in _chunks(mesh, q):
-        out[rows] = _potential(integrals, env)
-    return out
+    return _potential(evaluate_many(mesh, q[:, 2], depth_rows(q[:, 4], q[:, 5])[0]), env)
 
 
 def _coordinate_rows(q) -> np.ndarray:
@@ -85,17 +75,6 @@ def _coordinate_rows(q) -> np.ndarray:
     if q.ndim != 2 or q.shape[1] != 6:
         raise ValueError(f"expected a Pose or an (n, 6) coordinate array, got shape {q.shape}")
     return q
-
-
-def _chunks(mesh: HullMesh, q):
-    """Per chunk of :data:`~floatdyn.clipping.EVALUATE_CHUNK` rows of the
-    coordinates ``q``: the row slice, the batched integrals and the pitch
-    and roll partials of the depth rows.  Chunking here keeps every
-    per-row temporary of the array forms bounded too."""
-    for start in range(0, len(q), EVALUATE_CHUNK):
-        rows = slice(start, start + EVALUATE_CHUNK)
-        k3, k3_theta, k3_phi = depth_rows(q[rows, 4], q[rows, 5])
-        yield rows, evaluate_many(mesh, q[rows, 2], k3), k3_theta, k3_phi
 
 
 def _potential(integrals: SubmergedIntegrals, env: FluidEnvironment) -> float:
@@ -142,14 +121,15 @@ def generalized_forces(mesh: HullMesh, pose, env: FluidEnvironment) -> np.ndarra
     if isinstance(pose, Pose):
         return _generalized_forces(evaluate(mesh, pose), depth_row(pose.theta, pose.phi), env)
     q = _coordinate_rows(pose)
+    k3, k3_theta, k3_phi = depth_rows(q[:, 4], q[:, 5])
+    integrals = evaluate_many(mesh, q[:, 2], k3)
+    # columns, one entry per pose: the arithmetic of the one-pose floats
+    first = integrals.first.T
     rg = env.rho * env.g
     forces = np.zeros((len(q), 6))
-    for rows, integrals, k3_theta, k3_phi in _chunks(mesh, q):
-        # columns, one entry per pose: the arithmetic of the one-pose floats
-        first = integrals.first.T
-        forces[rows, 2] = -rg * integrals.volume
-        forces[rows, 4] = -rg * _dot(k3_theta.T, first)
-        forces[rows, 5] = -rg * _dot(k3_phi.T, first)
+    forces[:, 2] = -rg * integrals.volume
+    forces[:, 4] = -rg * _dot(k3_theta.T, first)
+    forces[:, 5] = -rg * _dot(k3_phi.T, first)
     return forces
 
 

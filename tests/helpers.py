@@ -5,7 +5,7 @@ import numpy as np
 
 from floatdyn import Pose, clip_by_waterplane, volume_and_first_moments, waterplane_properties
 from floatdyn.clipping import cap_raw_moments, evaluate
-from floatdyn.kinematics import k3_body
+from floatdyn.kinematics import depth_row, k3_body
 from floatdyn.mesh import _check_edges
 
 
@@ -17,6 +17,12 @@ def vertex_on_plane_poses(mesh, rng, count):
         vertex = mesh.vertices[rng.integers(len(mesh.vertices))]
         zeta = float(-vertex @ k3_body(Pose(theta=theta, phi=phi)))
         yield Pose(zeta=zeta, theta=theta, phi=phi)
+
+
+def flipped_roll(pose):
+    """The down axis at the opposite roll: a wrong attitude convention for
+    ``clipping.k3_body``, which the planar-invariance checks must catch."""
+    return np.array(depth_row(pose.theta, -pose.phi)[0])
 
 
 def touching_loops(solid):

@@ -21,12 +21,14 @@ from floatdyn.clipping import (
     evaluate,
     evaluate_many,
 )
-from floatdyn.kinematics import k3_body
+from floatdyn.kinematics import k3_body, rotation_matrix
+from floatdyn.mesh import HullMesh
 from floatdyn.report import AnalysisConfig, run_analysis
 from floatdyn.verification import random_partial_poses, rejection_sample_submerged
 from helpers import (
     assert_clip_matches_evaluate,
     assert_edges_paired,
+    flipped_roll,
     touching_loops,
     vertex_on_plane_poses,
 )
@@ -106,9 +108,10 @@ class TestSubmergedSolidInvariants:
             assert_edges_paired(solid)
             snap = 1e-10 * mesh.diameter
             for loop in solid.cap_polygons:
-                assert np.abs(solid.depth_of(loop)).max() <= 10 * snap
+                assert np.abs(solid.plane_offset + loop @ solid.plane_normal).max() <= 10 * snap
             if len(solid.hull_triangles):
-                depths = solid.depth_of(solid.hull_triangles.reshape(-1, 3))
+                corners = solid.hull_triangles.reshape(-1, 3)
+                depths = solid.plane_offset + corners @ solid.plane_normal
                 assert depths.min() >= -10 * snap
 
     def test_cap_normal_points_up(self, cube, rng):
@@ -134,16 +137,32 @@ class TestSubmergedSolidInvariants:
         assert np.all(diffs >= -1e-12 * l_prism.volume)
         assert volumes[-1] == pytest.approx(l_prism.volume, rel=1e-12)
 
+    @staticmethod
+    def planar_gap(mesh, poses):
+        """Worst gap, relative to the hull, between the clipped solid's
+        volume and first moments in the body frame and those of the mesh
+        moved by the pose's whole rigid motion and clipped at rest."""
+        d = mesh.diameter
+        worst = 0.0
+        for pose in poses:
+            moved = pose.replace(xi=pose.xi + 3.0, eta=pose.eta - 2.0, psi=pose.psi + 1.234)
+            r = rotation_matrix(moved)
+            t = np.array([moved.xi, moved.eta, moved.zeta])
+            fixed = HullMesh(mesh.vertices @ r.T + t, mesh.triangles)
+            va, ma = volume_and_first_moments(clip_by_waterplane(mesh, moved))
+            vb, mb = volume_and_first_moments(clip_by_waterplane(fixed, Pose()))
+            worst = max(worst, abs(va - vb) / d**3, np.abs(r @ ma + va * t - mb).max() / d**4)
+        return worst
+
     def test_planar_motions_leave_body_quantities_unchanged(self, cube, rng):
-        for pose in random_partial_poses(cube, 10, rng):
-            moved = Pose(
-                xi=pose.xi + 3.0, eta=pose.eta - 2.0, zeta=pose.zeta,
-                psi=pose.psi + 1.234, theta=pose.theta, phi=pose.phi,
-            )
-            va, ma = volume_and_first_moments(clip_by_waterplane(cube, pose))
-            vb, mb = volume_and_first_moments(clip_by_waterplane(cube, moved))
-            assert va == vb
-            assert np.array_equal(ma, mb)
+        assert self.planar_gap(cube, random_partial_poses(cube, 10, rng)) <= 1e-12
+
+    def test_planar_motions_catch_a_flipped_roll(self, cube, rng, monkeypatch):
+        # the body frame never sees surge, sway or yaw but the fixed frame
+        # does, so a wrong roll sign in the down axis must show
+        poses = random_partial_poses(cube, 10, rng)
+        monkeypatch.setattr(clipping, "k3_body", flipped_roll)
+        assert self.planar_gap(cube, poses) > 1e-3
 
 
 def catamaran_prism():
@@ -368,10 +387,6 @@ class TestWettedSurfaceEvaluator:
         assert abs(got.cap_area - area) <= tol * d**2
         assert np.abs(got.cap_first - cap_first).max() <= tol * d**3
         assert np.abs(got.cap_second - cap_second).max() <= tol * d**4
-        # closure: the wetted area vector balances the cap, along the normal
-        n0 = got.wetted_area_vector
-        tangential = n0 - (n0 @ got.plane_normal) * got.plane_normal
-        assert np.linalg.norm(tangential) <= tol * d**2
         if kind in ("submerged", "emerged"):
             # no waterline: exact zeros, as the clipper's empty cap list gives
             assert got.cap_area == 0.0
@@ -417,16 +432,6 @@ class TestSignCodes:
         # and no waterline at all
         assert_clip_matches_evaluate(barge, pose, clip_by_waterplane(barge, pose))
 
-    @pytest.mark.parametrize("mesh_name", ["l_prism", "cube"])
-    def test_wetted_area_vector_balances_the_cap(self, mesh_name, request):
-        # closure: the wetted faces' area vector is the cap's, along k
-        mesh = request.getfixturevalue(mesh_name)
-        d = mesh.diameter
-        for pose in vertex_on_plane_poses(mesh, np.random.default_rng(0), 2000):
-            got = evaluate(mesh, pose)
-            gap = got.wetted_area_vector - got.cap_area * got.plane_normal
-            assert np.abs(gap).max() <= 1e-12 * d**2
-
     def test_face_table_is_built_at_the_first_evaluation(self):
         mesh = shapes.box(2.0, 1.0, 0.5)
         assert "face_table" not in vars(mesh)
@@ -438,7 +443,7 @@ class TestSignCodes:
 #: every field of SubmergedIntegrals, compared row by row
 INTEGRAL_FIELDS = (
     "plane_normal", "plane_offset", "volume", "first", "depth_integral",
-    "cap_area", "cap_first", "cap_second", "wetted_area_vector",
+    "cap_area", "cap_first", "cap_second",
 )
 
 
@@ -556,7 +561,7 @@ class TestLastPoseSlot:
         for integrals in (evaluate(mesh, pose), evaluate(mesh, pose)):
             arrays = [getattr(integrals, name) for name in INTEGRAL_FIELDS
                       if isinstance(getattr(integrals, name), np.ndarray)]
-            assert len(arrays) == 5
+            assert len(arrays) == 4
             for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 1.0

@@ -151,7 +151,7 @@ class TestLollEquilibrium:
         # formula valid while the deck edge stays dry
         solid = fd.clip_by_waterplane(mesh, lolled.pose)
         deck = mesh.vertices[mesh.vertices[:, 2] == mesh.vertices[:, 2].min()]
-        assert solid.depth_of(deck).max() < 0.0
+        assert (solid.plane_offset + deck @ solid.plane_normal).max() < 0.0
 
         mirrored = find_equilibrium(
             mesh, body, env, initial=(upright.pose.zeta, 0.0, -0.25)

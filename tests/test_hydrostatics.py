@@ -493,6 +493,11 @@ class TestArrayForms:
             == generalized_forces(l_prism, q, env).tobytes()
         )
 
+    def test_empty_batch(self, cube, env):
+        q = np.zeros((0, 6))
+        assert potential(cube, q, env).shape == (0,)
+        assert generalized_forces(cube, q, env).shape == (0, 6)
+
     def test_rejects_other_shapes(self, cube, env):
         with pytest.raises(ValueError, match=r"\(n, 6\)"):
             potential(cube, np.zeros(6), env)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floatdyn import Pose, shapes, verification
+from floatdyn import HullMesh, Pose, clipping, shapes, verification
 from floatdyn.kinematics import k3_body
 from floatdyn.verification import (
     GRADIENT_SYMMETRY_TOL,
@@ -17,6 +17,7 @@ from floatdyn.verification import (
     random_partial_poses,
     run_verification,
 )
+from helpers import flipped_roll
 
 
 def elliptic_cylinder(sides=96):
@@ -120,9 +121,21 @@ def test_gradient_symmetry_catches_nonconservative_forces(cube, env, rng, monkey
     assert gradient_symmetry_residual(cube, env, poses) > 100 * GRADIENT_SYMMETRY_TOL
 
 
-def test_planar_invariance_is_bitwise(l_prism, env, rng):
-    poses = random_partial_poses(l_prism, 10, rng)
-    assert planar_invariance_residual(l_prism, env, poses, rng) == 0.0
+@pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "cube", "wedge"])
+def test_planar_invariance_holds(mesh_name, request, rng):
+    mesh = request.getfixturevalue(mesh_name)
+    poses = random_partial_poses(mesh, 10, rng)
+    assert planar_invariance_residual(mesh, poses, rng) <= PLANAR_INVARIANCE_TOL
+
+
+@pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "cube", "wedge"])
+def test_planar_invariance_catches_a_flipped_roll(mesh_name, request, rng, monkeypatch):
+    mesh = request.getfixturevalue(mesh_name)
+    # a fresh copy, so no pose stored on the fixture answers for the kernel
+    mesh = HullMesh(mesh.vertices, mesh.triangles)
+    poses = random_partial_poses(mesh, 10, rng)
+    monkeypatch.setattr(clipping, "k3_body", flipped_roll)
+    assert planar_invariance_residual(mesh, poses, rng) > 1e-3
 
 
 def test_loop_work_vanishes(cube, env, rng):
