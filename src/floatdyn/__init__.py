@@ -67,7 +67,6 @@ from .hydrostatics import (
     metacentric_heights,
     potential,
     pseudo_stability_check,
-    surface_term,
 )
 from .kinematics import (
     CYCLIC,

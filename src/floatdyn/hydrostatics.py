@@ -81,31 +81,6 @@ def _potential(integrals: SubmergedIntegrals, env: FluidEnvironment) -> float:
     return -env.rho * env.g * integrals.depth_integral
 
 
-def surface_term(
-    mesh: HullMesh, pose: Pose, env: FluidEnvironment, origin_offset: float = 0.0
-) -> float:
-    """Waterplane quadratic integral ``1/2 * integral of depth^2 dS``.
-
-    ``origin_offset`` is the depth of the fixed origin below the free
-    surface; the integrand is the squared depth coordinate measured from
-    that displaced origin.  With the origin on the surface every
-    waterplane point has zero depth, so the term vanishes (to roundoff);
-    this is the internal consistency check behind using the compact
-    volume-only form of :func:`potential`.  Returned bare (units m^4);
-    ``env`` is accepted for signature symmetry with the other operations
-    and enters no arithmetic.
-    """
-    del env
-    integrals = evaluate(mesh, pose)
-    c = pose.zeta - origin_offset
-    n = integrals.plane_normal
-    return 0.5 * (
-        c * c * integrals.cap_area
-        + 2.0 * c * (n @ integrals.cap_first)
-        + n @ integrals.cap_second @ n
-    )
-
-
 def generalized_forces(mesh: HullMesh, pose, env: FluidEnvironment) -> np.ndarray:
     """Generalized buoyancy forces, coordinate order (xi..phi).
 

@@ -30,8 +30,9 @@ _CORNERS = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
 _RAY_DIRECTION = np.array([0.540302305868, 0.173648177667, 0.823411951498])
 
 #: HullMesh validation: the minimum triangle area relative to the squared
-#: diameter and the mirror-matching tolerance relative to the diameter
+#: diameter
 _AREA_TOL = 1e-12
+#: the mirror-matching tolerance of a symmetry claim, relative to the diameter
 _SYMMETRY_TOL = 1e-9
 #: points per batch of HullMesh.contains_points
 _CONTAINS_CHUNK = 20000
@@ -46,17 +47,9 @@ class HullMesh:
         Vertex positions, meters.
     triangles : (m, 3) array_like of int
         Vertex index triples, counter-clockwise seen from outside.
-    symmetry_flag : bool
-        Claim that the plane ``x2 = 0`` is a geometric symmetry plane,
-        only checked: each mirrored vertex needs one within ``1e-9 * diameter``.
     """
 
-    def __init__(
-        self,
-        vertices,
-        triangles,
-        symmetry_flag: bool = False,
-    ):
+    def __init__(self, vertices, triangles):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
@@ -72,7 +65,6 @@ class HullMesh:
 
         self.vertices = vertices
         self.triangles = triangles
-        self.symmetry_flag = bool(symmetry_flag)
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
 
@@ -104,11 +96,7 @@ class HullMesh:
 
     def translated(self, offset) -> "HullMesh":
         """Copy of the mesh with all vertices shifted by ``offset``."""
-        return HullMesh(
-            self.vertices + np.asarray(offset, dtype=float),
-            self.triangles,
-            symmetry_flag=self.symmetry_flag,
-        )
+        return HullMesh(self.vertices + np.asarray(offset, dtype=float), self.triangles)
 
     @property
     def triangle_vertices(self) -> np.ndarray:
@@ -145,9 +133,6 @@ class HullMesh:
             raise InvalidMesh(f"degenerate triangle {bad} with area {areas[bad]:.3e}")
 
         _check_edges(tri, len(self.vertices))
-
-        if self.symmetry_flag:
-            _check_mirror(self.vertices, _SYMMETRY_TOL * self.diameter)
 
     # -- integrals ---------------------------------------------------------------
 
@@ -231,8 +216,9 @@ def _check_mirror(vertices, tol):
     if not matched.all():
         bad = int(np.argmin(matched))
         raise InvalidMesh(
-            "symmetry_flag set but vertex set is not mirror symmetric about "
-            f"x2=0: vertex {bad} has no mirror image within {tol:.3e}"
+            "'symmetry' is true but the mesh is not mirror symmetric about the "
+            f"body frame's x2 = 0 plane through G: vertex {bad} has no mirror "
+            f"image within {tol:.3e}"
         )
 
 
@@ -313,26 +299,26 @@ def inertia_from_mesh(mesh: HullMesh, density: float):
 # -- file ingestion ---------------------------------------------------------------
 
 
-def load_mesh(path, symmetry_flag: bool = False) -> HullMesh:
+def load_mesh(path) -> HullMesh:
     """Load an STL or OBJ file, dispatching on the extension."""
     path = Path(path)
     ext = path.suffix.lower()
     if ext == ".stl":
-        return load_stl(path, symmetry_flag=symmetry_flag)
+        return load_stl(path)
     if ext == ".obj":
-        return load_obj(path, symmetry_flag=symmetry_flag)
+        return load_obj(path)
     raise InvalidMesh(f"unsupported mesh format {ext!r} (expected .stl or .obj)")
 
 
-def load_stl(path, symmetry_flag: bool = False) -> HullMesh:
+def load_stl(path) -> HullMesh:
     """Read a binary or ASCII STL file and weld identical vertices."""
     raw = Path(path).read_bytes()
     if len(raw) >= 84:
         (count,) = struct.unpack_from("<I", raw, 80)
         if len(raw) == 84 + 50 * count:
-            return _mesh_from_soup(_parse_stl_binary(raw, count), symmetry_flag)
+            return _mesh_from_soup(_parse_stl_binary(raw, count))
     text = raw.decode("ascii", "replace")
-    return _mesh_from_soup(_parse_stl_ascii(text, path), symmetry_flag)
+    return _mesh_from_soup(_parse_stl_ascii(text, path))
 
 
 def _parse_stl_binary(raw, count):
@@ -374,15 +360,15 @@ def _parse_stl_ascii(text, path):
     return np.array(tris, dtype=float)
 
 
-def _mesh_from_soup(tri_soup, symmetry_flag):
+def _mesh_from_soup(tri_soup):
     """Weld a (m, 3, 3) triangle soup into an indexed mesh by exact equality."""
     flat = tri_soup.reshape(-1, 3)
     vertices, inverse = np.unique(flat, axis=0, return_inverse=True)
     triangles = inverse.reshape(-1, 3)
-    return HullMesh(vertices, triangles, symmetry_flag=symmetry_flag)
+    return HullMesh(vertices, triangles)
 
 
-def load_obj(path, symmetry_flag: bool = False) -> HullMesh:
+def load_obj(path) -> HullMesh:
     """Read a Wavefront OBJ file (v/f records, polygonal faces allowed)."""
     vertices = []
     faces = []
@@ -417,7 +403,7 @@ def load_obj(path, symmetry_flag: bool = False) -> HullMesh:
         plane = _project_to_plane(ring, normal)
         for a, b, c in triangulate_simple_polygon(plane):
             triangles.append([face[a], face[b], face[c]])
-    return HullMesh(vertices, np.array(triangles, dtype=np.int64), symmetry_flag)
+    return HullMesh(vertices, np.array(triangles, dtype=np.int64))
 
 
 def _newell_normal(ring):

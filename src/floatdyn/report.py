@@ -31,7 +31,7 @@ from .hydrostatics import (
     pseudo_stability_check,
 )
 from .kinematics import COORD_NAMES
-from .mesh import inertia_from_mesh, load_mesh
+from .mesh import _SYMMETRY_TOL, _check_mirror, inertia_from_mesh, load_mesh
 from .oscillations import normal_modes
 
 SCHEMA_VERSION = 1
@@ -188,12 +188,14 @@ def load_body(config: AnalysisConfig):
     assumes the mesh is already G-centered; giving ``cg`` (mesh
     coordinates of the mass center) requires an explicit ``inertia``
     about that point, because no consistent tensor can be derived for a
-    non-centroidal mass center.
+    non-centroidal mass center.  ``symmetry`` checks the mirror claim on
+    the re-centered mesh: the body frame's ``x2 = 0`` plane passes
+    through G.
     """
     path = Path(config.mesh_path)
     if not path.exists():
         raise ConfigError(f"mesh file not found: {path}")
-    mesh = load_mesh(path, symmetry_flag=config.symmetry)
+    mesh = load_mesh(path)
 
     if config.uniform_density is not None:
         for name, fixed in (("cg", "mass center"), ("inertia", "inertia")):
@@ -221,6 +223,8 @@ def load_body(config: AnalysisConfig):
             )
     if np.any(center != 0.0):
         mesh = mesh.translated(-center)
+    if config.symmetry:
+        _check_mirror(mesh.vertices, _SYMMETRY_TOL * mesh.diameter)
     try:
         body = BodyProperties(mass=mass, inertia=inertia)
     except ValueError as exc:
@@ -263,6 +267,10 @@ class Report:
     def from_dict(cls, data: dict) -> "Report":
         data = dict(data)
         version = data.pop("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ConfigError(
+                f"report 'schema_version' {version!r} is not the supported {SCHEMA_VERSION}"
+            )
         return cls(schema_version=version, **data)
 
     @classmethod

@@ -41,7 +41,7 @@ def box(lx: float, ly: float, lz: float, center=(0.0, 0.0, 0.0)) -> HullMesh:
             [3, 0, 4], [3, 4, 7],  # x = -hx
         ]
     )
-    return HullMesh(verts, tris, symmetry_flag=(cy == 0.0))
+    return HullMesh(verts, tris)
 
 
 def unit_cube() -> HullMesh:
@@ -49,7 +49,7 @@ def unit_cube() -> HullMesh:
     return box(1.0, 1.0, 1.0)
 
 
-def extrude_polygon(section, width: float, symmetry_flag: bool = False) -> HullMesh:
+def extrude_polygon(section, width: float) -> HullMesh:
     """Prism obtained by extruding a simple (x1, x3) section along x2.
 
     Parameters
@@ -85,7 +85,7 @@ def extrude_polygon(section, width: float, symmetry_flag: bool = False) -> HullM
         tris.append([j, i, n + i])
         tris.append([j, n + i, n + j])
 
-    mesh = HullMesh(verts, np.array(tris, dtype=np.int64), symmetry_flag=symmetry_flag)
+    mesh = HullMesh(verts, np.array(tris, dtype=np.int64))
     if mesh.volume <= 0:
         raise AssertionError("extrusion produced non-positive volume")
     return mesh
@@ -105,7 +105,7 @@ def wedge(beam: float, depth: float, length: float, apex_down: bool = True) -> H
             [0.0, sign * depth],
         ]
     )
-    mesh = extrude_polygon(section, length, symmetry_flag=True)
+    mesh = extrude_polygon(section, length)
     return mesh.translated(-mesh.volume_centroid)
 
 
@@ -121,7 +121,7 @@ def l_prism(
     The notch is removed from one deep corner of the outer rectangle of
     the (x1, x3) section.  ``jitter`` displaces every vertex by a
     uniform random offset of that amplitude (topology preserved, so the
-    mesh stays watertight); jittered meshes drop the symmetry claim.
+    mesh stays watertight).
     Centered at the volume centroid.
     """
     ox, oz = outer
@@ -139,11 +139,11 @@ def l_prism(
         ]
     )
     section = section - section.mean(axis=0)
-    mesh = extrude_polygon(section, length, symmetry_flag=False)
+    mesh = extrude_polygon(section, length)
     if jitter > 0.0:
         rng = np.random.default_rng(seed)
         verts = mesh.vertices + rng.uniform(-jitter, jitter, mesh.vertices.shape)
-        mesh = HullMesh(verts, mesh.triangles, symmetry_flag=False)
+        mesh = HullMesh(verts, mesh.triangles)
     return mesh.translated(-mesh.volume_centroid)
 
 
@@ -164,7 +164,7 @@ def convex_hull_mesh(points) -> HullMesh:
         if n @ (a - center) < 0:
             face = [face[0], face[2], face[1]]
         tris.append(face)
-    return HullMesh(verts, np.array(tris, dtype=np.int64), symmetry_flag=False)
+    return HullMesh(verts, np.array(tris, dtype=np.int64))
 
 
 def random_convex_mesh(n_points: int = 40, seed: int = 7) -> HullMesh:

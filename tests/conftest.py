@@ -80,7 +80,7 @@ def raked_prism(env):
     section = np.array(
         [[-1.0, -0.3], [-1.0, 0.3], [0.7, 0.3], [1.2, -0.3]]
     )
-    base = shapes.extrude_polygon(section, 1.0, symmetry_flag=True)
+    base = shapes.extrude_polygon(section, 1.0)
     zeta0 = 0.05
     solid = fd.clip_by_waterplane(base, fd.Pose(zeta=zeta0))
     volume, first = fd.volume_and_first_moments(solid)

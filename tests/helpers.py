@@ -76,3 +76,17 @@ def textbook_hessian(mesh, pose, env):
         [area * x_c, first[2] - second[0, 0], 0.0],
         [0.0, 0.0, first[2] - second[1, 1]],
     ])
+
+
+def clipped_surface_term(mesh, pose, origin_offset=0.0):
+    """The waterplane term ``1/2 * integral of depth^2 dS`` over the explicit
+    cap polygons of the clipped solid, depth measured from a fixed origin
+    ``origin_offset`` below the free surface: a route that shares no code
+    with ``evaluate``, whose cap moments are fixed by closure.  With the
+    origin on the surface every cap point has zero depth and so does the
+    term (to roundoff).  Bare, in m^4."""
+    solid = clip_by_waterplane(mesh, pose)
+    area, first, second = cap_raw_moments(solid)
+    c = solid.plane_offset - origin_offset
+    n = solid.plane_normal
+    return 0.5 * (c * c * area + 2.0 * c * (n @ first) + n @ second @ n)

@@ -107,6 +107,37 @@ class TestAnalyze:
             blocks.append(json.dumps([report.stability, report.modal]))
         assert blocks[0] == blocks[1]
 
+    def test_symmetry_claim_is_checked_in_the_body_frame(self, tmp_path):
+        # a barge modelled off-centre is symmetric about the plane x2 = 0
+        # through G, where loading puts the body frame, not about the file's
+        mesh_path = tmp_path / "barge.stl"
+        save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5, center=(0.25, 0.375, -0.125)))
+        blocks = []
+        for claim in (True, False):
+            config = tmp_path / f"barge_{claim}.json"
+            config.write_text(json.dumps({
+                "mesh_path": str(mesh_path), "uniform_density": 500.0,
+                "fluid_density": 1000.0, "gravity": 9.81, "symmetry": claim,
+            }))
+            out = tmp_path / f"report_{claim}.json"
+            assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
+            report = Report.load(out)
+            blocks.append(json.dumps([report.hydrostatics, report.stability, report.modal]))
+        assert blocks[0] == blocks[1]
+
+    def test_symmetry_claim_on_an_asymmetric_hull_exits_one(self, tmp_path, capsys):
+        mesh_path = tmp_path / "lprism.stl"
+        save_stl(mesh_path, shapes.l_prism(jitter=0.02, seed=11))
+        config = tmp_path / "lprism.json"
+        config.write_text(json.dumps({
+            "mesh_path": str(mesh_path), "uniform_density": 600.0,
+            "fluid_density": 1000.0, "symmetry": True,
+        }))
+        assert main(["analyze", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'symmetry'" in err and "body frame" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["analyze", "analyze --tol 1e-6", "simulate"])
     def test_loose_solver_tolerance_is_accepted(self, tmp_path, command):
         # what the solver accepts at solver.tol, the Hessian check accepts
@@ -656,7 +687,6 @@ class TestModes:
         # block without the reduced mass it was computed from
         assert modal == {k: v for k, v in stored.items() if k != "reduced_mass"}
 
-
     @pytest.mark.parametrize(
         "text, message",
         [(None, "report file not found"), ("{not json", "is not valid JSON"),
@@ -668,7 +698,9 @@ class TestModes:
              json.dumps({**EMPTY_REPORT, "stability": {"hessian": (-np.eye(3)).tolist()}}),
              "'modal.reduced_mass'", id="no-reduced-mass"),
          pytest.param(json.dumps({**EMPTY_REPORT, "stability": None}),
-                      "'stability.hessian'", id="null-stability")],
+                      "'stability.hessian'", id="null-stability"),
+         pytest.param(json.dumps({**EMPTY_REPORT, "schema_version": 99}),
+                      "'schema_version' 99", id="unknown-version")],
     )
     def test_bad_report_exits_one(self, tmp_path, capsys, text, message):
         path = tmp_path / "report.json"

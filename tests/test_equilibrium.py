@@ -119,11 +119,7 @@ def top_heavy_barge():
     base = fd.shapes.box(2.0, 1.0, 0.5)
     # shifting the hull down places G above the geometric center,
     # driving the upright transverse metacentric height just negative
-    mesh = fd.HullMesh(
-        base.vertices + np.array([0.0, 0.0, 0.2233]),
-        base.triangles,
-        symmetry_flag=True,
-    )
+    mesh = fd.HullMesh(base.vertices + np.array([0.0, 0.0, 0.2233]), base.triangles)
     _, inertia = fd.inertia_from_mesh(base, 500.0)
     return mesh, BodyProperties(500.0, inertia)
 

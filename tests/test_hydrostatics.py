@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,15 +16,16 @@ from floatdyn import (
     metacentric_heights,
     potential,
     pseudo_stability_check,
-    surface_term,
     volume_and_first_moments,
     waterplane_properties,
 )
 from floatdyn.errors import NotAnEquilibrium, ZeroVolume
 from floatdyn.kinematics import k3_body, omega_map, rotation_matrix
 from floatdyn.verification import random_partial_poses
+import helpers
 from helpers import (
     assert_clip_matches_evaluate,
+    clipped_surface_term,
     textbook_hessian,
     touching_loops,
     vertex_on_plane_poses,
@@ -64,15 +66,35 @@ class TestPotential:
 
 
 class TestSurfaceTerm:
-    def test_vanishes_with_origin_on_surface(self, cube, env, rng):
+    """The waterplane term over the clipped solid's explicit caps."""
+
+    def test_vanishes_with_origin_on_surface(self, cube, rng):
         scale4 = cube.diameter**4
         for pose in random_partial_poses(cube, 25, rng):
-            assert abs(surface_term(cube, pose, env)) < 1e-12 * scale4
+            assert abs(clipped_surface_term(cube, pose)) < 1e-12 * scale4
 
-    def test_offset_origin_level_cube(self, cube, env):
+    def test_vanishing_catches_caps_off_the_plane(self, cube, monkeypatch):
+        # criterion 2's poses: intact caps read roundoff, caps moved 1e-3
+        # along the plane normal read half the cap area times 1e-6
+        shift = 1e-3
+        scale4 = cube.diameter**4
+        poses = list(random_partial_poses(cube, 50, np.random.default_rng(202)))
+        intact = [abs(clipped_surface_term(cube, pose)) for pose in poses]
+
+        def shifted_clip(mesh, pose):
+            solid = clip_by_waterplane(mesh, pose)
+            loops = [loop + shift * solid.plane_normal for loop in solid.cap_polygons]
+            return replace(solid, cap_polygons=loops)
+
+        monkeypatch.setattr(helpers, "clip_by_waterplane", shifted_clip)
+        shifted = [abs(clipped_surface_term(cube, pose)) for pose in poses]
+        assert max(intact) <= 1e-12 * scale4
+        assert min(shifted) >= 1e-9 * scale4
+
+    def test_offset_origin_level_cube(self, cube):
         h = 0.37
         # constant integrand h over the unit cap
-        assert surface_term(cube, Pose(zeta=0.2), env, origin_offset=h) == pytest.approx(
+        assert clipped_surface_term(cube, Pose(zeta=0.2), origin_offset=h) == pytest.approx(
             0.5 * 1.0 * h**2, rel=1e-12
         )
 
@@ -88,7 +110,7 @@ class TestSurfaceTerm:
             compact = potential(cube, pose, env)
             depth_integral = volume * pose.zeta + solid.plane_normal @ first
             shifted = rg * (-(depth_integral - volume * h)
-                            + surface_term(cube, pose, env, origin_offset=h))
+                            + clipped_surface_term(cube, pose, origin_offset=h))
             assert shifted == pytest.approx(
                 compact + rg * (volume * h + 0.5 * area * h * h), rel=1e-10
             )

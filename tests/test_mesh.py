@@ -82,12 +82,13 @@ class TestHullMeshValidation:
             HullMesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=int))
 
     def test_symmetry_claim_checked(self, cube):
-        HullMesh(cube.vertices, cube.triangles, symmetry_flag=True)
+        tol = 1e-9 * cube.diameter
+        _check_mirror(cube.vertices, tol)
         skewed = cube.vertices + np.array([0.0, 0.1, 0.0]) * (
             cube.vertices[:, 0:1] > 0
         )
         with pytest.raises(InvalidMesh):
-            HullMesh(skewed, cube.triangles, symmetry_flag=True)
+            _check_mirror(skewed, tol)
 
     def test_mirror_check_agrees_with_brute_force(self):
         # point sets mirrored in x2 = 0 and jittered by about the tolerance:
@@ -197,9 +198,8 @@ class TestFileIO:
     def test_ascii_stl_round_trip(self, tmp_path, cube):
         path = tmp_path / "cube.stl"
         save_stl(path, cube, ascii_format=True)
-        back = load_stl(path, symmetry_flag=True)
+        back = load_stl(path)
         assert back.volume == pytest.approx(1.0, rel=1e-8)
-        assert back.symmetry_flag
 
     def test_obj_load_with_quads(self, tmp_path):
         # unit cube as quads, 1-based indices
