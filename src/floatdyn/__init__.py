@@ -23,20 +23,15 @@ from .clipping import (
 from .dynamics import (
     BodyProperties,
     FullState,
-    KineticMetric,
     ReducedState,
     Trajectory,
-    conserved_momenta,
     cyclic_rates,
     integrate_full,
     integrate_reduced,
     kinetic_metric,
-    lagrangian,
-    metric_partials,
     reduced_mass_matrix,
-    routhian,
 )
-from .equilibrium import EquilibriumResult, canonicalize, find_equilibrium
+from .equilibrium import EquilibriumResult, find_equilibrium
 from .errors import (
     ConfigError,
     Diverged,
@@ -51,7 +46,6 @@ from .errors import (
     NotAnEquilibrium,
     SelfIntersecting,
     SingularCyclicBlock,
-    UnstableMode,
     WontFloat,
     ZeroVolume,
 )
@@ -59,7 +53,6 @@ from .hydrostatics import (
     FluidEnvironment,
     HydrostaticState,
     StabilityReport,
-    buoyant_force_torque,
     force_gradient,
     generalized_forces,
     hessian_at_equilibrium,
@@ -77,12 +70,7 @@ from .kinematics import (
     rotation_matrix,
 )
 from .mesh import HullMesh, inertia_from_mesh, load_mesh, load_obj, load_stl, save_stl
-from .oscillations import (
-    LinearizedOscillation,
-    ModalResult,
-    linearized_prediction,
-    normal_modes,
-)
+from .oscillations import ModalResult, normal_modes
 from .polygons import PolygonMoments, polygon_moments
 from .report import AnalysisConfig, Report, run_analysis
 from .verification import VerificationSummary, run_verification

@@ -30,7 +30,9 @@ from .errors import ConfigError, FloatDynError
 from .kinematics import COORD_NAMES, CYCLIC, NONCYCLIC, Pose
 from .mesh import save_stl
 from .oscillations import normal_modes
-from .report import AnalysisConfig, Report, load_body, load_equilibrium, run_analysis
+from .report import (
+    DEFAULT_DT, DEFAULT_T_END, AnalysisConfig, Report, load_body, load_equilibrium, run_analysis,
+)
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -153,8 +155,8 @@ def _cmd_simulate(args) -> int:
     config = dataclasses.replace(config, simulate=sim, integrator=integrator)
     mesh, body, _, env, equilibrium = load_equilibrium(config)
     mode = args.mode or sim.get("mode", "full")
-    t_end = float(sim.get("t_end", 10.0))
-    dt = float(sim.get("dt", 0.01))
+    t_end = float(sim.get("t_end", DEFAULT_T_END))
+    dt = float(sim.get("dt", DEFAULT_DT))
 
     start = _initial_state(mode, equilibrium.pose, sim, body)
     integrate = integrate_full if mode == "full" else integrate_reduced

@@ -114,36 +114,14 @@ class ReducedState:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
-class KineticMetric:
-    """Kinetic-energy matrix ``a(theta, phi)`` in coordinate order."""
-
-    matrix: np.ndarray
-    theta: float
-    phi: float
-
-    @property
-    def cyclic_block(self) -> np.ndarray:
-        return self.matrix[_IX_AA]
-
-    @property
-    def coupling(self) -> np.ndarray:
-        """Cyclic-rows by non-cyclic-columns block."""
-        return self.matrix[_IX_AN]
-
-    @property
-    def noncyclic_block(self) -> np.ndarray:
-        return self.matrix[_IX_NN]
-
-
-def kinetic_metric(body: BodyProperties, theta: float, phi: float) -> KineticMetric:
-    """Assemble the 6x6 kinetic metric at the given pitch and roll.
+def kinetic_metric(body: BodyProperties, theta: float, phi: float) -> np.ndarray:
+    """The 6x6 kinetic metric at the given pitch and roll, in coordinate order.
 
     Translational block is ``m I``; the rotational block is the
     angle-rate map congruence of the inertia tensor, positive definite
     away from gimbal lock.
     """
-    return KineticMetric(_metric_matrix(body, omega_map(theta, phi)), theta, phi)
+    return _metric_matrix(body, omega_map(theta, phi))
 
 
 def _metric_matrix(body: BodyProperties, w: np.ndarray) -> np.ndarray:
@@ -168,53 +146,12 @@ def _metric_and_partials(body: BodyProperties, theta: float, phi: float):
     return out
 
 
-def metric_partials(body: BodyProperties, theta: float, phi: float):
-    """Closed-form angle partials of the kinetic metric, two 6x6 arrays."""
-    _, da_th, da_ph = _metric_and_partials(body, theta, phi)
-    return da_th, da_ph
-
-
-def lagrangian(
-    mesh: HullMesh, body: BodyProperties, env: FluidEnvironment, state: FullState
-) -> float:
-    """Kinetic energy plus the force function at the given state."""
-    a = kinetic_metric(body, state.pose.theta, state.pose.phi).matrix
-    kinetic = 0.5 * state.rates @ a @ state.rates
-    u = body.mass * env.g * state.pose.zeta + potential(mesh, state.pose, env)
-    return float(kinetic + u)
-
-
-def conserved_momenta(body: BodyProperties, state: FullState) -> np.ndarray:
-    """Momenta conjugate to surge, sway and yaw: ``(a qdot)`` cyclic rows."""
-    a = kinetic_metric(body, state.pose.theta, state.pose.phi).matrix
-    return (a @ state.rates)[list(CYCLIC)]
-
-
-def routhian(metric: KineticMetric, u: float, qdot_alpha, p_cyclic) -> float:
-    """Partial Legendre transform of the Lagrangian over the cyclic rates.
-
-    ``R = 1/2 qdot_a' a_aa qdot_a - 1/2 w' aAA^-1 w + U`` with
-    ``w = p - a_Aa qdot_a``.  Equals ``L - p . qdot_cyclic`` when the
-    cyclic rates are reconstructed from the momenta.
-    """
-    qdot_alpha = np.asarray(qdot_alpha, dtype=float)
-    p = np.asarray(p_cyclic, dtype=float)
-    a_aa = metric.cyclic_block
-    a_an = metric.coupling
-    a_nn = metric.noncyclic_block
-    w = p - a_an @ qdot_alpha
-    try:
-        u_dot = np.linalg.solve(a_aa, w)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCyclicBlock("cyclic block of the metric is singular") from exc
-    return float(0.5 * qdot_alpha @ a_nn @ qdot_alpha - 0.5 * w @ u_dot + u)
-
-
-def reduced_mass_matrix(metric: KineticMetric) -> np.ndarray:
-    """Schur complement of the cyclic block: the reduced kinetic matrix."""
-    a_aa = metric.cyclic_block
-    a_an = metric.coupling
-    a_nn = metric.noncyclic_block
+def reduced_mass_matrix(metric: np.ndarray) -> np.ndarray:
+    """Schur complement of the cyclic block of the 6x6 kinetic metric:
+    the reduced kinetic matrix."""
+    a_aa = metric[_IX_AA]
+    a_an = metric[_IX_AN]
+    a_nn = metric[_IX_NN]
     try:
         m = a_nn - a_an.T @ np.linalg.solve(a_aa, a_an)
     except np.linalg.LinAlgError as exc:
@@ -222,12 +159,13 @@ def reduced_mass_matrix(metric: KineticMetric) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def cyclic_rates(metric: KineticMetric, qdot_alpha, p_cyclic) -> np.ndarray:
-    """Reconstruct surge/sway/yaw rates from the conserved momenta."""
-    w = np.asarray(p_cyclic, dtype=float) - metric.coupling @ np.asarray(
+def cyclic_rates(metric: np.ndarray, qdot_alpha, p_cyclic) -> np.ndarray:
+    """Reconstruct surge/sway/yaw rates from the conserved momenta, given
+    the 6x6 kinetic metric."""
+    w = np.asarray(p_cyclic, dtype=float) - metric[_IX_AN] @ np.asarray(
         qdot_alpha, dtype=float
     )
-    return np.linalg.solve(metric.cyclic_block, w)
+    return np.linalg.solve(metric[_IX_AA], w)
 
 
 @dataclass

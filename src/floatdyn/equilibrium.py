@@ -52,11 +52,6 @@ class EquilibriumResult:
     converged: bool
 
 
-def canonicalize(pose: Pose) -> Pose:
-    """Zero surge, sway and yaw; every hydrostatic scalar is unchanged."""
-    return Pose(0.0, 0.0, pose.zeta, 0.0, pose.theta, pose.phi)
-
-
 def find_equilibrium(
     mesh: HullMesh,
     body: BodyProperties,

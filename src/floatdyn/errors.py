@@ -59,10 +59,6 @@ class NonSymmetricInput(FloatDynError):
     """Matrix argument expected to be symmetric is not."""
 
 
-class UnstableMode(FloatDynError):
-    """Linearized prediction requested at an equilibrium with a non-positive mode."""
-
-
 class ConfigError(FloatDynError):
     """Analysis configuration is malformed or inconsistent."""
 

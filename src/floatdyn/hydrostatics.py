@@ -29,7 +29,7 @@ import numpy as np
 
 from .clipping import SubmergedIntegrals, WaterplaneProperties, _dot, evaluate, evaluate_many
 from .errors import NotAnEquilibrium, ZeroVolume
-from .kinematics import NONCYCLIC, Pose, depth_row, depth_rows, rotation_matrix
+from .kinematics import NONCYCLIC, Pose, depth_row, depth_rows
 from .mesh import HullMesh
 
 #: the (zeta, theta, phi) block of a 6x6 matrix
@@ -118,26 +118,6 @@ def _generalized_forces(integrals: SubmergedIntegrals, rows, env) -> np.ndarray:
         [0.0, 0.0, -rg * integrals.volume, 0.0,
          -rg * _dot(k3_theta, first), -rg * _dot(k3_phi, first)]
     )
-
-
-def buoyant_force_torque(mesh: HullMesh, pose: Pose, env: FluidEnvironment):
-    """Resultant buoyant force and torque about G, fixed-frame components.
-
-    The force is ``rho g V`` straight up (negative third component,
-    since the fixed third axis points down); the torque is the lever of
-    the buoyancy center about G.  Together they reproduce the power of
-    the generalized forces for any motion:
-    ``F . v_G + M . omega == Q . qdot``.
-    """
-    integrals = evaluate(mesh, pose)
-    volume = integrals.volume
-    force = np.array([0.0, 0.0, -env.rho * env.g * volume])
-    if volume > 0.0:
-        lever = rotation_matrix(pose) @ (integrals.first / volume)
-        torque = np.cross(lever, force)
-    else:
-        torque = np.zeros(3)
-    return force, torque
 
 
 def force_gradient(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.ndarray:

@@ -430,8 +430,8 @@ def _project_to_plane(ring, normal):
     return np.column_stack([ring @ u, ring @ v])
 
 
-def save_stl(path, triangles, ascii_format: bool = False, name: str = "floatdyn"):
-    """Write a (m, 3, 3) triangle array (or HullMesh) as an STL file.
+def save_stl(path, triangles, name: str = "floatdyn"):
+    """Write a (m, 3, 3) triangle array (or HullMesh) as a binary STL file.
 
     Zero-area triangles (cap fans over collinear waterline runs produce
     them) are dropped: they carry no geometry and upset STL viewers.
@@ -447,20 +447,6 @@ def save_stl(path, triangles, ascii_format: bool = False, name: str = "floatdyn"
     triangles, normals, lengths = triangles[keep], normals[keep], lengths[keep]
     normals = normals / lengths[:, None]
 
-    path = Path(path)
-    if ascii_format:
-        lines = [f"solid {name}"]
-        for n, tri in zip(normals, triangles):
-            lines.append(f"  facet normal {n[0]:.9e} {n[1]:.9e} {n[2]:.9e}")
-            lines.append("    outer loop")
-            for vtx in tri:
-                lines.append(f"      vertex {vtx[0]:.9e} {vtx[1]:.9e} {vtx[2]:.9e}")
-            lines.append("    endloop")
-            lines.append("  endfacet")
-        lines.append(f"endsolid {name}")
-        path.write_text("\n".join(lines) + "\n")
-        return
-
     blob = bytearray()
     blob += name.encode("ascii")[:80].ljust(80, b"\0")
     blob += struct.pack("<I", len(triangles))
@@ -469,4 +455,4 @@ def save_stl(path, triangles, ascii_format: bool = False, name: str = "floatdyn"
         for vtx in tri:
             blob += struct.pack("<3f", *vtx)
         blob += struct.pack("<H", 0)
-    path.write_bytes(bytes(blob))
+    Path(path).write_bytes(bytes(blob))

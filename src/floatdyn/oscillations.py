@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndefiniteMass, NonSymmetricInput, UnstableMode
+from .errors import IndefiniteMass, NonSymmetricInput
 
 
 @dataclass(frozen=True)
@@ -132,47 +132,3 @@ def normal_modes(hessian, reduced_mass) -> ModalResult:
         stiffness=c,
         mass=m,
     )
-
-
-@dataclass(frozen=True)
-class LinearizedOscillation:
-    """Closed-form small-motion trajectory about the equilibrium.
-
-    Evaluate with :meth:`deviations`; add the equilibrium coordinates to
-    get absolute heave, pitch and roll.
-    """
-
-    modal: ModalResult
-    cos_coeff: np.ndarray
-    sin_coeff: np.ndarray
-
-    def deviations(self, t) -> np.ndarray:
-        """Deviation samples, shape (len(t), 3)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        omegas = self.modal.omegas
-        phases = np.outer(t, omegas)
-        amp = np.cos(phases) * self.cos_coeff + np.sin(phases) * self.sin_coeff
-        return amp @ self.modal.mode_shapes.T
-
-    def __call__(self, t) -> np.ndarray:
-        return self.deviations(t)
-
-
-def linearized_prediction(
-    modal: ModalResult, initial_deviation, initial_rates
-) -> LinearizedOscillation:
-    """Superpose the modes matching an initial deviation and rate.
-
-    Only meaningful at pseudo-stable equilibria: raises
-    :class:`UnstableMode` if any eigenvalue is non-positive.  Serves as
-    the small-amplitude oracle against the nonlinear reduced dynamics.
-    """
-    if not modal.all_positive:
-        raise UnstableMode("linearized prediction needs all eigenvalues positive")
-    eta0 = np.asarray(initial_deviation, dtype=float)
-    etadot0 = np.asarray(initial_rates, dtype=float)
-    # shapes are mass-orthonormal, so the mass metric inverts the basis
-    proj = modal.mode_shapes.T @ modal.mass
-    cos_coeff = proj @ eta0
-    sin_coeff = (proj @ etadot0) / modal.omegas
-    return LinearizedOscillation(modal, cos_coeff, sin_coeff)

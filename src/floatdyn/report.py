@@ -51,6 +51,10 @@ _SECTION_OPTIONS = {
     },
 }
 
+#: simulated span and sample step when the config gives none, in seconds
+DEFAULT_T_END = 10.0
+DEFAULT_DT = 0.01
+
 #: the ``method`` names solve_ivp accepts; a copy, so checking a config
 #: loads no scipy.integrate (tests/test_imports.py compares it with SciPy's)
 _INTEGRATOR_METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
@@ -122,10 +126,9 @@ class AnalysisConfig:
     def __post_init__(self):
         if (self.mass is None) == (self.uniform_density is None):
             raise ConfigError("give exactly one of 'mass' or 'uniform_density'")
-        for name in ("mass", "uniform_density", "fluid_density", "gravity"):
-            value = getattr(self, name)
-            if value is not None:
-                _require_number(name, value)
+        given = "mass" if self.uniform_density is None else "uniform_density"
+        for name in (given, "fluid_density", "gravity"):
+            _require_number(name, getattr(self, name))
         for section, ranges in _SECTION_OPTIONS.items():
             options = getattr(self, section)
             _require_known_keys(section, options, ranges)
@@ -137,6 +140,13 @@ class AnalysisConfig:
                     _require_number(
                         f"{section}.{key}", value, ranges[key], allow_inf=key == "max_step"
                     )
+        t_end = self.simulate.get("t_end", DEFAULT_T_END)
+        dt = self.simulate.get("dt", DEFAULT_DT)
+        if not math.isfinite(t_end / dt):
+            raise ConfigError(
+                f"'simulate.t_end' {t_end!r} over 'simulate.dt' {dt!r} gives no finite "
+                "number of samples"
+            )
         # a deviation from equilibrium and a rate per coordinate
         initial_keys = COORD_NAMES + tuple(f"{name}_dot" for name in COORD_NAMES)
         _require_known_keys("simulate.initial", self.simulate.get("initial", {}), initial_keys)
@@ -153,7 +163,9 @@ class AnalysisConfig:
             raise ConfigError("'simulate.mode' must be 'full' or 'reduced'")
         for name, shape in (("initial_guess", (3,)), ("inertia", (3, 3)), ("cg", (3,))):
             value = getattr(self, name)
-            if value is not None and not (_all_finite(value) and np.shape(value) == shape):
+            if value is None and name != "initial_guess":
+                continue
+            if not (_all_finite(value) and np.shape(value) == shape):
                 raise ConfigError(
                     f"'{name}' must hold {'x'.join(map(str, shape))} finite numbers, got {value!r}"
                 )
@@ -267,7 +279,7 @@ class Report:
     def from_dict(cls, data: dict) -> "Report":
         data = dict(data)
         version = data.pop("schema_version")
-        if version != SCHEMA_VERSION:
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ConfigError(
                 f"report 'schema_version' {version!r} is not the supported {SCHEMA_VERSION}"
             )

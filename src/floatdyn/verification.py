@@ -94,29 +94,28 @@ def _shifted_rows(mesh: HullMesh, q, fraction: float):
     return steps, (q + (np.tile(steps, 2)[:, None] * _SHIFTS)[:, None]).reshape(-1, 6)
 
 
-def gradient_residual(
-    mesh: HullMesh,
-    env: FluidEnvironment,
-    poses,
-    step: float = 1e-5,
-) -> float:
+#: largest vertex-depth move of one gradient-check step, in hull diameters
+_GRADIENT_STEP = 1e-5
+
+
+def gradient_residual(mesh: HullMesh, env: FluidEnvironment, poses) -> float:
     """Worst relative deviation of forces from central differences of U_B.
 
     The cyclic coordinates are checked for exact zeros (their finite
     differences vanish identically); the three restoring coordinates are
     compared at steps scaled to the hull as in
-    :func:`gradient_symmetry_residual`: ``step`` diameters in heave, that
-    length over the farthest vertex's distance from the origin in the
-    angles, so a hull far from its body origin keeps the angle
-    differences' truncation as small as one centred on it.  The forces of
-    all poses come from one batched call, the six shifted potentials of
-    every pose from another.
+    :func:`gradient_symmetry_residual`: :data:`_GRADIENT_STEP` diameters
+    in heave, that length over the farthest vertex's distance from the
+    origin in the angles, so a hull far from its body origin keeps the
+    angle differences' truncation as small as one centred on it.  The
+    forces of all poses come from one batched call, the six shifted
+    potentials of every pose from another.
     """
     q = np.array([pose.as_array() for pose in poses])
     forces = generalized_forces(mesh, q, env)
     assert not forces[:, list(CYCLIC)].any()
     scale = np.maximum(np.abs(forces).max(axis=1), 1e-300)
-    steps, shifted = _shifted_rows(mesh, q, step)
+    steps, shifted = _shifted_rows(mesh, q, _GRADIENT_STEP)
     u = potential(mesh, shifted, env).reshape(2, 3, len(q))
     fd = (u[0] - u[1]) / (2.0 * steps[:, None])
     return float((np.abs(fd - forces[:, list(NONCYCLIC)].T) / scale).max())
@@ -177,28 +176,24 @@ def _gauss_legendre(n: int):
 
 
 #: Gauss-Legendre points per panel, panels per smooth piece of a loop
-#: segment, and the largest waypoint pitch and roll of the loop-work check
+#: segment, the largest waypoint pitch and roll and the segments per loop
+#: of the loop-work check
 _GAUSS_POINTS = 10
 _PANELS = 2
 _LOOP_MAX_ANGLE = 0.25
+_LOOP_SEGMENTS = 20
 
 
-def loop_work_residual(
-    mesh: HullMesh,
-    env: FluidEnvironment,
-    rng,
-    n_loops: int = 20,
-    n_segments: int = 20,
-) -> float:
+def loop_work_residual(mesh: HullMesh, env: FluidEnvironment, rng, n_loops: int = 20) -> float:
     """Worst relative net work of the forces around random closed loops.
 
-    Loops are random closed polylines in (zeta, theta, phi).  Each
-    segment is split at vertex-plane crossings and every smooth piece is
-    integrated by composite Gauss-Legendre quadrature, so the residual
-    reflects the forces, not quadrature error at submersion-topology
-    kinks.  The forces at every quadrature node of a loop come from one
-    batched call.  Normalized by the largest force-function magnitude
-    seen at the loop's waypoints.
+    Loops are random closed polylines of :data:`_LOOP_SEGMENTS` segments
+    in (zeta, theta, phi).  Each segment is split at vertex-plane
+    crossings and every smooth piece is integrated by composite
+    Gauss-Legendre quadrature, so the residual reflects the forces, not
+    quadrature error at submersion-topology kinks.  The forces at every
+    quadrature node of a loop come from one batched call.  Normalized by
+    the largest force-function magnitude seen at the loop's waypoints.
     """
     nodes, weights = _gauss_legendre(_GAUSS_POINTS)
     worst = 0.0
@@ -206,7 +201,7 @@ def loop_work_residual(
         waypoints = np.array(
             [
                 p.as_array()[list(NONCYCLIC)]
-                for p in random_partial_poses(mesh, n_segments, rng, _LOOP_MAX_ANGLE)
+                for p in random_partial_poses(mesh, _LOOP_SEGMENTS, rng, _LOOP_MAX_ANGLE)
             ]
         )
         u_scale = np.abs(potential(mesh, _coordinates(*waypoints.T), env)).max()
@@ -318,11 +313,6 @@ class SubmergedMonteCarlo:
         m_hat = self.box_volume * weights.mean(axis=0)
         m_sigma = self.box_volume * weights.std(axis=0) / np.sqrt(self.n_samples)
         return v_hat, v_sigma, m_hat, m_sigma
-
-
-def rejection_sample_submerged(mesh: HullMesh, pose: Pose, n_samples: int, rng):
-    """One-shot Monte-Carlo estimate of submerged volume and first moments."""
-    return SubmergedMonteCarlo(mesh, n_samples, rng).estimate(pose)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,21 @@
 """Checks on clipped solids shared by the clipping, hydrostatics and CLI
-tests, and the clip-side oracle of the equilibrium Hessian."""
+tests, the clip-side oracle of the equilibrium Hessian, and the reference
+quantities the tests compare the package with: the Lagrangian, the cyclic
+momenta and the Routhian, the buoyant force and torque, and the
+closed-form small oscillations."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from floatdyn import Pose, clip_by_waterplane, volume_and_first_moments, waterplane_properties
+from floatdyn import (
+    ModalResult, Pose, clip_by_waterplane, kinetic_metric, potential, volume_and_first_moments,
+    waterplane_properties,
+)
 from floatdyn.clipping import cap_raw_moments, evaluate
-from floatdyn.kinematics import depth_row, k3_body
+from floatdyn.dynamics import _IX_AA, _IX_AN, _IX_NN
+from floatdyn.errors import SingularCyclicBlock
+from floatdyn.kinematics import CYCLIC, depth_row, k3_body, rotation_matrix
 from floatdyn.mesh import _check_edges
 
 
@@ -90,3 +100,98 @@ def clipped_surface_term(mesh, pose, origin_offset=0.0):
     c = solid.plane_offset - origin_offset
     n = solid.plane_normal
     return 0.5 * (c * c * area + 2.0 * c * (n @ first) + n @ second @ n)
+
+
+def lagrangian(mesh, body, env, state) -> float:
+    """Kinetic energy plus the force function at the given state."""
+    a = kinetic_metric(body, state.pose.theta, state.pose.phi)
+    kinetic = 0.5 * state.rates @ a @ state.rates
+    u = body.mass * env.g * state.pose.zeta + potential(mesh, state.pose, env)
+    return float(kinetic + u)
+
+
+def conserved_momenta(body, state) -> np.ndarray:
+    """Momenta conjugate to surge, sway and yaw: ``(a qdot)`` cyclic rows."""
+    a = kinetic_metric(body, state.pose.theta, state.pose.phi)
+    return (a @ state.rates)[list(CYCLIC)]
+
+
+def routhian(metric, u: float, qdot_alpha, p_cyclic) -> float:
+    """Partial Legendre transform of the Lagrangian over the cyclic rates,
+    given the 6x6 kinetic metric.
+
+    ``R = 1/2 qdot_a' a_aa qdot_a - 1/2 w' aAA^-1 w + U`` with
+    ``w = p - a_Aa qdot_a``.  Equals ``L - p . qdot_cyclic`` when the
+    cyclic rates are reconstructed from the momenta.
+    """
+    qdot_alpha = np.asarray(qdot_alpha, dtype=float)
+    p = np.asarray(p_cyclic, dtype=float)
+    a_aa = metric[_IX_AA]
+    a_an = metric[_IX_AN]
+    a_nn = metric[_IX_NN]
+    w = p - a_an @ qdot_alpha
+    try:
+        u_dot = np.linalg.solve(a_aa, w)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCyclicBlock("cyclic block of the metric is singular") from exc
+    return float(0.5 * qdot_alpha @ a_nn @ qdot_alpha - 0.5 * w @ u_dot + u)
+
+
+def buoyant_force_torque(mesh, pose, env):
+    """Resultant buoyant force and torque about G, fixed-frame components.
+
+    The force is ``rho g V`` straight up (negative third component,
+    since the fixed third axis points down); the torque is the lever of
+    the buoyancy center about G.  Together they reproduce the power of
+    the generalized forces for any motion:
+    ``F . v_G + M . omega == Q . qdot``.
+    """
+    integrals = evaluate(mesh, pose)
+    volume = integrals.volume
+    force = np.array([0.0, 0.0, -env.rho * env.g * volume])
+    if volume > 0.0:
+        lever = rotation_matrix(pose) @ (integrals.first / volume)
+        torque = np.cross(lever, force)
+    else:
+        torque = np.zeros(3)
+    return force, torque
+
+
+@dataclass(frozen=True)
+class LinearizedOscillation:
+    """Closed-form small-motion trajectory about the equilibrium.
+
+    Evaluate with :meth:`deviations`; add the equilibrium coordinates to
+    get absolute heave, pitch and roll.
+    """
+
+    modal: ModalResult
+    cos_coeff: np.ndarray
+    sin_coeff: np.ndarray
+
+    def deviations(self, t) -> np.ndarray:
+        """Deviation samples, shape (len(t), 3)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        omegas = self.modal.omegas
+        phases = np.outer(t, omegas)
+        amp = np.cos(phases) * self.cos_coeff + np.sin(phases) * self.sin_coeff
+        return amp @ self.modal.mode_shapes.T
+
+
+def linearized_prediction(
+    modal: ModalResult, initial_deviation, initial_rates
+) -> LinearizedOscillation:
+    """Superpose the modes matching an initial deviation and rate.
+
+    Only meaningful at pseudo-stable equilibria, where every eigenvalue
+    is positive.  Serves as the small-amplitude oracle against the
+    nonlinear reduced dynamics.
+    """
+    assert modal.all_positive, "linearized prediction needs all eigenvalues positive"
+    eta0 = np.asarray(initial_deviation, dtype=float)
+    etadot0 = np.asarray(initial_rates, dtype=float)
+    # shapes are mass-orthonormal, so the mass metric inverts the basis
+    proj = modal.mode_shapes.T @ modal.mass
+    cos_coeff = proj @ eta0
+    sin_coeff = (proj @ etadot0) / modal.omegas
+    return LinearizedOscillation(modal, cos_coeff, sin_coeff)

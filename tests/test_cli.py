@@ -267,6 +267,38 @@ class TestConfigValidation:
         assert code == 1
         assert "'simulate.t_end'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "verify", "clip"])
+    @pytest.mark.parametrize("key", ["fluid_density", "gravity", "initial_guess"])
+    def test_null_value_exits_one_naming_the_key(
+        self, barge_config, tmp_path, capsys, key, command
+    ):
+        config = json.loads(barge_config.read_text())
+        config[key] = None
+        barge_config.write_text(json.dumps(config))
+        extra = {
+            "analyze": [],
+            "simulate": ["--t-end", "0.05"],
+            "verify": ["--poses", "3", "--loops", "1"],
+            "clip": ["--out", str(tmp_path / "clip.stl")],
+        }[command]
+        assert main([command, "--config", str(barge_config), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_sample_count_overflow_exits_one(self, barge_config, capsys, where):
+        # 1e308 s at the default 0.01 s step is more samples than a float holds
+        config = json.loads(barge_config.read_text())
+        flag = []
+        if where == "config":
+            config["simulate"] = {"t_end": 1e308}
+        else:
+            flag = ["--t-end", "1e308"]
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'simulate.t_end'" in err
+
     def test_library_argument_checks_exit_one(self, tmp_path, capsys):
         # an inertia tensor that is not positive definite fails the body
         # check in the library, not the config check
@@ -709,6 +741,22 @@ class TestModes:
         assert main(["modes", "--report", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["boolean", "float"])
+    def test_version_equal_to_one_but_not_an_integer_exits_one(
+        self, barge_config, tmp_path, capsys, version
+    ):
+        # True == 1 and 1.0 == 1, yet neither is the integer version
+        report_path = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(barge_config), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        report["schema_version"] = version
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["modes", "--report", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'schema_version' {version!r}" in err
 
 
 class TestUnwritableOutput:

@@ -24,7 +24,7 @@ from floatdyn.clipping import (
 from floatdyn.kinematics import k3_body, rotation_matrix
 from floatdyn.mesh import HullMesh
 from floatdyn.report import AnalysisConfig, run_analysis
-from floatdyn.verification import random_partial_poses, rejection_sample_submerged
+from floatdyn.verification import SubmergedMonteCarlo, random_partial_poses
 from helpers import (
     assert_clip_matches_evaluate,
     assert_edges_paired,
@@ -193,7 +193,7 @@ class TestMultipleLoops:
         solid = clip_by_waterplane(cat, pose)
         assert len(solid.cap_polygons) == 2
         volume, first = volume_and_first_moments(solid)
-        v_hat, v_sig, m_hat, m_sig = rejection_sample_submerged(cat, pose, 200_000, rng)
+        v_hat, v_sig, m_hat, m_sig = SubmergedMonteCarlo(cat, 200_000, rng).estimate(pose)
         assert abs(volume - v_hat) < 4 * v_sig
         for k in range(3):
             assert abs(first[k] - m_hat[k]) < 4 * max(m_sig[k], 1e-12)
@@ -328,9 +328,9 @@ class TestMonteCarloOracle:
         for pose in random_partial_poses(mesh, 4, rng):
             solid = clip_by_waterplane(mesh, pose)
             volume, first = volume_and_first_moments(solid)
-            v_hat, v_sig, m_hat, m_sig = rejection_sample_submerged(
-                mesh, pose, 150_000, rng
-            )
+            v_hat, v_sig, m_hat, m_sig = SubmergedMonteCarlo(
+                mesh, 150_000, rng
+            ).estimate(pose)
             assert abs(volume - v_hat) < 4 * v_sig
             for k in range(3):
                 assert abs(first[k] - m_hat[k]) < 4 * max(m_sig[k], 1e-12)

