@@ -61,10 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mode", choices=("full", "reduced"), default=None)
     p_sim.add_argument("--t-end", type=float, default=None)
     p_sim.add_argument("--dt", type=float, default=None)
-    p_sim.add_argument(
-        "--tol", type=float, default=None,
-        help="override the integrator relative tolerance (absolute = tol/10)",
-    )
 
     p_modes = sub.add_parser("modes", help="modal analysis from a stored report")
     p_modes.add_argument("--report", required=True, help="existing report JSON")
@@ -80,11 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_clip = sub.add_parser("clip", help="export the submerged part as STL")
     p_clip.add_argument("--config", required=True)
     p_clip.add_argument("--out", required=True)
-    p_clip.add_argument(
-        "--pose",
-        default="0,0,0",
-        help="zeta,theta,phi (optionally ,psi,xi,eta)",
-    )
+    p_clip.add_argument("--pose", default="0,0,0", help="zeta,theta,phi")
 
     return parser
 
@@ -117,7 +109,7 @@ def _cmd_analyze(args) -> int:
     config = AnalysisConfig.from_file(args.config)
     if args.tol is not None:
         config = dataclasses.replace(config, solver={**config.solver, "tol": args.tol})
-    report, _ = run_analysis(config)
+    report = run_analysis(config)
     if args.out:
         report.save(args.out)
     stab = report.stability
@@ -149,10 +141,7 @@ def _cmd_simulate(args) -> int:
         sim["t_end"] = args.t_end
     if args.dt is not None:
         sim["dt"] = args.dt
-    integrator = dict(config.integrator)
-    if args.tol is not None:
-        integrator.update(rtol=args.tol, atol=args.tol / 10.0)
-    config = dataclasses.replace(config, simulate=sim, integrator=integrator)
+    config = dataclasses.replace(config, simulate=sim)
     mesh, body, _, env, equilibrium = load_equilibrium(config)
     mode = args.mode or sim.get("mode", "full")
     t_end = float(sim.get("t_end", DEFAULT_T_END))
@@ -160,7 +149,7 @@ def _cmd_simulate(args) -> int:
 
     start = _initial_state(mode, equilibrium.pose, sim, body)
     integrate = integrate_full if mode == "full" else integrate_reduced
-    traj = integrate(mesh, body, env, t_end=t_end, dt=dt, **start, **integrator)
+    traj = integrate(mesh, body, env, t_end=t_end, dt=dt, **start, **config.integrator)
 
     if args.out:
         traj.to_csv(args.out)
@@ -258,12 +247,10 @@ def _cmd_clip(args) -> int:
     mesh, _, _ = load_body(config)
     try:
         values = [float(x) for x in args.pose.split(",")]
-        if len(values) > 6:
-            raise ValueError(f"expected at most six values, got {len(values)}")
-        while len(values) < 6:
-            values.append(0.0)
-        zeta, theta, phi, psi, xi, eta = values[:6]
-        pose = Pose(xi=xi, eta=eta, zeta=zeta, psi=psi, theta=theta, phi=phi)
+        if len(values) > 3:
+            raise ValueError(f"expected at most three values, got {len(values)}")
+        zeta, theta, phi = values + [0.0] * (3 - len(values))
+        pose = Pose(zeta=zeta, theta=theta, phi=phi)
     except ValueError as exc:
         raise ConfigError(f"invalid --pose {args.pose!r}: {exc}") from exc
     solid = clip_by_waterplane(mesh, pose)

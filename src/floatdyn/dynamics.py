@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrationFailed, SingularCyclicBlock, require_scipy
+from .errors import GimbalLock, IntegrationFailed, SingularCyclicBlock, require_scipy
 from .hydrostatics import FluidEnvironment, generalized_forces, potential
 from .kinematics import (
     CYCLIC, NONCYCLIC, Pose, _pose_unchecked, omega_chart, omega_map, omega_maps,
@@ -183,7 +183,6 @@ class Trajectory:
     qdot: np.ndarray
     energy: np.ndarray
     momenta: np.ndarray
-    mode: str
     terminated_early: bool = False
     nfev: int = 0
     columns = (
@@ -254,7 +253,7 @@ def integrate_full(
         return np.concatenate([qd, np.linalg.solve(a, rhs_vec)])
 
     sol = _solve(rhs, initial.as_array(), 4, t_end, dt, method, rtol, atol, max_step)
-    return _trajectory(mesh, body, env, sol, sol.y[:6].T, sol.y[6:].T, "full")
+    return _trajectory(mesh, body, env, sol, sol.y[:6].T, sol.y[6:].T)
 
 
 def integrate_reduced(
@@ -308,7 +307,7 @@ def integrate_reduced(
     q = sol.y[[6, 7, 0, 8, 1, 2]].T  # (xi, eta, zeta, psi, theta, phi)
     qd = np.zeros((len(sol.t), 6))
     qd[:, list(NONCYCLIC)] = sol.y[3:6].T
-    return _trajectory(mesh, body, env, sol, q, qd, "reduced", momenta=p)
+    return _trajectory(mesh, body, env, sol, q, qd, momenta=p)
 
 
 def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
@@ -321,7 +320,9 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     gimbal halt) and ``nfev``.  The right-hand side is checked for
     finite values at every call, so a non-finite one raises
     :class:`IntegrationFailed` with one message whatever the method; a
-    run that cannot advance raises it too.
+    run that cannot advance raises it too.  A start already inside the
+    halt margin raises :class:`GimbalLock`: the halt fires on crossing
+    the margin, so such a run would integrate where the guard forbids.
     """
     from . import rk
 
@@ -330,6 +331,12 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
 
     def gimbal(t, y):
         return (math.pi / 2 - GIMBAL_HALT_MARGIN) - abs(y[theta_index])
+
+    if gimbal(0.0, y0) <= 0.0:
+        raise GimbalLock(
+            f"start pitch {y0[theta_index]:.9g} is within the halt margin "
+            f"{GIMBAL_HALT_MARGIN:g} of +-pi/2"
+        )
 
     def finite(t, y):
         out = rhs(t, y)
@@ -379,7 +386,7 @@ def _sample_times(t_end, dt):
     return t
 
 
-def _trajectory(mesh, body, env, sol, q, qd, mode, momenta=None):
+def _trajectory(mesh, body, env, sol, q, qd, momenta=None):
     """The solver's samples with the energy and cyclic momenta of each.
 
     Given the fixed cyclic ``momenta`` of a reduced run, the cyclic rates
@@ -408,7 +415,6 @@ def _trajectory(mesh, body, env, sol, q, qd, mode, momenta=None):
         qdot=qd,
         energy=energy,
         momenta=p_cyclic,
-        mode=mode,
         terminated_early=(sol.status == 1),
         nfev=sol.nfev,
     )

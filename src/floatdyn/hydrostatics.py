@@ -164,7 +164,6 @@ def _force_gradient(integrals: SubmergedIntegrals, rows, env) -> np.ndarray:
 class HydrostaticState:
     """Everything hydrostatic about one pose, from a single evaluation."""
 
-    pose: Pose
     volume: float
     buoyancy_center: np.ndarray
     waterplane: WaterplaneProperties
@@ -179,7 +178,6 @@ def hydrostatic_state(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> Hydr
     volume = integrals.volume
     center = integrals.first / volume if volume > 0.0 else np.zeros(3)
     return HydrostaticState(
-        pose,
         volume,
         center,
         integrals.waterplane(),
@@ -273,7 +271,6 @@ class StabilityReport:
     hessian: np.ndarray
     gm_transverse: float
     gm_longitudinal: float
-    z_b_star: float
     displacement: float
     pseudo_stable: bool
     margins: tuple[float, float]
@@ -316,7 +313,6 @@ def pseudo_stability_check(
         hessian=hessian,
         gm_transverse=gm_t,
         gm_longitudinal=gm_l,
-        z_b_star=float(z_b_star),
         displacement=float(env.rho * env.g * v_star),
         pseudo_stable=all(pivot > 0.0 for pivot in pivots),
         margins=(margin_t, margin_l),

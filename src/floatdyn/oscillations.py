@@ -11,9 +11,9 @@ factor ``m = L L^T`` it becomes the standard symmetric problem for
 determinant form as an oracle.
 
 For the symmetric zero-angle equilibrium both matrices are block
-diagonal and the roll mode decouples exactly: the solver detects that
-structure and solves the blocks separately, so the roll eigenvector
-comes out as a clean unit vector.
+diagonal and the roll mode decouples exactly: roll couplings at the
+level of roundoff are set to zero before the one solve, so the roll
+eigenvector comes out as a clean unit vector.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class ModalResult:
     omegas: np.ndarray
     frequencies_hz: np.ndarray
     mode_shapes: np.ndarray
-    stiffness: np.ndarray
     mass: np.ndarray
 
     @property
@@ -94,33 +93,16 @@ def normal_modes(hessian, reduced_mass) -> ModalResult:
     """
     c = _check_symmetric("stiffness (negated Hessian)", -np.asarray(hessian, float))
     m = _check_symmetric("reduced mass matrix", reduced_mass)
+    # the upright symmetric hull: roll couplings at roundoff become exact
+    # zeros, which LAPACK deflates, so the roll shape is an exact unit vector
+    if all(np.abs(a[:2, 2]).max() <= 1e-14 * max(np.abs(a).max(), 1e-300) for a in (c, m)):
+        for a in (c, m):
+            a[:2, 2] = a[2, :2] = 0.0
     try:
         low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteMass("reduced mass matrix is not positive definite") from exc
-
-    scale_c = max(np.abs(c).max(), 1e-300)
-    scale_m = max(np.abs(m).max(), 1e-300)
-    decoupled = (
-        abs(c[0, 2]) <= 1e-14 * scale_c
-        and abs(c[1, 2]) <= 1e-14 * scale_c
-        and abs(m[0, 2]) <= 1e-14 * scale_m
-        and abs(m[1, 2]) <= 1e-14 * scale_m
-    )
-
-    if decoupled:
-        vals2, vecs2 = _eigh_definite(c[:2, :2], low[:2, :2])
-        roll_val = c[2, 2] / m[2, 2]
-        roll_vec = np.array([0.0, 0.0, 1.0 / math.sqrt(m[2, 2])])
-        lambdas = np.concatenate([vals2, [roll_val]])
-        shapes = np.zeros((3, 3))
-        shapes[:2, :2] = vecs2
-        shapes[:, 2] = roll_vec
-        order = np.argsort(lambdas)
-        lambdas = lambdas[order]
-        shapes = shapes[:, order]
-    else:
-        lambdas, shapes = _eigh_definite(c, low)
+    lambdas, shapes = _eigh_definite(c, low)
 
     omegas = np.where(lambdas > 0.0, np.sqrt(np.abs(lambdas)), np.nan)
     freqs = omegas / (2.0 * math.pi)
@@ -129,6 +111,5 @@ def normal_modes(hessian, reduced_mass) -> ModalResult:
         omegas=omegas,
         frequencies_hz=freqs,
         mode_shapes=shapes,
-        stiffness=c,
         mass=m,
     )

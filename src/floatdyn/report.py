@@ -54,6 +54,9 @@ _SECTION_OPTIONS = {
 #: simulated span and sample step when the config gives none, in seconds
 DEFAULT_T_END = 10.0
 DEFAULT_DT = 0.01
+#: most trajectory samples a config may ask for: the diagnostics pass
+#: stacks a 6x6 metric per sample, about 0.3 GB at this count
+MAX_SAMPLES = 1_000_000
 
 #: the ``method`` names solve_ivp accepts; a copy, so checking a config
 #: loads no scipy.integrate (tests/test_imports.py compares it with SciPy's)
@@ -142,10 +145,11 @@ class AnalysisConfig:
                     )
         t_end = self.simulate.get("t_end", DEFAULT_T_END)
         dt = self.simulate.get("dt", DEFAULT_DT)
-        if not math.isfinite(t_end / dt):
+        ratio = t_end / dt
+        if not (math.isfinite(ratio) and round(ratio) + 1 <= MAX_SAMPLES):
             raise ConfigError(
-                f"'simulate.t_end' {t_end!r} over 'simulate.dt' {dt!r} gives no finite "
-                "number of samples"
+                f"'simulate.t_end' {t_end!r} over 'simulate.dt' {dt!r} gives {ratio + 1:.4g} "
+                f"samples, more than {MAX_SAMPLES}"
             )
         # a deviation from equilibrium and a rate per coordinate
         initial_keys = COORD_NAMES + tuple(f"{name}_dot" for name in COORD_NAMES)
@@ -306,13 +310,12 @@ def load_equilibrium(config: AnalysisConfig):
     return mesh, body, cg_shift, env, result
 
 
-def run_analysis(config: AnalysisConfig):
+def run_analysis(config: AnalysisConfig) -> Report:
     """Equilibrium, stability and modal pipeline for one configuration.
 
-    Returns ``(report, objects)`` where ``objects`` carries the live
-    mesh/body/equilibrium instances for callers that keep computing.
-    The Hessian checks the equilibrium at the solver's tolerance or its
-    own default, whichever is looser.
+    :func:`load_equilibrium` gives the live mesh, body and equilibrium to
+    callers that keep computing.  The Hessian checks the equilibrium at
+    the solver's tolerance or its own default, whichever is looser.
     """
     mesh, body, cg_shift, env, result = load_equilibrium(config)
     state = hydrostatic_state(mesh, result.pose, env)
@@ -331,7 +334,7 @@ def run_analysis(config: AnalysisConfig):
     m_red = reduced_mass_matrix(metric)
     modal = normal_modes(hessian, m_red)
 
-    report = Report(
+    return Report(
         config=config.to_dict(),
         cg_shift=_listify(cg_shift),
         equilibrium={
@@ -369,14 +372,3 @@ def run_analysis(config: AnalysisConfig):
         },
         modal={**modal.to_dict(), "reduced_mass": _listify(m_red)},
     )
-    objects = {
-        "mesh": mesh,
-        "body": body,
-        "env": env,
-        "equilibrium": result,
-        "state": state,
-        "stability": stability,
-        "modal": modal,
-        "reduced_mass": m_red,
-    }
-    return report, objects

@@ -85,10 +85,7 @@ def extrude_polygon(section, width: float) -> HullMesh:
         tris.append([j, i, n + i])
         tris.append([j, n + i, n + j])
 
-    mesh = HullMesh(verts, np.array(tris, dtype=np.int64))
-    if mesh.volume <= 0:
-        raise AssertionError("extrusion produced non-positive volume")
-    return mesh
+    return HullMesh(verts, np.array(tris, dtype=np.int64))
 
 
 def wedge(beam: float, depth: float, length: float, apex_down: bool = True) -> HullMesh:

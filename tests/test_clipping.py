@@ -633,6 +633,5 @@ class TestLastPoseSlot:
             initial_guess=guess,
         )
         runs = self.counting(monkeypatch)
-        _, objects = run_analysis(config)
-        pose = objects["equilibrium"].pose
-        assert runs.count((pose.zeta, pose.theta, pose.phi)) == 1
+        pose = run_analysis(config).equilibrium["pose"]
+        assert runs.count((pose["zeta"], pose["theta"], pose["phi"])) == 1

@@ -23,7 +23,7 @@ from floatdyn import BodyProperties, FullState, Pose, dynamics, integrate_full, 
 from floatdyn.cli import _initial_state
 from floatdyn.dynamics import GIMBAL_HALT_MARGIN, _sample_times
 from floatdyn.errors import IntegrationFailed
-from floatdyn.report import AnalysisConfig, run_analysis
+from floatdyn.report import AnalysisConfig, load_equilibrium
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 EXPLICIT = ("DOP853", "RK45", "RK23")
@@ -77,8 +77,9 @@ def assert_same_run(ours, ref):
 
 
 def workload_case(tmp_path, case):
-    """Mesh, body, environment and simulate section of a benchmark case;
-    ``tilted`` is the L-prism of seed 1 started off level with momenta."""
+    """Mesh, body, environment, equilibrium and simulate section of a
+    benchmark case; ``tilted`` is the L-prism of seed 1 started off level
+    with momenta."""
     workload, seed = ("lprism", 1) if case == "tilted" else case.split("-")
     hulls, run = bench_module("hulls"), bench_module("run")
     path = hulls.BUILDERS[workload](tmp_path, run.input_rng(int(seed)))
@@ -86,8 +87,8 @@ def workload_case(tmp_path, case):
     sim = dict(config.simulate)
     if case == "tilted":
         sim = {"initial": {"theta": 0.3, "phi": -0.25}, "momenta": [0.5, -0.2, 3.0]}
-    _, objects = run_analysis(config)
-    return objects, sim
+    mesh, body, _, env, equilibrium = load_equilibrium(config)
+    return (mesh, body, env, equilibrium), sim
 
 
 CASES = [f"{w}-{s}" for w in ("barge", "lprism") for s in (1, 2, 3)] + ["tilted"]
@@ -97,11 +98,11 @@ CASES = [f"{w}-{s}" for w in ("barge", "lprism") for s in (1, 2, 3)] + ["tilted"
 @pytest.mark.parametrize("mode", ["full", "reduced"])
 @pytest.mark.parametrize("method", EXPLICIT)
 def test_dynamics_match_solve_ivp(monkeypatch, tmp_path, case, mode, method):
-    objects, sim = workload_case(tmp_path, case)
-    start = _initial_state(mode, objects["equilibrium"].pose, sim, objects["body"])
+    (mesh, body, env, equilibrium), sim = workload_case(tmp_path, case)
+    start = _initial_state(mode, equilibrium.pose, sim, body)
     integrate = integrate_full if mode == "full" else dynamics.integrate_reduced
     traj, ours, ref = run_both(
-        monkeypatch, integrate, objects["mesh"], objects["body"], objects["env"],
+        monkeypatch, integrate, mesh, body, env,
         t_end=SPAN[method], dt=0.01, method=method, **start,
     )
     assert_same_run(ours, ref)
@@ -201,6 +202,32 @@ def test_failed_integration_raises(method):
     with pytest.raises(IntegrationFailed, match=FAILURES[method]):
         dynamics._solve(nan_after(0.05), np.array([0.0, 1.0]), 0, 1.0, 0.01, method,
                         1e-9, 1e-10, np.inf)
+
+
+def jump_at_half(t, y):
+    """A finite slope too steep to follow after ``t = 0.5``; the second
+    component, the pitch for the gimbal guard, stays zero."""
+    return np.array([1e100 if t > 0.5 else 0.0, 0.0])
+
+
+@pytest.mark.parametrize("method", EXPLICIT)
+def test_step_size_underflow_raises(method):
+    # solve_ivp gives up on the same slope with status -1
+    ref = solve_ivp(jump_at_half, (0.0, 1.0), np.zeros(2), method=method,
+                    rtol=1e-9, atol=1e-10)
+    assert ref.status == -1 and "spacing between numbers" in ref.message
+    with pytest.raises(IntegrationFailed,
+                       match=r"^integration failed at t = 0\.5: .* below the spacing of floats"):
+        rk.solve(jump_at_half, (0.0, 1.0), np.zeros(2), np.linspace(0.0, 1.0, 11),
+                 lambda t, y: 1.0, method, 1e-9, 1e-10, np.inf)
+
+
+@pytest.mark.parametrize("method", ["Radau", "BDF"])
+def test_implicit_step_size_underflow_raises(method):
+    with pytest.raises(IntegrationFailed,
+                       match=r"^integration failed after the sample at t = 0\.5: "
+                             "Required step size is less than spacing between numbers"):
+        dynamics._solve(jump_at_half, np.zeros(2), 1, 1.0, 0.01, method, 1e-9, 1e-10, np.inf)
 
 
 def test_invalid_implicit_options_stay_value_errors():
