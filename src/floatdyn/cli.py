@@ -48,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="equilibrium + stability + modes")
+    p_analyze.set_defaults(run=_cmd_analyze)
     p_analyze.add_argument("--config", required=True, help="JSON config path")
     p_analyze.add_argument("--out", default=None, help="report path (JSON)")
     p_analyze.add_argument(
@@ -56,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_sim = sub.add_parser("simulate", help="integrate the dynamics")
+    p_sim.set_defaults(run=_cmd_simulate)
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None, help="trajectory path (CSV)")
     p_sim.add_argument("--mode", choices=("full", "reduced"), default=None)
@@ -63,10 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dt", type=float, default=None)
 
     p_modes = sub.add_parser("modes", help="modal analysis from a stored report")
+    p_modes.set_defaults(run=_cmd_modes)
     p_modes.add_argument("--report", required=True, help="existing report JSON")
     p_modes.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="run property suites on the geometry")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--seed", type=int, default=None)
@@ -74,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--loops", type=int, default=5)
 
     p_clip = sub.add_parser("clip", help="export the submerged part as STL")
+    p_clip.set_defaults(run=_cmd_clip)
     p_clip.add_argument("--config", required=True)
     p_clip.add_argument("--out", required=True)
     p_clip.add_argument("--pose", default="0,0,0", help="zeta,theta,phi")
@@ -84,25 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except (FloatDynError, OSError) as exc:
         # OSError: an --out path that cannot be written, an unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-def _dispatch(args) -> int:
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "modes":
-        return _cmd_modes(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "clip":
-        return _cmd_clip(args)
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def _cmd_analyze(args) -> int:

@@ -323,6 +323,8 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     run that cannot advance raises it too.  A start already inside the
     halt margin raises :class:`GimbalLock`: the halt fires on crossing
     the margin, so such a run would integrate where the guard forbids.
+    ``atol`` 0 with a state component exactly 0 (error scale 0) raises
+    :class:`IntegrationFailed` before the first step.
     """
     from . import rk
 
@@ -337,6 +339,10 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
             f"start pitch {y0[theta_index]:.9g} is within the halt margin "
             f"{GIMBAL_HALT_MARGIN:g} of +-pi/2"
         )
+
+    if np.any((y0 == 0.0) & (np.asarray(atol) == 0.0)):
+        raise IntegrationFailed("integration failed at t = 0: with atol 0 a state component "
+                                "that is exactly 0 has no error scale; give a positive atol")
 
     def finite(t, y):
         out = rhs(t, y)

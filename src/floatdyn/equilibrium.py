@@ -30,9 +30,9 @@ from .clipping import evaluate
 from .dynamics import BodyProperties
 from .errors import Diverged, GimbalLock, WontFloat
 from .hydrostatics import (
-    _RESTORING, FluidEnvironment, _force_gradient, _generalized_forces, _scaled_residual,
+    _RESTORING, FluidEnvironment, _scaled_residual, force_gradient, generalized_forces,
 )
-from .kinematics import GIMBAL_GUARD, Pose, _pose_unchecked, depth_row, k3_body
+from .kinematics import GIMBAL_GUARD, Pose, _pose_unchecked, k3_body
 from .mesh import HullMesh
 
 
@@ -58,7 +58,7 @@ def find_equilibrium(
     env: FluidEnvironment,
     initial=(0.0, 0.0, 0.0),
     tol: float = 1e-12,
-    max_iter: int = 60,
+    max_iter: int = 100,
 ) -> EquilibriumResult:
     """Solve for the pose where weight balances buoyancy and moments vanish.
 
@@ -82,15 +82,14 @@ def find_equilibrium(
         If the equilibrium has its pitch within the gimbal guard of pi/2.
     """
     m = body.mass
-    if m <= 0.0:
-        raise ValueError("body mass must be positive")
     if m >= env.rho * mesh.volume:
         raise WontFloat(f"mass {m} exceeds maximum displaceable mass {env.rho * mesh.volume}")
     weight = m * env.g
     rg = env.rho * env.g
 
     def balance(zeta, theta, phi):
-        """Pose and integrals at the balancing draft for fixed angles.
+        """The pose at the balancing draft for fixed angles, the last one
+        :func:`evaluate` integrated.
 
         ``m g - rho g V`` falls with the draft at slope ``-rho g A``.
         """
@@ -110,14 +109,14 @@ def find_equilibrium(
             zeta = newton if lo < newton < hi else 0.5 * (lo + hi)
             if not lo < zeta < hi:
                 break  # the bracket has shrunk to adjacent floats
-        return pose, integrals
+        return pose
 
-    def residual(pose, integrals):
-        forces = _generalized_forces(integrals, depth_row(pose.theta, pose.phi), env)
+    def residual(pose):
+        forces = generalized_forces(mesh, pose, env)
         return np.array([weight + forces[2], forces[4], forces[5]])
 
-    pose, integrals = balance(None, float(initial[1]), float(initial[2]))
-    r = residual(pose, integrals)
+    pose = balance(None, float(initial[1]), float(initial[2]))
+    r = residual(pose)
     radius = 0.2  # rad: a first step short enough to keep the waterplane topology
     for iteration in range(max_iter + 1):
         scaled = _scaled_residual(r, mesh.diameter)
@@ -136,7 +135,7 @@ def find_equilibrium(
             return EquilibriumResult(pose, r, iteration, abs(pose.zeta), True)
         if iteration == max_iter:
             break
-        hessian = _force_gradient(integrals, depth_row(pose.theta, pose.phi), env)[_RESTORING]
+        hessian = force_gradient(mesh, pose, env)[_RESTORING]
         curvature = hessian[1:, 1:]
         if hessian[0, 0] < 0.0:
             curvature = curvature - np.outer(hessian[1:, 0], hessian[0, 1:]) / hessian[0, 0]
@@ -145,7 +144,7 @@ def find_equilibrium(
         predicted = gradient @ step + 0.5 * step @ curvature @ step
         length = float(np.hypot(*step))
         trial = balance(pose.zeta, pose.theta + step[0], pose.phi + step[1])
-        r_trial = residual(*trial)
+        r_trial = residual(trial)
         # trapezoid rule on the exact gradient: differencing F loses the
         # gain to roundoff near the peak
         gain = 0.5 * (gradient + r_trial[1:]) @ step
@@ -154,7 +153,7 @@ def find_equilibrium(
         elif gain > 0.75 * predicted and length > 0.99 * radius:
             radius = min(2.0 * radius, math.pi / 2)
         if gain > 0.1 * predicted:
-            (pose, integrals), r = trial, r_trial
+            pose, r = trial, r_trial
 
     raise Diverged(
         f"no convergence in {max_iter} iterations, residual {scaled:.3e}; equilibria are "

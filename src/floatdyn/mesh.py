@@ -22,9 +22,6 @@ import numpy as np
 from .errors import EmptyMesh, InvalidMesh, NonWatertightMesh
 from .polygons import triangulate_simple_polygon
 
-#: the corners of a grid cell: the offsets of the cells probed per point
-_CORNERS = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
-
 #: default ray direction for point containment tests; fixed irrationalish
 #: components dodge edge-aligned degeneracies on axis-aligned meshes
 _RAY_DIRECTION = np.array([0.540302305868, 0.173648177667, 0.823411951498])
@@ -32,8 +29,6 @@ _RAY_DIRECTION = np.array([0.540302305868, 0.173648177667, 0.823411951498])
 #: HullMesh validation: the minimum triangle area relative to the squared
 #: diameter
 _AREA_TOL = 1e-12
-#: the mirror-matching tolerance of a symmetry claim, relative to the diameter
-_SYMMETRY_TOL = 1e-9
 #: points per batch of HullMesh.contains_points
 _CONTAINS_CHUNK = 20000
 
@@ -182,44 +177,45 @@ def _check_edges(tri, n_vertices):
         raise NonWatertightMesh(f"edge ({i}, {j}) has no opposite partner")
 
 
-def _check_mirror(vertices, tol):
-    """Raise unless every vertex mirrored in ``x2 = 0`` has a vertex
-    within ``tol``.
+def check_shells(mesh: HullMesh):
+    """Raise :class:`InvalidMesh` if a vertex of one shell of ``mesh`` (the
+    triangles connected through shared vertices) lies inside another.
 
-    On a grid of cells at least ``2 tol`` wide (and at most ``2**20`` per
-    axis, so a cell code fits an int64) the vertices within ``tol`` of a
-    point lie in the 8 cells around its nearest grid corner.  One sort of
-    the vertex cell codes and a search per probed cell give the
-    candidates, and their distances decide.
+    Overlapping shells count their common volume twice, and a shell
+    inside another (an inward-wound cavity) takes its volume off the
+    hull's.  Disjoint shells, such as a catamaran's hulls, pass; shells
+    that cross with no vertex inside each other are not caught.  Shells
+    come from hooking and pointer jumping (Shiloach and Vishkin): each
+    round points the root of every edge's tail at the head's root where
+    that is smaller, then every vertex at its root, until both ends of
+    every edge share one.  Only the vertices inside another shell's
+    bounding box are ray cast against it.
     """
-    mirrored = vertices * np.array([1.0, -1.0, 1.0])
-    both = np.concatenate([vertices, mirrored])
-    origin = both.min(axis=0)
-    size = max(2.0 * tol, (both.max(axis=0) - origin).max() / 2**20)
-    # cell codes, shifted by one: probed cells reach one past either end
-    weights = np.array([(2**20 + 3) ** 2, 2**20 + 3, 1])
-    scaled = (mirrored - origin) / size
-    base = np.floor(scaled).astype(np.int64)
-    step = np.where(scaled - base < 0.5, -1, 1)
-    probed = ((base[:, None] + _CORNERS * step[:, None] + 1) @ weights).ravel()
-    own = (np.floor((vertices - origin) / size).astype(np.int64) + 1) @ weights
-    order = np.argsort(own, kind="stable")
-    first = np.searchsorted(own[order], probed, "left")
-    count = np.searchsorted(own[order], probed, "right") - first
-    probe = np.repeat(np.arange(len(probed)), count)
-    # the k-th candidate of a probe sits k places after its first
-    nth = np.arange(len(probe)) - np.repeat(np.cumsum(count) - count, count)
-    owner = probe // len(_CORNERS)
-    candidate = vertices[order[first[probe] + nth]]
-    matched = np.zeros(len(vertices), dtype=bool)
-    matched[owner[np.linalg.norm(candidate - mirrored[owner], axis=1) <= tol]] = True
-    if not matched.all():
-        bad = int(np.argmin(matched))
-        raise InvalidMesh(
-            "'symmetry' is true but the mesh is not mirror symmetric about the "
-            f"body frame's x2 = 0 plane through G: vertex {bad} has no mirror "
-            f"image within {tol:.3e}"
-        )
+    label = np.arange(len(mesh.vertices))
+    # a watertight mesh holds every edge in both directions
+    tails = mesh.triangles.ravel()
+    heads = np.concatenate((mesh.triangles[:, 1:], mesh.triangles[:, :1]), axis=1).ravel()
+    while not ((roots := label[tails]) == label[heads]).all():
+        np.minimum.at(label, roots, label[heads])
+        while not ((jumped := label[label]) == label).all():
+            label = jumped
+    shell = label[mesh.triangles[:, 0]]
+    # not np.unique, which loads numpy.ma (over a megabyte)
+    roots = np.flatnonzero(np.bincount(shell))
+    for inner in roots:
+        points = np.flatnonzero(label == inner)
+        for outer in roots[roots != inner]:
+            faces = mesh.triangle_vertices[shell == outer]
+            near = points[np.all((mesh.vertices[points] >= faces.min(axis=(0, 1)))
+                                 & (mesh.vertices[points] <= faces.max(axis=(0, 1))), axis=1)]
+            # batches of about a million point-face pairs
+            for batch in np.array_split(near, 1 + len(near) * len(faces) // 10**6):
+                inside = _ray_parity(mesh.vertices[batch], faces, _RAY_DIRECTION)
+                if inside.any():
+                    raise InvalidMesh(
+                        f"overlapping shells: vertex {batch[inside][0]} of the shell of "
+                        f"vertex {inner} lies inside the shell of vertex {outer}"
+                    )
 
 
 def _signed_det(tris) -> np.ndarray:

@@ -158,11 +158,7 @@ def triangulate_simple_polygon(vertices) -> np.ndarray:
         return True
 
     triangles = []
-    guard = 0
     while len(order) > 3:
-        guard += 1
-        if guard > 2 * n * n:
-            raise SelfIntersecting("ear clipping failed; polygon degenerate")
         m = len(order)
         clipped = False
         for i in range(m):

@@ -31,7 +31,7 @@ from .hydrostatics import (
     pseudo_stability_check,
 )
 from .kinematics import COORD_NAMES
-from .mesh import _SYMMETRY_TOL, _check_mirror, inertia_from_mesh, load_mesh
+from .mesh import check_shells, inertia_from_mesh, load_mesh
 from .oscillations import normal_modes
 
 SCHEMA_VERSION = 1
@@ -120,7 +120,6 @@ class AnalysisConfig:
     fluid_density: float = 1025.0
     gravity: float = 9.81
     initial_guess: tuple = (0.0, 0.0, 0.0)
-    symmetry: bool = False
     solver: dict = field(default_factory=dict)
     integrator: dict = field(default_factory=dict)
     simulate: dict = field(default_factory=dict)
@@ -132,6 +131,7 @@ class AnalysisConfig:
         given = "mass" if self.uniform_density is None else "uniform_density"
         for name in (given, "fluid_density", "gravity"):
             _require_number(name, getattr(self, name))
+        _require_number("fluid_density * gravity", self.fluid_density * self.gravity)
         for section, ranges in _SECTION_OPTIONS.items():
             options = getattr(self, section)
             _require_known_keys(section, options, ranges)
@@ -151,6 +151,13 @@ class AnalysisConfig:
                 f"'simulate.t_end' {t_end!r} over 'simulate.dt' {dt!r} gives {ratio + 1:.4g} "
                 f"samples, more than {MAX_SAMPLES}"
             )
+        steps = t_end / self.integrator.get("max_step", math.inf)
+        if not steps <= MAX_SAMPLES:
+            raise ConfigError(f"'integrator.max_step' gives at least {steps:.4g} steps over "
+                              f"'simulate.t_end' {t_end!r}, more than {MAX_SAMPLES}")
+        # below 1e-100 the integrator's squared scaled error of a unit slope overflows
+        if 0.0 < self.integrator.get("atol", 0.0) < 1e-100:
+            raise ConfigError("'integrator.atol' must be 0 or at least 1e-100")
         # a deviation from equilibrium and a rate per coordinate
         initial_keys = COORD_NAMES + tuple(f"{name}_dot" for name in COORD_NAMES)
         _require_known_keys("simulate.initial", self.simulate.get("initial", {}), initial_keys)
@@ -174,8 +181,6 @@ class AnalysisConfig:
                     f"'{name}' must hold {'x'.join(map(str, shape))} finite numbers, got {value!r}"
                 )
         _require_count("seed", self.seed)
-        if not isinstance(self.symmetry, bool):
-            raise ConfigError(f"'symmetry' must be true or false, got {self.symmetry!r}")
         if not isinstance(self.mesh_path, (str, os.PathLike)):
             raise ConfigError(f"'mesh_path' must be a file path, got {self.mesh_path!r}")
         # normalize to JSON-native types so the config echo round-trips
@@ -204,14 +209,13 @@ def load_body(config: AnalysisConfig):
     assumes the mesh is already G-centered; giving ``cg`` (mesh
     coordinates of the mass center) requires an explicit ``inertia``
     about that point, because no consistent tensor can be derived for a
-    non-centroidal mass center.  ``symmetry`` checks the mirror claim on
-    the re-centered mesh: the body frame's ``x2 = 0`` plane passes
-    through G.
+    non-centroidal mass center.
     """
     path = Path(config.mesh_path)
     if not path.exists():
         raise ConfigError(f"mesh file not found: {path}")
     mesh = load_mesh(path)
+    check_shells(mesh)
 
     if config.uniform_density is not None:
         for name, fixed in (("cg", "mass center"), ("inertia", "inertia")):
@@ -239,8 +243,6 @@ def load_body(config: AnalysisConfig):
             )
     if np.any(center != 0.0):
         mesh = mesh.translated(-center)
-    if config.symmetry:
-        _check_mirror(mesh.vertices, _SYMMETRY_TOL * mesh.diameter)
     try:
         body = BodyProperties(mass=mass, inertia=inertia)
     except ValueError as exc:

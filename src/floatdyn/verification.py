@@ -31,16 +31,17 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .clipping import evaluate
+from .errors import FloatDynError
 from .hydrostatics import FluidEnvironment, generalized_forces, potential
-from .kinematics import CYCLIC, NONCYCLIC, Pose, depth_rows, k3_body, rotation_matrix
+from .kinematics import NONCYCLIC, Pose, depth_rows, k3_body, rotation_matrix
 from .mesh import HullMesh
 
 
 #: clearance of the deepest and the shallowest vertex from the plane at a
 #: sampled pose, in hull diameters
 _MARGIN_FRACTION = 0.02
-#: draws :func:`random_partial_poses` makes before it gives up
-_MAX_TRIES = 2000
+#: draws per pose asked for that :func:`random_partial_poses` may make
+_TRIES_PER_POSE = 100
 
 
 def random_partial_poses(mesh: HullMesh, n: int, rng, max_angle: float = 0.3):
@@ -49,6 +50,8 @@ def random_partial_poses(mesh: HullMesh, n: int, rng, max_angle: float = 0.3):
     Both the deepest and the shallowest vertex stay at least
     :data:`_MARGIN_FRACTION` diameters away from the plane, so finite
     differences around the pose never change the submersion topology.
+    Raises :class:`~floatdyn.errors.FloatDynError` if
+    :data:`_TRIES_PER_POSE` draws per pose do not give ``n`` such poses.
     """
     margin = _MARGIN_FRACTION * mesh.diameter
     lo, hi = mesh.bbox
@@ -56,8 +59,11 @@ def random_partial_poses(mesh: HullMesh, n: int, rng, max_angle: float = 0.3):
     tries = 0
     while len(poses) < n:
         tries += 1
-        if tries > _MAX_TRIES:
-            raise RuntimeError("could not sample enough partially submerged poses")
+        if tries > _TRIES_PER_POSE * n:
+            raise FloatDynError(
+                f"{tries - 1} draws gave {len(poses)} of the {n} partially submerged "
+                "poses asked for"
+            )
         theta = rng.uniform(-max_angle, max_angle)
         phi = rng.uniform(-max_angle, max_angle)
         zeta = rng.uniform(-hi[2] - 0.2 * mesh.height, -lo[2] + 0.2 * mesh.height)
@@ -101,19 +107,17 @@ _GRADIENT_STEP = 1e-5
 def gradient_residual(mesh: HullMesh, env: FluidEnvironment, poses) -> float:
     """Worst relative deviation of forces from central differences of U_B.
 
-    The cyclic coordinates are checked for exact zeros (their finite
-    differences vanish identically); the three restoring coordinates are
-    compared at steps scaled to the hull as in
-    :func:`gradient_symmetry_residual`: :data:`_GRADIENT_STEP` diameters
-    in heave, that length over the farthest vertex's distance from the
-    origin in the angles, so a hull far from its body origin keeps the
-    angle differences' truncation as small as one centred on it.  The
-    forces of all poses come from one batched call, the six shifted
-    potentials of every pose from another.
+    Only the three restoring coordinates are compared (the cyclic
+    entries of the forces are structural zeros), at steps scaled to the
+    hull as in :func:`gradient_symmetry_residual`: :data:`_GRADIENT_STEP`
+    diameters in heave, that length over the farthest vertex's distance
+    from the origin in the angles, so a hull far from its body origin
+    keeps the angle differences' truncation as small as one centred on
+    it.  The forces of all poses come from one batched call, the six
+    shifted potentials of every pose from another.
     """
     q = np.array([pose.as_array() for pose in poses])
     forces = generalized_forces(mesh, q, env)
-    assert not forces[:, list(CYCLIC)].any()
     scale = np.maximum(np.abs(forces).max(axis=1), 1e-300)
     steps, shifted = _shifted_rows(mesh, q, _GRADIENT_STEP)
     u = potential(mesh, shifted, env).reshape(2, 3, len(q))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -21,7 +22,6 @@ def barge_config(tmp_path):
         "uniform_density": 500.0,
         "fluid_density": 1000.0,
         "gravity": 9.81,
-        "symmetry": True,
     }
     path = tmp_path / "barge.json"
     path.write_text(json.dumps(config))
@@ -37,7 +37,6 @@ def cube_config(tmp_path):
         "uniform_density": 500.0,
         "fluid_density": 1000.0,
         "gravity": 9.81,
-        "symmetry": True,
     }
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(config))
@@ -91,52 +90,9 @@ class TestAnalyze:
             "mass": 500.0,
             "inertia": inertia,
             "fluid_density": 1000.0,
-            "symmetry": True,
         }))
         report = run_analysis(AnalysisConfig.from_file(config))
         assert report.equilibrium["pose"]["zeta"] == pytest.approx(0.0, abs=1e-10)
-
-    def test_symmetry_claim_moves_no_stability_or_modal_number(self, barge_config):
-        # the claim only runs the mirror check: the Hessian has one route,
-        # so the blocks agree to the bit (signed zeros included)
-        blocks = []
-        for claim in (True, False):
-            config = {**json.loads(barge_config.read_text()), "symmetry": claim}
-            barge_config.write_text(json.dumps(config))
-            report = run_analysis(AnalysisConfig.from_file(barge_config))
-            blocks.append(json.dumps([report.stability, report.modal]))
-        assert blocks[0] == blocks[1]
-
-    def test_symmetry_claim_is_checked_in_the_body_frame(self, tmp_path):
-        # a barge modelled off-centre is symmetric about the plane x2 = 0
-        # through G, where loading puts the body frame, not about the file's
-        mesh_path = tmp_path / "barge.stl"
-        save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5, center=(0.25, 0.375, -0.125)))
-        blocks = []
-        for claim in (True, False):
-            config = tmp_path / f"barge_{claim}.json"
-            config.write_text(json.dumps({
-                "mesh_path": str(mesh_path), "uniform_density": 500.0,
-                "fluid_density": 1000.0, "gravity": 9.81, "symmetry": claim,
-            }))
-            out = tmp_path / f"report_{claim}.json"
-            assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
-            report = Report.load(out)
-            blocks.append(json.dumps([report.hydrostatics, report.stability, report.modal]))
-        assert blocks[0] == blocks[1]
-
-    def test_symmetry_claim_on_an_asymmetric_hull_exits_one(self, tmp_path, capsys):
-        mesh_path = tmp_path / "lprism.stl"
-        save_stl(mesh_path, shapes.l_prism(jitter=0.02, seed=11))
-        config = tmp_path / "lprism.json"
-        config.write_text(json.dumps({
-            "mesh_path": str(mesh_path), "uniform_density": 600.0,
-            "fluid_density": 1000.0, "symmetry": True,
-        }))
-        assert main(["analyze", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "'symmetry'" in err and "body frame" in err
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["analyze", "analyze --tol 1e-6", "simulate"])
     def test_loose_solver_tolerance_is_accepted(self, tmp_path, command):
@@ -216,23 +172,6 @@ class TestConfigValidation:
         barge_config.write_text(json.dumps(config))
         assert main(["simulate", "--config", str(barge_config), "--t-end", "0.1"]) == 1
         assert "'simulate.momenta'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["false", 0, [1]], ids=["text", "zero", "list"])
-    def test_non_boolean_symmetry_exits_one_naming_the_key(self, barge_config, capsys, value):
-        config = {**json.loads(barge_config.read_text()), "symmetry": value}
-        barge_config.write_text(json.dumps(config))
-        assert main(["analyze", "--config", str(barge_config)]) == 1
-        err = capsys.readouterr().err
-        assert "'symmetry' must be true or false" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_boolean_symmetry_analyzes(self, barge_config, tmp_path, value):
-        config = {**json.loads(barge_config.read_text()), "symmetry": value}
-        barge_config.write_text(json.dumps(config))
-        out = tmp_path / "report.json"
-        assert main(["analyze", "--config", str(barge_config), "--out", str(out)]) == 0
-        assert Report.load(out).config["symmetry"] is value
 
     def test_config_errors_exit_one(self, tmp_path):
         path = tmp_path / "c.json"
@@ -320,6 +259,60 @@ class TestConfigValidation:
         AnalysisConfig(**config, simulate={"t_end": 9.99999, "dt": 1e-5})
         with pytest.raises(ConfigError, match="1e\\+06 samples, more than 1000000"):
             AnalysisConfig(**config, simulate={"t_end": 10.0, "dt": 1e-5})
+
+    def test_removed_symmetry_key_exits_one_naming_it(self, barge_config, capsys):
+        # 'symmetry' is no config key: a config that sets it fails loudly
+        # instead of being silently ignored
+        config = {**json.loads(barge_config.read_text()), "symmetry": True}
+        barge_config.write_text(json.dumps(config))
+        assert main(["analyze", "--config", str(barge_config)]) == 1
+        assert capsys.readouterr().err == "error: unknown 'config' keys: ['symmetry']\n"
+
+    def test_step_count_bound(self, barge_config):
+        # at least t_end / max_step steps: a million pass, more do not;
+        # 1e-308 (a simulate that would never end) is refused before any solve
+        config = json.loads(barge_config.read_text())
+        fine = AnalysisConfig(**config, integrator={"max_step": 1e-5},
+                              simulate={"t_end": 10.0, "dt": 0.1})
+        for t_end, max_step in ((10.0, 9.9999e-6), (0.5, 1e-308)):
+            with pytest.raises(ConfigError, match="'integrator.max_step'"):
+                AnalysisConfig(**config, integrator={"max_step": max_step},
+                               simulate={"t_end": t_end, "dt": 0.1})
+        # a --t-end override goes through the same check
+        with pytest.raises(ConfigError, match="'integrator.max_step'"):
+            dataclasses.replace(fine, simulate={"t_end": 20.0, "dt": 0.1})
+
+    @pytest.mark.parametrize("key", ["fluid_density", "gravity"])
+    def test_overflowing_weight_density_exits_one(self, barge_config, capsys, key):
+        # rho g = inf would make every force infinite: nan residuals in
+        # verify, a late "no convergence" in analyze
+        config = {**json.loads(barge_config.read_text()), key: 1e308}
+        barge_config.write_text(json.dumps(config))
+        assert main(["verify", "--config", str(barge_config), "--poses", "3", "--loops", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: 'fluid_density * gravity' must be a positive finite")
+        assert "PASS" not in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_zero_atol_with_a_zero_state_component_exits_one(self, barge_config, capsys, mode):
+        # pure relative error control gives an exact zero no error scale:
+        # the run cannot start, and says so instead of failing at "t = nan"
+        config = {**json.loads(barge_config.read_text()), "integrator": {"atol": 0}}
+        barge_config.write_text(json.dumps(config))
+        argv = ["simulate", "--config", str(barge_config), "--mode", mode, "--t-end", "0.1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: integration failed at t = 0: with atol 0 ")
+        assert err.count("\n") == 1
+
+    def test_atol_bound(self, barge_config):
+        # below the bound the squared scaled error of a unit slope overflows
+        config = json.loads(barge_config.read_text())
+        for atol in (0.0, 1e-100):
+            AnalysisConfig(**config, integrator={"atol": atol})
+        for atol in (1e-101, 1e-308):
+            with pytest.raises(ConfigError, match="'integrator.atol'"):
+                AnalysisConfig(**config, integrator={"atol": atol})
 
     def test_library_argument_checks_exit_one(self, tmp_path, capsys):
         # an inertia tensor that is not positive definite fails the body
@@ -496,6 +489,24 @@ class TestStabilitySweep:
             assert (min(report.modal["lambdas"]) > 0.0) == definite, k
             unstable += not definite
         assert analysed >= 40 and 0 < unstable < analysed
+
+    def test_slow_climb_converges_within_the_default_iterations(self, tmp_path):
+        # a 30-point convex hull whose climb from this guess takes 71
+        # trust-region steps, more than 60
+        pytest.importorskip("scipy")
+        mesh_path = tmp_path / "hull.stl"
+        save_stl(mesh_path, shapes.random_convex_mesh(30, 554996936))
+        config = tmp_path / "hull.json"
+        config.write_text(json.dumps({
+            "mesh_path": str(mesh_path), "uniform_density": 331.714, "fluid_density": 1000.0,
+            "initial_guess": [0.0, -0.314, 0.166],
+        }))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
+        equilibrium = Report.load(out).equilibrium
+        assert equilibrium["converged"] and 60 < equilibrium["iterations"] <= 100
+        assert equilibrium["pose"]["theta"] == pytest.approx(-1.512, abs=1e-3)
+        assert equilibrium["pose"]["phi"] == pytest.approx(-1.339, abs=1e-3)
 
     def test_tilted_box(self, tilted_box_config, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -844,8 +855,7 @@ class TestVerify:
         mesh_path = tmp_path / "off.stl"
         save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5).translated((0.0, 0.0, 1.0)))
         config = tmp_path / "off.json"
-        config.write_text(json.dumps({"mesh_path": str(mesh_path), "mass": 500.0,
-                                      "symmetry": True}))
+        config.write_text(json.dumps({"mesh_path": str(mesh_path), "mass": 500.0}))
         code = main(["verify", "--config", str(config), "--poses", "10", "--loops", "1"])
         assert code == 0
         assert capsys.readouterr().out.count("PASS") == 4
@@ -855,8 +865,7 @@ class TestVerify:
         mesh_path = tmp_path / "far.stl"
         save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5).translated((-20.0, 0.0, 2.0)))
         config = tmp_path / "far.json"
-        config.write_text(json.dumps({"mesh_path": str(mesh_path), "mass": 500.0,
-                                      "symmetry": True}))
+        config.write_text(json.dumps({"mesh_path": str(mesh_path), "mass": 500.0}))
         code = main(["verify", "--config", str(config), "--seed", "0", "--loops", "1"])
         assert code == 0
         assert capsys.readouterr().out.count("PASS") == 4
@@ -875,6 +884,17 @@ class TestVerify:
         assert code == 1
         err = capsys.readouterr().err
         assert "edge" in err or "partner" in err
+
+    def test_exhausted_pose_budget_exits_one_without_traceback(
+        self, cube_config, capsys, monkeypatch
+    ):
+        from floatdyn import verification
+
+        monkeypatch.setattr(verification, "_TRIES_PER_POSE", 1)
+        assert main(["verify", "--config", str(cube_config), "--poses", "25"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "of the 25 partially submerged poses" in err
+        assert err.count("\n") == 1 and "PASS" not in out
 
     @pytest.mark.parametrize(
         "flag, value", [("--poses", "0"), ("--poses", "-2"), ("--loops", "0")]
@@ -900,6 +920,50 @@ class TestVerify:
         cube_config.write_text(json.dumps(config))
         assert main(["verify", "--config", str(cube_config)]) == 1
         assert "error: 'seed'" in capsys.readouterr().err
+
+
+def save_shells(path, *shells):
+    """Save the triangles of ``shells``, one mesh each, as one STL file;
+    a shell given as ``(mesh, "inward")`` is written wound inside out."""
+    soup = [
+        shell[0].triangle_vertices[:, ::-1] if isinstance(shell, tuple)
+        else shell.triangle_vertices
+        for shell in shells
+    ]
+    save_stl(path, np.concatenate(soup))
+
+
+class TestShells:
+    """A mesh of several shells loads only if no vertex of one lies inside
+    another: overlaps count twice, a cavity takes its volume off."""
+
+    @pytest.mark.parametrize("shells", [
+        (shapes.unit_cube(), shapes.box(1.0, 1.0, 1.0, center=(0.5, 0.5, 0.5))),
+        (shapes.unit_cube(), (shapes.box(0.5, 0.5, 0.5), "inward")),
+    ], ids=["overlapping", "cavity"])
+    def test_shell_inside_another_exits_one(self, tmp_path, capsys, shells):
+        save_shells(tmp_path / "shells.stl", *shells)
+        config = tmp_path / "shells.json"
+        config.write_text(json.dumps({
+            "mesh_path": str(tmp_path / "shells.stl"), "uniform_density": 500.0,
+            "fluid_density": 1000.0,
+        }))
+        assert main(["analyze", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: overlapping shells: vertex ") and err.count("\n") == 1
+
+    def test_disjoint_shells_analyze(self, tmp_path):
+        # a catamaran: two barges side by side, each at half density
+        barge = shapes.box(2.0, 1.0, 0.5)
+        save_shells(tmp_path / "cat.stl", barge, barge.translated((0.0, 2.0, 0.0)))
+        config = tmp_path / "cat.json"
+        config.write_text(json.dumps({
+            "mesh_path": str(tmp_path / "cat.stl"), "uniform_density": 500.0,
+            "fluid_density": 1000.0,
+        }))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
+        assert Report.load(out).hydrostatics["volume"] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestClip:

@@ -2,11 +2,10 @@
 
 ``import floatdyn``, the ``analyze``, ``verify``, ``clip`` and ``modes``
 subcommands and ``simulate`` with an explicit Runge-Kutta method load no
-SciPy, the port-starboard symmetry check included, and no subcommand
-loads ``numpy.polynomial`` or ``numpy.ma`` (each adds over a megabyte to
-the process).  Only the implicit integrator methods and
-``shapes.convex_hull_mesh`` need it, and without it they raise a typed
-error naming the ``scipy`` extra.  The integrator module ``floatdyn.rk``
+SciPy, and no subcommand loads ``numpy.polynomial`` or ``numpy.ma``
+(each adds over a megabyte to the process).  Only the implicit
+integrator methods and ``shapes.convex_hull_mesh`` need it, and without
+it they raise a typed error naming the ``scipy`` extra.  The integrator module ``floatdyn.rk``
 loads only in ``simulate``.  Each check runs in a fresh
 interpreter, since the test process itself may have SciPy loaded.  The
 tests that need SciPy installed skip without it, so this file also runs
@@ -55,7 +54,6 @@ print(json.dumps(loaded))
 
 @pytest.fixture()
 def barge_config(tmp_path):
-    # the mirror check of "symmetry" runs on numpy alone
     mesh_path = tmp_path / "barge.stl"
     save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5))
     path = tmp_path / "barge.json"
@@ -64,7 +62,6 @@ def barge_config(tmp_path):
         "uniform_density": 500.0,
         "fluid_density": 1000.0,
         "gravity": 9.81,
-        "symmetry": True,
         "simulate": {"t_end": 0.2, "dt": 0.1},
     }))
     return path
@@ -126,7 +123,7 @@ def test_numpy_only_subcommands_load_no_scipy(barge_config, tmp_path):
 @pytest.mark.parametrize("scipy", ["with-scipy", "without-scipy"])
 def test_simulate_loads_no_scipy(barge_config, tmp_path, scipy):
     # the default DOP853 and RK45 in both modes run on floatdyn.rk;
-    # with SciPy blocked they must still succeed, the symmetry check too
+    # with SciPy blocked they must still succeed
     rk45 = with_config(barge_config, integrator={"method": "RK45"})
     loaded = run_child([
         ["simulate", "--config", str(barge_config), "--out", str(tmp_path / "t.csv")],

@@ -5,7 +5,7 @@ import floatdyn as fd
 from floatdyn import shapes
 from floatdyn.errors import EmptyMesh, InvalidMesh, NonWatertightMesh
 from floatdyn.mesh import (
-    HullMesh, _check_mirror, inertia_from_mesh, load_mesh, load_obj, load_stl, save_stl,
+    HullMesh, inertia_from_mesh, load_mesh, load_obj, load_stl, save_stl,
 )
 
 
@@ -80,37 +80,6 @@ class TestHullMeshValidation:
     def test_empty_mesh_rejected(self):
         with pytest.raises(EmptyMesh):
             HullMesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=int))
-
-    def test_symmetry_claim_checked(self, cube):
-        tol = 1e-9 * cube.diameter
-        _check_mirror(cube.vertices, tol)
-        skewed = cube.vertices + np.array([0.0, 0.1, 0.0]) * (
-            cube.vertices[:, 0:1] > 0
-        )
-        with pytest.raises(InvalidMesh):
-            _check_mirror(skewed, tol)
-
-    def test_mirror_check_agrees_with_brute_force(self):
-        # point sets mirrored in x2 = 0 and jittered by about the tolerance:
-        # accepted exactly when each mirrored vertex has a vertex within
-        # tol, wherever the two fall on the check's grid
-        rng = np.random.default_rng(4)
-        outcomes = set()
-        for _ in range(200):
-            half = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 30)), 3))
-            tol = float(rng.choice([1e-9, 1e-3, 0.05]))
-            verts = np.vstack([half, half * [1.0, -1.0, 1.0]])
-            verts += rng.normal(0.0, 0.7 * tol, verts.shape)
-            mirrored = verts * [1.0, -1.0, 1.0]
-            dist = np.linalg.norm(verts[None] - mirrored[:, None], axis=2).min(axis=1)
-            symmetric = bool((dist <= tol).all())
-            outcomes.add(symmetric)
-            if symmetric:
-                _check_mirror(verts, tol)
-            else:
-                with pytest.raises(InvalidMesh, match="no mirror image"):
-                    _check_mirror(verts, tol)
-        assert outcomes == {True, False}
 
     def test_vertices_immutable(self, cube):
         with pytest.raises(ValueError):

@@ -34,6 +34,11 @@ OFF_ORIGIN = {
 }
 
 
+def test_pose_budget_grows_with_the_poses_asked_for(barge, rng):
+    # a budget for the whole call would refuse 2000 poses on any hull
+    assert len(random_partial_poses(barge, 2000, rng)) == 2000
+
+
 def test_sampled_poses_stay_partially_submerged(cube, rng):
     for pose in random_partial_poses(cube, 50, rng):
         depths = pose.zeta + cube.vertices @ k3_body(pose)
