@@ -4,7 +4,6 @@ Subcommands
 -----------
 analyze   equilibrium, stability and normal modes -> JSON report
 simulate  integrate full or reduced dynamics -> CSV trajectory
-modes     recompute modal results from a stored report
 verify    run the residual property suites on user geometry
 clip      export the submerged part at a pose as STL (debugging aid)
 
@@ -29,9 +28,8 @@ from .clipping import clip_by_waterplane
 from .errors import ConfigError, FloatDynError
 from .kinematics import COORD_NAMES, CYCLIC, NONCYCLIC, Pose
 from .mesh import save_stl
-from .oscillations import normal_modes
 from .report import (
-    DEFAULT_DT, DEFAULT_T_END, AnalysisConfig, Report, load_body, load_equilibrium, run_analysis,
+    DEFAULT_DT, DEFAULT_T_END, AnalysisConfig, load_body, load_equilibrium, run_analysis,
 )
 from .verification import run_verification
 
@@ -63,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mode", choices=("full", "reduced"), default=None)
     p_sim.add_argument("--t-end", type=float, default=None)
     p_sim.add_argument("--dt", type=float, default=None)
-
-    p_modes = sub.add_parser("modes", help="modal analysis from a stored report")
-    p_modes.set_defaults(run=_cmd_modes)
-    p_modes.add_argument("--report", required=True, help="existing report JSON")
-    p_modes.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="run property suites on the geometry")
     p_verify.set_defaults(run=_cmd_verify)
@@ -187,28 +180,6 @@ def _initial_state(mode, eq_pose, sim, body):
         metric = kinetic_metric(body, pose.theta, pose.phi)
         rates[list(CYCLIC)] = cyclic_rates(metric, rates[list(NONCYCLIC)], momenta)
     return {"initial": FullState(pose, rates)}
-
-
-def _cmd_modes(args) -> int:
-    report = Report.load(args.report)
-    hessian = _report_matrix(args.report, report, "stability", "hessian")
-    m_red = _report_matrix(args.report, report, "modal", "reduced_mass")
-    modal = normal_modes(hessian, m_red)
-    text = json.dumps(modal.to_dict(), indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"modal results written to {args.out}")
-    else:
-        print(text)
-    return EXIT_OK
-
-
-def _report_matrix(path, report, section, key):
-    """The numeric array stored under ``section.key`` of a loaded report."""
-    try:
-        return np.asarray(getattr(report, section)[key], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(f"report file {path} lacks a numeric '{section}.{key}'") from None
 
 
 def _cmd_verify(args) -> int:

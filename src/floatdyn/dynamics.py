@@ -23,11 +23,11 @@ State ordering is ``(xi, eta, zeta, psi, theta, phi)`` everywhere;
 cyclic indices ``(0, 1, 3)``.  Each right-hand side takes the metric
 and its closed-form angle partials from one evaluation of the chart.
 
-Both integrators run through one solve routine.  The explicit Runge-Kutta
-methods (``DOP853``, the default, ``RK45`` and ``RK23``) are the
-in-package :mod:`floatdyn.rk`, which reproduces SciPy's ``solve_ivp``
-bit for bit; the implicit ones (``Radau``, ``BDF``, ``LSODA``) call
-``solve_ivp`` and need SciPy.  The routine imports either only when
+Both integrators run through one solve routine and take one of
+:data:`METHODS`.  The explicit Runge-Kutta pairs (``DOP853``, the
+default, and ``RK45``) are the in-package :mod:`floatdyn.rk`, which
+reproduces SciPy's ``solve_ivp`` bit for bit; ``LSODA`` calls
+``solve_ivp`` and needs SciPy.  The routine imports either only when
 called, so no other subcommand loads them.
 """
 
@@ -213,6 +213,10 @@ class Trajectory:
         return float((self.energy.max() - self.energy.min()) / scale)
 
 
+#: the ``integrator.method`` names: the ``solve_ivp`` methods that a
+#: work-precision diagram of the releases keeps (``tools/work_precision.py``)
+METHODS = ("DOP853", "RK45", "LSODA")
+
 #: pitch magnitude at which integrations halt; safely inside the region
 #: where the metric stays well conditioned
 GIMBAL_HALT_MARGIN = 1e-3
@@ -314,8 +318,9 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     """Integrate from 0 to ``t_end``, sampled every ``dt``, halting as pitch nears gimbal lock.
 
     ``theta_index`` is the place of pitch in the state vector ``y0``.  The
-    explicit methods run on :mod:`floatdyn.rk`; ``Radau``, ``BDF`` and
-    ``LSODA`` on SciPy's ``solve_ivp``.  Both are imported only here.
+    explicit methods run on :mod:`floatdyn.rk`, ``LSODA`` on SciPy's
+    ``solve_ivp``; both are imported only here, after a ``method`` not
+    in :data:`METHODS` has raised ``ValueError``.
     Either way the result has ``t``, ``y``, ``status`` (1 after the
     gimbal halt) and ``nfev``.  The right-hand side is checked for
     finite values at every call, so a non-finite one raises
@@ -326,6 +331,10 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     ``atol`` 0 with a state component exactly 0 (error scale 0) raises
     :class:`IntegrationFailed` before the first step.
     """
+    if method not in METHODS:
+        raise ValueError(
+            f"unknown integrator method {method!r}; use one of {', '.join(METHODS)}"
+        )
     from . import rk
 
     if dt <= 0 or t_end <= 0:

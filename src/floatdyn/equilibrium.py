@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clipping import evaluate
+from .clipping import DEFAULT_SNAP_FRACTION, evaluate
 from .dynamics import BodyProperties
-from .errors import Diverged, GimbalLock, WontFloat
+from .errors import Diverged, GimbalLock, WontFloat, ZeroVolume
 from .hydrostatics import (
     _RESTORING, FluidEnvironment, _scaled_residual, force_gradient, generalized_forces,
 )
@@ -76,6 +76,10 @@ def find_equilibrium(
     ------
     WontFloat
         If ``m >= rho * V_total`` (no draft can displace the weight).
+    ZeroVolume
+        If ``m < rho * V_total`` times the clip's snap fraction: the
+        balancing draft would lie inside the band of vertex depths the
+        clip snaps to the waterline.
     Diverged
         If ``max_iter`` steps do not converge.
     GimbalLock
@@ -84,6 +88,10 @@ def find_equilibrium(
     m = body.mass
     if m >= env.rho * mesh.volume:
         raise WontFloat(f"mass {m} exceeds maximum displaceable mass {env.rho * mesh.volume}")
+    if m < DEFAULT_SNAP_FRACTION * env.rho * mesh.volume:
+        raise ZeroVolume(f"mass {m} is below {DEFAULT_SNAP_FRACTION:g} of the maximum "
+                         f"displaceable mass {env.rho * mesh.volume}: the hull would float "
+                         "on the waterline, inside the clip's snap band")
     weight = m * env.g
     rg = env.rho * env.g
 

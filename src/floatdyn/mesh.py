@@ -4,7 +4,9 @@ A :class:`HullMesh` is a triangle surface in body coordinates (meters)
 whose triangles wind counter-clockwise seen from outside.  Validation
 enforces the invariants every downstream algorithm relies on: each edge
 shared by exactly two triangles with opposite traversal, strictly
-positive enclosed volume, no face of area ``1e-12 * diameter**2`` or less.
+positive enclosed volume, no face of area ``1e-12 * diameter**2`` or less,
+a diameter within :data:`DIAMETER_RANGE` and a bounding-box centre at most
+:data:`MAX_OFFSET` diameters from the origin.
 
 Volume, centroid and inertia integrals use the signed-tetrahedron
 decomposition against the origin, which is exact for polyhedral
@@ -29,6 +31,16 @@ _RAY_DIRECTION = np.array([0.540302305868, 0.173648177667, 0.823411951498])
 #: HullMesh validation: the minimum triangle area relative to the squared
 #: diameter
 _AREA_TOL = 1e-12
+#: HullMesh validation: the accepted diameters in meters, ten decades
+#: inside the scales where a scale sweep of the barge and the jittered
+#: L-prism first failed (the inertia underflows near 1e-64, the modal
+#: solve overflows near 1e26)
+DIAMETER_RANGE = (1e-50, 1e15)
+#: HullMesh validation: the largest distance of the bounding-box centre
+#: from the origin, in diameters.  The integrals are taken about the
+#: origin, so their roundoff grows with this ratio; past about 3e3 the
+#: inertia of both hulls stops being positive definite.
+MAX_OFFSET = 1e3
 #: points per batch of HullMesh.contains_points
 _CONTAINS_CHUNK = 20000
 
@@ -66,8 +78,20 @@ class HullMesh:
         bbox_min = vertices.min(axis=0)
         bbox_max = vertices.max(axis=0)
         self.bbox = (bbox_min, bbox_max)
+        low, high = DIAMETER_RANGE
+        reach = max(-bbox_min.min(), bbox_max.max())
+        if reach > (MAX_OFFSET + 1.0) * high:  # so the diameter's squares cannot overflow
+            raise InvalidMesh(f"mesh coordinates reach {reach:.3g} m, past the supported "
+                              f"scale [{low:g}, {high:g}] m and offset {MAX_OFFSET:g} diameters")
         self.diameter = float(np.linalg.norm(bbox_max - bbox_min))
         self.height = float(bbox_max[2] - bbox_min[2])
+        if not low <= self.diameter <= high:
+            raise InvalidMesh(f"mesh diameter {self.diameter:.3g} m is outside the "
+                              f"supported scale [{low:g}, {high:g}] m")
+        offset = float(np.linalg.norm(bbox_min + bbox_max)) / (2.0 * self.diameter)
+        if offset > MAX_OFFSET:
+            raise InvalidMesh(f"mesh offset {offset:.3g} diameters from its origin is more than "
+                              f"{MAX_OFFSET:g}: move the mesh near its origin")
 
         self._tri_vertices = vertices[triangles]
         self._tri_vertices.setflags(write=False)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BodyProperties, kinetic_metric, reduced_mass_matrix
+from .dynamics import METHODS, BodyProperties, kinetic_metric, reduced_mass_matrix
 from .equilibrium import find_equilibrium
 from .errors import ConfigError
 from .hydrostatics import (
@@ -57,10 +57,6 @@ DEFAULT_DT = 0.01
 #: most trajectory samples a config may ask for: the diagnostics pass
 #: stacks a 6x6 metric per sample, about 0.3 GB at this count
 MAX_SAMPLES = 1_000_000
-
-#: the ``method`` names solve_ivp accepts; a copy, so checking a config
-#: loads no scipy.integrate (tests/test_imports.py compares it with SciPy's)
-_INTEGRATOR_METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
 
 
 def _require_number(name, value, kind="positive", allow_inf=False):
@@ -166,10 +162,8 @@ class AnalysisConfig:
         momenta = self.simulate.get("momenta", (0.0, 0.0, 0.0))
         if not (_all_finite(momenta) and np.shape(momenta) == (3,)):
             raise ConfigError(f"'simulate.momenta' must be three finite numbers, got {momenta!r}")
-        if self.integrator.get("method", "DOP853") not in _INTEGRATOR_METHODS:
-            raise ConfigError(
-                f"'integrator.method' must be one of {', '.join(_INTEGRATOR_METHODS)}"
-            )
+        if self.integrator.get("method", "DOP853") not in METHODS:
+            raise ConfigError(f"'integrator.method' must be one of {', '.join(METHODS)}")
         if self.simulate.get("mode", "full") not in ("full", "reduced"):
             raise ConfigError("'simulate.mode' must be 'full' or 'reduced'")
         for name, shape in (("initial_guess", (3,)), ("inertia", (3, 3)), ("cg", (3,))):

@@ -1,9 +1,7 @@
 """Explicit Runge-Kutta integration with step-size control and dense output.
 
-Three embedded pairs, named as in SciPy's ``solve_ivp``:
+Two embedded pairs, named as in SciPy's ``solve_ivp``:
 
-* ``RK23``: Bogacki-Shampine 3(2) with a cubic Hermite interpolant
-  (Bogacki & Shampine, Appl. Math. Lett. 2, 1989);
 * ``RK45``: Dormand-Prince 5(4) with Shampine's quartic interpolant
   (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Shampine, Math.
   Comp. 46, 1986);
@@ -12,7 +10,7 @@ Three embedded pairs, named as in SciPy's ``solve_ivp``:
   Wanner, *Solving Ordinary Differential Equations I*, 2nd ed., 1993,
   Sec. II.10, and their Fortran code DOP853).
 
-All three take the step with the higher-order formula.  The first step
+Both take the step with the higher-order formula.  The first step
 follows Hairer, Norsett & Wanner Sec. II.4; the error is measured in the
 root-mean-square norm scaled by ``atol + rtol |y|`` and each step is
 resized by ``0.9 err^(-1/(q+1))`` within ``[0.2, 10]``, never growing
@@ -44,8 +42,8 @@ class Tableau:
 
     ``c``, ``a`` and ``b`` are the Butcher tableau of the stepping
     formula; ``e`` weighs the stages plus the end slope into the error
-    estimate of order ``error_order``.  The interpolant is ``p`` (RK23,
-    RK45: polynomial weights on the stages) or, for DOP853, ``d`` with
+    estimate of order ``error_order``.  The interpolant is ``p`` (RK45:
+    polynomial weights on the stages) or, for DOP853, ``d`` with
     the extra stages ``a_extra``/``c_extra``; DOP853 also blends in the
     third-order estimate ``e3``.
     """
@@ -65,24 +63,6 @@ class Tableau:
     def stages(self) -> int:
         return len(self.b)
 
-
-RK23 = Tableau(
-    error_order=2,
-    c=np.array([0, 1/2, 3/4]),
-    a=np.array([
-        [0, 0, 0],
-        [1/2, 0, 0],
-        [0, 3/4, 0],
-    ]),
-    b=np.array([2/9, 1/3, 4/9]),
-    e=np.array([5/72, -1/12, -1/9, 1/8]),
-    p=np.array([
-        [1, -4/3, 5/9],
-        [0, 1, -2/3],
-        [0, 4/3, -8/9],
-        [0, -1, 1],
-    ]),
-)
 
 RK45 = Tableau(
     error_order=4,
@@ -261,7 +241,7 @@ def _dop853() -> Tableau:
 DOP853 = _dop853()
 
 #: the explicit methods by their ``integrator.method`` names
-TABLEAUS = {"RK23": RK23, "RK45": RK45, "DOP853": DOP853}
+TABLEAUS = {"RK45": RK45, "DOP853": DOP853}
 
 
 @dataclass

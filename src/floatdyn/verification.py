@@ -258,10 +258,11 @@ def planar_invariance_residual(mesh: HullMesh, poses, rng) -> float:
     """Worst change of the submerged integrals from the body frame to the
     fixed frame, relative to the hull.
 
-    Each pose gets random surge, sway and yaw, and the mesh is moved by
-    the pose's whole rigid motion, ``x -> R x + (xi, eta, zeta)``, then
-    integrated at the rest pose.  The volume, the depth integral and the
-    waterplane area must not change, and the first moments must be
+    Each pose gets random surge and sway of up to two hull diameters and
+    random yaw, and the mesh is moved by the pose's whole rigid motion,
+    ``x -> R x + (xi, eta, zeta)``, then integrated at the rest pose.
+    The volume, the depth integral and the waterplane area must not
+    change, and the first moments must be
     ``R first + V (xi, eta, zeta)``; with the diameter ``d``, the
     differences are divided by ``d^3``, ``d^4``, ``d^2`` and ``d^4``.  The
     body frame never sees surge, sway or yaw, so a wrong attitude
@@ -271,8 +272,8 @@ def planar_invariance_residual(mesh: HullMesh, poses, rng) -> float:
     worst = 0.0
     for pose in poses:
         moved = pose.replace(
-            xi=pose.xi + rng.uniform(-5, 5),
-            eta=pose.eta + rng.uniform(-5, 5),
+            xi=pose.xi + rng.uniform(-2, 2) * d,
+            eta=pose.eta + rng.uniform(-2, 2) * d,
             psi=pose.psi + rng.uniform(-3, 3),
         )
         body = evaluate(mesh, moved)

@@ -25,6 +25,13 @@ def barge():
 
 
 @pytest.fixture(scope="session")
+def small_barge(barge):
+    """The barge at 1e-3 scale: fixed surge and sway shifts of metres
+    once made the planar-invariance check fail it."""
+    return fd.HullMesh(barge.vertices * 1e-3, barge.triangles)
+
+
+@pytest.fixture(scope="session")
 def barge_body(barge):
     mass, inertia = fd.inertia_from_mesh(barge, RHO / 2.0)
     return fd.BodyProperties(mass, inertia)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -522,14 +524,14 @@ class TestStabilitySweep:
 class TestSimulate:
     def test_runs_no_stability_stage(self, tilted_box_config, monkeypatch):
         # simulate starts from the equilibrium and reads nothing else
-        from floatdyn import cli, report
+        from floatdyn import report
 
         def refuse(*args, **kwargs):
             raise AssertionError("simulate ran a stability stage")
 
         for module, name in ((report, "hessian_at_equilibrium"),
                              (report, "pseudo_stability_check"),
-                             (report, "normal_modes"), (cli, "normal_modes")):
+                             (report, "normal_modes")):
             monkeypatch.setattr(module, name, refuse)
         assert main(["simulate", "--config", str(tilted_box_config), "--t-end", "0.05"]) == 0
 
@@ -597,12 +599,11 @@ class TestSimulate:
         data = np.genfromtxt(out, delimiter=",", skip_header=1)
         assert data[-1, 0] < 0.5 and np.all(np.abs(data[:, 5]) < np.pi / 2)
 
-    @pytest.mark.parametrize("method", ["BDF", "LSODA"])
+    @pytest.mark.parametrize("method", ["LSODA"])
     def test_implicit_method_with_non_finite_forces_exits_one(
         self, barge_config, tmp_path, capsys, monkeypatch, method
     ):
-        # BDF raised SciPy's ValueError (a traceback) and LSODA wrote NaN
-        # samples and exited 0 on the same failure
+        # LSODA wrote NaN samples and exited 0 on this failure
         pytest.importorskip("scipy")
         from floatdyn import dynamics
 
@@ -765,46 +766,26 @@ EMPTY_REPORT = {
 }
 
 
-class TestModes:
-    def test_modal_recompute_from_report(self, barge_config, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        main(["analyze", "--config", str(barge_config), "--out", str(report_path)])
-        out = tmp_path / "modes.json"
-        assert main(["modes", "--report", str(report_path), "--out", str(out)]) == 0
-        modal = json.loads(out.read_text())
-        stored = Report.load(report_path).modal
-        np.testing.assert_allclose(modal["lambdas"], stored["lambdas"], rtol=1e-12)
-        # one formatter serves both: the payload is the report's modal
-        # block without the reduced mass it was computed from
-        assert modal == {k: v for k, v in stored.items() if k != "reduced_mass"}
-
+class TestReportLoad:
     @pytest.mark.parametrize(
         "text, message",
-        [(None, "report file not found"), ("{not json", "is not valid JSON"),
-         ('{"schema_version": 1, "config": {}}', "lacks the keys"), ("[1]", "JSON object"),
-         pytest.param(
-             json.dumps({**EMPTY_REPORT, "modal": {"reduced_mass": np.eye(3).tolist()}}),
-             "'stability.hessian'", id="no-hessian"),
-         pytest.param(
-             json.dumps({**EMPTY_REPORT, "stability": {"hessian": (-np.eye(3)).tolist()}}),
-             "'modal.reduced_mass'", id="no-reduced-mass"),
-         pytest.param(json.dumps({**EMPTY_REPORT, "stability": None}),
-                      "'stability.hessian'", id="null-stability"),
+        [pytest.param(None, "report file not found", id="missing-file"),
+         pytest.param("{not json", "is not valid JSON", id="bad-json"),
+         pytest.param('{"schema_version": 1, "config": {}}', "lacks the keys", id="missing-keys"),
+         pytest.param("[1]", "JSON object", id="not-an-object"),
          pytest.param(json.dumps({**EMPTY_REPORT, "schema_version": 99}),
                       "'schema_version' 99", id="unknown-version")],
     )
-    def test_bad_report_exits_one(self, tmp_path, capsys, text, message):
+    def test_bad_report_raises(self, tmp_path, text, message):
         path = tmp_path / "report.json"
         if text is not None:
             path.write_text(text)
-        assert main(["modes", "--report", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            Report.load(path)
 
     @pytest.mark.parametrize("version", [True, 1.0], ids=["boolean", "float"])
-    def test_version_equal_to_one_but_not_an_integer_exits_one(
-        self, barge_config, tmp_path, capsys, version
+    def test_version_equal_to_one_but_not_an_integer_raises(
+        self, barge_config, tmp_path, version
     ):
         # True == 1 and 1.0 == 1, yet neither is the integer version
         report_path = tmp_path / "report.json"
@@ -812,23 +793,38 @@ class TestModes:
         report = json.loads(report_path.read_text())
         report["schema_version"] = version
         report_path.write_text(json.dumps(report))
-        capsys.readouterr()
-        assert main(["modes", "--report", str(report_path)]) == 1
+        with pytest.raises(ConfigError, match=re.escape(f"'schema_version' {version!r}")):
+            Report.load(report_path)
+
+
+class TestRemovedCommands:
+    @pytest.mark.parametrize("method", ["RK23", "BDF", "Radau"])
+    def test_dropped_method_exits_one_naming_the_kept_ones(self, barge_config, capsys, method):
+        config = json.loads(barge_config.read_text())
+        config["integrator"] = {"method": method}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config), "--t-end", "0.05"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"'schema_version' {version!r}" in err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert err.startswith("error: 'integrator.method'")
+        assert all(name in err for name in ("DOP853", "RK45", "LSODA"))
+
+    def test_modes_subcommand_is_a_usage_error(self, barge_config, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(barge_config), "--out", str(report_path)]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["modes", "--report", str(report_path)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'modes'" in capsys.readouterr().err
 
 
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("command", ["analyze", "simulate", "modes", "verify", "clip"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "verify", "clip"])
     def test_out_in_missing_directory_exits_one(self, barge_config, tmp_path, capsys, command):
         config = str(barge_config)
-        report = tmp_path / "report.json"
-        if command == "modes":
-            assert main(["analyze", "--config", config, "--out", str(report)]) == 0
         argv = {
             "analyze": ["analyze", "--config", config],
             "simulate": ["simulate", "--config", config, "--t-end", "0.05"],
-            "modes": ["modes", "--report", str(report)],
             "verify": ["verify", "--config", config, "--poses", "3", "--loops", "1"],
             "clip": ["clip", "--config", config],
         }[command]
@@ -931,6 +927,94 @@ def save_shells(path, *shells):
         for shell in shells
     ]
     save_stl(path, np.concatenate(soup))
+
+
+def save_obj(path, mesh, scale=1.0, shift=(0.0, 0.0, 0.0)):
+    """Write ``mesh`` scaled by ``scale`` and moved by ``shift`` as OBJ,
+    at full double precision (binary STL holds single precision)."""
+    vertices = mesh.vertices * scale + np.asarray(shift)
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in vertices.tolist()]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles.tolist()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+#: the bench hulls about their centroids, their densities and guesses
+SCALED_HULLS = {
+    "barge": (shapes.box(2.0, 1.0, 0.5), 500.0, [0.0, 0.0, 0.0]),
+    "lprism": (shapes.l_prism(outer=(1.0, 1.0), notch=(0.5, 0.5), length=1.0, jitter=0.02,
+                              seed=11), 600.0, [0.0, 0.1, 0.05]),
+}
+#: the direction in which the hulls are moved off their origin
+SHIFT = np.array([1.0, 0.7, 0.3]) / np.linalg.norm([1.0, 0.7, 0.3])
+
+
+class TestScaleAndOffset:
+    def config(self, tmp_path, hull, scale=1.0, shift_m=0.0):
+        mesh, density, guess = SCALED_HULLS[hull]
+        mesh = mesh.translated(-mesh.volume_centroid)
+        save_obj(tmp_path / "hull.obj", mesh, scale, shift_m * SHIFT)
+        path = tmp_path / "hull.json"
+        path.write_text(json.dumps({
+            "mesh_path": str(tmp_path / "hull.obj"), "uniform_density": density,
+            "fluid_density": 1000.0, "initial_guess": guess,
+        }))
+        return str(path)
+
+    def analyze(self, config, tmp_path):
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--config", config, "--out", str(out)]) == 0
+        return Report.load(out)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1e3, 1e9])
+    @pytest.mark.parametrize("hull", SCALED_HULLS)
+    def test_scaled_hull_analyzes_without_warning(self, tmp_path, hull, scale):
+        unit = self.analyze(self.config(tmp_path, hull), tmp_path)
+        scaled = self.analyze(self.config(tmp_path, hull, scale), tmp_path)
+        for key in ("gm_transverse", "gm_longitudinal"):
+            assert scaled.stability[key] / scale == pytest.approx(unit.stability[key], rel=1e-9)
+        for key in ("theta", "phi"):
+            assert scaled.equilibrium["pose"][key] == pytest.approx(
+                unit.equilibrium["pose"][key], abs=1e-9)
+
+    @pytest.mark.parametrize("diameters", [10.0, 1e3])
+    @pytest.mark.parametrize("hull", SCALED_HULLS)
+    def test_offset_hull_analyzes_without_warning(self, tmp_path, hull, diameters):
+        mesh = SCALED_HULLS[hull][0]
+        # a little inside the bound, which applies to the bounding-box centre
+        shift = 0.99 * diameters * mesh.diameter
+        self.analyze(self.config(tmp_path, hull, shift_m=shift), tmp_path)
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e50, 1e60, 1e70, 1e100])
+    def test_scale_out_of_range_exits_one_naming_it(self, tmp_path, capsys, scale):
+        assert main(["analyze", "--config", self.config(tmp_path, "barge", scale)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mesh ") and len(err.splitlines()) == 1
+        assert "supported scale" in err
+
+    @pytest.mark.parametrize("shift_m", [1e6, 1e7, 1e8, 1e9, 1e10, 1e11])
+    def test_far_offset_exits_one_naming_it(self, tmp_path, capsys, shift_m):
+        assert main(["analyze", "--config", self.config(tmp_path, "barge", shift_m=shift_m)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mesh offset ") and len(err.splitlines()) == 1
+        assert "diameters from its origin" in err
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-4, 1e-9])
+    def test_small_barge_passes_verify(self, tmp_path, capsys, scale):
+        # the planar-invariance shifts were 5 m whatever the hull
+        config = self.config(tmp_path, "barge", scale)
+        assert main(["verify", "--config", config, "--poses", "10", "--loops", "1"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_fluid_too_dense_for_the_hull_exits_one(self, barge_config, capsys, command):
+        config = {**json.loads(barge_config.read_text()), "fluid_density": 1e300}
+        barge_config.write_text(json.dumps(config))
+        assert main([command, "--config", str(barge_config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mass 500") and len(err.splitlines()) == 1
+        assert "snap band" in err
 
 
 class TestShells:

@@ -530,6 +530,14 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             integrate_full(barge, barge_body, env, state, 1.0, 0.0)
 
+    @pytest.mark.parametrize("method", ["BDF", "RK23"])
+    def test_dropped_method_raises(self, barge, barge_body, env, method):
+        # the config check refuses these names; the library call must too,
+        # rather than hand them to SciPy
+        state = FullState(Pose(), np.zeros(6))
+        with pytest.raises(ValueError, match="use one of DOP853, RK45, LSODA"):
+            integrate_full(barge, barge_body, env, state, 0.1, 0.01, method=method)
+
 
 class TestSampleTimes:
     def test_samples_stay_in_the_span(self):

@@ -3,7 +3,7 @@ import pytest
 
 import floatdyn as fd
 from floatdyn import BodyProperties, Pose, find_equilibrium, potential
-from floatdyn.errors import WontFloat
+from floatdyn.errors import WontFloat, ZeroVolume
 
 RHO = 1000.0
 
@@ -32,6 +32,13 @@ class TestFindEquilibrium:
         body = BodyProperties(RHO * 1.0, np.eye(3) * 100.0)
         with pytest.raises(WontFloat):
             find_equilibrium(cube, body, env)
+
+    def test_fluid_too_dense_for_the_hull_fails_early(self, barge, barge_body):
+        # the draft would lie inside the clip's snap band: the solve used
+        # to run all its iterations and end in "no convergence"
+        dense = fd.FluidEnvironment(rho=1e300, g=9.81)
+        with pytest.raises(ZeroVolume, match="snap band"):
+            find_equilibrium(barge, barge_body, dense)
 
     def test_archimedes_to_high_precision(self, barge, barge_body, env, barge_equilibrium):
         state = fd.hydrostatic_state(barge, barge_equilibrium.pose, env)

@@ -5,8 +5,7 @@ null, a boolean, a string, a list, a dict, -1, 0, NaN, +-inf, 1e308 or
 1e-308, and runs every subcommand in process on the result.  Whatever the
 value, the subcommand returns 0, 1 or 2, no exception but
 ``SystemExit`` escapes, and exit code 1 comes with exactly one
-``error: ...`` line on standard error.  ``modes`` reads the report
-``analyze`` writes from the same config.  The examples are derandomized
+``error: ...`` line on standard error.  The examples are derandomized
 and no example database is kept, so the test is the same on every run.
 """
 
@@ -53,7 +52,7 @@ VALUES = [
     -1, 0, math.nan, math.inf, -math.inf, 1e308, 1e-308,
 ]
 
-#: every subcommand but ``modes``, which reads the report ``analyze`` writes
+#: every subcommand
 COMMANDS = [
     ["analyze", "--out", "report.json"],
     ["simulate", "--out", "t.csv"],
@@ -120,15 +119,12 @@ def run_all(workdir, path):
         if "--out" in flags:
             flags[-1] = str(workdir / flags[-1])
         results.append(run([name, "--config", str(path), *flags]))
-        if name == "analyze" and results[-1][0] != 1:
-            results.append(run(["modes", "--report", flags[-1],
-                                "--out", str(workdir / "modes.json")]))
     return results
 
 
 def test_the_base_config_runs_every_subcommand(workdir):
     # so the examples below start from a config that works
-    assert run_all(workdir, write_config(workdir)) == [(0, "")] * (len(COMMANDS) + 1)
+    assert run_all(workdir, write_config(workdir)) == [(0, "")] * len(COMMANDS)
 
 
 # rtol 0 and 1e-308 are raised to 100 eps with a warning, as in solve_ivp

@@ -1,11 +1,11 @@
 """Import budget: the CLI runs on numpy alone.
 
-``import floatdyn``, the ``analyze``, ``verify``, ``clip`` and ``modes``
-subcommands and ``simulate`` with an explicit Runge-Kutta method load no
-SciPy, and no subcommand loads ``numpy.polynomial`` or ``numpy.ma``
-(each adds over a megabyte to the process).  Only the implicit
-integrator methods and ``shapes.convex_hull_mesh`` need it, and without
-it they raise a typed error naming the ``scipy`` extra.  The integrator module ``floatdyn.rk``
+``import floatdyn``, the ``analyze``, ``verify`` and ``clip`` subcommands
+and ``simulate`` with an explicit Runge-Kutta method load no SciPy, and
+no subcommand loads ``numpy.polynomial`` or ``numpy.ma`` (each adds over
+a megabyte to the process).  Only the ``LSODA`` integrator method and
+``shapes.convex_hull_mesh`` need it, and without it they raise a typed
+error naming the ``scipy`` extra.  The integrator module ``floatdyn.rk``
 loads only in ``simulate``.  Each check runs in a fresh
 interpreter, since the test process itself may have SciPy loaded.  The
 tests that need SciPy installed skip without it, so this file also runs
@@ -114,9 +114,8 @@ def test_numpy_only_subcommands_load_no_scipy(barge_config, tmp_path):
         ["verify", "--config", config, "--loops", "1", "--poses", "3",
          "--out", str(tmp_path / "verify.json")],
         ["clip", "--config", config, "--out", str(tmp_path / "wet.stl")],
-        ["modes", "--report", report, "--out", str(tmp_path / "modes.json")],
     ])
-    assert set(loaded) == {"import", "analyze", "verify", "clip", "modes"}
+    assert set(loaded) == {"import", "analyze", "verify", "clip"}
     assert all(modules == [] for modules in loaded.values()), loaded
 
 
@@ -133,11 +132,11 @@ def test_simulate_loads_no_scipy(barge_config, tmp_path, scipy):
     assert loaded == {"import": [], "simulate": ["floatdyn.rk"]}
 
 
-def test_radau_simulate_loads_scipy_integrate(barge_config, tmp_path):
+def test_lsoda_simulate_loads_scipy_integrate(barge_config, tmp_path):
     # the checks above are not vacuous: the child does see SciPy when loaded
     pytest.importorskip("scipy")
-    radau = with_config(barge_config, integrator={"method": "Radau"})
-    loaded = run_child([["simulate", "--config", radau, "--out", str(tmp_path / "t.csv")]])
+    lsoda = with_config(barge_config, integrator={"method": "LSODA"})
+    loaded = run_child([["simulate", "--config", lsoda, "--out", str(tmp_path / "t.csv")]])
     assert loaded["import"] == []
     assert "scipy.integrate" in loaded["simulate"]
 
@@ -145,7 +144,7 @@ def test_radau_simulate_loads_scipy_integrate(barge_config, tmp_path):
 def test_features_needing_scipy_raise_a_typed_error_without_it(barge_config, tmp_path):
     out = run_child({
         "implicit": [
-            "simulate", "--config", with_config(barge_config, integrator={"method": "BDF"}),
+            "simulate", "--config", with_config(barge_config, integrator={"method": "LSODA"}),
             "--out", str(tmp_path / "t.csv"),
         ],
     }, script=MISSING_SCIPY)
@@ -153,19 +152,20 @@ def test_features_needing_scipy_raise_a_typed_error_without_it(barge_config, tmp
     code, err = out["implicit"]
     assert code == 1 and err.startswith("error: ") and hint in err, err
     assert "Traceback" not in err
-    assert "'BDF'" in err
+    assert "'LSODA'" in err
     kind, message = out["convex_hull_mesh"]
     assert kind == "MissingDependency" and hint in message
     assert not (tmp_path / "t.csv").exists()
 
 
 def test_config_method_list_matches_solve_ivp():
-    # the config check keeps its own copy to avoid importing scipy.integrate
+    # the method list is a copy, so checking a config imports no
+    # scipy.integrate; each name must still be one solve_ivp runs
     pytest.importorskip("scipy")
-    from scipy.integrate._ivp.ivp import METHODS
+    from scipy.integrate._ivp.ivp import METHODS as SOLVE_IVP_METHODS
 
-    from floatdyn.report import _INTEGRATOR_METHODS
+    from floatdyn.dynamics import METHODS
     from floatdyn.rk import TABLEAUS
 
-    assert sorted(_INTEGRATOR_METHODS) == sorted(METHODS)
-    assert set(TABLEAUS) == {"DOP853", "RK45", "RK23"}
+    assert set(METHODS) <= set(SOLVE_IVP_METHODS)
+    assert set(TABLEAUS) == {"DOP853", "RK45"}

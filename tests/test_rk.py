@@ -26,9 +26,9 @@ from floatdyn.errors import IntegrationFailed
 from floatdyn.report import AnalysisConfig, load_equilibrium
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-EXPLICIT = ("DOP853", "RK45", "RK23")
+EXPLICIT = ("DOP853", "RK45")
 #: integration span per method: long enough for hundreds of steps
-SPAN = {"DOP853": 0.5, "RK45": 0.3, "RK23": 0.1}
+SPAN = {"DOP853": 0.5, "RK45": 0.3}
 
 
 def bench_module(name):
@@ -190,15 +190,15 @@ def nan_after(t_bad):
 #: 0.05, whose time depends on the method's steps
 FAILURES = {
     method: r"^integration failed at t = 0\.0[56]\d*: the right-hand side is not finite$"
-    for method in EXPLICIT + ("Radau", "BDF", "LSODA")
+    for method in EXPLICIT + ("LSODA",)
 }
 
 
 @pytest.mark.parametrize("method", FAILURES)
 def test_failed_integration_raises(method):
-    # unchecked, the explicit methods and Radau underflow their step size,
-    # BDF raises a raw ValueError and LSODA reports success with NaN
-    # samples; the integrator must not hand back a truncated or NaN run
+    # unchecked, the explicit methods underflow their step size and LSODA
+    # reports success with NaN samples; the integrator must not hand back a
+    # truncated or NaN run
     with pytest.raises(IntegrationFailed, match=FAILURES[method]):
         dynamics._solve(nan_after(0.05), np.array([0.0, 1.0]), 0, 1.0, 0.01, method,
                         1e-9, 1e-10, np.inf)
@@ -222,16 +222,8 @@ def test_step_size_underflow_raises(method):
                  lambda t, y: 1.0, method, 1e-9, 1e-10, np.inf)
 
 
-@pytest.mark.parametrize("method", ["Radau", "BDF"])
-def test_implicit_step_size_underflow_raises(method):
-    with pytest.raises(IntegrationFailed,
-                       match=r"^integration failed after the sample at t = 0\.5: "
-                             "Required step size is less than spacing between numbers"):
-        dynamics._solve(jump_at_half, np.zeros(2), 1, 1.0, 0.01, method, 1e-9, 1e-10, np.inf)
-
-
 def test_invalid_implicit_options_stay_value_errors():
     # an invalid option is the caller's error, not a failed integration
     with pytest.raises(ValueError, match="atol"):
-        dynamics._solve(nan_after(0.05), np.array([0.0, 1.0]), 0, 1.0, 0.01, "BDF",
+        dynamics._solve(nan_after(0.05), np.array([0.0, 1.0]), 0, 1.0, 0.01, "LSODA",
                         1e-9, -1.0, np.inf)

@@ -126,14 +126,14 @@ def test_gradient_symmetry_catches_nonconservative_forces(cube, env, rng, monkey
     assert gradient_symmetry_residual(cube, env, poses) > 100 * GRADIENT_SYMMETRY_TOL
 
 
-@pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "cube", "wedge"])
+@pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "cube", "wedge", "small_barge"])
 def test_planar_invariance_holds(mesh_name, request, rng):
     mesh = request.getfixturevalue(mesh_name)
     poses = random_partial_poses(mesh, 10, rng)
     assert planar_invariance_residual(mesh, poses, rng) <= PLANAR_INVARIANCE_TOL
 
 
-@pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "cube", "wedge"])
+@pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "cube", "wedge", "small_barge"])
 def test_planar_invariance_catches_a_flipped_roll(mesh_name, request, rng, monkeypatch):
     mesh = request.getfixturevalue(mesh_name)
     # a fresh copy, so no pose stored on the fixture answers for the kernel
