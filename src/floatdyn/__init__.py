@@ -73,6 +73,6 @@ from .mesh import HullMesh, inertia_from_mesh, load_mesh, load_obj, load_stl, sa
 from .oscillations import ModalResult, normal_modes
 from .polygons import PolygonMoments, polygon_moments
 from .report import AnalysisConfig, Report, run_analysis
-from .verification import VerificationSummary, run_verification
+from .verification import run_verification
 
 __version__ = "0.1.0"

@@ -221,6 +221,10 @@ METHODS = ("DOP853", "RK45", "LSODA")
 #: where the metric stays well conditioned
 GIMBAL_HALT_MARGIN = 1e-3
 
+#: right-hand-side calls in a row that may fail to pass the latest time a
+#: SciPy method has reached before the run counts as stalled
+STALL_CALLS = 10_000
+
 
 def integrate_full(
     mesh: HullMesh,
@@ -325,7 +329,9 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     gimbal halt) and ``nfev``.  The right-hand side is checked for
     finite values at every call, so a non-finite one raises
     :class:`IntegrationFailed` with one message whatever the method; a
-    run that cannot advance raises it too.  A start already inside the
+    run that cannot advance raises it too (for ``LSODA``, after
+    :data:`STALL_CALLS` calls in a row that do not pass the latest time
+    reached).  A start already inside the
     halt margin raises :class:`GimbalLock`: the halt fires on crossing
     the margin, so such a run would integrate where the guard forbids.
     ``atol`` 0 with a state component exactly 0 (error scale 0) raises
@@ -366,8 +372,23 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
         return rk.solve(finite, (0.0, t_end), y0, t_eval, gimbal, method, rtol, atol, max_step)
     solve_ivp = require_scipy("scipy.integrate", f"integrator method {method!r}").solve_ivp
     gimbal.terminal = True
+    reached, stalled = 0.0, 0
+
+    def advancing(t, y):
+        # a call passes the latest time if it lies beyond it by more than
+        # ten float spacings, the step floor of floatdyn.rk
+        nonlocal reached, stalled
+        if t > reached + 10 * math.ulp(reached):
+            reached, stalled = t, 0
+        elif (stalled := stalled + 1) >= STALL_CALLS:
+            raise IntegrationFailed(
+                f"integration failed: cannot advance past t = {reached:.9g} in "
+                f"{STALL_CALLS} right-hand-side calls in a row"
+            )
+        return finite(t, y)
+
     sol = solve_ivp(
-        finite,
+        advancing,
         (0.0, t_end),
         y0,
         method=method,

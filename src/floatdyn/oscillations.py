@@ -43,10 +43,6 @@ class ModalResult:
     mode_shapes: np.ndarray
     mass: np.ndarray
 
-    @property
-    def all_positive(self) -> bool:
-        return bool(np.all(self.lambdas > 0.0))
-
     def to_dict(self) -> dict:
         """JSON-native eigenvalues, frequencies and shapes.
 

@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +46,13 @@ _SECTION_OPTIONS = {
     "integrator": {
         "method": None, "rtol": "non-negative", "atol": "non-negative", "max_step": "positive",
     },
-    "simulate": {
-        "mode": None, "t_end": "positive", "dt": "positive", "initial": None, "momenta": None,
-    },
+    "simulate": {"t_end": "positive", "dt": "positive", "initial": None, "momenta": None},
 }
+
+#: farthest a mesh given 'mass' without 'inertia' may have its volume
+#: centroid from its origin, in diameters; single-precision STL moves the
+#: centroid of a centred mesh by about 1e-7
+CENTROID_SLACK = 1e-6
 
 #: simulated span and sample step when the config gives none, in seconds
 DEFAULT_T_END = 10.0
@@ -119,7 +122,6 @@ class AnalysisConfig:
     solver: dict = field(default_factory=dict)
     integrator: dict = field(default_factory=dict)
     simulate: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         if (self.mass is None) == (self.uniform_density is None):
@@ -164,8 +166,6 @@ class AnalysisConfig:
             raise ConfigError(f"'simulate.momenta' must be three finite numbers, got {momenta!r}")
         if self.integrator.get("method", "DOP853") not in METHODS:
             raise ConfigError(f"'integrator.method' must be one of {', '.join(METHODS)}")
-        if self.simulate.get("mode", "full") not in ("full", "reduced"):
-            raise ConfigError("'simulate.mode' must be 'full' or 'reduced'")
         for name, shape in (("initial_guess", (3,)), ("inertia", (3, 3)), ("cg", (3,))):
             value = getattr(self, name)
             if value is None and name != "initial_guess":
@@ -174,7 +174,6 @@ class AnalysisConfig:
                 raise ConfigError(
                     f"'{name}' must hold {'x'.join(map(str, shape))} finite numbers, got {value!r}"
                 )
-        _require_count("seed", self.seed)
         if not isinstance(self.mesh_path, (str, os.PathLike)):
             raise ConfigError(f"'mesh_path' must be a file path, got {self.mesh_path!r}")
         # normalize to JSON-native types so the config echo round-trips
@@ -189,9 +188,7 @@ class AnalysisConfig:
         return FluidEnvironment(rho=self.fluid_density, g=self.gravity)
 
     def to_dict(self) -> dict:
-        return {
-            name: getattr(self, name) for name in self.__dataclass_fields__
-        }
+        return _as_dict(self)
 
 
 def load_body(config: AnalysisConfig):
@@ -201,9 +198,10 @@ def load_body(config: AnalysisConfig):
     derives the inertia from exact mesh integrals, so it takes neither
     ``cg`` nor ``inertia``.  An explicit ``mass``
     assumes the mesh is already G-centered; giving ``cg`` (mesh
-    coordinates of the mass center) requires an explicit ``inertia``
-    about that point, because no consistent tensor can be derived for a
-    non-centroidal mass center.
+    coordinates of the mass center), or a mesh whose volume centroid
+    lies more than :data:`CENTROID_SLACK` diameters from its origin,
+    requires an explicit ``inertia`` about that point, because no
+    consistent tensor can be derived for a non-centroidal mass center.
     """
     path = Path(config.mesh_path)
     if not path.exists():
@@ -223,18 +221,26 @@ def load_body(config: AnalysisConfig):
     else:
         mass = float(config.mass)
         center = np.zeros(3) if config.cg is None else np.asarray(config.cg, float)
+        offset = np.linalg.norm(mesh.volume_centroid) / mesh.diameter
         if config.inertia is not None:
             inertia = np.asarray(config.inertia, dtype=float)
-        elif config.cg is None:
-            # uniform distribution scaled to the given mass
-            density = mass / mesh.volume
-            _, inertia = inertia_from_mesh(mesh, density)
-        else:
+        elif config.cg is not None:
             raise ConfigError(
                 "'cg' needs an explicit 'inertia' about the mass center; a "
                 "shape-derived tensor would be inconsistent with an "
                 "off-centroid mass center"
             )
+        elif offset > CENTROID_SLACK:
+            centroid = ", ".join(f"{x:.6g}" for x in mesh.volume_centroid)
+            raise ConfigError(
+                f"the mesh's volume centroid ({centroid}) is {offset:.3g} diameters from "
+                "its origin, which 'mass' without 'inertia' takes as the mass center; give "
+                "'inertia' about the origin, or 'uniform_density'"
+            )
+        else:
+            # uniform distribution scaled to the given mass
+            density = mass / mesh.volume
+            _, inertia = inertia_from_mesh(mesh, density)
     if np.any(center != 0.0):
         mesh = mesh.translated(-center)
     try:
@@ -258,19 +264,10 @@ class Report:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "cg_shift": self.cg_shift,
-            "equilibrium": self.equilibrium,
-            "hydrostatics": self.hydrostatics,
-            "stability": self.stability,
-            "modal": self.modal,
-            "verification": self.verification,
-        }
+        return {"schema_version": self.schema_version, **_as_dict(self)}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def save(self, path):
         Path(path).write_text(self.to_json() + "\n")
@@ -293,6 +290,20 @@ class Report:
 
 def _listify(value):
     return np.asarray(value, dtype=float).tolist()
+
+
+def _as_dict(obj) -> dict:
+    """The fields of the dataclass ``obj`` in order, nested dataclasses as
+    dicts and arrays and tuples as lists."""
+    out = {}
+    for item in fields(obj):
+        value = getattr(obj, item.name)
+        if is_dataclass(value):
+            value = _as_dict(value)
+        elif isinstance(value, (np.ndarray, tuple)):
+            value = _listify(value)
+        out[item.name] = value
+    return out
 
 
 def load_equilibrium(config: AnalysisConfig):
@@ -333,20 +344,7 @@ def run_analysis(config: AnalysisConfig) -> Report:
     return Report(
         config=config.to_dict(),
         cg_shift=_listify(cg_shift),
-        equilibrium={
-            "pose": {
-                "xi": 0.0,
-                "eta": 0.0,
-                "zeta": result.pose.zeta,
-                "psi": 0.0,
-                "theta": result.pose.theta,
-                "phi": result.pose.phi,
-            },
-            "residual": _listify(result.residual),
-            "iterations": result.iterations,
-            "waterline_distance": result.waterline_distance,
-            "converged": result.converged,
-        },
+        equilibrium=_as_dict(result),
         hydrostatics={
             "volume": state.volume,
             "buoyancy_center": _listify(state.buoyancy_center),
@@ -357,14 +355,6 @@ def run_analysis(config: AnalysisConfig) -> Report:
             "second_moment": _listify(state.waterplane.second_moment),
             "potential": state.potential,
         },
-        stability={
-            "hessian": _listify(stability.hessian),
-            "gm_transverse": stability.gm_transverse,
-            "gm_longitudinal": stability.gm_longitudinal,
-            "displacement": stability.displacement,
-            "pseudo_stable": stability.pseudo_stable,
-            "margins": list(stability.margins),
-            "marginal": stability.marginal,
-        },
+        stability=_as_dict(stability),
         modal={**modal.to_dict(), "reduced_mass": _listify(m_red)},
     )

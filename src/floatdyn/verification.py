@@ -1,8 +1,8 @@
 """Property-check suites runnable on arbitrary user geometry.
 
 Each check returns its worst residual so callers can compare against
-their own thresholds; :func:`run_verification` bundles the standard set
-used by the command-line ``verify`` subcommand:
+their own thresholds; :func:`run_verification` runs the standard set
+that the command-line ``verify`` subcommand holds to :data:`TOLERANCES`:
 
 * loop work: the generalized forces integrated around closed loops in
   configuration space must do zero net work (conservativeness);
@@ -25,8 +25,6 @@ Monte-Carlo oracle for the clipped volume and first moments.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -320,39 +318,14 @@ class SubmergedMonteCarlo:
         return v_hat, v_sigma, m_hat, m_sigma
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
-    """Worst residual per property check, with the thresholds applied."""
-
-    loop_work: float
-    gradient: float
-    gradient_symmetry: float
-    planar_invariance: float
-    loop_work_tol: float
-    gradient_tol: float
-    gradient_symmetry_tol: float
-    planar_invariance_tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.loop_work <= self.loop_work_tol
-            and self.gradient <= self.gradient_tol
-            and self.gradient_symmetry <= self.gradient_symmetry_tol
-            and self.planar_invariance <= self.planar_invariance_tol
-        )
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["passed"] = self.passed
-        return out
-
-
-#: thresholds of the standard suite, one per check
-LOOP_WORK_TOL = 1e-6
-GRADIENT_TOL = 1e-5
-GRADIENT_SYMMETRY_TOL = 1e-8
-PLANAR_INVARIANCE_TOL = 1e-12
+#: the checks of the standard suite, in order, each with the largest
+#: residual that passes
+TOLERANCES = {
+    "loop_work": 1e-6,
+    "gradient": 1e-5,
+    "gradient_symmetry": 1e-8,
+    "planar_invariance": 1e-12,
+}
 
 
 def run_verification(
@@ -361,17 +334,14 @@ def run_verification(
     seed: int = 0,
     n_poses: int = 25,
     n_loops: int = 5,
-) -> VerificationSummary:
-    """Run the standard residual suite on one mesh."""
+) -> dict:
+    """Worst residual of each check of the standard suite on one mesh,
+    under the keys of :data:`TOLERANCES`."""
     rng = np.random.default_rng(seed)
     poses = random_partial_poses(mesh, n_poses, rng)
-    return VerificationSummary(
-        loop_work=loop_work_residual(mesh, env, rng, n_loops=n_loops),
-        gradient=gradient_residual(mesh, env, poses),
-        gradient_symmetry=gradient_symmetry_residual(mesh, env, poses),
-        planar_invariance=planar_invariance_residual(mesh, poses, rng),
-        loop_work_tol=LOOP_WORK_TOL,
-        gradient_tol=GRADIENT_TOL,
-        gradient_symmetry_tol=GRADIENT_SYMMETRY_TOL,
-        planar_invariance_tol=PLANAR_INVARIANCE_TOL,
-    )
+    return {
+        "loop_work": loop_work_residual(mesh, env, rng, n_loops=n_loops),
+        "gradient": gradient_residual(mesh, env, poses),
+        "gradient_symmetry": gradient_symmetry_residual(mesh, env, poses),
+        "planar_invariance": planar_invariance_residual(mesh, poses, rng),
+    }

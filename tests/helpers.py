@@ -187,7 +187,7 @@ def linearized_prediction(
     is positive.  Serves as the small-amplitude oracle against the
     nonlinear reduced dynamics.
     """
-    assert modal.all_positive, "linearized prediction needs all eigenvalues positive"
+    assert np.all(modal.lambdas > 0), "linearized prediction needs all eigenvalues positive"
     eta0 = np.asarray(initial_deviation, dtype=float)
     etadot0 = np.asarray(initial_rates, dtype=float)
     # shapes are mass-orthonormal, so the mass metric inverts the basis

@@ -15,6 +15,10 @@ from floatdyn.errors import ConfigError, GimbalLock
 from helpers import touching_loops, vertex_on_plane_poses
 
 
+#: inertia about the centroid of the 2 x 1 x 0.5 barge of 500 kg
+BARGE_INERTIA = (500.0 / 12.0 * np.diag([1.25, 4.25, 5.0])).tolist()
+
+
 @pytest.fixture()
 def barge_config(tmp_path):
     mesh_path = tmp_path / "barge.stl"
@@ -43,6 +47,16 @@ def cube_config(tmp_path):
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(config))
     return path
+
+
+def set_span(path, t_end, dt=None):
+    """Write ``simulate.t_end``, and ``simulate.dt`` if given, into the
+    config at ``path``, keeping its other keys; returns the path as text."""
+    config = json.loads(path.read_text())
+    span = {"t_end": t_end} if dt is None else {"t_end": t_end, "dt": dt}
+    config["simulate"] = {**config.get("simulate", {}), **span}
+    path.write_text(json.dumps(config))
+    return str(path)
 
 
 class TestAnalyze:
@@ -82,21 +96,34 @@ class TestAnalyze:
         assert again == report
         assert again.schema_version == 1
 
+    def test_report_sections_are_the_result_fields(self, barge_config, tmp_path):
+        # equilibrium and stability are written field by field, in order
+        from floatdyn import EquilibriumResult, StabilityReport
+
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(barge_config), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        for section, result in (("equilibrium", EquilibriumResult),
+                                ("stability", StabilityReport)):
+            assert list(report[section]) == [f.name for f in dataclasses.fields(result)]
+        assert list(report["equilibrium"]["pose"]) == ["xi", "eta", "zeta", "psi", "theta", "phi"]
+        assert list(report) == ["schema_version", "config", "cg_shift", "equilibrium",
+                                "hydrostatics", "stability", "modal", "verification"]
+
     def test_explicit_mass_with_inertia(self, tmp_path):
         mesh_path = tmp_path / "barge.stl"
         save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5))
-        inertia = (500.0 / 12.0 * np.diag([1.25, 4.25, 5.0])).tolist()
         config = tmp_path / "c.json"
         config.write_text(json.dumps({
             "mesh_path": str(mesh_path),
             "mass": 500.0,
-            "inertia": inertia,
+            "inertia": BARGE_INERTIA,
             "fluid_density": 1000.0,
         }))
         report = run_analysis(AnalysisConfig.from_file(config))
         assert report.equilibrium["pose"]["zeta"] == pytest.approx(0.0, abs=1e-10)
 
-    @pytest.mark.parametrize("command", ["analyze", "analyze --tol 1e-6", "simulate"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_loose_solver_tolerance_is_accepted(self, tmp_path, command):
         # what the solver accepts at solver.tol, the Hessian check accepts
         mesh_path = tmp_path / "lprism.stl"
@@ -105,9 +132,9 @@ class TestAnalyze:
         config.write_text(json.dumps({
             "mesh_path": str(mesh_path), "uniform_density": 600.0, "fluid_density": 1000.0,
             "initial_guess": [0.0, 0.1, 0.05], "solver": {"tol": 1e-6},
+            "simulate": {"t_end": 0.05},
         }))
-        argv = command.split() + ["--config", str(config)]
-        assert main(argv + (["--t-end", "0.05"] if command == "simulate" else [])) == 0
+        assert main([command, "--config", str(config)]) == 0
 
 
 class TestConfigValidation:
@@ -147,12 +174,13 @@ class TestConfigValidation:
     def test_unknown_section_keys_exit_one(self, barge_config, capsys, section, key):
         # a misspelled option must not silently fall back to its default
         config = json.loads(barge_config.read_text())
+        config["simulate"] = {"t_end": 0.1}
         if section == "simulate.initial":
-            config["simulate"] = {"initial": {key: 0.1}}
+            config["simulate"]["initial"] = {key: 0.1}
         else:
-            config[section] = {key: 0.1}
+            config.setdefault(section, {})[key] = 0.1
         barge_config.write_text(json.dumps(config))
-        assert main(["simulate", "--config", str(barge_config), "--t-end", "0.1"]) == 1
+        assert main(["simulate", "--config", str(barge_config)]) == 1
         err = capsys.readouterr().err
         assert f"unknown '{section}' keys: ['{key}']" in err
         assert "Traceback" not in err
@@ -170,9 +198,9 @@ class TestConfigValidation:
     )
     def test_bad_momenta_rejected(self, barge_config, capsys, momenta):
         config = json.loads(barge_config.read_text())
-        config["simulate"] = {"momenta": momenta}
+        config["simulate"] = {"t_end": 0.1, "momenta": momenta}
         barge_config.write_text(json.dumps(config))
-        assert main(["simulate", "--config", str(barge_config), "--t-end", "0.1"]) == 1
+        assert main(["simulate", "--config", str(barge_config)]) == 1
         assert "'simulate.momenta'" in capsys.readouterr().err
 
     def test_config_errors_exit_one(self, tmp_path):
@@ -197,16 +225,24 @@ class TestConfigValidation:
         assert "Traceback" not in err
 
     def test_unknown_simulate_mode_rejected(self, barge_config, capsys):
+        # the mode is the command line's '--mode' alone: the config key
+        # is unknown, whatever its value
         config = json.loads(barge_config.read_text())
         config["simulate"] = {"mode": "ful"}
         barge_config.write_text(json.dumps(config))
         assert main(["simulate", "--config", str(barge_config)]) == 1
-        assert "'simulate.mode'" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown 'simulate' keys: ['mode']\n"
 
-    def test_command_line_overrides_are_checked(self, barge_config, capsys):
-        code = main(["simulate", "--config", str(barge_config), "--t-end", "nan"])
+    def test_command_line_overrides_are_checked(self, barge_config, tmp_path, capsys):
+        # the pose given on the command line meets the same finiteness
+        # check as a config value
+        out = tmp_path / "clip.stl"
+        code = main(["clip", "--config", str(barge_config), "--out", str(out),
+                     "--pose", "nan,0,0"])
         assert code == 1
-        assert "'simulate.t_end'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid --pose 'nan,0,0'") and "finite" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "simulate", "verify", "clip"])
     @pytest.mark.parametrize("key", ["fluid_density", "gravity", "initial_guess"])
@@ -215,10 +251,11 @@ class TestConfigValidation:
     ):
         config = json.loads(barge_config.read_text())
         config[key] = None
+        config["simulate"] = {"t_end": 0.05}
         barge_config.write_text(json.dumps(config))
         extra = {
             "analyze": [],
-            "simulate": ["--t-end", "0.05"],
+            "simulate": [],
             "verify": ["--poses", "3", "--loops", "1"],
             "clip": ["--out", str(tmp_path / "clip.stl")],
         }[command]
@@ -226,32 +263,22 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{key}'" in err
 
-    @pytest.mark.parametrize("where", ["config", "flag"])
-    def test_sample_count_overflow_exits_one(self, barge_config, capsys, where):
+    def test_sample_count_overflow_exits_one(self, barge_config, capsys):
         # 1e308 s at the default 0.01 s step is more samples than a float holds
         config = json.loads(barge_config.read_text())
-        flag = []
-        if where == "config":
-            config["simulate"] = {"t_end": 1e308}
-        else:
-            flag = ["--t-end", "1e308"]
+        config["simulate"] = {"t_end": 1e308}
         barge_config.write_text(json.dumps(config))
-        assert main(["simulate", "--config", str(barge_config), *flag]) == 1
+        assert main(["simulate", "--config", str(barge_config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'simulate.t_end'" in err
 
-    @pytest.mark.parametrize("where", ["config", "flag"])
-    def test_tiny_step_exits_one_naming_dt(self, barge_config, capsys, where):
+    def test_tiny_step_exits_one_naming_dt(self, barge_config, capsys):
         # 10 s at 1e-300 s would be 1e301 samples: refused before the
         # equilibrium solve, not by numpy when the sample times are built
         config = json.loads(barge_config.read_text())
-        flag = []
-        if where == "config":
-            config["simulate"] = {"dt": 1e-300}
-        else:
-            flag = ["--dt", "1e-300"]
+        config["simulate"] = {"dt": 1e-300}
         barge_config.write_text(json.dumps(config))
-        assert main(["simulate", "--config", str(barge_config), *flag]) == 1
+        assert main(["simulate", "--config", str(barge_config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'simulate.dt'" in err and "1e+301" in err
 
@@ -280,7 +307,7 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="'integrator.max_step'"):
                 AnalysisConfig(**config, integrator={"max_step": max_step},
                                simulate={"t_end": t_end, "dt": 0.1})
-        # a --t-end override goes through the same check
+        # a replaced span goes through the same check
         with pytest.raises(ConfigError, match="'integrator.max_step'"):
             dataclasses.replace(fine, simulate={"t_end": 20.0, "dt": 0.1})
 
@@ -301,7 +328,7 @@ class TestConfigValidation:
         # the run cannot start, and says so instead of failing at "t = nan"
         config = {**json.loads(barge_config.read_text()), "integrator": {"atol": 0}}
         barge_config.write_text(json.dumps(config))
-        argv = ["simulate", "--config", str(barge_config), "--mode", mode, "--t-end", "0.1"]
+        argv = ["simulate", "--config", set_span(barge_config, 0.1), "--mode", mode]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: integration failed at t = 0: with atol 0 ")
@@ -372,8 +399,8 @@ class TestConfigValidation:
             ({"initial_guess": [[0], [0], [0]]}, "'initial_guess'"),
             ({"mesh_path": 5}, "'mesh_path'"),
             ({"uniform_density": None, "mass": 500.0, "cg": [0.1, 0.0],
-              "inertia": (500.0 / 12.0 * np.diag([1.25, 4.25, 5.0])).tolist()}, "'cg'"),
-            ({"inertia": (500.0 / 12.0 * np.diag([1.25, 4.25, 5.0])).tolist()}, "'inertia'"),
+              "inertia": BARGE_INERTIA}, "'cg'"),
+            ({"inertia": BARGE_INERTIA}, "'inertia'"),
         ],
         ids=["initial-null", "initial-list", "nested-guess", "numeric-mesh-path", "short-cg",
              "density-and-inertia"],
@@ -382,7 +409,7 @@ class TestConfigValidation:
         config = {**json.loads(barge_config.read_text()), **change}
         config = {name: value for name, value in config.items() if value is not None}
         barge_config.write_text(json.dumps(config))
-        assert main(["simulate", "--config", str(barge_config), "--t-end", "0.05"]) == 1
+        assert main(["simulate", "--config", set_span(barge_config, 0.05)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
@@ -413,6 +440,21 @@ class TestConfigValidation:
             load_body(AnalysisConfig(
                 mesh_path=str(mesh_path), mass=400.0, cg=[0.0, 0.0, 0.1],
             ))
+
+    def test_mass_without_inertia_needs_a_centred_mesh(self, tmp_path, capsys):
+        # the origin is taken as G: a mesh whose centroid is off it has no
+        # shape-derived inertia about G, as with 'cg' but no 'inertia'
+        for name, center, code in (("centred", 0.0, 0), ("off", 0.1, 1)):
+            mesh_path = tmp_path / f"{name}.stl"
+            save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5, center=(0.0, 0.0, center)))
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({
+                "mesh_path": str(mesh_path), "mass": 500.0, "fluid_density": 1000.0,
+            }))
+            assert main(["analyze", "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: the mesh's volume centroid (0, 0, 0.1) is 0.0436 diameters")
+        assert err.count("\n") == 1 and "'inertia'" in err and "'uniform_density'" in err
 
     def test_cg_with_inertia_shifts_the_mesh(self, tmp_path):
         from floatdyn.report import load_body
@@ -518,7 +560,7 @@ class TestStabilitySweep:
         assert report.equilibrium["pose"]["theta"] == pytest.approx(0.638, abs=1e-3)
         eigenvalues = np.linalg.eigvalsh(-np.asarray(report.stability["hessian"]))
         np.testing.assert_allclose(eigenvalues, [429.2, 1167.0, 18422.0], rtol=1e-3)
-        assert main(["simulate", "--config", str(tilted_box_config), "--t-end", "0.05"]) == 0
+        assert main(["simulate", "--config", set_span(tilted_box_config, 0.05)]) == 0
 
 
 class TestSimulate:
@@ -533,14 +575,11 @@ class TestSimulate:
                              (report, "pseudo_stability_check"),
                              (report, "normal_modes")):
             monkeypatch.setattr(module, name, refuse)
-        assert main(["simulate", "--config", str(tilted_box_config), "--t-end", "0.05"]) == 0
+        assert main(["simulate", "--config", set_span(tilted_box_config, 0.05)]) == 0
 
     def test_equilibrium_start_constant_columns(self, barge_config, tmp_path):
         out = tmp_path / "traj.csv"
-        code = main([
-            "simulate", "--config", str(barge_config), "--out", str(out),
-            "--t-end", "1.0", "--dt", "0.1",
-        ])
+        code = main(["simulate", "--config", set_span(barge_config, 1.0, 0.1), "--out", str(out)])
         assert code == 0
         rows = out.read_text().splitlines()
         assert rows[0].split(",")[0] == "t"
@@ -563,10 +602,7 @@ class TestSimulate:
 
         monkeypatch.setattr(dynamics, "_metric_and_partials", poisoned)
         out = tmp_path / "traj.csv"
-        code = main([
-            "simulate", "--config", str(barge_config), "--out", str(out),
-            "--t-end", "1.0", "--dt", "0.1",
-        ])
+        code = main(["simulate", "--config", set_span(barge_config, 1.0, 0.1), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: integration failed at t = ")
@@ -620,10 +656,7 @@ class TestSimulate:
         config.update(integrator={"method": method}, simulate={"initial": {"zeta": 0.05}})
         barge_config.write_text(json.dumps(config))
         out = tmp_path / "traj.csv"
-        code = main([
-            "simulate", "--config", str(barge_config), "--out", str(out),
-            "--t-end", "1.0", "--dt", "0.1",
-        ])
+        code = main(["simulate", "--config", set_span(barge_config, 1.0, 0.1), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: integration failed ") and "not finite" in err
@@ -632,10 +665,7 @@ class TestSimulate:
     def test_last_sample_overshooting_by_roundoff_ends_at_t_end(self, barge_config, tmp_path):
         # 7 * 0.1 = 0.7000000000000001 > 0.7: solve_ivp would reject it
         out = tmp_path / "traj.csv"
-        code = main([
-            "simulate", "--config", str(barge_config), "--out", str(out),
-            "--t-end", "0.7", "--dt", "0.1",
-        ])
+        code = main(["simulate", "--config", set_span(barge_config, 0.7, 0.1), "--out", str(out)])
         assert code == 0
         data = np.genfromtxt(out, delimiter=",", skip_header=1)
         assert data.shape[0] == 8
@@ -644,7 +674,6 @@ class TestSimulate:
     def test_heave_release_oscillates_at_modal_period(self, tmp_path, barge_config):
         config = json.loads(barge_config.read_text())
         config["simulate"] = {
-            "mode": "full",
             "t_end": 3.0,
             "dt": 0.005,
             "initial": {"zeta": 0.01},
@@ -798,12 +827,25 @@ class TestReportLoad:
 
 
 class TestRemovedCommands:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("analyze", "--tol", "1e-6"), ("simulate", "--t-end", "0.05"), ("simulate", "--dt", "0.1"),
+    ])
+    def test_removed_flag_is_a_usage_error(self, barge_config, capsys, command, flag, value):
+        # the tolerance, span and step are the config's solver.tol,
+        # simulate.t_end and simulate.dt alone
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(barge_config), flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: {flag} {value}")
+
     @pytest.mark.parametrize("method", ["RK23", "BDF", "Radau"])
     def test_dropped_method_exits_one_naming_the_kept_ones(self, barge_config, capsys, method):
         config = json.loads(barge_config.read_text())
         config["integrator"] = {"method": method}
         barge_config.write_text(json.dumps(config))
-        assert main(["simulate", "--config", str(barge_config), "--t-end", "0.05"]) == 1
+        assert main(["simulate", "--config", set_span(barge_config, 0.05)]) == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and len(err.splitlines()) == 1
         assert err.startswith("error: 'integrator.method'")
@@ -821,10 +863,10 @@ class TestRemovedCommands:
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["analyze", "simulate", "verify", "clip"])
     def test_out_in_missing_directory_exits_one(self, barge_config, tmp_path, capsys, command):
-        config = str(barge_config)
+        config = set_span(barge_config, 0.05)
         argv = {
             "analyze": ["analyze", "--config", config],
-            "simulate": ["simulate", "--config", config, "--t-end", "0.05"],
+            "simulate": ["simulate", "--config", config],
             "verify": ["verify", "--config", config, "--poses", "3", "--loops", "1"],
             "clip": ["clip", "--config", config],
         }[command]
@@ -851,7 +893,8 @@ class TestVerify:
         mesh_path = tmp_path / "off.stl"
         save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5).translated((0.0, 0.0, 1.0)))
         config = tmp_path / "off.json"
-        config.write_text(json.dumps({"mesh_path": str(mesh_path), "mass": 500.0}))
+        config.write_text(json.dumps({"mesh_path": str(mesh_path), "mass": 500.0,
+                                      "inertia": BARGE_INERTIA}))
         code = main(["verify", "--config", str(config), "--poses", "10", "--loops", "1"])
         assert code == 0
         assert capsys.readouterr().out.count("PASS") == 4
@@ -861,7 +904,8 @@ class TestVerify:
         mesh_path = tmp_path / "far.stl"
         save_stl(mesh_path, shapes.box(2.0, 1.0, 0.5).translated((-20.0, 0.0, 2.0)))
         config = tmp_path / "far.json"
-        config.write_text(json.dumps({"mesh_path": str(mesh_path), "mass": 500.0}))
+        config.write_text(json.dumps({"mesh_path": str(mesh_path), "mass": 500.0,
+                                      "inertia": BARGE_INERTIA}))
         code = main(["verify", "--config", str(config), "--seed", "0", "--loops", "1"])
         assert code == 0
         assert capsys.readouterr().out.count("PASS") == 4
@@ -906,16 +950,39 @@ class TestVerify:
         code = main(["verify", "--config", str(cube_config), "--seed", "-1"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error: 'seed'" in err
+        assert err == "error: '--seed' must be an integer of at least 0, got -1\n"
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
     def test_bad_config_seed_exits_one(self, cube_config, capsys, seed):
+        # the seed is the command line's '--seed' alone: the config key is
+        # unknown, whatever its value
         config = json.loads(cube_config.read_text())
         config["seed"] = seed
         cube_config.write_text(json.dumps(config))
         assert main(["verify", "--config", str(cube_config)]) == 1
-        assert "error: 'seed'" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown 'config' keys: ['seed']\n"
+
+    def test_one_failed_check_fails_the_run(self, cube_config, tmp_path, capsys, monkeypatch):
+        # a zero tolerance no residual meets: its line, the JSON verdict
+        # and the exit code all say FAIL, the other checks still PASS
+        from floatdyn import verification
+
+        monkeypatch.setitem(verification.TOLERANCES, "gradient", 0.0)
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--config", str(cube_config), "--out", str(out),
+                "--poses", "6", "--loops", "1"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[-1] for line in lines] == ["PASS", "FAIL", "PASS", "PASS"]
+        assert lines[1].startswith("gradient ")
+        payload = json.loads(out.read_text())
+        assert payload["passed"] is False and payload["gradient_tol"] == 0.0
+        assert list(payload) == [
+            "loop_work", "gradient", "gradient_symmetry", "planar_invariance",
+            "loop_work_tol", "gradient_tol", "gradient_symmetry_tol", "planar_invariance_tol",
+            "passed",
+        ]
 
 
 def save_shells(path, *shells):

@@ -34,10 +34,9 @@ BASE = {
     "solver": {"tol": 1e-12, "max_iter": 100},
     "integrator": {"method": "DOP853", "rtol": 1e-9, "atol": 1e-10, "max_step": 1.0},
     "simulate": {
-        "mode": "full", "t_end": 0.5, "dt": 0.01, "initial": {"zeta": 0.01},
+        "t_end": 0.5, "dt": 0.01, "initial": {"zeta": 0.01},
         "momenta": [0.0, 0.0, 0.0],
     },
-    "seed": 0,
 }
 
 KEYS = [

@@ -222,6 +222,23 @@ def test_step_size_underflow_raises(method):
                  lambda t, y: 1.0, method, 1e-9, 1e-10, np.inf)
 
 
+def test_lsoda_that_cannot_advance_raises():
+    # LSODA stalls below t = 0.64 on this slope and ran without end; the
+    # right-hand side refuses to be called past twice the stall bound, so
+    # a run that misses the bound fails instead of hanging
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        assert calls <= 2 * dynamics.STALL_CALLS, "LSODA ran on past the stall bound"
+        return jump_at_half(t, y)
+
+    with pytest.raises(IntegrationFailed, match=r"^integration failed: cannot advance past "
+                                                r"t = 0\.[5-9]\d* in 10000 right-hand-side"):
+        dynamics._solve(counted, np.zeros(2), 1, 1.0, 0.1, "LSODA", 1e-9, 1e-10, np.inf)
+
+
 def test_invalid_implicit_options_stay_value_errors():
     # an invalid option is the caller's error, not a failed integration
     with pytest.raises(ValueError, match="atol"):

@@ -4,10 +4,7 @@ import pytest
 from floatdyn import HullMesh, Pose, clipping, shapes, verification
 from floatdyn.kinematics import k3_body
 from floatdyn.verification import (
-    GRADIENT_SYMMETRY_TOL,
-    GRADIENT_TOL,
-    LOOP_WORK_TOL,
-    PLANAR_INVARIANCE_TOL,
+    TOLERANCES,
     gradient_residual,
     gradient_symmetry_residual,
     loop_work_residual,
@@ -73,7 +70,7 @@ def far_barge():
 def test_gradient_residual_passes_far_from_the_origin(env, seed):
     mesh = far_barge()
     poses = random_partial_poses(mesh, 25, np.random.default_rng(seed))
-    assert gradient_residual(mesh, env, poses) < GRADIENT_TOL
+    assert gradient_residual(mesh, env, poses) < TOLERANCES["gradient"]
 
 
 def test_gradient_residual_catches_nonconservative_forces(env, monkeypatch):
@@ -89,16 +86,16 @@ def test_gradient_residual_catches_nonconservative_forces(env, monkeypatch):
         return forces
 
     poses = random_partial_poses(mesh, 25, np.random.default_rng(0))
-    assert gradient_residual(mesh, env, poses) < GRADIENT_TOL
+    assert gradient_residual(mesh, env, poses) < TOLERANCES["gradient"]
     monkeypatch.setattr(verification, "generalized_forces", skewed)
-    assert gradient_residual(mesh, env, poses) > 10 * GRADIENT_TOL
+    assert gradient_residual(mesh, env, poses) > 10 * TOLERANCES["gradient"]
 
 
 @pytest.mark.parametrize("mesh_name", ["cube", "l_prism"])
 def test_gradient_symmetry_residual_below_tolerance(mesh_name, request, env, rng):
     mesh = request.getfixturevalue(mesh_name)
     poses = random_partial_poses(mesh, 10, rng)
-    assert gradient_symmetry_residual(mesh, env, poses) < GRADIENT_SYMMETRY_TOL
+    assert gradient_symmetry_residual(mesh, env, poses) < TOLERANCES["gradient_symmetry"]
 
 
 @pytest.mark.parametrize("mesh_name", list(OFF_ORIGIN))
@@ -106,7 +103,7 @@ def test_gradient_symmetry_residual_below_tolerance_off_origin(mesh_name, env, r
     # 50 poses: at a flat step the far barge fails on a few of them
     mesh = OFF_ORIGIN[mesh_name]()
     poses = random_partial_poses(mesh, 50, rng)
-    assert gradient_symmetry_residual(mesh, env, poses) < GRADIENT_SYMMETRY_TOL
+    assert gradient_symmetry_residual(mesh, env, poses) < TOLERANCES["gradient_symmetry"]
 
 
 def test_gradient_symmetry_catches_nonconservative_forces(cube, env, rng, monkeypatch):
@@ -121,16 +118,16 @@ def test_gradient_symmetry_catches_nonconservative_forces(cube, env, rng, monkey
         return forces
 
     poses = random_partial_poses(cube, 10, rng)
-    assert gradient_symmetry_residual(cube, env, poses) < GRADIENT_SYMMETRY_TOL
+    assert gradient_symmetry_residual(cube, env, poses) < TOLERANCES["gradient_symmetry"]
     monkeypatch.setattr(verification, "generalized_forces", skewed)
-    assert gradient_symmetry_residual(cube, env, poses) > 100 * GRADIENT_SYMMETRY_TOL
+    assert gradient_symmetry_residual(cube, env, poses) > 100 * TOLERANCES["gradient_symmetry"]
 
 
 @pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "cube", "wedge", "small_barge"])
 def test_planar_invariance_holds(mesh_name, request, rng):
     mesh = request.getfixturevalue(mesh_name)
     poses = random_partial_poses(mesh, 10, rng)
-    assert planar_invariance_residual(mesh, poses, rng) <= PLANAR_INVARIANCE_TOL
+    assert planar_invariance_residual(mesh, poses, rng) <= TOLERANCES["planar_invariance"]
 
 
 @pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "cube", "wedge", "small_barge"])
@@ -148,16 +145,10 @@ def test_loop_work_vanishes(cube, env, rng):
 
 
 def test_run_verification_summary(cube, env):
-    summary = run_verification(cube, env, seed=3, n_poses=8, n_loops=1)
-    assert summary.passed
-    payload = summary.to_dict()
-    assert payload["passed"] is True
-    assert set(payload) >= {"loop_work", "gradient", "gradient_symmetry",
-                            "planar_invariance"}
-    # the thresholds are the module's, echoed unchanged
-    assert (payload["loop_work_tol"], payload["gradient_tol"],
-            payload["gradient_symmetry_tol"], payload["planar_invariance_tol"]) == (
-        LOOP_WORK_TOL, GRADIENT_TOL, GRADIENT_SYMMETRY_TOL, PLANAR_INVARIANCE_TOL)
+    residuals = run_verification(cube, env, seed=3, n_poses=8, n_loops=1)
+    # one residual per check of the table, in its order, each within its tolerance
+    assert list(residuals) == list(TOLERANCES)
+    assert all(residuals[name] <= tol for name, tol in TOLERANCES.items())
 
 
 def scalar_crossings(mesh, a, b, grid=33):
