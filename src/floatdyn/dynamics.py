@@ -39,11 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GimbalLock, IntegrationFailed, SingularCyclicBlock, require_scipy
+from .errors import ConfigError, GimbalLock, IntegrationFailed, SingularCyclicBlock, require_scipy
 from .hydrostatics import FluidEnvironment, generalized_forces, potential
-from .kinematics import (
-    CYCLIC, NONCYCLIC, Pose, _pose_unchecked, omega_chart, omega_map, omega_maps,
-)
+from .kinematics import CYCLIC, NONCYCLIC, Pose, omega_chart, omega_map, omega_maps
 from .mesh import HullMesh
 
 _IX_AA = np.ix_(CYCLIC, CYCLIC)
@@ -221,6 +219,10 @@ METHODS = ("DOP853", "RK45", "LSODA")
 #: where the metric stays well conditioned
 GIMBAL_HALT_MARGIN = 1e-3
 
+#: the longest span the integrators accept, in natural times ``sqrt(d / g)``
+#: of the hull (diameter ``d``); a 10 s release of the bench barge spans 20.7
+MAX_NATURAL_SPAN = 1e4
+
 #: right-hand-side calls in a row that may fail to pass the latest time a
 #: SciPy method has reached before the run counts as stalled
 STALL_CALLS = 10_000
@@ -246,11 +248,12 @@ def integrate_full(
     over ten-thousand-step runs; conservation columns in the returned
     trajectory let callers police that.
     """
+    _check_span(mesh, env, t_end)
     weight = body.mass * env.g
 
     def rhs(t, y):
         q, qd = y[:6], y[6:]
-        pose = _pose_unchecked(q)
+        pose = Pose(*q.tolist())
         a, da_th, da_ph = _metric_and_partials(body, q[4], q[5])
         grad_u = generalized_forces(mesh, pose, env)
         grad_u[2] += weight
@@ -285,12 +288,13 @@ def integrate_reduced(
     with :func:`integrate_full`.  The reported energy uses the
     reconstructed full velocity and is conserved along reduced motions.
     """
+    _check_span(mesh, env, t_end)
     mass, weight = body.mass, body.mass * env.g
     p = np.asarray(initial.momenta, dtype=float)
 
     def rhs(t, y):
         zeta, theta, phi, zeta_dot, theta_dot, phi_dot = y[:6]
-        pose = _pose_unchecked((0.0, 0.0, zeta, 0.0, theta, phi))
+        pose = Pose(0.0, 0.0, float(zeta), 0.0, float(theta), float(phi))
         a, da_th, da_ph = _metric_and_partials(body, theta, phi)
         # rotational block [[c, b'], [b, K]] in (psi, theta, phi) order
         j, dj_th, dj_ph = a[3:, 3:], da_th[3:, 3:], da_ph[3:, 3:]
@@ -318,6 +322,14 @@ def integrate_reduced(
     return _trajectory(mesh, body, env, sol, q, qd, momenta=p)
 
 
+def _check_span(mesh, env, t_end):
+    """Refuse a ``gravity`` so far from physical that the steps would take hours or overflow."""
+    if (span := t_end * math.sqrt(env.g / mesh.diameter)) > MAX_NATURAL_SPAN:
+        raise ConfigError(f"'gravity' {env.g:g} with 't_end' {t_end:g} on a hull of diameter "
+                          f"{mesh.diameter:g} spans {span:.3g} natural times "
+                          f"sqrt(diameter / gravity), more than {MAX_NATURAL_SPAN:g}")
+
+
 def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     """Integrate from 0 to ``t_end``, sampled every ``dt``, halting as pitch nears gimbal lock.
 
@@ -327,8 +339,8 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     in :data:`METHODS` has raised ``ValueError``.
     Either way the result has ``t``, ``y``, ``status`` (1 after the
     gimbal halt) and ``nfev``.  The right-hand side is checked for
-    finite values at every call, so a non-finite one raises
-    :class:`IntegrationFailed` with one message whatever the method; a
+    finite values at every call, so a non-finite one, or a state that is
+    not finite, raises :class:`IntegrationFailed` whatever the method; a
     run that cannot advance raises it too (for ``LSODA``, after
     :data:`STALL_CALLS` calls in a row that do not pass the latest time
     reached).  A start already inside the
@@ -351,8 +363,8 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
 
     if gimbal(0.0, y0) <= 0.0:
         raise GimbalLock(
-            f"start pitch {y0[theta_index]:.9g} is within the halt margin "
-            f"{GIMBAL_HALT_MARGIN:g} of +-pi/2"
+            f"start pitch {y0[theta_index]:.9g} is not inside (-pi/2 + margin, pi/2 - margin), "
+            f"with the halt margin {GIMBAL_HALT_MARGIN:g}"
         )
 
     if np.any((y0 == 0.0) & (np.asarray(atol) == 0.0)):
@@ -360,11 +372,14 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
                                 "that is exactly 0 has no error scale; give a positive atol")
 
     def finite(t, y):
-        out = rhs(t, y)
+        try:
+            out, what = rhs(t, y), "right-hand side"
+        except ValueError:  # a Pose refuses coordinates that are not finite
+            if np.isfinite(y).all():
+                raise
+            out, what = y, "state"
         if not np.isfinite(out).all():
-            raise IntegrationFailed(
-                f"integration failed at t = {t:.9g}: the right-hand side is not finite"
-            )
+            raise IntegrationFailed(f"integration failed at t = {t:.9g}: the {what} is not finite")
         return out
 
     t_eval = _sample_times(t_end, dt)

@@ -32,7 +32,7 @@ from .errors import Diverged, GimbalLock, WontFloat, ZeroVolume
 from .hydrostatics import (
     _RESTORING, FluidEnvironment, _scaled_residual, force_gradient, generalized_forces,
 )
-from .kinematics import GIMBAL_GUARD, Pose, _pose_unchecked, k3_body
+from .kinematics import GIMBAL_GUARD, Pose, k3_body
 from .mesh import HullMesh
 
 
@@ -101,12 +101,11 @@ def find_equilibrium(
 
         ``m g - rho g V`` falls with the draft at slope ``-rho g A``.
         """
-        pose = _pose_unchecked((0.0, 0.0, 0.0, 0.0, theta, phi))
-        heights = mesh.vertices @ k3_body(pose)
+        heights = mesh.vertices @ k3_body(Pose(theta=theta, phi=phi))
         lo, hi = -heights.max(), -heights.min()
         zeta = 0.5 * (lo + hi) if zeta is None else min(max(zeta, lo), hi)
         for _ in range(100):  # halving alone reaches adjacent floats in ~60
-            pose = _pose_unchecked((0.0, 0.0, zeta, 0.0, theta, phi))
+            pose = Pose(zeta=float(zeta), theta=float(theta), phi=float(phi))
             integrals = evaluate(mesh, pose)
             excess = weight - rg * integrals.volume
             if abs(excess) <= tol * weight:

@@ -45,8 +45,8 @@ GIMBAL_GUARD = 1e-6
 class Pose:
     """Configuration of the body: position of G plus yaw-pitch-roll angles.
 
-    ``zeta`` is positive downward.  ``theta`` must stay strictly inside
-    ``(-pi/2, pi/2)`` so the angle-rate map remains invertible.
+    ``zeta`` is positive downward.  Any finite attitude is a pose; only the
+    angle-rate map (:func:`omega_map`) refuses the pitch pole ``+-pi/2``.
     """
 
     xi: float = 0.0
@@ -60,8 +60,6 @@ class Pose:
         values = (self.xi, self.eta, self.zeta, self.psi, self.theta, self.phi)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"pose coordinates must be finite, got {values}")
-        if abs(self.theta) >= math.pi / 2:
-            raise GimbalLock(f"pitch {self.theta} outside (-pi/2, pi/2)")
 
     def as_array(self) -> np.ndarray:
         return np.array(
@@ -77,19 +75,6 @@ class Pose:
         state = {name: getattr(self, name) for name in COORD_NAMES}
         state.update(kwargs)
         return Pose(**state)
-
-
-def _pose_unchecked(q) -> Pose:
-    """Pose without invariant checks, for integrator internals only.
-
-    Adaptive steppers may probe configurations slightly past the pitch
-    guard while locating the terminal event; those evaluations must not
-    raise even though user-facing constructors would.
-    """
-    pose = object.__new__(Pose)
-    for name, value in zip(COORD_NAMES, q):
-        object.__setattr__(pose, name, float(value))
-    return pose
 
 
 def rotation_matrix(pose: Pose) -> np.ndarray:

@@ -41,8 +41,6 @@ DIAMETER_RANGE = (1e-50, 1e15)
 #: origin, so their roundoff grows with this ratio; past about 3e3 the
 #: inertia of both hulls stops being positive definite.
 MAX_OFFSET = 1e3
-#: points per batch of HullMesh.contains_points
-_CONTAINS_CHUNK = 20000
 
 
 class HullMesh:
@@ -162,17 +160,6 @@ class HullMesh:
         and ``second_ij = integral of x_i x_j`` over the enclosed solid.
         """
         return _volume_integrals(self._tri_vertices)
-
-    def contains_points(self, points) -> np.ndarray:
-        """Parity ray-cast containment test for a batch of points."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(len(points), dtype=bool)
-        for start in range(0, len(points), _CONTAINS_CHUNK):
-            stop = min(start + _CONTAINS_CHUNK, len(points))
-            out[start:stop] = _ray_parity(
-                points[start:stop], self._tri_vertices, _RAY_DIRECTION
-            )
-        return out
 
 
 def _check_edges(tri, n_vertices):

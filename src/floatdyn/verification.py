@@ -19,9 +19,6 @@ potentials and forces each go through one call of the array forms of
 :func:`~floatdyn.hydrostatics.generalized_forces`, which give the same
 bits as one call per pose.  The Gauss-Legendre nodes come from an
 eigensolve of the Jacobi matrix, so :mod:`numpy.polynomial` never loads.
-
-A rejection-sampling volume estimator provides the independent
-Monte-Carlo oracle for the clipped volume and first moments.
 """
 
 from __future__ import annotations
@@ -133,22 +130,19 @@ def _vertex_crossings(mesh, a, b):
 
     The clipped volume is piecewise analytic in the configuration with
     breakpoints exactly at vertex-plane crossings, so splitting the
-    quadrature there keeps every piece smooth.  Each segment's depths are
-    scanned on a :data:`_CROSSING_GRID`-point table in one batch, and every
-    bracketed sign change of all segments is then halved 60 times together.
+    quadrature there keeps every piece smooth.  The depths of all segments
+    are scanned on a :data:`_CROSSING_GRID`-point table in one batch, and
+    every bracketed sign change is then halved 60 times together.
     Depth evaluation never clips the mesh, so scanning is cheap.
     """
     a = np.asarray(a, dtype=float)
     delta = np.asarray(b, dtype=float) - a
     s_grid = np.linspace(0.0, 1.0, _CROSSING_GRID)
-    brackets = []
-    for seg in range(len(a)):
-        y = a[seg] + s_grid[:, None] * delta[seg]
-        k3 = depth_rows(y[:, 1], y[:, 2])[0]
-        table = y[:, :1] + (mesh.vertices @ k3[:, :, None])[:, :, 0]
-        i, j = np.nonzero(table[:-1] * table[1:] < 0.0)
-        brackets.append((np.full(len(i), seg), i, j, table[i, j]))
-    seg, i, j, flo = (np.concatenate(parts) for parts in zip(*brackets))
+    y = a[:, None] + s_grid[:, None] * delta[:, None]
+    k3 = depth_rows(y[..., 1].ravel(), y[..., 2].ravel())[0].reshape(y.shape)
+    table = y[..., :1] + (mesh.vertices @ k3[..., None])[..., 0]
+    seg, i, j = np.nonzero(table[:, :-1] * table[:, 1:] < 0.0)
+    flo = table[seg, i, j]
     lo, hi = s_grid[i], s_grid[i + 1]
     corner = mesh.vertices[j][:, None, :]
     for _ in range(60):
@@ -286,36 +280,6 @@ def planar_invariance_residual(mesh: HullMesh, poses, rng) -> float:
             np.abs(fixed.first - (r @ body.first + body.volume * t)).max() / d**4,
         )
     return float(worst)
-
-
-class SubmergedMonteCarlo:
-    """Rejection sampler reusable across poses of one mesh.
-
-    The point cloud and the (expensive) containment mask depend only on
-    the mesh; per pose only the depth filter changes, so sweeps over
-    many poses amortize the ray casting.
-    """
-
-    def __init__(self, mesh: HullMesh, n_samples: int, rng):
-        lo, hi = mesh.bbox
-        self.points = rng.uniform(lo, hi, size=(n_samples, 3))
-        self.inside = mesh.contains_points(self.points)
-        self.box_volume = float(np.prod(hi - lo))
-        self.n_samples = n_samples
-
-    def estimate(self, pose: Pose):
-        """``(v_hat, v_sigma, m_hat, m_sigma)`` with one-standard-error bars."""
-        depths = pose.zeta + self.points @ k3_body(pose)
-        hit = self.inside & (depths >= 0.0)
-
-        p = hit.mean()
-        v_hat = self.box_volume * p
-        v_sigma = self.box_volume * np.sqrt(max(p * (1.0 - p), 0.0) / self.n_samples)
-
-        weights = np.where(hit[:, None], self.points, 0.0)
-        m_hat = self.box_volume * weights.mean(axis=0)
-        m_sigma = self.box_volume * weights.std(axis=0) / np.sqrt(self.n_samples)
-        return v_hat, v_sigma, m_hat, m_sigma
 
 
 #: the checks of the standard suite, in order, each with the largest

@@ -2,7 +2,9 @@
 tests, the clip-side oracle of the equilibrium Hessian, and the reference
 quantities the tests compare the package with: the Lagrangian, the cyclic
 momenta and the Routhian, the buoyant force and torque, and the
-closed-form small oscillations."""
+closed-form small oscillations, and the Monte-Carlo oracle for the
+clipped volume and first moments: parity ray-cast containment and a
+rejection sampler, which share no code with the kernel."""
 
 from dataclasses import dataclass
 
@@ -16,7 +18,7 @@ from floatdyn.clipping import cap_raw_moments, evaluate
 from floatdyn.dynamics import _IX_AA, _IX_AN, _IX_NN
 from floatdyn.errors import SingularCyclicBlock
 from floatdyn.kinematics import CYCLIC, depth_row, k3_body, rotation_matrix
-from floatdyn.mesh import _check_edges
+from floatdyn.mesh import _RAY_DIRECTION, _check_edges, _ray_parity
 
 
 def vertex_on_plane_poses(mesh, rng, count):
@@ -195,3 +197,47 @@ def linearized_prediction(
     cos_coeff = proj @ eta0
     sin_coeff = (proj @ etadot0) / modal.omegas
     return LinearizedOscillation(modal, cos_coeff, sin_coeff)
+
+
+#: points per batch of :func:`contains_points`
+_CONTAINS_CHUNK = 20000
+
+
+def contains_points(mesh, points) -> np.ndarray:
+    """Parity ray-cast containment test of a batch of points in ``mesh``."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty(len(points), dtype=bool)
+    for start in range(0, len(points), _CONTAINS_CHUNK):
+        stop = min(start + _CONTAINS_CHUNK, len(points))
+        out[start:stop] = _ray_parity(points[start:stop], mesh._tri_vertices, _RAY_DIRECTION)
+    return out
+
+
+class SubmergedMonteCarlo:
+    """Rejection sampler reusable across poses of one mesh.
+
+    The point cloud and the (expensive) containment mask depend only on
+    the mesh; per pose only the depth filter changes, so sweeps over
+    many poses amortize the ray casting.
+    """
+
+    def __init__(self, mesh, n_samples: int, rng):
+        lo, hi = mesh.bbox
+        self.points = rng.uniform(lo, hi, size=(n_samples, 3))
+        self.inside = contains_points(mesh, self.points)
+        self.box_volume = float(np.prod(hi - lo))
+        self.n_samples = n_samples
+
+    def estimate(self, pose: Pose):
+        """``(v_hat, v_sigma, m_hat, m_sigma)`` with one-standard-error bars."""
+        depths = pose.zeta + self.points @ k3_body(pose)
+        hit = self.inside & (depths >= 0.0)
+
+        p = hit.mean()
+        v_hat = self.box_volume * p
+        v_sigma = self.box_volume * np.sqrt(max(p * (1.0 - p), 0.0) / self.n_samples)
+
+        weights = np.where(hit[:, None], self.points, 0.0)
+        m_hat = self.box_volume * weights.mean(axis=0)
+        m_sigma = self.box_volume * weights.std(axis=0) / np.sqrt(self.n_samples)
+        return v_hat, v_sigma, m_hat, m_sigma

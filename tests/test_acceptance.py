@@ -43,13 +43,13 @@ from floatdyn import (
 )
 from floatdyn import shapes
 from floatdyn.verification import (
-    SubmergedMonteCarlo,
     gradient_residual,
     loop_work_residual,
     random_partial_poses,
 )
 from helpers import (
-    clipped_surface_term, conserved_momenta, linearized_prediction, textbook_hessian,
+    SubmergedMonteCarlo, clipped_surface_term, conserved_momenta, linearized_prediction,
+    textbook_hessian,
 )
 
 RHO = 1000.0

@@ -1,15 +1,16 @@
 import dataclasses
 import json
 import re
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from floatdyn import Report, clip_by_waterplane, save_stl, shapes
+from floatdyn import Pose, Report, clip_by_waterplane, save_stl, shapes
 from floatdyn.cli import main
 from floatdyn.clipping import evaluate
-from floatdyn.mesh import load_stl
+from floatdyn.mesh import _parse_stl_binary, load_stl
 from floatdyn.report import AnalysisConfig, load_body, run_analysis
 from floatdyn.errors import ConfigError, GimbalLock
 from helpers import touching_loops, vertex_on_plane_poses
@@ -621,6 +622,35 @@ class TestSimulate:
         assert err.startswith("error: start pitch 1.5699 ") and "margin 0.001" in err
 
     @pytest.mark.parametrize("mode", ["full", "reduced"])
+    @pytest.mark.parametrize("theta", [np.pi / 2, 2.0])
+    def test_start_at_or_past_the_pole_exits_one(self, barge_config, capsys, mode, theta):
+        # a Pose takes this pitch; the integrator's start check does not
+        config = json.loads(barge_config.read_text())
+        config["simulate"] = {"t_end": 0.5, "initial": {"theta": theta}}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config), "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: start pitch {theta:.9g} is not inside (-pi/2 + margin, "
+                       "pi/2 - margin), with the halt margin 0.001\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    @pytest.mark.parametrize("gravity", [1e100, 1e200, 1e300])
+    def test_gravity_far_from_physical_exits_one_at_once(
+        self, barge_config, capsys, mode, gravity
+    ):
+        # the steps would overflow, or take hours: refused before the first
+        config = {**json.loads(barge_config.read_text()), "gravity": gravity}
+        config["simulate"] = {"t_end": 0.5}
+        barge_config.write_text(json.dumps(config))
+        start = time.perf_counter()
+        assert main(["simulate", "--config", str(barge_config), "--mode", mode]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'gravity' ") and err.count("\n") == 1
+        assert "'t_end' 0.5 on a hull of diameter 2.29129" in err
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
     def test_release_reaching_the_gimbal_margin_halts_with_a_warning(
         self, barge_config, tmp_path, capsys, mode
     ):
@@ -1148,6 +1178,27 @@ class TestClip:
         volume = np.einsum("ij,ij->i", tris[:, 0], np.cross(tris[:, 1], tris[:, 2])).sum() / 6
         # the STL stores single precision
         assert volume == pytest.approx(evaluate(mesh, pose).volume, rel=1e-6)
+
+    @pytest.mark.parametrize("theta", [np.pi / 2, 2.0])
+    def test_pitch_at_and_past_the_pole_exports(self, barge_config, tmp_path, capsys, theta):
+        # (pi - theta, pi) has the same down axis: the same solid
+        mesh, _, _ = load_body(AnalysisConfig.from_file(barge_config))
+        volumes = []
+        for k, (pitch, roll) in enumerate(((theta, 0.0), (np.pi - theta, np.pi))):
+            out = tmp_path / f"clip{k}.stl"
+            assert main(["clip", "--config", str(barge_config), "--out", str(out),
+                         f"--pose=0,{pitch!r},{roll!r}"]) == 0
+            # the raw triangles: rounded to single precision, the boundary
+            # need not weld watertight
+            raw = out.read_bytes()
+            tris = _parse_stl_binary(raw, (len(raw) - 84) // 50)
+            volumes.append(np.einsum("ij,ij->i", tris[:, 0],
+                                     np.cross(tris[:, 1], tris[:, 2])).sum() / 6)
+        counts = [line.split(": ")[1] for line in capsys.readouterr().out.splitlines()]
+        assert counts[0] == counts[1]
+        want = evaluate(mesh, Pose(theta=np.pi - theta, phi=np.pi)).volume
+        # the STL stores single precision
+        assert volumes == pytest.approx([want, want], rel=1e-6)
 
     def test_emerged_pose_fails(self, cube_config, tmp_path):
         out = tmp_path / "clip.stl"

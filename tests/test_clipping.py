@@ -15,7 +15,6 @@ from floatdyn.clipping import (
     _TIP,
     _WHOLE,
     DEFAULT_SNAP_FRACTION,
-    EVALUATE_CHUNK,
     _sign_codes,
     cap_raw_moments,
     evaluate,
@@ -24,8 +23,9 @@ from floatdyn.clipping import (
 from floatdyn.kinematics import k3_body, rotation_matrix
 from floatdyn.mesh import HullMesh
 from floatdyn.report import AnalysisConfig, run_analysis
-from floatdyn.verification import SubmergedMonteCarlo, random_partial_poses
+from floatdyn.verification import random_partial_poses
 from helpers import (
+    SubmergedMonteCarlo,
     assert_clip_matches_evaluate,
     assert_edges_paired,
     flipped_roll,
@@ -487,13 +487,14 @@ class TestEvaluateMany:
     def test_rows_equal_evaluate_bitwise(self, mesh_name, request):
         mesh = request.getfixturevalue(mesh_name)
         rng = np.random.default_rng(31)
-        # longer than one chunk, and not a multiple of it
-        poses = pose_sweep(mesh, rng, 3 * EVALUATE_CHUNK + 5)
+        # longer than one pass of evaluate_many, and not a multiple of it
+        rows = max(1, clipping._EVALUATE_BUDGET // len(mesh.triangles))
+        poses = pose_sweep(mesh, rng, rows + 5)
         on_plane = [
             p for p in poses
             if (np.abs(p.zeta + mesh.vertices @ k3_body(p)) == 0.0).any()
         ]
-        assert len(on_plane) >= EVALUATE_CHUNK // 2
+        assert len(on_plane) >= len(poses) // 8
         self.assert_rows_equal(mesh, poses)
 
     @pytest.mark.parametrize("kind", range(4))

@@ -50,6 +50,12 @@ class TestBodyProperties:
 
 
 class TestKineticMetric:
+    @pytest.mark.parametrize("theta", [np.pi / 2, 2.0])
+    def test_refuses_the_pitch_pole(self, barge_body, theta):
+        # a Pose takes this pitch; the angle-rate map does not
+        with pytest.raises(fd.GimbalLock, match="within guard"):
+            kinetic_metric(barge_body, Pose(theta=theta).theta, 0.0)
+
     def test_zero_angles_maps_axes(self, rng):
         inertia = np.diag([3.0, 5.0, 7.0])
         body = BodyProperties(2.0, inertia)
@@ -305,6 +311,37 @@ class TestIntegrateFull:
         assert traj.terminated_early
         assert traj.t[-1] < 1.6
         assert np.abs(traj.q[:, 4]).max() < np.pi / 2
+
+
+class TestNonFiniteState:
+    """A state that is not finite inside the integrator ends the run typed,
+    in both right-hand sides, whatever the method."""
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    @pytest.mark.parametrize("name, value", [("theta", np.inf), ("zeta", np.nan)])
+    def test_ends_in_integration_failed(
+        self, monkeypatch, barge, barge_body, env, barge_equilibrium, mode, name, value
+    ):
+        from floatdyn import rk
+
+        # a stepper whose first stage state is not finite in one coordinate
+        def stepper(fun, t_span, y0, *args):
+            y = y0.copy()
+            y[index] = value
+            fun(0.0, y)
+
+        monkeypatch.setattr(rk, "solve", stepper)
+        zeta = barge_equilibrium.pose.zeta
+        if mode == "full":
+            index = {"zeta": 2, "theta": 4}[name]
+            start = FullState(Pose(zeta=zeta), np.zeros(6))
+            integrate = integrate_full
+        else:
+            index = {"zeta": 0, "theta": 1}[name]
+            start = ReducedState([zeta, 0.0, 0.0], np.zeros(3), np.zeros(3))
+            integrate = integrate_reduced
+        with pytest.raises(fd.IntegrationFailed, match="at t = 0: the state is not finite"):
+            integrate(barge, barge_body, env, start, 1.0, 0.1)
 
 
 def _spinning_start(hull, request):

@@ -18,6 +18,7 @@ from floatdyn import (
     volume_and_first_moments,
     waterplane_properties,
 )
+from floatdyn.clipping import evaluate
 from floatdyn.errors import NotAnEquilibrium, ZeroVolume
 from floatdyn.kinematics import k3_body, omega_map, rotation_matrix
 from floatdyn.verification import random_partial_poses
@@ -484,6 +485,34 @@ class TestHydrostaticState:
         np.testing.assert_array_equal(
             state.forces, generalized_forces(cube, pose, env)
         )
+
+
+    @pytest.mark.parametrize("phi", [0.0, 0.4])
+    @pytest.mark.parametrize("theta", [math.pi / 2, 2.0])
+    def test_pitch_at_and_past_the_pole(self, l_prism, env, theta, phi):
+        # (pi - theta, phi + pi) has the same down axis, so the same
+        # integrals; only the pitch partial of k3, and so Q_theta, flips sign
+        pose = Pose(zeta=0.05, theta=theta, phi=phi)
+        twin = Pose(zeta=0.05, theta=math.pi - theta, phi=phi + math.pi)
+        d, rg = l_prism.diameter, env.rho * env.g
+
+        def close(got, want, scale):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+        got, want = evaluate(l_prism, pose), evaluate(l_prism, twin)
+        assert got.volume > 0.0 and got.cap_area > 0.0
+        for name, power in (("plane_normal", 0), ("plane_offset", 1), ("volume", 3),
+                            ("first", 4), ("depth_integral", 4), ("cap_area", 2),
+                            ("cap_first", 3), ("cap_second", 4)):
+            close(getattr(got, name), getattr(want, name), d**power)
+        got, want = hydrostatic_state(l_prism, pose, env), hydrostatic_state(l_prism, twin, env)
+        close(got.volume, want.volume, d**3)
+        close(got.buoyancy_center, want.buoyancy_center, d)
+        close(got.waterplane.area, want.waterplane.area, d**2)
+        close(got.waterplane.centroid_offset, want.waterplane.centroid_offset, d)
+        close(got.waterplane.second_moment, want.waterplane.second_moment, d**4)
+        close(got.potential, want.potential, rg * d**4)
+        close(got.forces * [1, 1, 1, 1, -1, 1], want.forces, rg * d**4)
 
 
 class TestArrayForms:

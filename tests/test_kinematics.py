@@ -254,9 +254,14 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(zeta=float("nan"))
 
-    def test_rejects_gimbal_pitch(self):
-        with pytest.raises(GimbalLock):
-            Pose(theta=math.pi / 2)
+    @pytest.mark.parametrize("theta", [math.pi / 2, 2.0, -3.0])
+    def test_takes_any_finite_pitch(self, theta):
+        # the down axis is defined at every attitude; only the angle-rate
+        # map refuses the pole
+        pose = Pose(zeta=0.1, theta=theta, phi=0.3)
+        np.testing.assert_array_equal(k3_body(pose), rotation_matrix(pose)[2])
+        with pytest.raises(GimbalLock, match="within guard"):
+            omega_map(pose.theta, pose.phi)
 
     def test_array_round_trip(self):
         pose = Pose(0.1, -0.2, 0.3, 0.4, -0.5, 0.6)
