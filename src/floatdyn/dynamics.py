@@ -24,11 +24,11 @@ cyclic indices ``(0, 1, 3)``.  Each right-hand side takes the metric
 and its closed-form angle partials from one evaluation of the chart.
 
 Both integrators run through one solve routine and take one of
-:data:`METHODS`.  The explicit Runge-Kutta pairs (``DOP853``, the
-default, and ``RK45``) are the in-package :mod:`floatdyn.rk`, which
-reproduces SciPy's ``solve_ivp`` bit for bit; ``LSODA`` calls
-``solve_ivp`` and needs SciPy.  The routine imports either only when
-called, so no other subcommand loads them.
+:data:`METHODS`.  The default ``DOP853`` is the in-package explicit
+Runge-Kutta pair of :mod:`floatdyn.rk`, which reproduces SciPy's
+``solve_ivp`` bit for bit; ``LSODA`` calls ``solve_ivp`` and needs
+SciPy.  The routine imports either only when called, so no other
+subcommand loads them.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ class Trajectory:
 
 #: the ``integrator.method`` names: the ``solve_ivp`` methods that a
 #: work-precision diagram of the releases keeps (``tools/work_precision.py``)
-METHODS = ("DOP853", "RK45", "LSODA")
+METHODS = ("DOP853", "LSODA")
 
 #: pitch magnitude at which integrations halt; safely inside the region
 #: where the metric stays well conditioned
@@ -383,8 +383,8 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
         return out
 
     t_eval = _sample_times(t_end, dt)
-    if method in rk.TABLEAUS:
-        return rk.solve(finite, (0.0, t_end), y0, t_eval, gimbal, method, rtol, atol, max_step)
+    if method == "DOP853":
+        return rk.solve(finite, (0.0, t_end), y0, t_eval, gimbal, rtol, atol, max_step)
     solve_ivp = require_scipy("scipy.integrate", f"integrator method {method!r}").solve_ivp
     gimbal.terminal = True
     reached, stalled = 0.0, 0

@@ -94,6 +94,10 @@ def find_equilibrium(
                          "on the waterline, inside the clip's snap band")
     weight = m * env.g
     rg = env.rho * env.g
+    # the trust region's model in units of the weight, rounded to a power
+    # of two so that the scaling is exact: products of two force
+    # gradients of order rho g d^4 overflow at gravity 1e200
+    unit = math.ldexp(1.0, -math.frexp(weight)[1])
 
     def balance(zeta, theta, phi):
         """The pose at the balancing draft for fixed angles, the last one
@@ -142,11 +146,11 @@ def find_equilibrium(
             return EquilibriumResult(pose, r, iteration, abs(pose.zeta), True)
         if iteration == max_iter:
             break
-        hessian = force_gradient(mesh, pose, env)[_RESTORING]
+        hessian = force_gradient(mesh, pose, env)[_RESTORING] * unit
         curvature = hessian[1:, 1:]
         if hessian[0, 0] < 0.0:
             curvature = curvature - np.outer(hessian[1:, 0], hessian[0, 1:]) / hessian[0, 0]
-        gradient = r[1:]
+        gradient = r[1:] * unit
         step = _dogleg(gradient, curvature, radius)
         predicted = gradient @ step + 0.5 * step @ curvature @ step
         length = float(np.hypot(*step))
@@ -154,7 +158,7 @@ def find_equilibrium(
         r_trial = residual(trial)
         # trapezoid rule on the exact gradient: differencing F loses the
         # gain to roundoff near the peak
-        gain = 0.5 * (gradient + r_trial[1:]) @ step
+        gain = 0.5 * (gradient + r_trial[1:] * unit) @ step
         if gain < 0.25 * predicted:
             radius = 0.25 * length
         elif gain > 0.75 * predicted and length > 0.99 * radius:

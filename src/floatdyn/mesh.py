@@ -442,6 +442,8 @@ def save_stl(path, triangles, name: str = "floatdyn"):
 
     Zero-area triangles (cap fans over collinear waterline runs produce
     them) are dropped: they carry no geometry and upset STL viewers.
+    Zero is relative to the squared largest coordinate, so a hull keeps
+    its triangles at any scale.
     """
     if isinstance(triangles, HullMesh):
         triangles = triangles.triangle_vertices
@@ -450,7 +452,7 @@ def save_stl(path, triangles, name: str = "floatdyn"):
     normals = np.cross(q - p, r - p)
     lengths = np.linalg.norm(normals, axis=1)
     scale = np.abs(triangles).max() if triangles.size else 1.0
-    keep = lengths > 1e-14 * max(scale, 1.0) ** 2
+    keep = lengths > 1e-14 * scale ** 2
     triangles, normals, lengths = triangles[keep], normals[keep], lengths[keep]
     normals = normals / lengths[:, None]
 

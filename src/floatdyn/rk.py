@@ -1,23 +1,20 @@
 """Explicit Runge-Kutta integration with step-size control and dense output.
 
-Two embedded pairs, named as in SciPy's ``solve_ivp``:
+The method is ``DOP853``, named as in SciPy's ``solve_ivp``: the
+Dormand-Prince 8(5,3) pair, stepping with the eighth-order formula, with
+its seventh-degree dense output, which costs three extra stages per
+interpolated step (Hairer, Norsett & Wanner, *Solving Ordinary
+Differential Equations I*, 2nd ed., 1993, Sec. II.10, and their Fortran
+code DOP853).
 
-* ``RK45``: Dormand-Prince 5(4) with Shampine's quartic interpolant
-  (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Shampine, Math.
-  Comp. 46, 1986);
-* ``DOP853``: Dormand-Prince 8(5,3) with its seventh-degree dense output,
-  which costs three extra stages per interpolated step (Hairer, Norsett &
-  Wanner, *Solving Ordinary Differential Equations I*, 2nd ed., 1993,
-  Sec. II.10, and their Fortran code DOP853).
-
-Both take the step with the higher-order formula.  The first step
-follows Hairer, Norsett & Wanner Sec. II.4; the error is measured in the
-root-mean-square norm scaled by ``atol + rtol |y|`` and each step is
-resized by ``0.9 err^(-1/(q+1))`` within ``[0.2, 10]``, never growing
-right after a rejection.  Every coefficient, constant and numpy
-expression is the one ``solve_ivp`` evaluates, so for the same options a
-run gives the same samples bit for bit and the same evaluation count
-(``tests/test_rk.py`` checks this against SciPy).
+The first step follows Hairer, Norsett & Wanner Sec. II.4; the error is
+measured in the root-mean-square norm scaled by ``atol + rtol |y|``,
+blending the fifth- and third-order estimates, and each step is resized
+by ``0.9 err^(-1/8)`` within ``[0.2, 10]``, never growing right after a
+rejection.  Every coefficient, constant and numpy expression is the one
+``solve_ivp`` evaluates, so for the same options a run gives the same
+samples bit for bit and the same evaluation count (``tests/test_rk.py``
+checks this against SciPy).
 """
 
 from __future__ import annotations
@@ -36,65 +33,15 @@ MIN_FACTOR = 0.2  # largest shrink of a step
 MAX_FACTOR = 10  # largest growth of a step
 
 
-@dataclass(frozen=True, eq=False)
-class Tableau:
-    """An embedded explicit pair and its dense output.
-
-    ``c``, ``a`` and ``b`` are the Butcher tableau of the stepping
-    formula; ``e`` weighs the stages plus the end slope into the error
-    estimate of order ``error_order``.  The interpolant is ``p`` (RK45:
-    polynomial weights on the stages) or, for DOP853, ``d`` with
-    the extra stages ``a_extra``/``c_extra``; DOP853 also blends in the
-    third-order estimate ``e3``.
-    """
-
-    error_order: int
-    c: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    e: np.ndarray
-    p: np.ndarray | None = None
-    e3: np.ndarray | None = None
-    d: np.ndarray | None = None
-    a_extra: np.ndarray | None = None
-    c_extra: np.ndarray | None = None
-
-    @property
-    def stages(self) -> int:
-        return len(self.b)
-
-
-RK45 = Tableau(
-    error_order=4,
-    c=np.array([0, 1/5, 3/10, 4/5, 8/9, 1]),
-    a=np.array([
-        [0, 0, 0, 0, 0],
-        [1/5, 0, 0, 0, 0],
-        [3/40, 9/40, 0, 0, 0],
-        [44/45, -56/15, 32/9, 0, 0],
-        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-    ]),
-    b=np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]),
-    e=np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]),
-    # Shampine's optimal free parameter c_6
-    p=np.array([
-        [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-        [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-        [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-    ]),
-)
-
-
-def _dop853() -> Tableau:
-    """DOP853: 12 stepping stages, the end slope and 3 dense-output stages.
+def _dop853():
+    """The coefficients: 12 stepping stages, the end slope and 3
+    dense-output stages.
 
     Row ``i`` of the stage matrix lists its nonzero entries by column;
-    row 12 holds the solution weights.
+    row 12 holds the solution weights.  Returns the stepping tableau
+    ``c, a, b``, the fifth- and third-order error weights ``e5, e3`` over
+    the stages plus the end slope, the interpolant coefficients ``d`` and
+    the extra stages' ``a`` rows and nodes.
     """
     c = np.array([
         0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
@@ -232,16 +179,12 @@ def _dop853() -> Tableau:
     ]):
         for j, value in row.items():
             d[i, j] = value
-    return Tableau(
-        error_order=7, c=c[:12], a=a[:12, :12], b=b, e=e5, e3=e3, d=d,
-        a_extra=a[13:], c_extra=c[13:],
-    )
+    return c[:12], a[:12, :12], b, e5, e3, d, a[13:], c[13:]
 
 
-DOP853 = _dop853()
-
-#: the explicit methods by their ``integrator.method`` names
-TABLEAUS = {"RK45": RK45, "DOP853": DOP853}
+C, A, B, E5, E3, D, A_EXTRA, C_EXTRA = _dop853()
+STAGES = len(B)
+ERROR_ORDER = 7  # of the estimate that sizes the steps
 
 
 @dataclass
@@ -255,8 +198,8 @@ class Solution:
     nfev: int
 
 
-def solve(fun, t_span, y0, t_eval, event, method, rtol, atol, max_step) -> Solution:
-    """Integrate ``y' = fun(t, y)`` forward over ``t_span`` by ``method``.
+def solve(fun, t_span, y0, t_eval, event, rtol, atol, max_step) -> Solution:
+    """Integrate ``y' = fun(t, y)`` forward over ``t_span`` by DOP853.
 
     The solution is sampled from each step's dense output at the sorted
     times ``t_eval``, which start at ``t_span[0]`` and end within the
@@ -267,7 +210,6 @@ def solve(fun, t_span, y0, t_eval, event, method, rtol, atol, max_step) -> Solut
     when the step size falls below the spacing of floats at the current
     time.
     """
-    tab = TABLEAUS[method]
     t, t_bound = map(float, t_span)
     if not t_bound > t:
         raise ValueError("t_span must run forward")
@@ -293,12 +235,11 @@ def solve(fun, t_span, y0, t_eval, event, method, rtol, atol, max_step) -> Solut
         return np.asarray(fun(t, y), dtype=float)
 
     n = y.size
-    # the stages, the end slope and any dense-output stages
-    extra = 0 if tab.c_extra is None else len(tab.c_extra)
-    k = np.empty((tab.stages + 1 + extra, n))
+    # the stages, the end slope and the dense-output stages
+    k = np.empty((STAGES + 1 + len(C_EXTRA), n))
     f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, t_bound, max_step, f, tab.error_order, rtol, atol)
-    exponent = -1 / (tab.error_order + 1)
+    h_abs = _initial_step(rhs, t, y, t_bound, max_step, f, rtol, atol)
+    exponent = -1 / (ERROR_ORDER + 1)
     t_eval = np.asarray(t_eval)
     g = event(t, y)
     kept, samples, status, i = [], [], None, 0
@@ -320,9 +261,9 @@ def solve(fun, t_span, y0, t_eval, event, method, rtol, atol, max_step) -> Solut
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)
-            y_new, f_new = _stages(rhs, tab, k, t, y, f, h)
+            y_new, f_new = _stages(rhs, k, t, y, f, h)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _error_norm(tab, k[:tab.stages + 1], h, scale)
+            error = _error_norm(k[:STAGES + 1], h, scale)
             if error < 1:
                 factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR, SAFETY * error ** exponent)
                 h_abs *= min(1, factor) if rejected else factor
@@ -336,21 +277,21 @@ def solve(fun, t_span, y0, t_eval, event, method, rtol, atol, max_step) -> Solut
         dense = None
         g_new = event(t, y)
         if (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0):
-            dense = _dense_output(rhs, tab, k, t_old, t, y_old, y, f)
+            dense = _dense_output(rhs, k, t_old, t, y_old, y, f)
             t = _bisect(lambda s: event(s, dense(np.array([s]))[:, 0]), t_old, t)
             status = 1
         g = g_new
         stop = np.searchsorted(t_eval, t, side="right")
         if stop > i:
             if dense is None:
-                dense = _dense_output(rhs, tab, k, t_old, t, y_old, y, f)
+                dense = _dense_output(rhs, k, t_old, t, y_old, y, f)
             kept.append(t_eval[i:stop])
             samples.append(dense(t_eval[i:stop]))
             i = stop
     return Solution(np.hstack(kept), np.hstack(samples), status, nfev)
 
 
-def _initial_step(rhs, t0, y0, t_bound, max_step, f0, order, rtol, atol):
+def _initial_step(rhs, t0, y0, t_bound, max_step, f0, rtol, atol):
     """Starting step size, Hairer, Norsett & Wanner Sec. II.4."""
     interval = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
@@ -363,7 +304,7 @@ def _initial_step(rhs, t0, y0, t_bound, max_step, f0, order, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+        h1 = (0.01 / max(d1, d2)) ** (1 / (ERROR_ORDER + 1))
     return min(100 * h0, h1, interval, max_step)
 
 
@@ -371,46 +312,32 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _stages(rhs, tab, k, t, y, f, h):
+def _stages(rhs, k, t, y, f, h):
     """One step of the pair: the stages into ``k``, the new state and slope."""
     k[0] = f
-    for s in range(1, tab.stages):
-        dy = np.dot(k[:s].T, tab.a[s, :s]) * h
-        k[s] = rhs(t + tab.c[s] * h, y + dy)
-    y_new = y + h * np.dot(k[:tab.stages].T, tab.b)
+    for s in range(1, STAGES):
+        dy = np.dot(k[:s].T, A[s, :s]) * h
+        k[s] = rhs(t + C[s] * h, y + dy)
+    y_new = y + h * np.dot(k[:STAGES].T, B)
     f_new = rhs(t + h, y_new)
-    k[tab.stages] = f_new
+    k[STAGES] = f_new
     return y_new, f_new
 
 
-def _error_norm(tab, k, h, scale):
-    """Scaled RMS norm of the local error estimate; below 1 accepts."""
-    if tab.e3 is None:
-        return _rms(np.dot(k.T, tab.e) * h / scale)
-    # DOP853 blends the fifth- and third-order estimates (Hairer et al.)
-    err5 = np.linalg.norm(np.dot(k.T, tab.e) / scale) ** 2
-    err3 = np.linalg.norm(np.dot(k.T, tab.e3) / scale) ** 2
+def _error_norm(k, h, scale):
+    """Scaled RMS norm of the local error estimate, blending the fifth-
+    and third-order estimates (Hairer et al.); below 1 accepts."""
+    err5 = np.linalg.norm(np.dot(k.T, E5) / scale) ** 2
+    err3 = np.linalg.norm(np.dot(k.T, E3) / scale) ** 2
     if err5 == 0 and err3 == 0:
         return 0.0
     return np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
 
 
-def _dense_output(rhs, tab, k, t_old, t, y_old, y, f):
+def _dense_output(rhs, k, t_old, t, y_old, y, f):
     """The step's interpolant: ``dense(times)`` gives a ``(n, len(times))`` array."""
     h = t - t_old
-    if tab.d is None:
-        q = k[:tab.stages + 1].T.dot(tab.p)
-
-        def dense(times):
-            x = (times - t_old) / h
-            powers = np.cumprod(np.tile(x, (q.shape[1], 1)), axis=0)
-            out = h * np.dot(q, powers)
-            out += y_old[:, None]
-            return out
-
-        return dense
-
-    for s, (a, c) in enumerate(zip(tab.a_extra, tab.c_extra), start=tab.stages + 1):
+    for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=STAGES + 1):
         dy = np.dot(k[:s].T, a[:s]) * h
         k[s] = rhs(t_old + c * h, y_old + dy)
     f_old, delta = k[0], y - y_old
@@ -418,7 +345,7 @@ def _dense_output(rhs, tab, k, t_old, t, y_old, y, f):
     coeffs[0] = delta
     coeffs[1] = h * f_old - delta
     coeffs[2] = 2 * delta - h * (f + f_old)
-    coeffs[3:] = h * np.dot(tab.d, k)
+    coeffs[3:] = h * np.dot(D, k)
 
     def dense(times):
         x = ((times - t_old) / h)[:, None]

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,9 +16,12 @@ from floatdyn import (
     kinetic_metric,
     reduced_mass_matrix,
 )
-from floatdyn.dynamics import _IX_AA, _IX_NN, _metric_and_partials, _sample_times
+from floatdyn.dynamics import METHODS, _IX_AA, _IX_NN, _metric_and_partials, _sample_times
 from floatdyn.kinematics import omega_map
 from helpers import conserved_momenta, lagrangian, routhian
+
+
+WORK_PRECISION = Path(__file__).resolve().parents[1] / "BENCH_work_precision.json"
 
 
 def random_inertia(rng, scale=10.0):
@@ -567,13 +573,24 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             integrate_full(barge, barge_body, env, state, 1.0, 0.0)
 
-    @pytest.mark.parametrize("method", ["BDF", "RK23"])
+    @pytest.mark.parametrize("method", ["BDF", "RK23", "RK45"])
     def test_dropped_method_raises(self, barge, barge_body, env, method):
         # the config check refuses these names; the library call must too,
         # rather than hand them to SciPy
         state = FullState(Pose(), np.zeros(6))
-        with pytest.raises(ValueError, match="use one of DOP853, RK45, LSODA"):
+        with pytest.raises(ValueError, match="use one of DOP853, LSODA$"):
             integrate_full(barge, barge_body, env, state, 0.1, 0.01, method=method)
+
+    def test_methods_are_the_ones_the_work_precision_verdict_keeps(self):
+        # tools/work_precision.py drops a method once each of its counted
+        # runs is beaten by a kept method; the default DOP853 is the
+        # reference of the diagram and stays
+        result = json.loads(WORK_PRECISION.read_text())
+        assert result["rule"]["kept_methods"] == list(METHODS)
+        kept = {method for method, verdict in result["verdict"].items() if verdict["kept"]}
+        assert kept == set(METHODS)
+        for method in METHODS:
+            assert method == "DOP853" or not result["verdict"][method]["all_beaten"], method
 
 
 class TestSampleTimes:

@@ -295,6 +295,21 @@ class TestSolverRobustness:
         assert_pseudo_stable(l_prism, body, env, result)
         assert len(calls) <= 30
 
+    @pytest.mark.parametrize("gravity", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
+    def test_any_gravity_converges_as_at_earth_gravity(self, l_prism, env, gravity):
+        # the trust region works in units of the weight: at gravity 1e200
+        # its Schur complement overflowed, and at 1e-200 it underflowed and
+        # took two more steps
+        body = uniform_body(l_prism, 0.6 * RHO)
+        guess = (0.0, 0.1, 0.05)
+        earth = find_equilibrium(l_prism, body, env, initial=guess)
+        result = find_equilibrium(l_prism, body, fd.FluidEnvironment(rho=RHO, g=gravity),
+                                  initial=guess)
+        assert result.iterations == earth.iterations
+        np.testing.assert_allclose(
+            result.pose.as_array(), earth.pose.as_array(), rtol=0.0, atol=1e-9
+        )
+
     def test_equilibrium_on_the_pole_is_refused(self, env):
         # a flat box floats on its largest face; with the short first axis
         # vertical that pose has pitch pi/2, where the angles are singular

@@ -165,6 +165,16 @@ class TestFileIO:
         assert back.volume == pytest.approx(l_prism.volume, rel=1e-6)
         assert len(back.triangles) == len(l_prism.triangles)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-7, 1e-4, 1e3, 1e6])
+    def test_binary_stl_round_trip_at_any_scale(self, tmp_path, barge, scale):
+        # the zero-area cut was 1e-14 m^2 below 1 m: it dropped triangles
+        # of a hull under about 1e-7 m, or all of them
+        path = tmp_path / "barge.stl"
+        save_stl(path, HullMesh(barge.vertices * scale, barge.triangles))
+        back = load_stl(path)
+        assert len(back.triangles) == len(barge.triangles)
+        assert back.volume == pytest.approx(barge.volume * scale**3, rel=1e-6)
+
     def test_ascii_stl_round_trip(self, tmp_path, cube):
         path = tmp_path / "cube.stl"
         # the reader takes the winding from the vertex order, not the normal
