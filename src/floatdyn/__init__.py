@@ -45,7 +45,6 @@ from .errors import (
     NonWatertightMesh,
     NotAnEquilibrium,
     SelfIntersecting,
-    SingularCyclicBlock,
     WontFloat,
     ZeroVolume,
 )

@@ -14,10 +14,12 @@ the metric is ``diag(m, m, c)`` with ``c = k3' I k3 > 0``, and only yaw
 couples to pitch and roll, so the reduced equations are in closed form:
 surge and sway rates are ``p / m``, the yaw rate is
 ``(p_psi - b . (theta_dot, phi_dot)) / c``, heave decouples, and pitch
-and roll take one 2x2 solve with ``K - b b' / c``.  The full route
-solves the generic 6x6 Euler-Lagrange equations and is the reference
-the reduced one is checked against; the momenta of every trajectory are
-recomputed from the generic metric.
+and roll take one 2x2 solve with ``K - b b' / c``.  One helper writes
+these for the reduced right-hand side, :func:`reduced_mass_matrix`,
+:func:`cyclic_rates` and the reduced trajectory's samples.  The full
+route solves the generic 6x6 Euler-Lagrange equations and is the
+reference the reduced one is checked against; the energy and momenta of
+every trajectory are recomputed from the generic metric.
 
 State ordering is ``(xi, eta, zeta, psi, theta, phi)`` everywhere;
 cyclic indices ``(0, 1, 3)``.  Each right-hand side takes the metric
@@ -39,14 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GimbalLock, IntegrationFailed, SingularCyclicBlock, require_scipy
+from .errors import ConfigError, GimbalLock, IntegrationFailed, MissingDependency
 from .hydrostatics import FluidEnvironment, generalized_forces, potential
 from .kinematics import CYCLIC, NONCYCLIC, Pose, omega_chart, omega_map, omega_maps
 from .mesh import HullMesh
-
-_IX_AA = np.ix_(CYCLIC, CYCLIC)
-_IX_AN = np.ix_(CYCLIC, NONCYCLIC)
-_IX_NN = np.ix_(NONCYCLIC, NONCYCLIC)
 
 
 @dataclass(frozen=True)
@@ -144,26 +142,36 @@ def _metric_and_partials(body: BodyProperties, theta: float, phi: float):
     return out
 
 
+def _reduce_yaw(j, p_psi, rates):
+    """Routh's reduction over yaw of the rotational block
+    ``j = [[c, b'], [b, K]]`` ((psi, theta, phi) order, ``b`` the column
+    ``j[1:, 0]``), or of a stack of blocks, each slice with the bits of one:
+    ``c``, ``b``, ``K - b b' / c`` and the yaw rate ``(p_psi - b . rates) / c``
+    at the pitch and roll ``rates``."""
+    c, b = j[..., 0, 0], j[..., 1:, 0]
+    k_red = j[..., 1:, 1:] - b[..., :, None] * b[..., None, :] / c[..., None, None]
+    psi_dot = (p_psi - (b[..., None, :] @ rates[..., :, None])[..., 0, 0]) / c
+    return c, b, k_red, psi_dot
+
+
 def reduced_mass_matrix(metric: np.ndarray) -> np.ndarray:
-    """Schur complement of the cyclic block of the 6x6 kinetic metric:
-    the reduced kinetic matrix."""
-    a_aa = metric[_IX_AA]
-    a_an = metric[_IX_AN]
-    a_nn = metric[_IX_NN]
-    try:
-        m = a_nn - a_an.T @ np.linalg.solve(a_aa, a_an)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCyclicBlock("cyclic block of the metric is singular") from exc
+    """The reduced kinetic matrix, (zeta, theta, phi) order, of the 6x6
+    kinetic metric, whose cyclic block is ``diag(m, m, c)``: ``m`` in heave
+    and ``K - b b' / c`` in pitch and roll, symmetrized."""
+    m = np.zeros((3, 3))
+    m[0, 0] = metric[2, 2]
+    m[1:, 1:] = _reduce_yaw(metric[3:, 3:], 0.0, np.zeros(2))[2]
     return 0.5 * (m + m.T)
 
 
 def cyclic_rates(metric: np.ndarray, qdot_alpha, p_cyclic) -> np.ndarray:
-    """Reconstruct surge/sway/yaw rates from the conserved momenta, given
-    the 6x6 kinetic metric."""
-    w = np.asarray(p_cyclic, dtype=float) - metric[_IX_AN] @ np.asarray(
-        qdot_alpha, dtype=float
-    )
-    return np.linalg.solve(metric[_IX_AA], w)
+    """Surge, sway and yaw rates from the momenta ``p_cyclic`` and the heave,
+    pitch and roll rates, given the 6x6 kinetic metric, whose cyclic block
+    is ``diag(m, m, c)``: ``p / m`` and ``(p_psi - b . (theta_dot, phi_dot)) / c``."""
+    p = np.asarray(p_cyclic, dtype=float)
+    rates = np.asarray(qdot_alpha, dtype=float)[1:]
+    mass = metric[0, 0]
+    return np.array([p[0] / mass, p[1] / mass, _reduce_yaw(metric[3:, 3:], p[2], rates)[3]])
 
 
 @dataclass
@@ -298,8 +306,7 @@ def integrate_reduced(
         a, da_th, da_ph = _metric_and_partials(body, theta, phi)
         # rotational block [[c, b'], [b, K]] in (psi, theta, phi) order
         j, dj_th, dj_ph = a[3:, 3:], da_th[3:, 3:], da_ph[3:, 3:]
-        c, b = j[0, 0], j[1:, 0]
-        psi_dot = (p[2] - b @ y[4:6]) / c
+        c, b, k_red, psi_dot = _reduce_yaw(j, p[2], y[4:6])
         omega = np.array([psi_dot, theta_dot, phi_dot])
         jdot_omega = (theta_dot * dj_th + phi_dot * dj_ph) @ omega
         grad_u = generalized_forces(mesh, pose, env)
@@ -307,7 +314,7 @@ def integrate_reduced(
             [grad_u[4] + 0.5 * omega @ dj_th @ omega, grad_u[5] + 0.5 * omega @ dj_ph @ omega]
         )
         force -= jdot_omega[1:] - b * (jdot_omega[0] / c)
-        theta_ddot, phi_ddot = np.linalg.solve(j[1:, 1:] - np.outer(b, b) / c, force)
+        theta_ddot, phi_ddot = np.linalg.solve(k_red, force)
         return np.array([
             zeta_dot, theta_dot, phi_dot,
             (grad_u[2] + weight) / mass, theta_ddot, phi_ddot,
@@ -385,7 +392,11 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     t_eval = _sample_times(t_end, dt)
     if method == "DOP853":
         return rk.solve(finite, (0.0, t_end), y0, t_eval, gimbal, rtol, atol, max_step)
-    solve_ivp = require_scipy("scipy.integrate", f"integrator method {method!r}").solve_ivp
+    try:
+        from scipy.integrate import solve_ivp
+    except ImportError as exc:
+        raise MissingDependency(f"integrator method {method!r} needs SciPy, which is not "
+                                "installed: pip install floatdyn[scipy]") from exc
     gimbal.terminal = True
     reached, stalled = 0.0, 0
 
@@ -442,21 +453,17 @@ def _trajectory(mesh, body, env, sol, q, qd, momenta=None):
 
     Given the fixed cyclic ``momenta`` of a reduced run, the cyclic rates
     in ``qd`` are first reconstructed from them.  The kinetic metrics,
-    the cyclic-rate solves and the quadratic forms of all samples are
-    stacked; each slice runs the product or solve of one sample, so the
-    results are the bits of :func:`kinetic_metric` and
-    :func:`cyclic_rates` sample by sample.  The buoyancy potential of all
-    samples comes from one batched call.
+    the yaw reductions and the quadratic forms of all samples are
+    stacked; each slice runs the products of one sample, so the results
+    are the bits of :func:`kinetic_metric` and :func:`cyclic_rates`
+    sample by sample.  The energy and momenta take the generic 6x6
+    metric, so they check the closed-form rates.  The buoyancy potential
+    of all samples comes from one batched call.
     """
     a = _metric_matrix(body, omega_maps(q[:, 4], q[:, 5]))
     if momenta is not None:
-        # fancy indexing leaves the stack axis innermost; copied, each
-        # block is contiguous like the one-sample coupling, so its product
-        # takes the same BLAS path and gives the same bits
-        coupling = a[(slice(None), *_IX_AN)].copy()
-        w = momenta - (coupling @ qd[:, list(NONCYCLIC), None])[:, :, 0]
-        cyclic_block = a[(slice(None), *_IX_AA)]
-        qd[:, list(CYCLIC)] = np.linalg.solve(cyclic_block, w[:, :, None])[:, :, 0]
+        qd[:, 0], qd[:, 1] = momenta[0] / body.mass, momenta[1] / body.mass
+        qd[:, 3] = _reduce_yaw(a[:, 3:, 3:], momenta[2], qd[:, 4:6])[3]
     kinetic = ((0.5 * qd)[:, None, :] @ a @ qd[:, :, None])[:, 0, 0]
     energy = kinetic - (body.mass * env.g * q[:, 2] + potential(mesh, q, env))
     p_cyclic = (a @ qd[:, :, None])[:, list(CYCLIC), 0]

@@ -4,8 +4,6 @@ Clipping and the submerged integrals raise none for a validated mesh,
 whatever the waterline topology.
 """
 
-import importlib
-
 
 class FloatDynError(Exception):
     """Base class for all package errors."""
@@ -47,10 +45,6 @@ class Diverged(FloatDynError):
     """Iterative solver hit its iteration or step limit without converging."""
 
 
-class SingularCyclicBlock(FloatDynError):
-    """Cyclic block of the kinetic metric is not invertible (invalid metric)."""
-
-
 class IndefiniteMass(FloatDynError):
     """Reduced mass matrix is not positive definite."""
 
@@ -71,16 +65,3 @@ class IntegrationFailed(FloatDynError):
 class MissingDependency(ConfigError):
     """The requested feature needs SciPy, which is not installed."""
 
-
-def require_scipy(module: str, feature: str):
-    """Import the SciPy submodule ``module`` that ``feature`` needs.
-
-    SciPy is an optional dependency: without it, the feature raises
-    :class:`MissingDependency` instead of a bare import error.
-    """
-    try:
-        return importlib.import_module(module)
-    except ImportError as exc:
-        raise MissingDependency(
-            f"{feature} needs SciPy, which is not installed: pip install floatdyn[scipy]"
-        ) from exc

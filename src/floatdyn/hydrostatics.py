@@ -29,7 +29,7 @@ import numpy as np
 
 from .clipping import SubmergedIntegrals, WaterplaneProperties, _dot, evaluate, evaluate_many
 from .errors import NotAnEquilibrium, ZeroVolume
-from .kinematics import NONCYCLIC, Pose, depth_row, depth_rows
+from .kinematics import NONCYCLIC, Pose, depth_row, depth_rows, k3_rows
 from .mesh import HullMesh
 
 #: the (zeta, theta, phi) block of a 6x6 matrix
@@ -67,7 +67,7 @@ def potential(mesh: HullMesh, pose, env: FluidEnvironment):
     if isinstance(pose, Pose):
         return _potential(evaluate(mesh, pose), env)
     q = _coordinate_rows(pose)
-    return _potential(evaluate_many(mesh, q[:, 2], depth_rows(q[:, 4], q[:, 5])[0]), env)
+    return _potential(evaluate_many(mesh, q[:, 2], k3_rows(q[:, 4], q[:, 5])), env)
 
 
 def _coordinate_rows(q) -> np.ndarray:

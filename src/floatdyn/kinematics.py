@@ -21,7 +21,8 @@ One function, :func:`depth_row`, gives the depth row ``k3`` and its pitch
 and roll partials as floats, which the generalized forces and the force
 gradient contract with the submerged moments; :func:`omega_chart` puts
 them in the first columns of the angle-rate map W and its two partials,
-which feed the kinetic metric; :func:`depth_rows` stacks them.
+which feed the kinetic metric; :func:`depth_rows` stacks them, and
+:func:`k3_rows` stacks the depth rows alone.
 """
 
 from __future__ import annotations
@@ -112,10 +113,20 @@ def depth_row(theta: float, phi: float) -> tuple[tuple[float, ...], ...]:
     return _depth_row(math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi), 0.0)
 
 
+def _k3(cth, sth, cph, sph):
+    """The depth row from the sines and cosines, on floats or on arrays of them."""
+    return (-sth, cth * sph, cth * cph)
+
+
 def _depth_row(cth, sth, cph, sph, zero):
     """The formulas of :func:`depth_row`, on floats or on arrays of them."""
-    k3 = (-sth, cth * sph, cth * cph)
-    return k3, (-cth, -sth * sph, -sth * cph), (zero, cth * cph, -cth * sph)
+    return _k3(cth, sth, cph, sph), (-cth, -sth * sph, -sth * cph), (zero, cth * cph, -cth * sph)
+
+
+def _trig(theta, phi) -> list[np.ndarray]:
+    """``cos theta, sin theta, cos phi, sin phi`` of arrays of angles, by :mod:`math`."""
+    angles = [np.asarray(a, dtype=float).tolist() for a in (theta, phi)]
+    return [np.fromiter(map(f, a), float, len(a)) for a in angles for f in (math.cos, math.sin)]
 
 
 def depth_rows(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,9 +136,13 @@ def depth_rows(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     triple at ``(theta[i], phi[i])``: the same formulas on the sines and
     cosines of :mod:`math`, so the same bits.
     """
-    angles = [np.asarray(a, dtype=float).tolist() for a in (theta, phi)]
-    trig = [np.fromiter(map(f, a), float, len(a)) for a in angles for f in (math.cos, math.sin)]
-    return tuple(np.stack(row, axis=1) for row in _depth_row(*trig, np.zeros(len(angles[0]))))
+    trig = _trig(theta, phi)
+    return tuple(np.stack(row, axis=1) for row in _depth_row(*trig, np.zeros(len(trig[0]))))
+
+
+def k3_rows(theta, phi) -> np.ndarray:
+    """The first of :func:`depth_rows`, the ``(n, 3)`` rows ``k3``, alone."""
+    return np.stack(_k3(*_trig(theta, phi)), axis=1)
 
 
 def omega_chart(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,16 +185,15 @@ def omega_maps(theta, phi) -> np.ndarray:
     """:func:`omega_map` for arrays of angles, with its gimbal check.
 
     Returns an ``(n, 3, 3)`` array whose slice ``i`` is the map at
-    ``(theta[i], phi[i])``: the depth rows of :func:`depth_rows` and the
+    ``(theta[i], phi[i])``: the depth rows of :func:`k3_rows` and the
     sines and cosines of :mod:`math`, so the same bits.
     """
-    phi = np.asarray(phi, dtype=float)
     beyond = np.flatnonzero(np.abs(theta) >= math.pi / 2 - GIMBAL_GUARD)
     if len(beyond):
         raise GimbalLock(f"pitch {float(theta[beyond[0]])} within guard of pi/2")
-    cph, sph = (np.fromiter(map(f, phi.tolist()), float, len(phi)) for f in (math.cos, math.sin))
-    w = np.zeros((len(phi), 3, 3))
-    w[:, :, 0] = depth_rows(theta, phi)[0]
+    cth, sth, cph, sph = _trig(theta, phi)
+    w = np.zeros((len(cph), 3, 3))
+    w[:, 0, 0], w[:, 1, 0], w[:, 2, 0] = _k3(cth, sth, cph, sph)
     w[:, 0, 2] = 1.0
     w[:, 1, 1], w[:, 2, 1] = cph, -sph
     return w

@@ -38,9 +38,12 @@ _AREA_TOL = 1e-12
 DIAMETER_RANGE = (1e-50, 1e15)
 #: HullMesh validation: the largest distance of the bounding-box centre
 #: from the origin, in diameters.  The integrals are taken about the
-#: origin, so their roundoff grows with this ratio; past about 3e3 the
-#: inertia of both hulls stops being positive definite.
-MAX_OFFSET = 1e3
+#: origin, so their roundoff grows with this ratio, like its fifth power:
+#: moved 20 diameters, the bench barge and L-prism keep their first modal
+#: eigenvalue and metacentric heights within 1e-9 relative and their
+#: equilibrium angles within 1e-9 rad of the centred hull's; at 50 the
+#: eigenvalue is 4e-8 off, at 1e3 10%.
+MAX_OFFSET = 20.0
 
 
 class HullMesh:

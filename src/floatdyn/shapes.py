@@ -1,4 +1,4 @@
-"""Programmatic watertight meshes: boxes, prisms, convex hulls.
+"""Programmatic watertight meshes: boxes, wedges and prisms.
 
 Handy for tests, documentation and quick CLI experiments.  All builders
 return validated :class:`~floatdyn.mesh.HullMesh` objects centered the
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import require_scipy
 from .mesh import HullMesh
 from .polygons import polygon_moments, triangulate_simple_polygon
 
@@ -143,32 +142,3 @@ def l_prism(
         mesh = HullMesh(verts, mesh.triangles)
     return mesh.translated(-mesh.volume_centroid)
 
-
-def convex_hull_mesh(points) -> HullMesh:
-    """Watertight triangulation of the convex hull of a point cloud."""
-    spatial = require_scipy("scipy.spatial", "convex_hull_mesh")
-    points = np.asarray(points, dtype=float)
-    hull = spatial.ConvexHull(points)
-    verts = points[hull.vertices]
-    remap = {old: new for new, old in enumerate(hull.vertices)}
-    center = verts.mean(axis=0)
-
-    tris = []
-    for simplex in hull.simplices:
-        a, b, c = (points[i] for i in simplex)
-        n = np.cross(b - a, c - a)
-        face = [remap[i] for i in simplex]
-        if n @ (a - center) < 0:
-            face = [face[0], face[2], face[1]]
-        tris.append(face)
-    return HullMesh(verts, np.array(tris, dtype=np.int64))
-
-
-def random_convex_mesh(n_points: int = 40, seed: int = 7) -> HullMesh:
-    """Random convex blob: jittered radial point cloud, hull-triangulated."""
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n_points, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = rng.uniform(0.6, 1.0, n_points)
-    mesh = convex_hull_mesh(dirs * radii[:, None])
-    return mesh.translated(-mesh.volume_centroid)

@@ -28,7 +28,7 @@ import numpy as np
 from .clipping import evaluate
 from .errors import FloatDynError
 from .hydrostatics import FluidEnvironment, generalized_forces, potential
-from .kinematics import NONCYCLIC, Pose, depth_rows, k3_body, rotation_matrix
+from .kinematics import NONCYCLIC, Pose, k3_body, k3_rows, rotation_matrix
 from .mesh import HullMesh
 
 
@@ -139,7 +139,7 @@ def _vertex_crossings(mesh, a, b):
     delta = np.asarray(b, dtype=float) - a
     s_grid = np.linspace(0.0, 1.0, _CROSSING_GRID)
     y = a[:, None] + s_grid[:, None] * delta[:, None]
-    k3 = depth_rows(y[..., 1].ravel(), y[..., 2].ravel())[0].reshape(y.shape)
+    k3 = k3_rows(y[..., 1].ravel(), y[..., 2].ravel()).reshape(y.shape)
     table = y[..., :1] + (mesh.vertices @ k3[..., None])[..., 0]
     seg, i, j = np.nonzero(table[:, :-1] * table[:, 1:] < 0.0)
     flo = table[seg, i, j]
@@ -148,7 +148,7 @@ def _vertex_crossings(mesh, a, b):
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         y = a[seg] + mid[:, None] * delta[seg]
-        k3 = depth_rows(y[:, 1], y[:, 2])[0]
+        k3 = k3_rows(y[:, 1], y[:, 2])
         fmid = y[:, 0] + (corner @ k3[:, :, None])[:, 0, 0]
         left = flo * fmid <= 0.0
         hi = np.where(left, mid, hi)

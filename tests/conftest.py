@@ -3,6 +3,7 @@ import pytest
 
 import floatdyn as fd
 from floatdyn import shapes
+from helpers import random_convex_mesh
 
 RHO = 1000.0
 G = 9.81
@@ -72,7 +73,7 @@ def convex_blob():
     # the hull triangulation needs SciPy; without it the cases on this
     # mesh skip and the rest of the module still runs
     pytest.importorskip("scipy")
-    return shapes.random_convex_mesh(n_points=40, seed=7)
+    return random_convex_mesh(n_points=40, seed=7)
 
 
 @pytest.fixture(scope="session")

@@ -1,24 +1,29 @@
 """Checks on clipped solids shared by the clipping, hydrostatics and CLI
 tests, the clip-side oracle of the equilibrium Hessian, and the reference
 quantities the tests compare the package with: the Lagrangian, the cyclic
-momenta and the Routhian, the buoyant force and torque, and the
-closed-form small oscillations, and the Monte-Carlo oracle for the
-clipped volume and first moments: parity ray-cast containment and a
-rejection sampler, which share no code with the kernel."""
+momenta, the Routhian and the generic Schur complement and cyclic-rate
+solve, the buoyant force and torque, and the closed-form small
+oscillations, and the Monte-Carlo oracle for the clipped volume and first
+moments: parity ray-cast containment and a rejection sampler, which share
+no code with the kernel.  Also the convex-hull meshes, whose
+triangulation needs SciPy: the tests on them skip without it."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from floatdyn import (
-    ModalResult, Pose, clip_by_waterplane, kinetic_metric, potential, volume_and_first_moments,
-    waterplane_properties,
+    HullMesh, ModalResult, Pose, clip_by_waterplane, kinetic_metric, potential,
+    volume_and_first_moments, waterplane_properties,
 )
 from floatdyn.clipping import cap_raw_moments, evaluate
-from floatdyn.dynamics import _IX_AA, _IX_AN, _IX_NN
-from floatdyn.errors import SingularCyclicBlock
-from floatdyn.kinematics import CYCLIC, depth_row, k3_body, rotation_matrix
+from floatdyn.kinematics import CYCLIC, NONCYCLIC, depth_row, k3_body, rotation_matrix
 from floatdyn.mesh import _RAY_DIRECTION, _check_edges, _ray_parity
+
+#: the cyclic, coupling and non-cyclic blocks of a 6x6 metric
+IX_AA = np.ix_(CYCLIC, CYCLIC)
+IX_AN = np.ix_(CYCLIC, NONCYCLIC)
+IX_NN = np.ix_(NONCYCLIC, NONCYCLIC)
 
 
 def vertex_on_plane_poses(mesh, rng, count):
@@ -128,15 +133,26 @@ def routhian(metric, u: float, qdot_alpha, p_cyclic) -> float:
     """
     qdot_alpha = np.asarray(qdot_alpha, dtype=float)
     p = np.asarray(p_cyclic, dtype=float)
-    a_aa = metric[_IX_AA]
-    a_an = metric[_IX_AN]
-    a_nn = metric[_IX_NN]
+    a_aa = metric[IX_AA]
+    a_an = metric[IX_AN]
+    a_nn = metric[IX_NN]
     w = p - a_an @ qdot_alpha
-    try:
-        u_dot = np.linalg.solve(a_aa, w)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCyclicBlock("cyclic block of the metric is singular") from exc
+    u_dot = np.linalg.solve(a_aa, w)
     return float(0.5 * qdot_alpha @ a_nn @ qdot_alpha - 0.5 * w @ u_dot + u)
+
+
+def schur_reduced_mass(metric) -> np.ndarray:
+    """The Schur complement of the cyclic block of any 6x6 metric, by a
+    generic solve: the oracle of the closed-form reduced mass matrix."""
+    a_an = metric[IX_AN]
+    return metric[IX_NN] - a_an.T @ np.linalg.solve(metric[IX_AA], a_an)
+
+
+def solved_cyclic_rates(metric, qdot_alpha, p_cyclic) -> np.ndarray:
+    """Surge, sway and yaw rates from the momentum relations of any 6x6
+    metric, by a generic solve: the oracle of the closed-form rates."""
+    w = np.asarray(p_cyclic, dtype=float) - metric[IX_AN] @ np.asarray(qdot_alpha, dtype=float)
+    return np.linalg.solve(metric[IX_AA], w)
 
 
 def buoyant_force_torque(mesh, pose, env):
@@ -241,3 +257,35 @@ class SubmergedMonteCarlo:
         m_hat = self.box_volume * weights.mean(axis=0)
         m_sigma = self.box_volume * weights.std(axis=0) / np.sqrt(self.n_samples)
         return v_hat, v_sigma, m_hat, m_sigma
+
+
+def convex_hull_mesh(points) -> HullMesh:
+    """Watertight triangulation of the convex hull of a point cloud."""
+    from scipy.spatial import ConvexHull
+
+    points = np.asarray(points, dtype=float)
+    hull = ConvexHull(points)
+    verts = points[hull.vertices]
+    remap = {old: new for new, old in enumerate(hull.vertices)}
+    center = verts.mean(axis=0)
+
+    tris = []
+    for simplex in hull.simplices:
+        a, b, c = (points[i] for i in simplex)
+        n = np.cross(b - a, c - a)
+        face = [remap[i] for i in simplex]
+        if n @ (a - center) < 0:
+            face = [face[0], face[2], face[1]]
+        tris.append(face)
+    return HullMesh(verts, np.array(tris, dtype=np.int64))
+
+
+def random_convex_mesh(n_points: int = 40, seed: int = 7) -> HullMesh:
+    """Random convex blob: jittered radial point cloud, hull-triangulated,
+    centred on its volume centroid."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n_points, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = rng.uniform(0.6, 1.0, n_points)
+    mesh = convex_hull_mesh(dirs * radii[:, None])
+    return mesh.translated(-mesh.volume_centroid)

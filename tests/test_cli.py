@@ -10,10 +10,10 @@ import pytest
 from floatdyn import Pose, Report, clip_by_waterplane, save_stl, shapes
 from floatdyn.cli import main
 from floatdyn.clipping import evaluate
-from floatdyn.mesh import _parse_stl_binary, load_stl
+from floatdyn.mesh import MAX_OFFSET, _parse_stl_binary, load_stl
 from floatdyn.report import AnalysisConfig, load_body, run_analysis
 from floatdyn.errors import ConfigError, GimbalLock
-from helpers import touching_loops, vertex_on_plane_poses
+from helpers import random_convex_mesh, touching_loops, vertex_on_plane_poses
 
 
 #: inertia about the centroid of the 2 x 1 x 0.5 barge of 500 kg
@@ -540,7 +540,7 @@ class TestStabilitySweep:
         # trust-region steps, more than 60
         pytest.importorskip("scipy")
         mesh_path = tmp_path / "hull.stl"
-        save_stl(mesh_path, shapes.random_convex_mesh(30, 554996936))
+        save_stl(mesh_path, random_convex_mesh(30, 554996936))
         config = tmp_path / "hull.json"
         config.write_text(json.dumps({
             "mesh_path": str(mesh_path), "uniform_density": 331.714, "fluid_density": 1000.0,
@@ -1075,13 +1075,15 @@ class TestScaleAndOffset:
             assert scaled.equilibrium["pose"][key] == pytest.approx(
                 unit.equilibrium["pose"][key], abs=1e-9)
 
-    @pytest.mark.parametrize("diameters", [10.0, 1e3])
+    @pytest.mark.parametrize("diameters", [10.0, MAX_OFFSET])
     @pytest.mark.parametrize("hull", SCALED_HULLS)
     def test_offset_hull_analyzes_without_warning(self, tmp_path, hull, diameters):
         mesh = SCALED_HULLS[hull][0]
         # a little inside the bound, which applies to the bounding-box centre
         shift = 0.99 * diameters * mesh.diameter
-        self.analyze(self.config(tmp_path, hull, shift_m=shift), tmp_path)
+        centred = self.analyze(self.config(tmp_path, hull), tmp_path)
+        moved = self.analyze(self.config(tmp_path, hull, shift_m=shift), tmp_path)
+        assert moved.modal["lambdas"][0] == pytest.approx(centred.modal["lambdas"][0], rel=1e-9)
 
     @pytest.mark.parametrize("scale", [1e-80, 1e50, 1e60, 1e70, 1e100])
     def test_scale_out_of_range_exits_one_naming_it(self, tmp_path, capsys, scale):
@@ -1090,12 +1092,23 @@ class TestScaleAndOffset:
         assert err.startswith("error: mesh ") and len(err.splitlines()) == 1
         assert "supported scale" in err
 
-    @pytest.mark.parametrize("shift_m", [1e6, 1e7, 1e8, 1e9, 1e10, 1e11])
+    # 46.5 m moves the barge (diameter 2.29 m) 20.3 diameters, just past
+    # the bound
+    @pytest.mark.parametrize("shift_m", [46.5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11])
     def test_far_offset_exits_one_naming_it(self, tmp_path, capsys, shift_m):
         assert main(["analyze", "--config", self.config(tmp_path, "barge", shift_m=shift_m)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: mesh offset ") and len(err.splitlines()) == 1
         assert "diameters from its origin" in err
+
+    @pytest.mark.parametrize("hull", SCALED_HULLS)
+    def test_thousand_diameter_offset_exits_one(self, tmp_path, capsys, hull):
+        # the integrals about the origin put the first modal eigenvalue
+        # 5% to 10% off here, so the mesh is refused rather than analysed
+        shift = 1e3 * SCALED_HULLS[hull][0].diameter
+        assert main(["analyze", "--config", self.config(tmp_path, hull, shift_m=shift)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mesh offset ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-4, 1e-9])
     def test_small_barge_passes_verify(self, tmp_path, capsys, scale):

@@ -16,9 +16,11 @@ from floatdyn import (
     kinetic_metric,
     reduced_mass_matrix,
 )
-from floatdyn.dynamics import METHODS, _IX_AA, _IX_NN, _metric_and_partials, _sample_times
+from floatdyn.dynamics import METHODS, _metric_and_partials, _sample_times
 from floatdyn.kinematics import omega_map
-from helpers import conserved_momenta, lagrangian, routhian
+from helpers import (
+    IX_AA, IX_NN, conserved_momenta, lagrangian, routhian, schur_reduced_mass, solved_cyclic_rates,
+)
 
 
 WORK_PRECISION = Path(__file__).resolve().parents[1] / "BENCH_work_precision.json"
@@ -133,7 +135,7 @@ class TestRouthian:
         qdot_alpha = np.array([0.4, -0.2, 0.7])
         u = -12.5
         value = routhian(metric, u, qdot_alpha, np.zeros(3))
-        a_nn = metric[_IX_NN]
+        a_nn = metric[IX_NN]
         assert value == pytest.approx(0.5 * qdot_alpha @ a_nn @ qdot_alpha + u)
 
     def test_legendre_consistency_with_full_lagrangian(self, cube, cube_body, env, rng):
@@ -176,7 +178,7 @@ class TestReducedMassMatrix:
         body = BodyProperties(2.0, np.diag([2.0, 3.0, 4.0]))
         metric = kinetic_metric(body, 0.0, 0.0)
         np.testing.assert_allclose(
-            reduced_mass_matrix(metric), metric[_IX_NN], atol=1e-15
+            reduced_mass_matrix(metric), metric[IX_NN], atol=1e-15
         )
 
     def test_symmetric_body_block_values(self):
@@ -196,7 +198,7 @@ class TestReducedMassMatrix:
             metric = kinetic_metric(body, rng.uniform(-1.2, 1.2), rng.uniform(-3, 3))
             m_red = reduced_mass_matrix(metric)
             lhs = np.linalg.det(m_red)
-            rhs = np.linalg.det(metric) / np.linalg.det(metric[_IX_AA])
+            rhs = np.linalg.det(metric) / np.linalg.det(metric[IX_AA])
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_positive_definite(self, rng):
@@ -204,6 +206,27 @@ class TestReducedMassMatrix:
             body = BodyProperties(1.0, random_inertia(rng))
             metric = kinetic_metric(body, rng.uniform(-1.4, 1.4), rng.uniform(-3, 3))
             assert np.linalg.eigvalsh(reduced_mass_matrix(metric)).min() > 0.0
+
+
+class TestClosedFormReduction:
+    # the kinetic metric's cyclic block is diag(m, m, c), so the package
+    # reduces in closed form; the generic solves of the oracle do not
+    # assume that shape
+
+    def test_matches_the_generic_solves(self, rng):
+        for _ in range(200):
+            body = BodyProperties(rng.uniform(0.5, 3.0), random_inertia(rng))
+            metric = kinetic_metric(body, rng.uniform(-1.4, 1.4), rng.uniform(-3, 3))
+            expected = schur_reduced_mass(metric)
+            np.testing.assert_allclose(
+                reduced_mass_matrix(metric), expected, rtol=0, atol=1e-14 * np.abs(expected).max()
+            )
+            qdot_alpha, p = rng.normal(size=3), rng.normal(size=3)
+            expected = solved_cyclic_rates(metric, qdot_alpha, p)
+            np.testing.assert_allclose(
+                cyclic_rates(metric, qdot_alpha, p), expected,
+                rtol=0, atol=1e-14 * np.abs(expected).max(),
+            )
 
 
 class TestLagrangian:

@@ -4,6 +4,7 @@ import pytest
 import floatdyn as fd
 from floatdyn import BodyProperties, Pose, find_equilibrium, potential
 from floatdyn.errors import WontFloat, ZeroVolume
+from helpers import random_convex_mesh
 
 RHO = 1000.0
 
@@ -180,14 +181,14 @@ def assert_pseudo_stable(mesh, body, env, result):
 
 
 class TestSolverRobustness:
-    # the cases on shapes.random_convex_mesh skip without SciPy, which its
+    # the cases on random_convex_mesh skip without SciPy, which its
     # hull triangulation needs
 
     def test_formerly_cycling_convex_blob(self, env):
         pytest.importorskip("scipy")
         # regression: clamped Newton used to enter a pitch limit cycle on
         # this hull; the trust-region climb has no cycle to enter
-        mesh = fd.shapes.random_convex_mesh(n_points=37, seed=112)
+        mesh = random_convex_mesh(n_points=37, seed=112)
         mass, inertia = fd.inertia_from_mesh(mesh, env.rho * 0.5225263813465054)
         body = BodyProperties(mass, inertia)
         result = find_equilibrium(
@@ -204,7 +205,7 @@ class TestSolverRobustness:
         converged = 0
         for seed in range(10):
             if seed % 2:
-                mesh = fd.shapes.random_convex_mesh(n_points=24 + seed, seed=seed)
+                mesh = random_convex_mesh(n_points=24 + seed, seed=seed)
             else:
                 mesh = fd.shapes.box(1.0 + 0.1 * seed, 0.8, 0.6)
             frac = rng.uniform(0.2, 0.85)
@@ -235,7 +236,7 @@ class TestSolverRobustness:
     def test_formerly_diverging_convex_hulls(self, env, n_points, seed, fraction, guess):
         pytest.importorskip("scipy")
         # regression: the damped Newton stack ran out of its 60 iterations
-        mesh = fd.shapes.random_convex_mesh(n_points=n_points, seed=seed)
+        mesh = random_convex_mesh(n_points=n_points, seed=seed)
         body = uniform_body(mesh, RHO * fraction)
         result = find_equilibrium(mesh, body, env, initial=guess)
         assert_pseudo_stable(mesh, body, env, result)
@@ -244,7 +245,7 @@ class TestSolverRobustness:
         pytest.importorskip("scipy")
         # regression: the residual was never rechecked after the last step,
         # so a solve converging on it still raised Diverged
-        mesh = fd.shapes.random_convex_mesh(n_points=26, seed=506)
+        mesh = random_convex_mesh(n_points=26, seed=506)
         body = uniform_body(mesh, RHO * 0.2952598152524136)
         guess = (-0.5287989422970065, -0.173568015633911, -0.28336501384738466)
         result = find_equilibrium(mesh, body, env, initial=guess)
@@ -262,7 +263,7 @@ class TestSolverRobustness:
         # used to settle on
         rng = np.random.default_rng(2611)
         for seed in range(600, 612):
-            mesh = fd.shapes.random_convex_mesh(n_points=int(rng.integers(16, 48)), seed=seed)
+            mesh = random_convex_mesh(n_points=int(rng.integers(16, 48)), seed=seed)
             body = uniform_body(mesh, RHO * rng.uniform(0.2, 0.85))
             guess = (0.0, *rng.uniform(0.05, 0.5, 2) * rng.choice([-1.0, 1.0], 2))
             result = find_equilibrium(mesh, body, env, initial=guess)

@@ -3,15 +3,16 @@
 ``import floatdyn``, the ``analyze``, ``verify`` and ``clip`` subcommands
 and ``simulate`` with an explicit Runge-Kutta method load no SciPy, and
 no subcommand loads ``numpy.polynomial`` or ``numpy.ma`` (each adds over
-a megabyte to the process).  Only the ``LSODA`` integrator method and
-``shapes.convex_hull_mesh`` need it, and without it they raise a typed
-error naming the ``scipy`` extra.  The integrator module ``floatdyn.rk``
+a megabyte to the process).  Only the ``LSODA`` integrator method needs
+it, and without it that raises a typed error naming the ``scipy`` extra;
+the package source names SciPy nowhere else.  The integrator module ``floatdyn.rk``
 loads only in ``simulate``.  Each check runs in a fresh
 interpreter, since the test process itself may have SciPy loaded.  The
 tests that need SciPy installed skip without it, so this file also runs
 in a numpy-only environment.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -71,17 +72,12 @@ MISSING_SCIPY = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None  # as if SciPy were not installed
 import floatdyn, floatdyn.cli
-from floatdyn import shapes
 
 out = {}
 for name, argv in json.loads(sys.argv[1]).items():
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         out[name] = [floatdyn.cli.main(argv), err.getvalue()]
-try:
-    shapes.convex_hull_mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-except floatdyn.FloatDynError as exc:
-    out["convex_hull_mesh"] = [type(exc).__name__, str(exc)]
 print(json.dumps(out))
 """
 
@@ -153,9 +149,28 @@ def test_features_needing_scipy_raise_a_typed_error_without_it(barge_config, tmp
     assert code == 1 and err.startswith("error: ") and hint in err, err
     assert "Traceback" not in err
     assert "'LSODA'" in err
-    kind, message = out["convex_hull_mesh"]
-    assert kind == "MissingDependency" and hint in message
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_source_names_scipy_only_in_the_solve_routine():
+    # one place imports SciPy, so one place needs the typed error; no
+    # module imports by a computed name, which this scan could not see
+    hits = []
+    for path in sorted((SRC / "floatdyn").glob("*.py")):
+        text = path.read_text()
+        assert "importlib" not in text, path.name
+        functions = [
+            (node.name, node.lineno, node.end_lineno)
+            for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)
+        ]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "scipy" in line:
+                inner = min(
+                    (f for f in functions if f[1] <= lineno <= f[2]),
+                    key=lambda f: f[2] - f[1], default=(None,),
+                )
+                hits.append((path.name, inner[0]))
+    assert hits and set(hits) == {("dynamics.py", "_solve")}, hits
 
 
 def test_config_method_list_matches_solve_ivp():

@@ -10,7 +10,7 @@ from floatdyn import (
     omega_map,
     rotation_matrix,
 )
-from floatdyn.kinematics import GIMBAL_GUARD, depth_rows, omega_chart, omega_maps
+from floatdyn.kinematics import GIMBAL_GUARD, depth_rows, k3_rows, omega_chart, omega_maps
 
 
 def random_poses(rng, n, max_angle=1.4):
@@ -80,6 +80,7 @@ class TestK3Body:
         rng = np.random.default_rng(12)
         poses = random_poses(rng, 200)
         k3, k3_th, k3_ph = depth_rows([p.theta for p in poses], [p.phi for p in poses])
+        assert k3_rows([p.theta for p in poses], [p.phi for p in poses]).tobytes() == k3.tobytes()
         for i, pose in enumerate(poses):
             _, d_th, d_ph = omega_chart(pose.theta, pose.phi)
             assert k3[i].tobytes() == k3_body(pose).tobytes()
