@@ -7,10 +7,12 @@ is positive.  Working in the body frame keeps every integral (volume,
 buoyancy center, waterplane moments) natively in body axes and avoids
 transforming the mesh for each pose.
 
-:func:`evaluate` computes all the integrals of one pose from the wetted
-hull faces alone.  The depth vanishes on the waterplane, so the divergence
-theorem turns the volume, ``integral of d dV`` and the first moments into
-sums over the wetted faces, and closure of the submerged boundary
+:func:`evaluate` computes all the integrals of one pose, and
+:func:`evaluate_many` those of stacked poses, from the wetted hull faces
+alone, through one kernel that gives a pose the same bits alone or in a
+stack.  The depth vanishes on the waterplane, so the divergence theorem
+turns the volume, ``integral of d dV`` and the first moments into sums
+over the wetted faces, and closure of the submerged boundary
 (``sum of f n dS = integral of grad f dV`` for ``f = 1, x_i, x_i x_j``)
 gives the waterplane area, first and second moments without building the
 waterplane itself (Mirtich, "Fast and Accurate Computation of Polyhedral
@@ -27,12 +29,8 @@ keyed by the exact bits of ``(zeta, theta, phi)``, so the potential, the
 forces and their gradient at one pose come from one kernel run whichever
 of them asks first.  The stored result's arrays are read-only, and the
 slot is swapped whole, so threads sharing a mesh at worst recompute.
-
-:func:`evaluate_many` integrates stacked poses as :func:`evaluate` does
-one, bit for bit, and keeps no slot; it pays off where many poses are
-known at once (the verification suites, the energy pass of a
-trajectory), while the callers that need one pose at a time keep the
-cheaper single-pose :func:`evaluate`.
+:func:`evaluate_many` keeps no slot; it pays off where many poses are
+known at once (the verification suites, the energy pass of a trajectory).
 
 :func:`clip_by_waterplane` builds the submerged boundary explicitly, the
 clipped hull triangles plus one planar cap polygon per waterline loop,
@@ -44,11 +42,11 @@ validated mesh.  Waterline crossing points are computed per mesh edge in
 canonical index order, so the two triangles sharing an edge agree
 bitwise and the cap segments match up by key.
 
-Both routes share the snap rule: vertex depths within
-:data:`DEFAULT_SNAP_FRACTION` of the mesh diameter from zero are snapped
-to exactly zero and triangles are then classified by their sign pattern,
-so coplanar faces (flat-bottomed barges, decks awash) give clean
-waterplanes instead of sliver geometry.
+The integrals and the explicit clip share the snap rule: vertex depths
+within :attr:`HullMesh.snap_distance` (:data:`DEFAULT_SNAP_FRACTION` of
+the mesh diameter) of zero are snapped to exactly zero and triangles are
+then classified by their sign pattern, so coplanar faces (flat-bottomed
+barges, decks awash) give clean waterplanes instead of sliver geometry.
 """
 
 from __future__ import annotations
@@ -61,12 +59,8 @@ from functools import cached_property
 import numpy as np
 
 from .kinematics import Pose, k3_body
-from .mesh import HullMesh, _volume_integrals, surface_weights
+from .mesh import DEFAULT_SNAP_FRACTION, HullMesh, _volume_integrals, surface_weights
 from .polygons import fan_triangles, planar_moments_3d
-
-
-#: fraction of the mesh diameter below which a vertex depth is treated as zero
-DEFAULT_SNAP_FRACTION = 1e-10
 
 #: the exact bits of ``(zeta, theta, phi)``: the key of :func:`evaluate`'s slot
 _POSE_KEY = struct.Struct("<3d")
@@ -117,9 +111,10 @@ class SubmergedSolid:
 
 def _snapped_depths(mesh, offset, normal):
     """Vertex depths with those within the snap distance of the plane set
-    to zero."""
-    depths = offset + mesh.vertices @ normal
-    depths[np.abs(depths) < DEFAULT_SNAP_FRACTION * mesh.diameter] = 0.0
+    to zero, for one plane (a float ``offset`` and a ``(3,)`` ``normal``) or
+    stacked planes (an ``(n, 1)`` column and ``(n, 3)``)."""
+    depths = offset + (mesh.vertices @ normal[..., None])[..., 0]
+    depths[np.abs(depths) < mesh.snap_distance] = 0.0
     return depths
 
 
@@ -318,16 +313,18 @@ def waterplane_properties(
 
 
 def _waterplane_about(area, first, second, normal, offset, ref_point):
-    """Shift raw waterplane moments to the projection of ``ref_point``, in floats."""
+    """Shift raw waterplane moments to the projection of ``ref_point``, in
+    floats; the offset and the shifted moments are views of one array."""
     if area == 0.0:
         return WaterplaneProperties(0.0, np.zeros(2), np.zeros((3, 3)))
-    ref, k, first = [float(x) for x in ref_point], normal.tolist(), first.tolist()
+    ref, k, first = list(map(float, ref_point)), normal.tolist(), first.tolist()
     depth = offset + _dot(ref, k)
-    p = [ref[i] - depth * k[i] for i in range(3)]
-    shifted = [[s - first[i] * p[j] - p[i] * first[j] + area * (p[i] * p[j])
-                for j, s in enumerate(row)] for i, row in enumerate(second.tolist())]
-    offset2 = [first[0] / area - p[0], first[1] / area - p[1]]
-    return WaterplaneProperties(float(area), np.array(offset2), np.array(shifted))
+    p = [ref[i] - depth * k[i] for i in (0, 1, 2)]
+    second = second.tolist()
+    flat = np.array([first[0] / area - p[0], first[1] / area - p[1]] + [
+        second[i][j] - first[i] * p[j] - p[i] * first[j] + area * (p[i] * p[j])
+        for i in (0, 1, 2) for j in (0, 1, 2)])
+    return WaterplaneProperties(float(area), flat[:2], flat[2:].reshape(3, 3))
 
 
 @dataclass(frozen=True)
@@ -385,24 +382,14 @@ def _sign_code_tables():
 
 
 _WHOLE, _TIP, _LONE_FIRST, _PLANE_EDGE = _sign_code_tables()
+#: per sign code, the rotation of :attr:`HullMesh.corner_rotations` from the lone corner
+_LONE = _LONE_FIRST[:, 0]
 _PLACES = np.array([1.0, 3.0, 9.0])
 
 
 def _sign_codes(depths, triangles) -> np.ndarray:
     """Sign code of every face, for the last axis of the vertex depths."""
     return (np.sign(depths).take(triangles, axis=-1) @ _PLACES).astype(np.intp)
-
-
-def _tip_triangles(mesh, corners, corner_d):
-    """Area fractions ``t1 t2`` and surface weights of the tip triangles
-    spanned by each lone corner (first in ``corners``, depths ``corner_d``)
-    and the crossings at ``t1`` and ``t2`` along its edges."""
-    tips = mesh.vertices[corners]
-    lone_d = corner_d[:, :1]
-    t = lone_d / (lone_d - corner_d[:, 1:])
-    apex = tips[:, :1]
-    tips[:, 1:] = apex + t[:, :, None] * (tips[:, 1:] - apex)
-    return t[:, 0] * t[:, 1], surface_weights(tips)
 
 
 def _dot(a, b):
@@ -437,13 +424,6 @@ def _finish(zeta, k, projected):
 _ZEROS = [0.0] * 9
 
 
-def _frozen(k, first, cap_first, cap_second):
-    """The arrays of one :class:`SubmergedIntegrals` from their floats: views
-    of one read-only buffer, so no caller can change what another gets."""
-    flat = np.frombuffer(_RESULT_ARRAYS.pack(*k, *first, *cap_first, *cap_second))
-    return flat[:3], flat[3:6], flat[6:9], flat[9:].reshape(3, 3)
-
-
 def evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
     """Submerged-volume and waterplane integrals from the wetted faces.
 
@@ -466,47 +446,27 @@ def evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
 
 
 def _evaluate(mesh: HullMesh, pose: Pose) -> SubmergedIntegrals:
-    """The kernel of :func:`evaluate`, run at every pose it has not stored.
-
-    Each face is classified by one lookup of its sign code (see
-    :func:`_sign_code_tables`) and its sums are contracted with the down
-    axis ``k`` before they are added: a whole face adds ``n . k`` times
-    its :attr:`HullMesh.face_table` weights, a tip triangle
-    ``+-t1 t2 (n . k)`` times its own.  Faces in the plane are left out,
-    like dry ones; the waterplane re-covers them.  Only ``zeta``,
-    ``theta`` and ``phi`` enter.  Never raises for a validated mesh.  The
-    result's arrays are built read-only.
-    """
+    """:func:`evaluate` without the slot: :func:`_wetted_sums` at the pose,
+    finished in floats into views of one read-only buffer, so no caller can
+    change what another gets.  Only ``zeta``, ``theta`` and ``phi`` enter.
+    Never raises for a validated mesh."""
     normal = k3_body(pose)
     zeta, k = pose.zeta, normal.tolist()
     depths = _snapped_depths(mesh, zeta, normal)
-    if not depths.max() > 0.0:
-        normal, first, cap_first, cap_second = _frozen(k, _ZEROS[:3], _ZEROS[:3], _ZEROS)
-        return SubmergedIntegrals(normal, zeta, 0.0, first, 0.0, 0.0, cap_first, cap_second)
-
-    normals, weights = mesh.face_table
-    codes = _sign_codes(depths, mesh.triangles)
-    whole, tip = _WHOLE[codes], _TIP[codes]
-    nk = normals @ normal
-    projected = (whole * nk) @ weights
-    faces = tip.nonzero()[0]
-    if len(faces):
-        corners = mesh.triangles[faces[:, None], _LONE_FIRST[codes[faces]]]
-        frac, tip_weights = _tip_triangles(mesh, corners, depths[corners])
-        projected = projected + (tip[faces] * frac * nk[faces]) @ tip_weights
-        has_waterline = True
-    else:
-        has_waterline = _PLANE_EDGE[codes].any()
-
-    volume, depth_integral, first, area, cap_first, cap_second = _finish(
-        zeta, k, projected.tolist())
+    # argmax finds the deepest vertex faster than max does
+    if depths[depths.argmax()] > 0.0:
+        projected, has_waterline = _wetted_sums(mesh, depths, normal)
+        volume, depth_integral, first, area, cap_first, cap_second = _finish(
+            zeta, k, projected.tolist())
+    else:  # nothing is wet
+        volume, depth_integral, first, has_waterline = 0.0, 0.0, _ZEROS[:3], False
     if not has_waterline:
         area, cap_first, cap_second = 0.0, _ZEROS[:3], _ZEROS
     if volume < 0.0:  # roundoff on slivers
         volume = 0.0
-    normal, first, cap_first, cap_second = _frozen(k, first, cap_first, cap_second)
-    return SubmergedIntegrals(
-        normal, zeta, volume, first, depth_integral, area, cap_first, cap_second)
+    flat = np.frombuffer(_RESULT_ARRAYS.pack(*k, *first, *cap_first, *cap_second))
+    return SubmergedIntegrals(flat[:3], zeta, volume, flat[3:6], depth_integral, area,
+                              flat[6:9], flat[9:].reshape(3, 3))
 
 
 #: pose-by-face entries per pass of :func:`evaluate_many`: larger passes run no
@@ -521,66 +481,74 @@ def evaluate_many(mesh: HullMesh, zeta, k3) -> SubmergedIntegrals:
     axes in body components (the bits :func:`k3_body` gives).  Returns
     a :class:`SubmergedIntegrals` whose fields carry a leading pose
     axis; row ``i`` of every field equals the field of :func:`evaluate`
-    at pose ``i`` bitwise: each product of :func:`evaluate` is mirrored by
-    a stacked matmul (one for the tips of all poses with as many crossed
-    faces) and :func:`_finish` runs on columns.  Poses go through in
-    passes of about :data:`_EVALUATE_BUDGET` pose-by-face entries, one pose at least.
+    at pose ``i`` bitwise: both run :func:`_wetted_sums`, and
+    :func:`_finish` runs here on columns.  Poses go through in passes of
+    about :data:`_EVALUATE_BUDGET` pose-by-face entries, one pose at least.
     """
     zeta = np.asarray(zeta, dtype=float)
     k3 = np.asarray(k3, dtype=float).reshape(-1, 3)
     n = len(zeta)
-    out = SubmergedIntegrals(
-        k3, zeta, np.zeros(n), np.zeros((n, 3)), np.zeros(n),
-        np.zeros(n), np.zeros((n, 3)), np.zeros((n, 3, 3)),
+    if len(k3) != n:
+        raise ValueError(f"{n} drafts but {len(k3)} down axes")
+    projected, live, has_waterline = np.zeros((n, 13)), np.zeros(n, bool), np.zeros(n, bool)
+    step = max(1, _EVALUATE_BUDGET // len(mesh.triangles))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        depths = _snapped_depths(mesh, zeta[rows, None], k3[rows])
+        projected[rows], has_waterline[rows] = _wetted_sums(mesh, depths, k3[rows])
+        live[rows] = depths.max(axis=1) > 0.0
+    volume, depth_integral, first, area, cap_first, cap_second = _finish(
+        zeta, k3.T, projected.T)
+    # fully emerged rows get exact zeros, as evaluate gives them
+    wet = has_waterline[:, None]
+    return SubmergedIntegrals(
+        k3, zeta, np.where(live & ~(volume < 0.0), volume, 0.0),
+        np.where(live[:, None], np.stack(first, axis=1), 0.0), np.where(live, depth_integral, 0.0),
+        np.where(has_waterline, area, 0.0), np.where(wet, np.stack(cap_first, axis=1), 0.0),
+        np.where(wet, np.stack(cap_second, axis=1), 0.0).reshape(n, 3, 3),
     )
-    rows = max(1, _EVALUATE_BUDGET // len(mesh.triangles))
-    for start in range(0, n, rows):
-        _evaluate_chunk(mesh, out, slice(start, start + rows))
-    return out
 
 
-def _evaluate_chunk(mesh, out, rows):
-    """Fill ``rows`` of the batch ``out`` as :func:`evaluate` would."""
-    zeta, normal = out.plane_offset[rows], out.plane_normal[rows]
-    c = len(zeta)
-    depths = zeta[:, None] + (mesh.vertices @ normal[:, :, None])[:, :, 0]
-    depths[np.abs(depths) < DEFAULT_SNAP_FRACTION * mesh.diameter] = 0.0
-    # fully emerged rows keep the exact zeros they start with
-    live = depths.max(axis=1) > 0.0
-    if not live.all():
-        rows = np.arange(rows.start, rows.start + c)[live]
-        zeta, normal, depths = zeta[live], normal[live], depths[live]
-        c = len(zeta)
-        if c == 0:
-            return
-
+def _wetted_sums(mesh, depths, normal):
+    """The kernel of :func:`evaluate` and :func:`evaluate_many`: the 13
+    wetted-surface integrals of ``n . k`` times ``1``, ``x_i`` and
+    ``x_i x_j``, and whether a waterline exists, from the snapped vertex
+    depths and the down axis of one pose (``(V,)`` and ``(3,)``) or of
+    stacked poses (``(n, V)`` and ``(n, 3)``, the pose axis first in the
+    results).  Each pose's faces are contracted in one ``(1, F)`` product
+    and its tips in one ``(1, k)`` product, so a pose has the same bits
+    alone and in a stack.  A fully emerged pose has no wet face and no
+    waterline; the callers give it exact zeros.
+    """
     normals, weights = mesh.face_table
     codes = _sign_codes(depths, mesh.triangles)
     whole, tip = _WHOLE[codes], _TIP[codes]
-    nk = (normals @ normal[:, :, None])[:, :, 0]
-    projected = ((whole * nk)[:, None, :] @ weights)[:, 0]
-    pose, faces = np.nonzero(tip)
-    counts = np.bincount(pose, minlength=c)
-    if len(faces):
-        corners = mesh.triangles[faces[:, None], _LONE_FIRST[codes[pose, faces]]]
-        frac, tip_weights = _tip_triangles(mesh, corners, depths[pose[:, None], corners])
-        coef = tip[pose, faces] * frac * nk[pose, faces]
-        # each pose's tips are contiguous; poses with the same count k
-        # contract theirs in one stacked (1, k) product, as evaluate does
-        first_row = np.cumsum(counts) - counts
-        for k in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-            group = np.flatnonzero(counts == k)
-            picked = first_row[group, None] + np.arange(k)
-            summed = coef[picked][:, None, :] @ tip_weights[picked]
-            projected[group] = projected[group] + summed[:, 0]
-    has_waterline = (counts > 0) | _PLANE_EDGE[codes].any(axis=1)
-
-    volume, depth_integral, first, area, cap_first, cap_second = _finish(
-        zeta, normal.T, projected.T)
-    out.cap_area[rows] = np.where(has_waterline, area, 0.0)
-    out.cap_first[rows] = np.where(has_waterline[:, None], np.stack(cap_first, 1), 0.0)
-    out.cap_second[rows] = np.where(
-        has_waterline[:, None], np.stack(cap_second, 1), 0.0).reshape(c, 3, 3)
-    out.volume[rows] = np.where(volume < 0.0, 0.0, volume)
-    out.first[rows] = np.stack(first, axis=1)
-    out.depth_integral[rows] = depth_integral
+    nk = (normals @ normal[..., None])[..., 0]
+    projected = ((whole * nk)[..., None, :] @ weights)[..., 0, :]
+    # a whole face adds n . k times its face_table weights, a crossed face
+    # +-t1 t2 (n . k) times those of its tip triangle (see _sign_code_tables):
+    # the lone corner and the crossings at t1 and t2 along its edges.  Faces
+    # in the plane are left out, like dry ones; the waterplane re-covers them
+    tips = tip.nonzero()
+    *rows, faces = tips
+    if not len(faces):
+        return projected, _PLANE_EDGE[codes].any(axis=-1)
+    corners = mesh.corner_rotations[faces, _LONE[codes[tips]]]
+    corner_d = depths[(*rows, corners.T)]
+    t = corner_d[0] / (corner_d[0] - corner_d[1:])
+    tri = mesh.vertices[corners]
+    apex = tri[:, :1]
+    tri[:, 1:] = apex + t.T[:, :, None] * (tri[:, 1:] - apex)
+    coef, tip_weights = tip[tips] * (t[0] * t[1]) * nk[tips], surface_weights(tri)
+    if not rows:
+        return projected + coef @ tip_weights, True
+    # each pose's tips are contiguous; poses with the same count k
+    # contract theirs in one stacked (1, k) product
+    counts = np.bincount(rows[0], minlength=len(depths))
+    first_row = np.cumsum(counts) - counts
+    for k in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+        group = np.flatnonzero(counts == k)
+        picked = first_row[group, None] + np.arange(k)
+        summed = coef[picked][:, None, :] @ tip_weights[picked]
+        projected[group] = projected[group] + summed[:, 0]
+    return projected, (counts > 0) | _PLANE_EDGE[codes].any(axis=1)

@@ -44,6 +44,9 @@ DIAMETER_RANGE = (1e-50, 1e15)
 #: equilibrium angles within 1e-9 rad of the centred hull's; at 50 the
 #: eigenvalue is 4e-8 off, at 1e3 10%.
 MAX_OFFSET = 20.0
+#: fraction of the mesh diameter below which the waterplane clip treats a
+#: vertex depth as zero
+DEFAULT_SNAP_FRACTION = 1e-10
 
 
 class HullMesh:
@@ -138,6 +141,25 @@ class HullMesh:
         normals.setflags(write=False)
         weights.setflags(write=False)
         return normals, weights
+
+    @cached_property
+    def corner_rotations(self) -> np.ndarray:
+        """Each face's corners in its three rotations, built on first use.
+
+        ``corner_rotations[f, r]`` (shape (m, 3, 3)) lists face ``f``'s
+        vertex indices from its corner ``r`` on, in the face's winding:
+        the waterplane evaluator reads each crossed face from its lone
+        corner in one lookup.
+        """
+        rotations = self.triangles[:, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]]
+        rotations.setflags(write=False)
+        return rotations
+
+    @cached_property
+    def snap_distance(self) -> float:
+        """Vertex depths closer to zero than this snap onto the waterplane:
+        :data:`DEFAULT_SNAP_FRACTION` of the diameter, set on first use."""
+        return DEFAULT_SNAP_FRACTION * self.diameter
 
     # -- validation ------------------------------------------------------------
 
@@ -321,14 +343,27 @@ def load_mesh(path) -> HullMesh:
 
 
 def load_stl(path) -> HullMesh:
-    """Read a binary or ASCII STL file and weld identical vertices."""
+    """Read a binary or ASCII STL file and weld identical vertices.
+
+    A file is binary when its size is exactly what the triangle count in
+    its header needs, and ASCII otherwise.  A file that is neither, with
+    no ASCII facet, fails naming the count and the two sizes.
+    """
     raw = Path(path).read_bytes()
-    if len(raw) >= 84:
-        (count,) = struct.unpack_from("<I", raw, 80)
-        if len(raw) == 84 + 50 * count:
-            return _mesh_from_soup(_parse_stl_binary(raw, count))
-    text = raw.decode("ascii", "replace")
-    return _mesh_from_soup(_parse_stl_ascii(text, path))
+    count = struct.unpack_from("<I", raw, 80)[0] if len(raw) >= 84 else None
+    if count is not None and len(raw) == 84 + 50 * count:
+        return _mesh_from_soup(_parse_stl_binary(raw, count))
+    try:
+        tris = _parse_stl_ascii(raw.decode("ascii", "replace"), path)
+    except EmptyMesh:
+        if count is None:
+            raise
+        raise InvalidMesh(
+            f"{path}: no ASCII STL facets, and not a binary STL: its header counts "
+            f"{count} triangles, which need {84 + 50 * count} bytes, but the file "
+            f"has {len(raw)}"
+        ) from None
+    return _mesh_from_soup(tris)
 
 
 def _parse_stl_binary(raw, count):

@@ -422,6 +422,18 @@ class TestConfigValidation:
         assert main(["analyze", "--config", str(barge_config)]) == 1
         assert "bad.obj, line 2: expected three coordinates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", [686, 674], ids=["padded", "cut-short"])
+    def test_misfit_binary_stl_exits_one_naming_the_sizes(self, barge_config, capsys, size):
+        # the barge's binary STL is 684 bytes: a padded or truncated copy
+        # is named as a binary file with the wrong size
+        mesh_path = json.loads(barge_config.read_text())["mesh_path"]
+        with open(mesh_path, "r+b") as stl:
+            stl.truncate(size)
+        assert main(["analyze", "--config", str(barge_config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"counts 12 triangles, which need 684 bytes, but the file has {size}" in err
+
     def test_cg_with_uniform_density_rejected(self, tmp_path):
         from floatdyn.report import load_body
 

@@ -21,7 +21,7 @@ from floatdyn.clipping import (
     evaluate_many,
 )
 from floatdyn.kinematics import k3_body, rotation_matrix
-from floatdyn.mesh import HullMesh
+from floatdyn.mesh import HullMesh, load_mesh
 from floatdyn.report import AnalysisConfig, run_analysis
 from floatdyn.verification import random_partial_poses
 from helpers import (
@@ -432,12 +432,22 @@ class TestSignCodes:
         # and no waterline at all
         assert_clip_matches_evaluate(barge, pose, clip_by_waterplane(barge, pose))
 
-    def test_face_table_is_built_at_the_first_evaluation(self):
+    def test_face_table_is_built_at_the_first_evaluation(self, tmp_path):
         mesh = shapes.box(2.0, 1.0, 0.5)
-        assert "face_table" not in vars(mesh)
+        # a case builds several meshes (shapes re-centre, load_body moves
+        # the hull to G), so none of them may pay for the tables up front
+        save_stl(tmp_path / "box.stl", mesh)
+        for built in (HullMesh(mesh.vertices, mesh.triangles), mesh.translated((0.1, 0.0, 0.0)),
+                      load_mesh(tmp_path / "box.stl"), mesh):
+            assert not {"face_table", "corner_rotations", "snap_distance"} & set(vars(built))
         evaluate(mesh, Pose(zeta=0.1))
         normals, weights = vars(mesh)["face_table"]
         assert normals.shape == (12, 3) and weights.shape == (12, 13)
+        rotations = vars(mesh)["corner_rotations"]
+        assert rotations.shape == (12, 3, 3) and not rotations.flags.writeable
+        for r, shift in enumerate(([0, 1, 2], [1, 2, 0], [2, 0, 1])):
+            assert np.array_equal(rotations[:, r], mesh.triangles[:, shift])
+        assert vars(mesh)["snap_distance"] == DEFAULT_SNAP_FRACTION * mesh.diameter
 
 
 #: every field of SubmergedIntegrals, compared row by row
@@ -483,7 +493,7 @@ class TestEvaluateMany:
                 # bytes, not values: signed zeros count too
                 assert row.tobytes() == want.tobytes(), (name, pose)
 
-    @pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "cube", "convex_blob"])
+    @pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "cube", "convex_blob", "wedge"])
     def test_rows_equal_evaluate_bitwise(self, mesh_name, request):
         mesh = request.getfixturevalue(mesh_name)
         rng = np.random.default_rng(31)
@@ -514,6 +524,28 @@ class TestEvaluateMany:
     def test_empty_batch(self, cube):
         batch = evaluate_many(cube, np.zeros(0), np.zeros((0, 3)))
         assert batch.volume.shape == (0,) and batch.cap_second.shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("drafts, axes", [(2, 1), (1, 2)])
+    def test_drafts_and_axes_must_pair_up(self, cube, drafts, axes):
+        # one down axis must not broadcast over several drafts
+        with pytest.raises(ValueError, match=f"{drafts} drafts but {axes} down axes"):
+            evaluate_many(cube, np.full(drafts, 0.1), np.tile([0.0, 0.0, 1.0], (axes, 1)))
+
+    @pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "wedge"])
+    def test_kernel_gives_one_pose_the_bits_of_a_one_row_batch(self, mesh_name, request):
+        # the one routine behind evaluate and evaluate_many: a lone pose has
+        # no pose axis, a batch of one has it, and the bits agree
+        mesh = request.getfixturevalue(mesh_name)
+        for pose in pose_sweep(mesh, np.random.default_rng(7), 24):
+            k3 = k3_body(pose)
+            depths = clipping._snapped_depths(mesh, pose.zeta, k3)
+            stacked_depths = clipping._snapped_depths(mesh, np.array([[pose.zeta]]), k3[None])
+            assert depths.tobytes() == stacked_depths[0].tobytes(), pose
+            alone = clipping._wetted_sums(mesh, depths, k3)
+            stacked = clipping._wetted_sums(mesh, stacked_depths, k3[None])
+            assert alone[0].shape == (13,) and stacked[0].shape == (1, 13)
+            for one, row in zip(alone, stacked):
+                assert np.asarray(one).tobytes() == row[0].tobytes(), pose
 
 
 class TestLastPoseSlot:

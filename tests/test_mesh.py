@@ -187,6 +187,25 @@ class TestFileIO:
         back = load_stl(path)
         assert back.volume == pytest.approx(1.0, rel=1e-8)
 
+    @pytest.mark.parametrize("size", [686, 674], ids=["padded", "cut-short"])
+    def test_misfit_binary_stl_names_the_sizes(self, tmp_path, barge, size):
+        path = tmp_path / "barge.stl"
+        save_stl(path, barge)
+        assert path.stat().st_size == 684 and len(load_stl(path).triangles) == 12
+        # two padding bytes, or cut short by ten: no guess at what was meant
+        with open(path, "r+b") as stl:
+            stl.truncate(size)
+        with pytest.raises(InvalidMesh, match=f"header counts 12 triangles, which need "
+                                              f"684 bytes, but the file has {size}$"):
+            load_stl(path)
+
+    def test_short_file_without_facets_is_empty(self, tmp_path):
+        # under the 84 bytes of a binary header: only the ASCII reading is left
+        path = tmp_path / "empty.stl"
+        path.write_text("solid empty\nendsolid empty\n")
+        with pytest.raises(EmptyMesh, match="no facets found in ASCII STL"):
+            load_stl(path)
+
     def test_obj_load_with_quads(self, tmp_path):
         # unit cube as quads, 1-based indices
         lines = ["v -0.5 -0.5 -0.5", "v 0.5 -0.5 -0.5", "v 0.5 0.5 -0.5",
