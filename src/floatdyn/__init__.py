@@ -70,7 +70,6 @@ from .kinematics import (
 )
 from .mesh import HullMesh, inertia_from_mesh, load_mesh, load_obj, load_stl, save_stl
 from .oscillations import ModalResult, normal_modes
-from .polygons import PolygonMoments, polygon_moments
 from .report import AnalysisConfig, Report, run_analysis
 from .verification import run_verification
 

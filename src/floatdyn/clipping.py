@@ -40,7 +40,8 @@ several loops (catamaran sections) and loops touching at a vertex on the
 plane (split into simple loops) are supported; it never raises for a
 validated mesh.  Waterline crossing points are computed per mesh edge in
 canonical index order, so the two triangles sharing an edge agree
-bitwise and the cap segments match up by key.
+bitwise and the cap segments match up by key.  Its integrals fan each
+loop from its first vertex, exact for non-convex loops by signed areas.
 
 The integrals and the explicit clip share the snap rule: vertex depths
 within :attr:`HullMesh.snap_distance` (:data:`DEFAULT_SNAP_FRACTION` of
@@ -60,7 +61,6 @@ import numpy as np
 
 from .kinematics import Pose, k3_body
 from .mesh import DEFAULT_SNAP_FRACTION, HullMesh, _volume_integrals, surface_weights
-from .polygons import fan_triangles, planar_moments_3d
 
 #: the exact bits of ``(zeta, theta, phi)``: the key of :func:`evaluate`'s slot
 _POSE_KEY = struct.Struct("<3d")
@@ -242,6 +242,64 @@ def _chain_loops(segments) -> list[np.ndarray]:
                 if i == 0:
                     break
     return loops
+
+
+def fan_triangles(loop) -> np.ndarray:
+    """Fan decomposition of a loop into (n-2, 3, 3) triangles from vertex 0.
+
+    For a planar loop the signed triangle areas make every downstream
+    integral exact even when the loop is non-convex or the fan apex lies
+    outside the region.
+    """
+    loop = np.asarray(loop, dtype=float)
+    n = len(loop)
+    if n < 3:
+        return np.zeros((0, 3, 3))
+    tris = np.empty((n - 2, 3, 3))
+    tris[:, 0] = loop[0]
+    tris[:, 1] = loop[1:-1]
+    tris[:, 2] = loop[2:]
+    return tris
+
+
+def planar_moments_3d(loop, normal):
+    """Signed area, first and second moments of a planar 3D loop.
+
+    Parameters
+    ----------
+    loop : (n, 3) array_like
+        Loop vertices lying in a common plane.
+    normal : (3,) array_like
+        Unit normal fixing the sign convention: loops winding
+        counter-clockwise around ``normal`` get positive area.
+
+    Returns
+    -------
+    area : float
+        Signed area.
+    first : (3,) ndarray
+        Integral of the position vector over the region.
+    second : (3, 3) ndarray
+        Integral of the outer product ``x x^T`` over the region.
+    """
+    tris = fan_triangles(loop)
+    if len(tris) == 0:
+        return 0.0, np.zeros(3), np.zeros((3, 3))
+    normal = np.asarray(normal, dtype=float)
+    p, q, r = tris[:, 0], tris[:, 1], tris[:, 2]
+    cross = np.cross(q - p, r - p)
+    a = 0.5 * cross @ normal
+    s = p + q + r
+    area = np.sum(a)
+    first = (a[:, None] * s).sum(axis=0) / 3.0
+    outer = (
+        np.einsum("ti,tj->tij", p, p)
+        + np.einsum("ti,tj->tij", q, q)
+        + np.einsum("ti,tj->tij", r, r)
+        + np.einsum("ti,tj->tij", s, s)
+    )
+    second = np.einsum("t,tij->ij", a, outer) / 12.0
+    return float(area), first, second
 
 
 def volume_and_first_moments(solid: SubmergedSolid):

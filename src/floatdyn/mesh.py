@@ -1,4 +1,5 @@
-"""Watertight hull meshes: validation, exact volume integrals, file I/O.
+"""Watertight hull meshes: validation, exact volume integrals, file I/O
+and the ear clipping of polygonal faces.
 
 A :class:`HullMesh` is a triangle surface in body coordinates (meters)
 whose triangles wind counter-clockwise seen from outside.  Validation
@@ -21,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMesh, InvalidMesh, NonWatertightMesh
-from .polygons import triangulate_simple_polygon
+from .errors import EmptyMesh, InvalidMesh, NonWatertightMesh, SelfIntersecting
 
 #: default ray direction for point containment tests; fixed irrationalish
 #: components dodge edge-aligned degeneracies on axis-aligned meshes
@@ -394,12 +394,18 @@ def _parse_stl_ascii(text, path):
         if not parts:
             continue
         if parts[0] == "vertex":
+            if not current:
+                first = number
             current.append(_coordinates(parts, path, number))
         elif parts[0] == "endfacet":
             if len(current) != 3:
-                raise InvalidMesh("ASCII STL facet without exactly 3 vertices")
+                raise InvalidMesh(f"{path}, line {number}: facet ends after "
+                                  f"{len(current)} vertices, expected 3")
             tris.append(current)
             current = []
+    if current:
+        raise InvalidMesh(f"{path}, line {first}: the file ends before the "
+                          "endfacet of the facet from this line")
     if not tris:
         raise EmptyMesh("no facets found in ASCII STL")
     return np.array(tris, dtype=float)
@@ -414,7 +420,10 @@ def _mesh_from_soup(tri_soup):
 
 
 def load_obj(path) -> HullMesh:
-    """Read a Wavefront OBJ file (v/f records, polygonal faces allowed)."""
+    """Read a Wavefront OBJ file (v/f records, polygonal faces allowed).
+
+    A polygonal face is projected onto its Newell plane and ear-clipped.
+    """
     vertices = []
     faces = []
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -431,23 +440,31 @@ def load_obj(path) -> HullMesh:
                     f"{path}, line {number}: face indices must be integers, "
                     f"got {' '.join(parts[1:])!r}"
                 ) from None
-            faces.append([i - 1 if i > 0 else len(vertices) + i for i in indices])
+            if len(indices) < 3:
+                raise InvalidMesh(f"{path}, line {number}: face with fewer than 3 vertices")
+            faces.append((number, len(vertices), indices))
     if not vertices or not faces:
         raise EmptyMesh("no geometry found in OBJ file")
     vertices = np.array(vertices, dtype=float)
 
     triangles = []
-    for face in faces:
-        if len(face) < 3:
-            raise InvalidMesh("OBJ face with fewer than 3 vertices")
+    for number, seen, indices in faces:
+        # a negative index counts back from the vertices read so far
+        face = [i - 1 if i > 0 else seen + i for i in indices]
+        for i, k in zip(indices, face):
+            if i == 0 or not 0 <= k < len(vertices):
+                raise InvalidMesh(f"{path}, line {number}: face index {i} is out of range "
+                                  f"for {seen if i < 0 else len(vertices)} vertices")
         if len(face) == 3:
             triangles.append(face)
             continue
         ring = vertices[face]
-        normal = _newell_normal(ring)
-        plane = _project_to_plane(ring, normal)
-        for a, b, c in triangulate_simple_polygon(plane):
-            triangles.append([face[a], face[b], face[c]])
+        try:
+            plane = _project_to_plane(ring, _newell_normal(ring))
+            ears = triangulate_simple_polygon(plane)
+        except (InvalidMesh, SelfIntersecting) as exc:
+            raise InvalidMesh(f"{path}, line {number}: {exc}") from None
+        triangles += [[face[a], face[b], face[c]] for a, b, c in ears]
     return HullMesh(vertices, np.array(triangles, dtype=np.int64))
 
 
@@ -473,6 +490,69 @@ def _project_to_plane(ring, normal):
     u /= np.linalg.norm(u)
     v = np.cross(normal, u)
     return np.column_stack([ring @ u, ring @ v])
+
+
+def _signed_area(polygon) -> float:
+    """Shoelace area of an (n, 2) vertex loop, positive counter-clockwise."""
+    if polygon.ndim != 2 or polygon.shape[1] != 2 or len(polygon) < 3:
+        raise ValueError("polygon needs an (n, 2) array with n >= 3")
+    x, y = polygon[:, 0], polygon[:, 1]
+    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+
+
+def triangulate_simple_polygon(vertices) -> np.ndarray:
+    """Ear-clip a simple 2D polygon into (m, 3) index triples.
+
+    Used where genuine non-overlapping triangles are required (polygonal
+    mesh faces, extruded sections); integration paths use signed fans
+    instead.  Raises :class:`SelfIntersecting` if no ear can be found,
+    which for a simple polygon only happens on degenerate input.
+    """
+    pts = np.asarray(vertices, dtype=float)
+    n = len(pts)
+    if n < 3:
+        raise ValueError("need at least 3 vertices")
+    if n == 3:
+        return np.array([[0, 1, 2]])
+
+    order = list(range(n)) if _signed_area(pts) >= 0 else list(range(n))[::-1]
+
+    def is_ear(idx_prev, idx_cur, idx_nxt, remaining):
+        a, b, c = pts[idx_prev], pts[idx_cur], pts[idx_nxt]
+        area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if area2 <= 0:
+            return False
+        for k in remaining:
+            if k in (idx_prev, idx_cur, idx_nxt):
+                continue
+            if _point_in_triangle(pts[k], a, b, c):
+                return False
+        return True
+
+    triangles = []
+    while len(order) > 3:
+        m = len(order)
+        clipped = False
+        for i in range(m):
+            ip, ic, inx = order[i - 1], order[i], order[(i + 1) % m]
+            if is_ear(ip, ic, inx, order):
+                triangles.append((ip, ic, inx))
+                order.pop(i)
+                clipped = True
+                break
+        if not clipped:
+            raise SelfIntersecting("no ear found; polygon not simple")
+    triangles.append(tuple(order))
+    return np.array(triangles, dtype=int)
+
+
+def _point_in_triangle(p, a, b, c) -> bool:
+    d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+    d2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
+    d3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
+    has_neg = (d1 < 0) or (d2 < 0) or (d3 < 0)
+    has_pos = (d1 > 0) or (d2 > 0) or (d3 > 0)
+    return not (has_neg and has_pos)
 
 
 def save_stl(path, triangles, name: str = "floatdyn"):

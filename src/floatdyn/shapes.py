@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import HullMesh
-from .polygons import polygon_moments, triangulate_simple_polygon
+from .mesh import HullMesh, _signed_area, triangulate_simple_polygon
 
 
 def box(lx: float, ly: float, lz: float, center=(0.0, 0.0, 0.0)) -> HullMesh:
@@ -59,7 +58,7 @@ def extrude_polygon(section, width: float) -> HullMesh:
         Extrusion length; the prism spans ``x2 in [-width/2, width/2]``.
     """
     section = np.asarray(section, dtype=float)
-    if polygon_moments(section).area < 0:
+    if _signed_area(section) < 0:
         section = section[::-1]
     n = len(section)
     w = width / 2.0
@@ -87,18 +86,15 @@ def extrude_polygon(section, width: float) -> HullMesh:
     return HullMesh(verts, np.array(tris, dtype=np.int64))
 
 
-def wedge(beam: float, depth: float, length: float, apex_down: bool = True) -> HullMesh:
-    """Triangular prism: deck of width ``beam``, apex ``depth`` below it.
-
-    ``apex_down=True`` places the apex at larger x3 (deeper, since x3
-    points down).  Centered at the volume centroid.
+def wedge(beam: float, depth: float, length: float) -> HullMesh:
+    """Triangular prism: deck of width ``beam``, apex ``depth`` below it
+    (at larger x3, since x3 points down).  Centered at the volume centroid.
     """
-    sign = 1.0 if apex_down else -1.0
     section = np.array(
         [
             [-beam / 2.0, 0.0],
             [beam / 2.0, 0.0],
-            [0.0, sign * depth],
+            [0.0, depth],
         ]
     )
     mesh = extrude_polygon(section, length)

@@ -180,7 +180,7 @@ _LOOP_MAX_ANGLE = 0.25
 _LOOP_SEGMENTS = 20
 
 
-def loop_work_residual(mesh: HullMesh, env: FluidEnvironment, rng, n_loops: int = 20) -> float:
+def loop_work_residual(mesh: HullMesh, env: FluidEnvironment, rng, n_loops: int) -> float:
     """Worst relative net work of the forces around random closed loops.
 
     Loops are random closed polylines of :data:`_LOOP_SEGMENTS` segments

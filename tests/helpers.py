@@ -3,10 +3,12 @@ tests, the clip-side oracle of the equilibrium Hessian, and the reference
 quantities the tests compare the package with: the Lagrangian, the cyclic
 momenta, the Routhian and the generic Schur complement and cyclic-rate
 solve, the buoyant force and torque, and the closed-form small
-oscillations, and the Monte-Carlo oracle for the clipped volume and first
-moments: parity ray-cast containment and a rejection sampler, which share
-no code with the kernel.  Also the convex-hull meshes, whose
-triangulation needs SciPy: the tests on them skip without it."""
+oscillations, the shoelace moments of a 2D polygon, and the Monte-Carlo
+oracle for the clipped volume and first moments: parity ray-cast
+containment and a rejection sampler, which share no code with the
+kernel.  Also malformed copies of a cube's OBJ and ASCII STL files, and
+the convex-hull meshes, whose triangulation needs SciPy: the tests on
+them skip without it."""
 
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ from floatdyn import (
 from floatdyn.clipping import cap_raw_moments, evaluate
 from floatdyn.kinematics import CYCLIC, NONCYCLIC, depth_row, k3_body, rotation_matrix
 from floatdyn.mesh import _RAY_DIRECTION, _check_edges, _ray_parity
+from floatdyn.shapes import unit_cube
 
 #: the cyclic, coupling and non-cyclic blocks of a 6x6 metric
 IX_AA = np.ix_(CYCLIC, CYCLIC)
@@ -107,6 +110,58 @@ def clipped_surface_term(mesh, pose, origin_offset=0.0):
     c = solid.plane_offset - origin_offset
     n = solid.plane_normal
     return 0.5 * (c * c * area + 2.0 * c * (n @ first) + n @ second @ n)
+
+
+@dataclass(frozen=True)
+class PolygonMoments:
+    """Area, centroid and second moments of a planar region.
+
+    ``second_moment[i, j]`` is the integral of ``x_i * x_j`` over the
+    region, coordinates measured from the reference point the moments
+    were requested about.
+    """
+
+    area: float
+    centroid: np.ndarray
+    second_moment: np.ndarray
+
+
+def polygon_moments(vertices, about=None) -> PolygonMoments:
+    """Shoelace-family moments of a 2D polygon, assumed simple (unchecked):
+    the oracle of ``clipping.planar_moments_3d`` and of the ear clipper's
+    areas.
+
+    Parameters
+    ----------
+    vertices : (n, 2) array_like
+        Loop vertices, either winding direction; the final edge closes
+        the loop implicitly.  Counter-clockwise loops yield positive
+        area, clockwise negative (useful for holes).
+    about : (2,) array_like, optional
+        Point the second moments are taken about (default origin).  The
+        centroid is reported in the same shifted coordinates.
+    """
+    pts = np.asarray(vertices, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+        raise ValueError("polygon needs an (n, 2) array with n >= 3")
+    if about is not None:
+        pts = pts - np.asarray(about, dtype=float)
+
+    x, y = pts[:, 0], pts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+
+    area = 0.5 * np.sum(cross)
+    if area == 0.0:
+        return PolygonMoments(0.0, np.zeros(2), np.zeros((2, 2)))
+
+    cx = np.sum((x + xn) * cross) / (6.0 * area)
+    cy = np.sum((y + yn) * cross) / (6.0 * area)
+    ixx = np.sum((x * x + x * xn + xn * xn) * cross) / 12.0
+    iyy = np.sum((y * y + y * yn + yn * yn) * cross) / 12.0
+    ixy = np.sum((x * yn + 2.0 * x * y + 2.0 * xn * yn + xn * y) * cross) / 24.0
+    second = np.array([[ixx, ixy], [ixy, iyy]])
+    return PolygonMoments(float(area), np.array([cx, cy]), second)
 
 
 def lagrangian(mesh, body, env, state) -> float:
@@ -289,3 +344,58 @@ def random_convex_mesh(n_points: int = 40, seed: int = 7) -> HullMesh:
     radii = rng.uniform(0.6, 1.0, n_points)
     mesh = convex_hull_mesh(dirs * radii[:, None])
     return mesh.translated(-mesh.volume_centroid)
+
+
+#: the unit cube as an OBJ of quads, 1-based indices
+CUBE_OBJ = ["v -0.5 -0.5 -0.5", "v 0.5 -0.5 -0.5", "v 0.5 0.5 -0.5",
+            "v -0.5 0.5 -0.5", "v -0.5 -0.5 0.5", "v 0.5 -0.5 0.5",
+            "v 0.5 0.5 0.5", "v -0.5 0.5 0.5",
+            "f 1 4 3 2", "f 5 6 7 8", "f 1 2 6 5",
+            "f 3 4 8 7", "f 2 3 7 6", "f 4 1 5 8"]
+
+
+def cube_stl():
+    """The unit cube as ASCII STL lines, seven lines a facet after the
+    ``solid`` line: the first facet's vertices are lines 4 to 6."""
+    lines = ["solid cube"]
+    for triangle in unit_cube().triangle_vertices:
+        lines += ["facet normal 0 0 0", "outer loop"]
+        lines += [f"vertex {v[0]:g} {v[1]:g} {v[2]:g}" for v in triangle]
+        lines += ["endloop", "endfacet"]
+    return lines + ["endsolid cube"]
+
+
+def _with_line(lines, number, text):
+    """``lines`` with line ``number`` (1-based) replaced by ``text``."""
+    return lines[:number - 1] + [text] + lines[number:]
+
+
+#: malformed cube files by case: the file name, its lines, the line the
+#: error names and the rest of the message
+MALFORMED_RECORDS = {
+    "obj-quad-index-past-end": (
+        "cube.obj", _with_line(CUBE_OBJ, 10, "f 5 6 7 99"), 10,
+        "face index 99 is out of range for 8 vertices"),
+    "obj-quad-index-zero": (
+        "cube.obj", _with_line(CUBE_OBJ, 10, "f 5 6 7 0"), 10,
+        "face index 0 is out of range for 8 vertices"),
+    "obj-quad-index-before-start": (
+        "cube.obj", _with_line(CUBE_OBJ, 10, "f 5 6 7 -9"), 10,
+        "face index -9 is out of range for 8 vertices"),
+    "obj-triangle-index-past-end": (
+        "cube.obj", _with_line(CUBE_OBJ, 11, "f 1 2 99"), 11,
+        "face index 99 is out of range for 8 vertices"),
+    "obj-bow-tie-quad": (
+        "cube.obj", _with_line(CUBE_OBJ, 9, "f 1 3 2 4"), 9, "degenerate polygonal face"),
+    "obj-skew-quad-without-ear": (
+        "cube.obj", _with_line(CUBE_OBJ, 9, "f 1 2 4 6"), 9,
+        "no ear found; polygon not simple"),
+    "obj-face-of-two-vertices": (
+        "cube.obj", _with_line(CUBE_OBJ, 12, "f 3 4"), 12, "face with fewer than 3 vertices"),
+    "stl-facet-of-four-vertices": (
+        "cube.stl", cube_stl()[:6] + ["vertex 1 1 1"] + cube_stl()[6:], 9,
+        "facet ends after 4 vertices, expected 3"),
+    "stl-ends-inside-a-facet": (
+        "cube.stl", cube_stl()[:-3] + cube_stl()[-1:], 81,
+        "the file ends before the endfacet of the facet from this line"),
+}

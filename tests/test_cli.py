@@ -13,7 +13,9 @@ from floatdyn.clipping import evaluate
 from floatdyn.mesh import MAX_OFFSET, _parse_stl_binary, load_stl
 from floatdyn.report import AnalysisConfig, load_body, run_analysis
 from floatdyn.errors import ConfigError, GimbalLock
-from helpers import random_convex_mesh, touching_loops, vertex_on_plane_poses
+from helpers import (
+    MALFORMED_RECORDS, random_convex_mesh, touching_loops, vertex_on_plane_poses,
+)
 
 
 #: inertia about the centroid of the 2 x 1 x 0.5 barge of 500 kg
@@ -421,6 +423,18 @@ class TestConfigValidation:
         barge_config.write_text(json.dumps(config))
         assert main(["analyze", "--config", str(barge_config)]) == 1
         assert "bad.obj, line 2: expected three coordinates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, lines, line, message", MALFORMED_RECORDS.values(),
+                             ids=MALFORMED_RECORDS)
+    def test_malformed_cube_exits_one_with_one_error_line(self, cube_config, tmp_path, capsys,
+                                                          name, lines, line, message):
+        mesh_path = tmp_path / "bad" / name
+        mesh_path.parent.mkdir()
+        mesh_path.write_text("\n".join(lines) + "\n")
+        config = {**json.loads(cube_config.read_text()), "mesh_path": str(mesh_path)}
+        cube_config.write_text(json.dumps(config))
+        assert main(["analyze", "--config", str(cube_config)]) == 1
+        assert capsys.readouterr().err == f"error: {mesh_path}, line {line}: {message}\n"
 
     @pytest.mark.parametrize("size", [686, 674], ids=["padded", "cut-short"])
     def test_misfit_binary_stl_exits_one_naming_the_sizes(self, barge_config, capsys, size):

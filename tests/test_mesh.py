@@ -7,7 +7,7 @@ from floatdyn.errors import EmptyMesh, InvalidMesh, NonWatertightMesh
 from floatdyn.mesh import (
     HullMesh, inertia_from_mesh, load_mesh, load_obj, load_stl, save_stl,
 )
-from helpers import contains_points
+from helpers import CUBE_OBJ, MALFORMED_RECORDS, contains_points, cube_stl
 
 
 class TestHullMeshValidation:
@@ -175,15 +175,10 @@ class TestFileIO:
         assert len(back.triangles) == len(barge.triangles)
         assert back.volume == pytest.approx(barge.volume * scale**3, rel=1e-6)
 
-    def test_ascii_stl_round_trip(self, tmp_path, cube):
+    def test_ascii_stl_round_trip(self, tmp_path):
         path = tmp_path / "cube.stl"
         # the reader takes the winding from the vertex order, not the normal
-        lines = ["solid cube"]
-        for triangle in cube.triangle_vertices:
-            lines += ["  facet normal 0 0 0", "    outer loop"]
-            lines += [f"      vertex {v[0]:.9e} {v[1]:.9e} {v[2]:.9e}" for v in triangle]
-            lines += ["    endloop", "  endfacet"]
-        path.write_text("\n".join(lines + ["endsolid cube"]) + "\n")
+        path.write_text("\n".join(cube_stl()) + "\n")
         back = load_stl(path)
         assert back.volume == pytest.approx(1.0, rel=1e-8)
 
@@ -207,14 +202,8 @@ class TestFileIO:
             load_stl(path)
 
     def test_obj_load_with_quads(self, tmp_path):
-        # unit cube as quads, 1-based indices
-        lines = ["v -0.5 -0.5 -0.5", "v 0.5 -0.5 -0.5", "v 0.5 0.5 -0.5",
-                 "v -0.5 0.5 -0.5", "v -0.5 -0.5 0.5", "v 0.5 -0.5 0.5",
-                 "v 0.5 0.5 0.5", "v -0.5 0.5 0.5",
-                 "f 1 4 3 2", "f 5 6 7 8", "f 1 2 6 5",
-                 "f 3 4 8 7", "f 2 3 7 6", "f 4 1 5 8"]
         path = tmp_path / "cube.obj"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(CUBE_OBJ) + "\n")
         mesh = load_obj(path)
         assert mesh.volume == pytest.approx(1.0, rel=1e-12)
 
@@ -240,6 +229,16 @@ class TestFileIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidMesh, match=rf"{name}, line {line}: "):
             load_mesh(path)
+
+    @pytest.mark.parametrize("name, lines, line, message", MALFORMED_RECORDS.values(),
+                             ids=MALFORMED_RECORDS)
+    def test_malformed_cube_names_file_line_and_fault(self, tmp_path, name, lines, line,
+                                                      message):
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidMesh) as raised:
+            load_mesh(path)
+        assert str(raised.value) == f"{path}, line {line}: {message}"
 
     def test_load_mesh_dispatch_and_unknown_extension(self, tmp_path, cube):
         path = tmp_path / "cube.stl"

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from floatdyn import polygon_moments
-from floatdyn.polygons import (
-    fan_triangles,
-    planar_moments_3d,
-    triangulate_simple_polygon,
-)
+from floatdyn.clipping import fan_triangles, planar_moments_3d
+from floatdyn.mesh import _signed_area, triangulate_simple_polygon
+from floatdyn.shapes import extrude_polygon
+from helpers import polygon_moments
 
 UNIT_SQUARE = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
 
@@ -115,3 +113,20 @@ def test_ear_clipping_random_star_polygons(rng):
 def test_degenerate_input_rejected():
     with pytest.raises(ValueError):
         polygon_moments([[0, 0], [1, 1]])
+
+
+def test_signed_area_is_the_oracle_area_bitwise(rng):
+    lshape = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], float)
+    polygons = [lshape, lshape[::-1]]
+    polygons += [random_simple_polygon(rng, rng.integers(4, 12)) for _ in range(40)]
+    for poly in polygons:
+        assert _signed_area(poly) == polygon_moments(poly).area
+
+
+@pytest.mark.parametrize("section", [
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+    [[0, 0], [1, 1]],
+], ids=["three-columns", "two-points"])
+def test_extrude_polygon_rejects_a_section_that_is_not_a_polygon(section):
+    with pytest.raises(ValueError, match=r"\(n, 2\) array with n >= 3"):
+        extrude_polygon(section, 1.0)

@@ -55,3 +55,11 @@ def test_short_releases_run_and_get_a_verdict(tmp_path, monkeypatch):
         assert counts["runs"] == (2 if method in ("DOP853", "LSODA") else 0)
         assert counts["kept"] == (method in dynamics.METHODS)
     assert all("beaten_by" in r for r in runs if r["drift"] < tool.DRIFT_BAR)
+
+
+def test_machine_block_names_the_blas_and_its_threads():
+    # the bits of a run depend on the BLAS kernel and the thread count
+    block = load_tool().machine_block()
+    for key in ("cpu", "nproc", "python", "numpy", "blas", "OPENBLAS_CORETYPE",
+                "OPENBLAS_NUM_THREADS", "scipy"):
+        assert key in block

@@ -29,9 +29,10 @@ through ``run.build_case``) and times, on each pose set:
 The JSON file gets, per workload and metric, each tree's round values
 with their median and quartiles, the ratio of the change's median to the
 parent's, the per-round ratios with their median and quartiles, and in
-how many rounds the change was faster; and the CPU, Python, numpy and its
-BLAS, and ``OPENBLAS_CORETYPE`` and ``OPENBLAS_NUM_THREADS`` as the
-children saw them.  ``--smoke`` runs one short round, to check the tool,
+how many rounds the change was faster; and the machine block of
+``tools/machine.py``: the CPU, Python, numpy and its BLAS, and
+``OPENBLAS_CORETYPE`` and ``OPENBLAS_NUM_THREADS`` as the children saw
+them.  ``--smoke`` runs one short round, to check the tool,
 not the trees.
 """
 
@@ -41,7 +42,6 @@ import argparse
 import fcntl
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -51,6 +51,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+from machine import machine
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("barge", "lprism")
@@ -112,30 +113,6 @@ def spread(values) -> dict:
     """Median and quartiles of ``values``; one value is all three."""
     low, mid, high = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": mid, "q1": low, "q3": high, "rounds": values}
-
-
-def machine() -> dict:
-    cpu = platform.processor() or "unknown"
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                cpu = line.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 only prints its build
-        blas = {}
-    return {
-        "cpu": cpu,
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
-        "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-    }
 
 
 def run_round(trees: dict, passes: int, lock_path: Path) -> dict:

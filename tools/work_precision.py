@@ -31,8 +31,8 @@ The verdict rule, printed at the end, is:
 
 A run is skipped, and listed as such, when the same method's run at the
 next looser ``rtol`` took more than ``SKIP_AFTER_CALLS`` calls.  The
-results, the floors, the verdict per method, the versions and the CPU go
-to the JSON file.
+results, the floors, the verdict per method, SciPy's version and the
+machine block of ``tools/machine.py`` go to the JSON file.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import platform
 import sys
 import tempfile
 import time
@@ -51,11 +50,12 @@ import scipy
 from scipy.integrate import solve_ivp
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
 
 from floatdyn import dynamics  # noqa: E402
 from floatdyn.cli import _initial_state  # noqa: E402
 from floatdyn.report import AnalysisConfig, load_equilibrium  # noqa: E402
+from machine import machine  # noqa: E402
 
 ALL_METHODS = ("DOP853", "RK45", "LSODA", "RK23", "BDF", "Radau")
 RTOLS = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13)
@@ -155,14 +155,9 @@ def to_json(result):
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
-def cpu_name():
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
+def machine_block() -> dict:
+    """The shared machine block (``tools/machine.py``) and SciPy's version."""
+    return {**machine(), "scipy": scipy.__version__}
 
 
 def main(argv=None):
@@ -206,8 +201,7 @@ def main(argv=None):
         "verdict": tally,
         "runs": runs,
         "skipped": skipped,
-        "machine": {"cpu": cpu_name(), "python": platform.python_version(),
-                    "numpy": np.__version__, "scipy": scipy.__version__},
+        "machine": machine_block(),
         "seconds": round(time.perf_counter() - began, 1),
     }
     Path(args.out).write_text(to_json(result))
