@@ -8,7 +8,8 @@ verify    run the residual property suites on user geometry
 clip      export the submerged part at a pose as STL (debugging aid)
 
 Exit codes: 0 success, 1 error, 2 equilibrium found but not
-pseudo-stable (so sweep scripts can tell the outcomes apart).
+pseudo-stable (so sweep scripts can tell the outcomes apart) or a usage
+error on the command line.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_clip.set_defaults(run=_cmd_clip)
     p_clip.add_argument("--config", required=True)
     p_clip.add_argument("--out", required=True)
-    p_clip.add_argument("--pose", default="0,0,0", help="zeta,theta,phi")
+    p_clip.add_argument("--pose", default="0,0,0",
+                        help="zeta,theta,phi; write --pose=-0.1,0,0 for a negative zeta")
 
     return parser
 

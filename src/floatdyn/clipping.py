@@ -55,7 +55,6 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -97,16 +96,10 @@ class SubmergedSolid:
     def is_empty(self) -> bool:
         return len(self.hull_triangles) == 0 and not self.cap_polygons
 
-    @cached_property
-    def _boundary_triangles(self) -> np.ndarray:
-        parts = [self.hull_triangles.reshape(-1, 3, 3)]
-        for loop in self.cap_polygons:
-            parts.append(fan_triangles(loop))
-        return np.concatenate(parts)
-
     def boundary_triangles(self) -> np.ndarray:
         """Hull triangles plus fanned cap triangles: the closed boundary."""
-        return self._boundary_triangles
+        fans = [fan_triangles(loop) for loop in self.cap_polygons]
+        return np.concatenate([self.hull_triangles.reshape(-1, 3, 3), *fans])
 
 
 def _snapped_depths(mesh, offset, normal):
@@ -422,11 +415,11 @@ def _sign_code_tables():
     ``k``'s depth; a negative code indexes from the end): whether the face
     counts whole (a wet corner and no dry one, or two wet and one dry), the
     sign of its tip triangle (+1 at a lone wet corner, -1 at a lone dry one
-    under a whole face, 0 uncrossed), its corners rotated lone corner first
-    (the tip keeps the face's winding), and whether it is a wetted face
-    with an edge in the plane."""
+    under a whole face, 0 uncrossed), its lone corner (the rotation of
+    :attr:`HullMesh.corner_rotations` that starts there, 0 uncrossed), and
+    whether it is a wetted face with an edge in the plane."""
     whole, tip = np.zeros(27), np.zeros(27)
-    order = np.zeros((27, 3), dtype=np.intp)
+    lone = np.zeros(27, dtype=np.intp)
     plane_edge = np.zeros(27, dtype=bool)
     for signs in itertools.product((-1, 0, 1), repeat=3):
         code = signs[0] + 3 * signs[1] + 9 * signs[2]
@@ -434,14 +427,12 @@ def _sign_code_tables():
         whole[code] = n_wet > n_dry
         if n_wet and n_dry:
             tip[code] = -1.0 if n_wet > n_dry else 1.0
-            order[code] = np.roll([0, 1, 2], -signs.index(tip[code]))
+            lone[code] = signs.index(tip[code])
         plane_edge[code] = (n_wet, n_dry) == (1, 0)
-    return whole, tip, order, plane_edge
+    return whole, tip, lone, plane_edge
 
 
-_WHOLE, _TIP, _LONE_FIRST, _PLANE_EDGE = _sign_code_tables()
-#: per sign code, the rotation of :attr:`HullMesh.corner_rotations` from the lone corner
-_LONE = _LONE_FIRST[:, 0]
+_WHOLE, _TIP, _LONE, _PLANE_EDGE = _sign_code_tables()
 _PLACES = np.array([1.0, 3.0, 9.0])
 
 

@@ -2,10 +2,10 @@
 
 An equilibrium is a stationary point of the force function
 ``F = m g zeta + U_B``; its gradient is the residual
-``(m g + Q_zeta, Q_theta, Q_phi)``, its Hessian the non-cyclic block of
-the force gradient.  ``F`` is concave in heave (curvature ``-rho g A``),
-so at fixed angles a safeguarded Newton iteration finds the balancing
-draft inside the bracket of the fully emerged and submerged drafts.
+``(m g + Q_zeta, Q_theta, Q_phi)``, its Hessian the force gradient.
+``F`` is concave in heave (curvature ``-rho g A``), so at fixed angles a
+safeguarded Newton iteration finds the balancing draft inside the
+bracket of the fully emerged and submerged drafts.
 Heave eliminated, ``G(theta, phi) = max over zeta of F`` has the moment
 residual as gradient and the Schur complement of the heave entry as
 Hessian, and a dogleg trust region climbs it (Nocedal & Wright,
@@ -29,9 +29,7 @@ import numpy as np
 from .clipping import DEFAULT_SNAP_FRACTION, evaluate
 from .dynamics import BodyProperties
 from .errors import Diverged, GimbalLock, WontFloat, ZeroVolume
-from .hydrostatics import (
-    _RESTORING, FluidEnvironment, _scaled_residual, force_gradient, generalized_forces,
-)
+from .hydrostatics import FluidEnvironment, _scaled_residual, force_gradient, generalized_forces
 from .kinematics import GIMBAL_GUARD, Pose, k3_body
 from .mesh import HullMesh
 
@@ -146,7 +144,7 @@ def find_equilibrium(
             return EquilibriumResult(pose, r, iteration, abs(pose.zeta), True)
         if iteration == max_iter:
             break
-        hessian = force_gradient(mesh, pose, env)[_RESTORING] * unit
+        hessian = force_gradient(mesh, pose, env) * unit
         curvature = hessian[1:, 1:]
         if hessian[0, 0] < 0.0:
             curvature = curvature - np.outer(hessian[1:, 0], hessian[0, 1:]) / hessian[0, 0]

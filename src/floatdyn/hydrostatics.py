@@ -14,10 +14,10 @@ entries of the generalized force vector are structural zeros, not small
 numbers.
 
 Stability is decided from the Hessian alone: an equilibrium is
-pseudo-stable exactly when the (zeta, theta, phi) Hessian of ``U``, the
-restoring block of :func:`force_gradient` at every pose, is negative
-definite.  The metacentric heights reported beside the verdict are
-body-axis quantities, the classic ones only for an upright hull.
+pseudo-stable exactly when the (zeta, theta, phi) Hessian of ``U``,
+which :func:`force_gradient` gives at every pose, is negative definite.
+The metacentric heights reported beside the verdict are body-axis
+quantities, the classic ones only for an upright hull.
 """
 
 from __future__ import annotations
@@ -29,11 +29,8 @@ import numpy as np
 
 from .clipping import SubmergedIntegrals, WaterplaneProperties, _dot, evaluate, evaluate_many
 from .errors import NotAnEquilibrium, ZeroVolume
-from .kinematics import NONCYCLIC, Pose, depth_row, depth_rows, k3_rows
+from .kinematics import Pose, depth_row, depth_rows, k3_rows
 from .mesh import HullMesh
-
-#: the (zeta, theta, phi) block of a 6x6 matrix
-_RESTORING = np.ix_(NONCYCLIC, NONCYCLIC)
 
 
 @dataclass(frozen=True)
@@ -121,10 +118,11 @@ def _generalized_forces(integrals: SubmergedIntegrals, rows, env) -> np.ndarray:
 
 
 def force_gradient(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.ndarray:
-    """Configuration gradient of the generalized forces, 6x6, symmetric.
+    """Gradient of the generalized forces in (zeta, theta, phi), 3x3, symmetric.
 
-    Only the (zeta, theta, phi) block is nonzero.  It combines a volume
-    term (second derivatives of the depth row contracted with the first
+    The surge, sway and yaw rows and columns of the full 6x6 gradient are
+    structural zeros and left out.  The block combines a volume term
+    (second derivatives of the depth row contracted with the first
     moments) and a waterplane term ``L G L^T``: row ``a`` of ``L`` holds
     the derivative of the depth function ``zeta + k3 . x`` by coordinate
     ``a`` (its constant part, then its linear part) and ``G`` is the 4x4
@@ -151,13 +149,11 @@ def _force_gradient(integrals: SubmergedIntegrals, rows, env) -> np.ndarray:
     tp = (k3_th[2] * first[1] - k3_th[1] * first[2]) + _dot(k3_th, c2_ph)
     pp = -(k3[1] * first[1] + k3[2] * first[2]) + _dot(k3_ph, c2_ph)
     rg = env.rho * env.g
-    grad = np.zeros((6, 6))
-    grad[_RESTORING] = [
+    return np.array([
         [-rg * zz, -rg * zt, -rg * zp],
         [-rg * zt, -rg * tt, -rg * tp],
         [-rg * zp, -rg * tp, -rg * pp],
-    ]
-    return grad
+    ])
 
 
 @dataclass(frozen=True)
@@ -208,8 +204,8 @@ def hessian_at_equilibrium(
 ) -> np.ndarray:
     """Hessian of the total force function at equilibrium, (zeta, theta, phi).
 
-    The hydrostatic effects are conservative, so this is the restoring
-    block of :func:`force_gradient`, for any hull and pose; at the upright
+    The hydrostatic effects are conservative, so this is
+    :func:`force_gradient` at ``q_star``, for any hull; at the upright
     equilibrium of a port-starboard symmetric hull it is the textbook
     ``rho g [[-A, A x_C, 0], [A x_C, V z_B - S11, 0], [0, 0, V z_B - S22]]``.
     Gravity is linear in zeta and contributes nothing.
@@ -240,7 +236,7 @@ def hessian_at_equilibrium(
         raise NotAnEquilibrium(
             f"residual force {residual:.3e} exceeds {residual_tol:.1e} * displacement"
         )
-    return _force_gradient(integrals, rows, env)[_RESTORING]
+    return _force_gradient(integrals, rows, env)
 
 
 def metacentric_heights(v_star: float, z_b_star: float, second_moment) -> tuple[float, float]:

@@ -176,9 +176,7 @@ def omega_map(theta: float, phi: float) -> np.ndarray:
     GimbalLock
         If ``|theta| >= pi/2 - GIMBAL_GUARD``.
     """
-    if abs(theta) >= math.pi / 2 - GIMBAL_GUARD:
-        raise GimbalLock(f"pitch {theta} within guard of pi/2")
-    return omega_chart(theta, phi)[0]
+    return omega_maps([theta], [phi])[0]
 
 
 def omega_maps(theta, phi) -> np.ndarray:

@@ -47,6 +47,8 @@ MAX_OFFSET = 20.0
 #: fraction of the mesh diameter below which the waterplane clip treats a
 #: vertex depth as zero
 DEFAULT_SNAP_FRACTION = 1e-10
+#: one facet record of a binary STL file, 50 bytes
+_STL_FACET = np.dtype([("normal", "<f4", 3), ("corners", "<f4", (3, 3)), ("attribute", "<u2")])
 
 
 class HullMesh:
@@ -165,14 +167,21 @@ class HullMesh:
 
     def _validate(self):
         tri = self.triangles
-        if np.any((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 2] == tri[:, 0])):
-            raise InvalidMesh("triangle with repeated vertex index")
+        repeated = (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 2] == tri[:, 0])
+        if repeated.any():
+            bad = int(np.argmax(repeated))
+            i, j, k = tri[bad].tolist()
+            raise _face_fault(InvalidMesh, bad, lambda name: (
+                f"triangle ({name(i)}, {name(j)}, {name(k)}) with repeated vertex index"))
 
         p, q, r = (self._tri_vertices[:, k] for k in range(3))
         areas = 0.5 * np.linalg.norm(np.cross(q - p, r - p), axis=1)
         if np.any(areas <= _AREA_TOL * self.diameter**2):
             bad = int(np.argmin(areas))
-            raise InvalidMesh(f"degenerate triangle {bad} with area {areas[bad]:.3e}")
+            i, j, k = tri[bad].tolist()
+            raise _face_fault(InvalidMesh, bad, lambda name: (
+                f"degenerate triangle ({name(i)}, {name(j)}, {name(k)}) "
+                f"with area {areas[bad]:.3e}"))
 
         _check_edges(tri, len(self.vertices))
 
@@ -203,14 +212,41 @@ def _check_edges(tri, n_vertices):
     # the later members of each run of equal codes are the repeats
     repeats = order[1:][ranked[1:] == ranked[:-1]]
     if len(repeats):
-        i, j = edges[repeats.min()].tolist()
-        raise NonWatertightMesh(f"directed edge {(i, j)} appears twice")
+        first = repeats.min()
+        i, j = edges[first].tolist()
+        raise _face_fault(NonWatertightMesh, first % len(tri),
+                          lambda name: f"directed edge ({name(i)}, {name(j)}) appears twice")
     reverse = edges[:, 1] * n_vertices + edges[:, 0]
     found = ranked[np.minimum(np.searchsorted(ranked, reverse), len(ranked) - 1)]
     missing = np.flatnonzero(found != reverse)
     if len(missing):
         i, j = edges[missing[0]].tolist()
-        raise NonWatertightMesh(f"edge ({i}, {j}) has no opposite partner")
+        raise _face_fault(NonWatertightMesh, missing[0] % len(tri),
+                          lambda name: f"edge ({name(i)}, {name(j)}) has no opposite partner")
+
+
+def _face_fault(error, face, describe):
+    """``error`` for the triangle at index ``face``, with the message
+    ``describe(str)``.  ``describe`` names the vertices by a function of
+    their index, so that the file readers can name them as the file does."""
+    exc = error(describe(str))
+    exc.face, exc.describe = int(face), describe
+    return exc
+
+
+def _validated(path, vertices, triangles, place, name):
+    """``HullMesh(vertices, triangles)`` read from the file at ``path``.
+
+    A validation failure keeps its type and names the file; where one
+    triangle is at fault, also its ``place(face)`` in the file, and its
+    vertices by ``name(index)``.
+    """
+    try:
+        return HullMesh(vertices, triangles)
+    except InvalidMesh as exc:
+        if not hasattr(exc, "face"):
+            raise type(exc)(f"{path}: {exc}") from None
+        raise type(exc)(f"{path}, {place(exc.face)}: {exc.describe(name)}") from None
 
 
 def check_shells(mesh: HullMesh):
@@ -352,9 +388,9 @@ def load_stl(path) -> HullMesh:
     raw = Path(path).read_bytes()
     count = struct.unpack_from("<I", raw, 80)[0] if len(raw) >= 84 else None
     if count is not None and len(raw) == 84 + 50 * count:
-        return _mesh_from_soup(_parse_stl_binary(raw, count))
+        return _mesh_from_soup(_parse_stl_binary(raw, count), path, lambda f: f"facet {f + 1}")
     try:
-        tris = _parse_stl_ascii(raw.decode("ascii", "replace"), path)
+        tris, lines = _parse_stl_ascii(raw.decode("ascii", "replace"), path)
     except EmptyMesh:
         if count is None:
             raise
@@ -363,14 +399,11 @@ def load_stl(path) -> HullMesh:
             f"{count} triangles, which need {84 + 50 * count} bytes, but the file "
             f"has {len(raw)}"
         ) from None
-    return _mesh_from_soup(tris)
+    return _mesh_from_soup(tris, path, lambda f: f"line {lines[f]}")
 
 
 def _parse_stl_binary(raw, count):
-    data = np.frombuffer(raw[84 : 84 + 50 * count], dtype=np.uint8)
-    records = data.reshape(count, 50)
-    floats = records[:, :48].copy().view("<f4").reshape(count, 4, 3)
-    return floats[:, 1:4, :].astype(float)
+    return np.frombuffer(raw, _STL_FACET, count, offset=84)["corners"].astype(float)
 
 
 def _coordinates(parts, path, number):
@@ -387,7 +420,8 @@ def _coordinates(parts, path, number):
 
 
 def _parse_stl_ascii(text, path):
-    tris = []
+    """The facets' corners, and the line of each facet's first vertex."""
+    tris, lines = [], []
     current = []
     for number, line in enumerate(text.splitlines(), 1):
         parts = line.split()
@@ -402,21 +436,23 @@ def _parse_stl_ascii(text, path):
                 raise InvalidMesh(f"{path}, line {number}: facet ends after "
                                   f"{len(current)} vertices, expected 3")
             tris.append(current)
+            lines.append(first)
             current = []
     if current:
         raise InvalidMesh(f"{path}, line {first}: the file ends before the "
                           "endfacet of the facet from this line")
     if not tris:
         raise EmptyMesh("no facets found in ASCII STL")
-    return np.array(tris, dtype=float)
+    return np.array(tris, dtype=float), lines
 
 
-def _mesh_from_soup(tri_soup):
-    """Weld a (m, 3, 3) triangle soup into an indexed mesh by exact equality."""
-    flat = tri_soup.reshape(-1, 3)
-    vertices, inverse = np.unique(flat, axis=0, return_inverse=True)
-    triangles = inverse.reshape(-1, 3)
-    return HullMesh(vertices, triangles)
+def _mesh_from_soup(tri_soup, path, place):
+    """Weld a (m, 3, 3) triangle soup read from ``path`` into an indexed mesh
+    by exact equality; a validation failure names the facet by ``place``
+    and its vertices by their coordinates."""
+    vertices, inverse = np.unique(tri_soup.reshape(-1, 3), axis=0, return_inverse=True)
+    return _validated(path, vertices, inverse.reshape(-1, 3), place,
+                      lambda v: "({:g}, {:g}, {:g})".format(*vertices[v]))
 
 
 def load_obj(path) -> HullMesh:
@@ -447,7 +483,7 @@ def load_obj(path) -> HullMesh:
         raise EmptyMesh("no geometry found in OBJ file")
     vertices = np.array(vertices, dtype=float)
 
-    triangles = []
+    triangles, lines = [], []
     for number, seen, indices in faces:
         # a negative index counts back from the vertices read so far
         face = [i - 1 if i > 0 else seen + i for i in indices]
@@ -456,16 +492,17 @@ def load_obj(path) -> HullMesh:
                 raise InvalidMesh(f"{path}, line {number}: face index {i} is out of range "
                                   f"for {seen if i < 0 else len(vertices)} vertices")
         if len(face) == 3:
-            triangles.append(face)
-            continue
-        ring = vertices[face]
-        try:
-            plane = _project_to_plane(ring, _newell_normal(ring))
-            ears = triangulate_simple_polygon(plane)
-        except (InvalidMesh, SelfIntersecting) as exc:
-            raise InvalidMesh(f"{path}, line {number}: {exc}") from None
+            ears = [(0, 1, 2)]
+        else:
+            ring = vertices[face]
+            try:
+                ears = triangulate_simple_polygon(_project_to_plane(ring, _newell_normal(ring)))
+            except (InvalidMesh, SelfIntersecting) as exc:
+                raise InvalidMesh(f"{path}, line {number}: {exc}") from None
         triangles += [[face[a], face[b], face[c]] for a, b, c in ears]
-    return HullMesh(vertices, np.array(triangles, dtype=np.int64))
+        lines += [number] * len(ears)
+    return _validated(path, vertices, np.array(triangles, dtype=np.int64),
+                      lambda f: f"line {lines[f]}", lambda v: str(v + 1))
 
 
 def _newell_normal(ring):
@@ -561,7 +598,8 @@ def save_stl(path, triangles, name: str = "floatdyn"):
     Zero-area triangles (cap fans over collinear waterline runs produce
     them) are dropped: they carry no geometry and upset STL viewers.
     Zero is relative to the squared largest coordinate, so a hull keeps
-    its triangles at any scale.
+    its triangles at any scale.  A finite coordinate that float32 cannot
+    hold raises ``FloatingPointError``.
     """
     if isinstance(triangles, HullMesh):
         triangles = triangles.triangle_vertices
@@ -572,14 +610,9 @@ def save_stl(path, triangles, name: str = "floatdyn"):
     scale = np.abs(triangles).max() if triangles.size else 1.0
     keep = lengths > 1e-14 * scale ** 2
     triangles, normals, lengths = triangles[keep], normals[keep], lengths[keep]
-    normals = normals / lengths[:, None]
-
-    blob = bytearray()
-    blob += name.encode("ascii")[:80].ljust(80, b"\0")
-    blob += struct.pack("<I", len(triangles))
-    for n, tri in zip(normals, triangles):
-        blob += struct.pack("<3f", *n)
-        for vtx in tri:
-            blob += struct.pack("<3f", *vtx)
-        blob += struct.pack("<H", 0)
-    Path(path).write_bytes(bytes(blob))
+    records = np.zeros(len(triangles), _STL_FACET)
+    # refuse a finite coordinate past the float32 range rather than write inf
+    with np.errstate(over="raise"):
+        records["normal"], records["corners"] = normals / lengths[:, None], triangles
+    header = name.encode("ascii")[:80].ljust(80, b"\0") + struct.pack("<I", len(records))
+    Path(path).write_bytes(header + records.tobytes())

@@ -38,9 +38,9 @@ SCHEMA_VERSION = 1
 
 #: every key the config's sections accept and the values each numeric
 #: one takes: "positive" or "non-negative" finite numbers (max_step may
-#: also be infinite), or a "count"; zero tolerances are valid for
-#: solve_ivp (atol 0 is pure relative error control).  Keys mapped to
-#: None are checked on their own.
+#: also be infinite), or a "count"; atol 0 is valid (pure relative error
+#: control).  Keys mapped to None, and the bounds of rtol and atol, are
+#: checked on their own.
 _SECTION_OPTIONS = {
     "solver": {"tol": "positive", "max_iter": "count"},
     "integrator": {
@@ -48,6 +48,10 @@ _SECTION_OPTIONS = {
     },
     "simulate": {"t_end": "positive", "dt": "positive", "initial": None, "momenta": None},
 }
+
+#: smallest integrator.rtol: both integrators raise a smaller one to it,
+#: with a warning
+RTOL_FLOOR = 100 * float(np.finfo(float).eps)
 
 #: farthest a mesh given 'mass' without 'inertia' may have its volume
 #: centroid from its origin, in diameters; single-precision STL moves the
@@ -156,6 +160,8 @@ class AnalysisConfig:
         # below 1e-100 the integrator's squared scaled error of a unit slope overflows
         if 0.0 < self.integrator.get("atol", 0.0) < 1e-100:
             raise ConfigError("'integrator.atol' must be 0 or at least 1e-100")
+        if self.integrator.get("rtol", RTOL_FLOOR) < RTOL_FLOOR:
+            raise ConfigError(f"'integrator.rtol' must be at least 100 eps, {RTOL_FLOOR!r}")
         # a deviation from equilibrium and a rate per coordinate
         initial_keys = COORD_NAMES + tuple(f"{name}_dot" for name in COORD_NAMES)
         _require_known_keys("simulate.initial", self.simulate.get("initial", {}), initial_keys)

@@ -6,10 +6,13 @@ solve, the buoyant force and torque, and the closed-form small
 oscillations, the shoelace moments of a 2D polygon, and the Monte-Carlo
 oracle for the clipped volume and first moments: parity ray-cast
 containment and a rejection sampler, which share no code with the
-kernel.  Also malformed copies of a cube's OBJ and ASCII STL files, and
+kernel.  Also malformed copies of a cube's OBJ and ASCII STL files,
+copies whose faces fail validation in all three formats, the per-facet
+encoder of binary STL that ``save_stl`` must match byte for byte, and
 the convex-hull meshes, whose triangulation needs SciPy: the tests on
 them skip without it."""
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,7 @@ from floatdyn import (
 )
 from floatdyn.clipping import cap_raw_moments, evaluate
 from floatdyn.kinematics import CYCLIC, NONCYCLIC, depth_row, k3_body, rotation_matrix
+from floatdyn.errors import InvalidMesh, NonWatertightMesh
 from floatdyn.mesh import _RAY_DIRECTION, _check_edges, _ray_parity
 from floatdyn.shapes import unit_cube
 
@@ -398,4 +402,67 @@ MALFORMED_RECORDS = {
     "stl-ends-inside-a-facet": (
         "cube.stl", cube_stl()[:-3] + cube_stl()[-1:], 81,
         "the file ends before the endfacet of the facet from this line"),
+}
+
+
+def packed_stl(triangles, name="floatdyn"):
+    """The bytes of a binary STL of a (m, 3, 3) triangle array, one
+    ``struct.pack`` call per value as ``save_stl`` once wrote them, with
+    its rule for dropping zero-area triangles."""
+    triangles = np.asarray(triangles, dtype=float)
+    p, q, r = triangles[:, 0], triangles[:, 1], triangles[:, 2]
+    normals = np.cross(q - p, r - p)
+    lengths = np.linalg.norm(normals, axis=1)
+    scale = np.abs(triangles).max() if triangles.size else 1.0
+    keep = lengths > 1e-14 * scale ** 2
+    triangles, normals, lengths = triangles[keep], normals[keep], lengths[keep]
+    normals = normals / lengths[:, None]
+    blob = bytearray()
+    blob += name.encode("ascii")[:80].ljust(80, b"\0")
+    blob += struct.pack("<I", len(triangles))
+    for n, tri in zip(normals, triangles):
+        blob += struct.pack("<3f", *n)
+        for vtx in tri:
+            blob += struct.pack("<3f", *vtx)
+        blob += struct.pack("<H", 0)
+    return bytes(blob)
+
+
+def _text(lines):
+    return ("\n".join(lines) + "\n").encode()
+
+
+_CUBE_FACETS = unit_cube().triangle_vertices
+#: vertices 4, 5 and 8 of CUBE_OBJ, named as the STL messages name them
+_V4, _V5, _V8 = "(-0.5, 0.5, -0.5)", "(-0.5, -0.5, 0.5)", "(-0.5, 0.5, 0.5)"
+
+#: cube files whose faces fail HullMesh validation, by case: the file
+#: name, its bytes, the error type, the place of the face at fault and
+#: the rest of the message.  Without its last face the cube has an edge
+#: without its reverse; with its last face twice, a directed edge twice.
+UNSOUND_MESHES = {
+    "obj-last-face-missing": (
+        "cube.obj", _text(CUBE_OBJ[:-1]), NonWatertightMesh, "line 10",
+        "edge (8, 5) has no opposite partner"),
+    "obj-last-face-repeated": (
+        "cube.obj", _text(CUBE_OBJ + CUBE_OBJ[-1:]), NonWatertightMesh, "line 15",
+        "directed edge (8, 4) appears twice"),
+    "obj-repeated-index": (
+        "cube.obj", _text(CUBE_OBJ + ["f 4 4 5"]), InvalidMesh, "line 15",
+        "triangle (4, 4, 5) with repeated vertex index"),
+    "obj-degenerate-face": (
+        "cube.obj", _text(CUBE_OBJ + ["v 0 -0.5 -0.5", "f 1 2 9"]), InvalidMesh, "line 16",
+        "degenerate triangle (1, 2, 9) with area 0.000e+00"),
+    "ascii-stl-last-facet-missing": (
+        "cube.stl", _text(cube_stl()[:-8] + cube_stl()[-1:]), NonWatertightMesh, "line 46",
+        f"edge ({_V4}, {_V8}) has no opposite partner"),
+    "ascii-stl-last-facet-repeated": (
+        "cube.stl", _text(cube_stl()[:-1] + cube_stl()[-8:]), NonWatertightMesh, "line 88",
+        f"directed edge ({_V4}, {_V5}) appears twice"),
+    "binary-stl-last-facet-missing": (
+        "cube.stl", packed_stl(_CUBE_FACETS[:-1]), NonWatertightMesh, "facet 7",
+        f"edge ({_V4}, {_V8}) has no opposite partner"),
+    "binary-stl-last-facet-repeated": (
+        "cube.stl", packed_stl(np.concatenate([_CUBE_FACETS, _CUBE_FACETS[-1:]])),
+        NonWatertightMesh, "facet 13", f"directed edge ({_V4}, {_V5}) appears twice"),
 }

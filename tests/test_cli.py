@@ -14,7 +14,8 @@ from floatdyn.mesh import MAX_OFFSET, _parse_stl_binary, load_stl
 from floatdyn.report import AnalysisConfig, load_body, run_analysis
 from floatdyn.errors import ConfigError, GimbalLock
 from helpers import (
-    MALFORMED_RECORDS, random_convex_mesh, touching_loops, vertex_on_plane_poses,
+    MALFORMED_RECORDS, UNSOUND_MESHES, random_convex_mesh, touching_loops,
+    vertex_on_plane_poses,
 )
 
 
@@ -346,6 +347,15 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="'integrator.atol'"):
                 AnalysisConfig(**config, integrator={"atol": atol})
 
+    @pytest.mark.parametrize("rtol", [0.0, 1e-15])
+    def test_rtol_below_the_floor_exits_one(self, barge_config, capsys, rtol):
+        # the integrators would raise it to 100 eps, with a warning
+        config = {**json.loads(barge_config.read_text()), "integrator": {"rtol": rtol}}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", set_span(barge_config, 0.1)]) == 1
+        assert capsys.readouterr().err == (
+            "error: 'integrator.rtol' must be at least 100 eps, 2.220446049250313e-14\n")
+
     def test_library_argument_checks_exit_one(self, tmp_path, capsys):
         # an inertia tensor that is not positive definite fails the body
         # check in the library, not the config check
@@ -435,6 +445,18 @@ class TestConfigValidation:
         cube_config.write_text(json.dumps(config))
         assert main(["analyze", "--config", str(cube_config)]) == 1
         assert capsys.readouterr().err == f"error: {mesh_path}, line {line}: {message}\n"
+
+    @pytest.mark.parametrize("name, data, error, place, message", UNSOUND_MESHES.values(),
+                             ids=UNSOUND_MESHES)
+    def test_unsound_cube_exits_one_with_one_error_line(self, cube_config, tmp_path, capsys,
+                                                        name, data, error, place, message):
+        mesh_path = tmp_path / "bad" / name
+        mesh_path.parent.mkdir()
+        mesh_path.write_bytes(data)
+        config = {**json.loads(cube_config.read_text()), "mesh_path": str(mesh_path)}
+        cube_config.write_text(json.dumps(config))
+        assert main(["analyze", "--config", str(cube_config)]) == 1
+        assert capsys.readouterr().err == f"error: {mesh_path}, {place}: {message}\n"
 
     @pytest.mark.parametrize("size", [686, 674], ids=["padded", "cut-short"])
     def test_misfit_binary_stl_exits_one_naming_the_sizes(self, barge_config, capsys, size):
@@ -1115,7 +1137,8 @@ class TestScaleAndOffset:
     def test_scale_out_of_range_exits_one_naming_it(self, tmp_path, capsys, scale):
         assert main(["analyze", "--config", self.config(tmp_path, "barge", scale)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: mesh ") and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {tmp_path / 'hull.obj'}: mesh ")
+        assert len(err.splitlines()) == 1
         assert "supported scale" in err
 
     # 46.5 m moves the barge (diameter 2.29 m) 20.3 diameters, just past
@@ -1124,7 +1147,8 @@ class TestScaleAndOffset:
     def test_far_offset_exits_one_naming_it(self, tmp_path, capsys, shift_m):
         assert main(["analyze", "--config", self.config(tmp_path, "barge", shift_m=shift_m)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: mesh offset ") and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {tmp_path / 'hull.obj'}: mesh offset ")
+        assert len(err.splitlines()) == 1
         assert "diameters from its origin" in err
 
     @pytest.mark.parametrize("hull", SCALED_HULLS)
@@ -1134,7 +1158,8 @@ class TestScaleAndOffset:
         shift = 1e3 * SCALED_HULLS[hull][0].diameter
         assert main(["analyze", "--config", self.config(tmp_path, hull, shift_m=shift)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: mesh offset ") and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {tmp_path / 'hull.obj'}: mesh offset ")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-4, 1e-9])
     def test_small_barge_passes_verify(self, tmp_path, capsys, scale):
@@ -1258,6 +1283,19 @@ class TestClip:
         want = evaluate(mesh, Pose(theta=np.pi - theta, phi=np.pi)).volume
         # the STL stores single precision
         assert volumes == pytest.approx([want, want], rel=1e-6)
+
+    def test_negative_draft_in_the_equals_form(self, cube_config, tmp_path, capsys):
+        out = tmp_path / "clip.stl"
+        argv = ["clip", "--config", str(cube_config), "--out", str(out)]
+        assert main([*argv, "--pose=-0.1,0,0"]) == 0
+        assert "wrote" in capsys.readouterr().out and out.stat().st_size > 84
+        # with a space the value reads as an option: a usage error, exit 2
+        with pytest.raises(SystemExit) as usage:
+            main([*argv, "--pose", "-0.1,0,0"])
+        assert usage.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["clip", "--help"])
+        assert "--pose=-0.1,0,0" in capsys.readouterr().out
 
     def test_emerged_pose_fails(self, cube_config, tmp_path):
         out = tmp_path / "clip.stl"

@@ -126,8 +126,6 @@ def test_the_base_config_runs_every_subcommand(workdir):
     assert run_all(workdir, write_config(workdir)) == [(0, "")] * len(COMMANDS)
 
 
-# rtol 0 and 1e-308 are raised to 100 eps with a warning, as in solve_ivp
-@pytest.mark.filterwarnings("ignore:rtol is too small:UserWarning")
 @settings(max_examples=len(KEYS) * len(VALUES) + 40, derandomize=True, database=None,
           deadline=None)
 @given(key=st.sampled_from(KEYS), value=st.sampled_from(VALUES))

@@ -101,6 +101,19 @@ class TestOmegaMap:
         with pytest.raises(GimbalLock, match="within guard"):
             omega_maps(theta, np.zeros(2))
 
+    def test_omega_map_is_the_first_of_omega_chart(self):
+        rng = np.random.default_rng(38)
+        bound = math.pi / 2 - GIMBAL_GUARD
+        for theta, phi in zip(rng.uniform(-bound, bound, 200), rng.uniform(-4.0, 4.0, 200)):
+            theta, phi = float(theta), float(phi)
+            assert omega_map(theta, phi).tobytes() == omega_chart(theta, phi)[0].tobytes()
+
+    @pytest.mark.parametrize("theta", [math.pi / 2 - GIMBAL_GUARD, -math.pi / 2, 2.0])
+    def test_omega_map_guard_names_the_pitch(self, theta):
+        with pytest.raises(GimbalLock) as raised:
+            omega_map(theta, 0.3)
+        assert str(raised.value) == f"pitch {theta} within guard of pi/2"
+
     def test_zero_angles_permutation(self):
         w = omega_map(0.0, 0.0)
         rates = np.array([1.5, -2.0, 0.7])  # (psi, theta, phi) rates

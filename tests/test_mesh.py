@@ -7,7 +7,10 @@ from floatdyn.errors import EmptyMesh, InvalidMesh, NonWatertightMesh
 from floatdyn.mesh import (
     HullMesh, inertia_from_mesh, load_mesh, load_obj, load_stl, save_stl,
 )
-from helpers import CUBE_OBJ, MALFORMED_RECORDS, contains_points, cube_stl
+from floatdyn.mesh import _parse_stl_binary
+from helpers import (
+    CUBE_OBJ, MALFORMED_RECORDS, UNSOUND_MESHES, contains_points, cube_stl, packed_stl,
+)
 
 
 class TestHullMeshValidation:
@@ -240,6 +243,17 @@ class TestFileIO:
             load_mesh(path)
         assert str(raised.value) == f"{path}, line {line}: {message}"
 
+    @pytest.mark.parametrize("name, data, error, place, message", UNSOUND_MESHES.values(),
+                             ids=UNSOUND_MESHES)
+    def test_unsound_faces_name_file_and_face(self, tmp_path, name, data, error, place,
+                                              message):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(InvalidMesh) as raised:
+            load_mesh(path)
+        assert type(raised.value) is error
+        assert str(raised.value) == f"{path}, {place}: {message}"
+
     def test_load_mesh_dispatch_and_unknown_extension(self, tmp_path, cube):
         path = tmp_path / "cube.stl"
         save_stl(path, cube)
@@ -248,8 +262,6 @@ class TestFileIO:
             load_mesh(tmp_path / "cube.step")
 
     def test_exported_clipped_solid_is_readable(self, tmp_path, cube):
-        from floatdyn.mesh import _parse_stl_binary
-
         solid = fd.clip_by_waterplane(cube, fd.Pose(zeta=0.1, theta=0.2))
         path = tmp_path / "clip.stl"
         save_stl(path, solid.boundary_triangles())
@@ -261,3 +273,51 @@ class TestFileIO:
         volume, _ = fd.volume_and_first_moments(fd.SubmergedSolid(soup))
         exact, _ = fd.volume_and_first_moments(solid)
         assert volume == pytest.approx(exact, rel=1e-5)
+
+
+class TestSaveStl:
+    """``save_stl`` writes the bytes of the per-facet ``struct.pack``
+    encoder, and reading them back gives the float32-rounded corners."""
+
+    @staticmethod
+    def triangle_sets(barge, l_prism):
+        solid = fd.clip_by_waterplane(barge, fd.Pose(zeta=0.1))
+        return {
+            "barge": barge.triangle_vertices,
+            "l_prism": l_prism.triangle_vertices,
+            "clip": solid.boundary_triangles(),
+            "empty": np.zeros((0, 3, 3)),
+            "random": np.random.default_rng(38).normal(size=(1000, 3, 3)),
+        }
+
+    def test_bytes_of_the_packed_encoder(self, tmp_path, barge, l_prism):
+        for case, triangles in self.triangle_sets(barge, l_prism).items():
+            path = tmp_path / f"{case}.stl"
+            save_stl(path, triangles)
+            assert path.read_bytes() == packed_stl(triangles), case
+
+    def test_reads_back_the_float32_corners(self, tmp_path, barge, l_prism):
+        sets = self.triangle_sets(barge, l_prism)
+        areas = np.linalg.norm(np.cross(sets["clip"][:, 1] - sets["clip"][:, 0],
+                                        sets["clip"][:, 2] - sets["clip"][:, 0]), axis=1)
+        # two cap fan triangles span collinear waterline points
+        assert (areas == 0.0).sum() == 2 and len(areas) == 20
+        for case, triangles in sets.items():
+            path = tmp_path / f"{case}.stl"
+            save_stl(path, triangles)
+            raw = path.read_bytes()
+            kept = triangles[areas > 0.0] if case == "clip" else triangles
+            expected = kept.astype(np.float32).astype(float)
+            assert np.array_equal(_parse_stl_binary(raw, (len(raw) - 84) // 50), expected)
+            if case in ("barge", "l_prism"):
+                back = load_stl(path)
+                assert np.array_equal(np.sort(back.triangle_vertices.reshape(-1, 3), axis=0),
+                                      np.sort(expected.reshape(-1, 3), axis=0))
+
+    def test_coordinate_past_float32_raises(self, tmp_path, barge):
+        path = tmp_path / "far.stl"
+        triangles = barge.triangle_vertices * 1e39
+        assert np.all(np.isfinite(triangles))
+        with pytest.raises(ArithmeticError):
+            save_stl(path, triangles)
+        assert not path.exists()
