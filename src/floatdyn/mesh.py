@@ -170,18 +170,15 @@ class HullMesh:
         repeated = (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 2] == tri[:, 0])
         if repeated.any():
             bad = int(np.argmax(repeated))
-            i, j, k = tri[bad].tolist()
-            raise _face_fault(InvalidMesh, bad, lambda name: (
-                f"triangle ({name(i)}, {name(j)}, {name(k)}) with repeated vertex index"))
+            raise _face_fault(InvalidMesh, bad, tri[bad],
+                              "triangle ({}, {}, {}) with repeated vertex index")
 
         p, q, r = (self._tri_vertices[:, k] for k in range(3))
         areas = 0.5 * np.linalg.norm(np.cross(q - p, r - p), axis=1)
         if np.any(areas <= _AREA_TOL * self.diameter**2):
             bad = int(np.argmin(areas))
-            i, j, k = tri[bad].tolist()
-            raise _face_fault(InvalidMesh, bad, lambda name: (
-                f"degenerate triangle ({name(i)}, {name(j)}, {name(k)}) "
-                f"with area {areas[bad]:.3e}"))
+            raise _face_fault(InvalidMesh, bad, tri[bad],
+                              "degenerate triangle ({}, {}, {}) with area " f"{areas[bad]:.3e}")
 
         _check_edges(tri, len(self.vertices))
 
@@ -213,22 +210,24 @@ def _check_edges(tri, n_vertices):
     repeats = order[1:][ranked[1:] == ranked[:-1]]
     if len(repeats):
         first = repeats.min()
-        i, j = edges[first].tolist()
-        raise _face_fault(NonWatertightMesh, first % len(tri),
-                          lambda name: f"directed edge ({name(i)}, {name(j)}) appears twice")
+        raise _face_fault(NonWatertightMesh, first % len(tri), edges[first],
+                          "directed edge ({}, {}) appears twice")
     reverse = edges[:, 1] * n_vertices + edges[:, 0]
     found = ranked[np.minimum(np.searchsorted(ranked, reverse), len(ranked) - 1)]
     missing = np.flatnonzero(found != reverse)
     if len(missing):
-        i, j = edges[missing[0]].tolist()
-        raise _face_fault(NonWatertightMesh, missing[0] % len(tri),
-                          lambda name: f"edge ({name(i)}, {name(j)}) has no opposite partner")
+        raise _face_fault(NonWatertightMesh, missing[0] % len(tri), edges[missing[0]],
+                          "edge ({}, {}) has no opposite partner")
 
 
-def _face_fault(error, face, describe):
-    """``error`` for the triangle at index ``face``, with the message
-    ``describe(str)``.  ``describe`` names the vertices by a function of
-    their index, so that the file readers can name them as the file does."""
+def _face_fault(error, face, vertices, template):
+    """``error`` for the triangle at index ``face``: ``template`` filled
+    with the indices ``vertices``.  It keeps ``face`` and
+    ``describe(name)``, the message with each index named by ``name``, so
+    that the file readers can name the vertices as the file does."""
+    def describe(name):
+        return template.format(*map(name, vertices.tolist()))
+
     exc = error(describe(str))
     exc.face, exc.describe = int(face), describe
     return exc

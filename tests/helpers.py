@@ -22,8 +22,8 @@ from floatdyn import (
     volume_and_first_moments, waterplane_properties,
 )
 from floatdyn.clipping import cap_raw_moments, evaluate
-from floatdyn.kinematics import CYCLIC, NONCYCLIC, depth_row, k3_body, rotation_matrix
 from floatdyn.errors import InvalidMesh, NonWatertightMesh
+from floatdyn.kinematics import CYCLIC, NONCYCLIC, depth_row, k3_body, rotation_matrix
 from floatdyn.mesh import _RAY_DIRECTION, _check_edges, _ray_parity
 from floatdyn.shapes import unit_cube
 
