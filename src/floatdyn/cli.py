@@ -163,7 +163,11 @@ def _initial_state(mode, eq_pose, sim, body):
     pose = Pose.from_array(q)
     if "momenta" in sim:
         metric = kinetic_metric(body, pose.theta, pose.phi)
-        rates[list(CYCLIC)] = cyclic_rates(metric, rates[list(NONCYCLIC)], momenta)
+        with np.errstate(over="ignore"):
+            rates[list(CYCLIC)] = cyclic_rates(metric, rates[list(NONCYCLIC)], momenta)
+        if not np.isfinite(rates).all():
+            raise ConfigError(f"'simulate.momenta' {momenta.tolist()} give surge, sway or yaw "
+                              "rates past the float range")
     return {"initial": FullState(pose, rates)}
 
 

@@ -231,6 +231,12 @@ GIMBAL_HALT_MARGIN = 1e-3
 #: of the hull (diameter ``d``); a 10 s release of the bench barge spans 20.7
 MAX_NATURAL_SPAN = 1e4
 
+#: the largest start kinetic energy the integrators accept, in units
+#: ``m g d`` of the body (mass ``m``) and the hull (diameter ``d``); a
+#: 1 x 1 x 2 box at half density spinning upright at its sleeping-top
+#: threshold has 0.85
+MAX_NATURAL_ENERGY = 1e4
+
 #: right-hand-side calls in a row that may fail to pass the latest time a
 #: SciPy method has reached before the run counts as stalled
 STALL_CALLS = 10_000
@@ -257,16 +263,18 @@ def integrate_full(
     trajectory let callers police that.
     """
     _check_span(mesh, env, t_end)
+    _check_start(mesh, body, env, initial.pose.theta, initial.pose.phi, initial.rates)
     weight = body.mass * env.g
 
     def rhs(t, y):
         q, qd = y[:6], y[6:]
         pose = Pose(*q.tolist())
         a, da_th, da_ph = _metric_and_partials(body, q[4], q[5])
-        grad_u = generalized_forces(mesh, pose, env)
-        grad_u[2] += weight
+        forces = generalized_forces(mesh, pose, env)
+        forces[0] += weight
         adot = qd[4] * da_th + qd[5] * da_ph
-        rhs_vec = -adot @ qd + grad_u
+        rhs_vec = -adot @ qd
+        rhs_vec[list(NONCYCLIC)] += forces
         rhs_vec[4] += 0.5 * qd @ da_th @ qd
         rhs_vec[5] += 0.5 * qd @ da_ph @ qd
         return np.concatenate([qd, np.linalg.solve(a, rhs_vec)])
@@ -297,8 +305,9 @@ def integrate_reduced(
     reconstructed full velocity and is conserved along reduced motions.
     """
     _check_span(mesh, env, t_end)
+    p = initial.momenta
+    _check_start(mesh, body, env, *initial.coords[1:], initial.rates, p)
     mass, weight = body.mass, body.mass * env.g
-    p = np.asarray(initial.momenta, dtype=float)
 
     def rhs(t, y):
         zeta, theta, phi, zeta_dot, theta_dot, phi_dot = y[:6]
@@ -309,15 +318,15 @@ def integrate_reduced(
         c, b, k_red, psi_dot = _reduce_yaw(j, p[2], y[4:6])
         omega = np.array([psi_dot, theta_dot, phi_dot])
         jdot_omega = (theta_dot * dj_th + phi_dot * dj_ph) @ omega
-        grad_u = generalized_forces(mesh, pose, env)
+        forces = generalized_forces(mesh, pose, env)
         force = np.array(
-            [grad_u[4] + 0.5 * omega @ dj_th @ omega, grad_u[5] + 0.5 * omega @ dj_ph @ omega]
+            [forces[1] + 0.5 * omega @ dj_th @ omega, forces[2] + 0.5 * omega @ dj_ph @ omega]
         )
         force -= jdot_omega[1:] - b * (jdot_omega[0] / c)
         theta_ddot, phi_ddot = np.linalg.solve(k_red, force)
         return np.array([
             zeta_dot, theta_dot, phi_dot,
-            (grad_u[2] + weight) / mass, theta_ddot, phi_ddot,
+            (forces[0] + weight) / mass, theta_ddot, phi_ddot,
             p[0] / mass, p[1] / mass, psi_dot,
         ])
 
@@ -337,6 +346,40 @@ def _check_span(mesh, env, t_end):
                           f"sqrt(diameter / gravity), more than {MAX_NATURAL_SPAN:g}")
 
 
+def _check_start(mesh, body, env, theta, phi, rates, momenta=None):
+    """Refuse a start the integrators cannot follow, before the first step.
+
+    ``rates`` are the six coordinate rates, or, given the cyclic
+    ``momenta`` of a reduced run, the heave, pitch and roll rates.  A start
+    pitch inside the halt margin raises :class:`GimbalLock`: the halt
+    fires on crossing the margin, so such a run would integrate where the
+    guard forbids.  A start kinetic energy past :data:`MAX_NATURAL_ENERGY`
+    times ``m g d`` raises :class:`ConfigError`: its rates overflow the
+    error norm or run the step size down to the spacing of floats.
+    """
+    if abs(theta) >= math.pi / 2 - GIMBAL_HALT_MARGIN:
+        raise GimbalLock(
+            f"start pitch {theta:.9g} is not inside (-pi/2 + margin, pi/2 - margin), "
+            f"with the halt margin {GIMBAL_HALT_MARGIN:g}"
+        )
+    metric = kinetic_metric(body, theta, phi)
+    with np.errstate(all="ignore"):
+        qd = np.asarray(rates, dtype=float)
+        if momenta is not None:
+            qd = np.zeros(6)
+            qd[list(NONCYCLIC)] = rates
+            qd[list(CYCLIC)] = cyclic_rates(metric, rates, momenta)
+        # the quadratic form of the unit rates, so that the square alone
+        # overflows; rates past the float range have infinite energy
+        scale = max(float(np.abs(qd).max()), 1e-300)
+        form = float((qd / scale) @ metric @ (qd / scale))
+        unit = body.mass * env.g * mesh.diameter
+        energy = 0.5 * form * scale * scale / unit if scale < math.inf else math.inf
+    if not energy <= MAX_NATURAL_ENERGY:
+        raise ConfigError(f"the start's kinetic energy is {energy:.3g} m g d (mass m, gravity g, "
+                          f"hull diameter d), more than {MAX_NATURAL_ENERGY:g}")
+
+
 def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     """Integrate from 0 to ``t_end``, sampled every ``dt``, halting as pitch nears gimbal lock.
 
@@ -350,11 +393,9 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
     not finite, raises :class:`IntegrationFailed` whatever the method; a
     run that cannot advance raises it too (for ``LSODA``, after
     :data:`STALL_CALLS` calls in a row that do not pass the latest time
-    reached).  A start already inside the
-    halt margin raises :class:`GimbalLock`: the halt fires on crossing
-    the margin, so such a run would integrate where the guard forbids.
-    ``atol`` 0 with a state component exactly 0 (error scale 0) raises
-    :class:`IntegrationFailed` before the first step.
+    reached).  ``atol`` 0 with a state component exactly 0 (error scale
+    0) raises :class:`IntegrationFailed` before the first step.  The start
+    pitch and energy are checked before, by :func:`_check_start`.
     """
     if method not in METHODS:
         raise ValueError(
@@ -367,12 +408,6 @@ def _solve(rhs, y0, theta_index, t_end, dt, method, rtol, atol, max_step):
 
     def gimbal(t, y):
         return (math.pi / 2 - GIMBAL_HALT_MARGIN) - abs(y[theta_index])
-
-    if gimbal(0.0, y0) <= 0.0:
-        raise GimbalLock(
-            f"start pitch {y0[theta_index]:.9g} is not inside (-pi/2 + margin, pi/2 - margin), "
-            f"with the halt margin {GIMBAL_HALT_MARGIN:g}"
-        )
 
     if np.any((y0 == 0.0) & (np.asarray(atol) == 0.0)):
         raise IntegrationFailed("integration failed at t = 0: with atol 0 a state component "
@@ -465,7 +500,7 @@ def _trajectory(mesh, body, env, sol, q, qd, momenta=None):
         qd[:, 0], qd[:, 1] = momenta[0] / body.mass, momenta[1] / body.mass
         qd[:, 3] = _reduce_yaw(a[:, 3:, 3:], momenta[2], qd[:, 4:6])[3]
     kinetic = ((0.5 * qd)[:, None, :] @ a @ qd[:, :, None])[:, 0, 0]
-    energy = kinetic - (body.mass * env.g * q[:, 2] + potential(mesh, q, env))
+    energy = kinetic - (body.mass * env.g * q[:, 2] + potential(mesh, q[:, list(NONCYCLIC)], env))
     p_cyclic = (a @ qd[:, :, None])[:, list(CYCLIC), 0]
     return Trajectory(
         t=sol.t,

@@ -15,8 +15,9 @@ already vanish is returned as found, stable or not.  The guess's draft
 is unused.
 
 Equilibria are reported in canonical form with surge, sway and yaw
-zeroed; those coordinates never influence the hydrostatics, so any
-equilibrium can be represented this way.
+zeroed, pitch inside (-pi/2, pi/2) and roll in [-pi, pi]; surge, sway
+and yaw never influence the hydrostatics, so any equilibrium can be
+represented this way.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ def find_equilibrium(
     Parameters
     ----------
     initial : (zeta0, theta0, phi0)
-        Starting guess; only the angles are used.  Multiple equilibria
+        Starting guess; only the angles are used, each reduced to
+        [-pi, pi] first, so a guess and its reduced angles give the same
+        result bit for bit.  Multiple equilibria
         (cube face-up versus edge-up) are reached from different
         guesses; there is no global search.
     tol : float
@@ -122,9 +125,10 @@ def find_equilibrium(
 
     def residual(pose):
         forces = generalized_forces(mesh, pose, env)
-        return np.array([weight + forces[2], forces[4], forces[5]])
+        return np.array([weight + forces[0], forces[1], forces[2]])
 
-    pose = balance(None, float(initial[1]), float(initial[2]))
+    turn = 2.0 * math.pi
+    pose = balance(None, math.remainder(initial[1], turn), math.remainder(initial[2], turn))
     r = residual(pose)
     radius = 0.2  # rad: a first step short enough to keep the waterplane topology
     for iteration in range(max_iter + 1):
@@ -132,11 +136,11 @@ def find_equilibrium(
         if scaled <= tol * weight:
             # the climb may cross the pole of the angle chart: read the
             # same down axis with the pitch inside (-pi/2, pi/2)
-            theta, phi = math.remainder(pose.theta, 2.0 * math.pi), pose.phi
+            theta, phi = math.remainder(pose.theta, turn), pose.phi
             if abs(theta) > math.pi / 2:
-                theta = math.copysign(math.pi, theta) - theta
-                phi = math.remainder(phi + math.pi, 2.0 * math.pi)
+                theta, phi = math.copysign(math.pi, theta) - theta, phi + math.pi
                 r[1] = -r[1]
+            phi = math.remainder(phi, turn)
             if abs(theta) >= math.pi / 2 - GIMBAL_GUARD:
                 raise GimbalLock(f"equilibrium at pitch {theta:.9g}: the first body axis "
                                  "is vertical, where the angles are singular; rotate the mesh")

@@ -9,9 +9,9 @@ a maximum of ``U`` (equivalently a minimum of the potential energy
 ``-U``).  Most marine tools use z-up; mind the sign of ``zeta`` and of
 ``z_b_star`` when comparing.
 
-Surge, sway and yaw never acquire a restoring force: the corresponding
-entries of the generalized force vector are structural zeros, not small
-numbers.
+Surge, sway and yaw are cyclic and never acquire a restoring force, so
+the statics speak only heave, pitch and roll: the generalized forces,
+their gradient and the array forms all take and give (zeta, theta, phi).
 
 Stability is decided from the Hessian alone: an equilibrium is
 pseudo-stable exactly when the (zeta, theta, phi) Hessian of ``U``,
@@ -54,23 +54,23 @@ def potential(mesh: HullMesh, pose, env: FluidEnvironment):
     body-fixed constant once fully submerged, and never positive while
     the fixed origin sits on the free surface.
 
-    ``pose`` is a :class:`Pose`, or an ``(n, 6)`` array of coordinates
-    in the order ``(xi, eta, zeta, psi, theta, phi)``: the result is
-    then an ``(n,)`` array, entry ``i`` equal bitwise to the value at
-    ``Pose(*q[i])``.  The array form reads only the ``zeta``, ``theta``
-    and ``phi`` columns, checks no pitch range and evaluates all rows
-    through :func:`~floatdyn.clipping.evaluate_many`.
+    ``pose`` is a :class:`Pose`, or an ``(n, 3)`` array of rows
+    ``(zeta, theta, phi)``: the result is then an ``(n,)`` array, entry
+    ``i`` equal bitwise to the value at the pose of row ``i``.  The array
+    form checks no pitch range and evaluates all rows through
+    :func:`~floatdyn.clipping.evaluate_many`.
     """
     if isinstance(pose, Pose):
         return _potential(evaluate(mesh, pose), env)
     q = _coordinate_rows(pose)
-    return _potential(evaluate_many(mesh, q[:, 2], k3_rows(q[:, 4], q[:, 5])), env)
+    return _potential(evaluate_many(mesh, q[:, 0], k3_rows(q[:, 1], q[:, 2])), env)
 
 
 def _coordinate_rows(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[1] != 6:
-        raise ValueError(f"expected a Pose or an (n, 6) coordinate array, got shape {q.shape}")
+    if q.ndim != 2 or q.shape[1] != 3:
+        raise ValueError(f"expected a Pose or an (n, 3) array of (zeta, theta, phi) rows, "
+                         f"got shape {q.shape}")
     return q
 
 
@@ -79,30 +79,29 @@ def _potential(integrals: SubmergedIntegrals, env: FluidEnvironment) -> float:
 
 
 def generalized_forces(mesh: HullMesh, pose, env: FluidEnvironment) -> np.ndarray:
-    """Generalized buoyancy forces, coordinate order (xi..phi).
+    """Generalized buoyancy forces in (zeta, theta, phi), shape ``(3,)``.
 
-    Surge, sway and yaw entries are exactly zero.  Heave carries the
-    Archimedean force ``-rho g V``; pitch and roll carry the moment
-    integrals obtained by contracting the derivatives of the depth row
-    with the first moments of the submerged region.
+    Heave carries the Archimedean force ``-rho g V``; pitch and roll carry
+    the moment integrals obtained by contracting the derivatives of the
+    depth row with the first moments of the submerged region.  Surge,
+    sway and yaw carry none and are left out.
 
-    ``pose`` may also be an ``(n, 6)`` coordinate array, as for
-    :func:`potential`; the result is then ``(n, 6)``, row ``i`` equal
-    bitwise to the forces at ``Pose(*q[i])``.
+    ``pose`` may also be an ``(n, 3)`` array of rows, as for
+    :func:`potential`; the result is then ``(n, 3)``, row ``i`` equal
+    bitwise to the forces at the pose of row ``i``.
     """
     if isinstance(pose, Pose):
         return _generalized_forces(evaluate(mesh, pose), depth_row(pose.theta, pose.phi), env)
     q = _coordinate_rows(pose)
-    k3, k3_theta, k3_phi = depth_rows(q[:, 4], q[:, 5])
-    integrals = evaluate_many(mesh, q[:, 2], k3)
+    k3, k3_theta, k3_phi = depth_rows(q[:, 1], q[:, 2])
+    integrals = evaluate_many(mesh, q[:, 0], k3)
     # columns, one entry per pose: the arithmetic of the one-pose floats
     first = integrals.first.T
     rg = env.rho * env.g
-    forces = np.zeros((len(q), 6))
-    forces[:, 2] = -rg * integrals.volume
-    forces[:, 4] = -rg * _dot(k3_theta.T, first)
-    forces[:, 5] = -rg * _dot(k3_phi.T, first)
-    return forces
+    return np.stack(
+        [-rg * integrals.volume, -rg * _dot(k3_theta.T, first), -rg * _dot(k3_phi.T, first)],
+        axis=1,
+    )
 
 
 def _generalized_forces(integrals: SubmergedIntegrals, rows, env) -> np.ndarray:
@@ -112,23 +111,21 @@ def _generalized_forces(integrals: SubmergedIntegrals, rows, env) -> np.ndarray:
     first = integrals.first.tolist()
     rg = env.rho * env.g
     return np.array(
-        [0.0, 0.0, -rg * integrals.volume, 0.0,
-         -rg * _dot(k3_theta, first), -rg * _dot(k3_phi, first)]
+        [-rg * integrals.volume, -rg * _dot(k3_theta, first), -rg * _dot(k3_phi, first)]
     )
 
 
 def force_gradient(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.ndarray:
     """Gradient of the generalized forces in (zeta, theta, phi), 3x3, symmetric.
 
-    The surge, sway and yaw rows and columns of the full 6x6 gradient are
-    structural zeros and left out.  The block combines a volume term
-    (second derivatives of the depth row contracted with the first
-    moments) and a waterplane term ``L G L^T``: row ``a`` of ``L`` holds
-    the derivative of the depth function ``zeta + k3 . x`` by coordinate
-    ``a`` (its constant part, then its linear part) and ``G`` is the 4x4
-    block ``[[A, C1^T], [C1, C2]]`` of the waterplane area, first and
-    second moments.  For a fully submerged body the waterplane term is
-    absent and the heave-heave entry vanishes.
+    The block combines a volume term (second derivatives of the depth
+    row contracted with the first moments) and a waterplane term
+    ``L G L^T``: row ``a`` of ``L`` holds the derivative of the depth
+    function ``zeta + k3 . x`` by coordinate ``a`` (its constant part,
+    then its linear part) and ``G`` is the 4x4 block
+    ``[[A, C1^T], [C1, C2]]`` of the waterplane area, first and second
+    moments.  For a fully submerged body the waterplane term is absent and
+    the heave-heave entry vanishes.
     """
     return _force_gradient(evaluate(mesh, pose), depth_row(pose.theta, pose.phi), env)
 
@@ -231,7 +228,7 @@ def hessian_at_equilibrium(
 
     rows = depth_row(q_star.theta, q_star.phi)
     forces = _generalized_forces(integrals, rows, env)
-    residual = _scaled_residual((m_eff * env.g + forces[2], forces[4], forces[5]), mesh.diameter)
+    residual = _scaled_residual((m_eff * env.g + forces[0], forces[1], forces[2]), mesh.diameter)
     if residual > residual_tol * displacement:
         raise NotAnEquilibrium(
             f"residual force {residual:.3e} exceeds {residual_tol:.1e} * displacement"

@@ -441,7 +441,7 @@ def _parse_stl_ascii(text, path):
         raise InvalidMesh(f"{path}, line {first}: the file ends before the "
                           "endfacet of the facet from this line")
     if not tris:
-        raise EmptyMesh("no facets found in ASCII STL")
+        raise EmptyMesh(f"{path}: no facets found in ASCII STL")
     return np.array(tris, dtype=float), lines
 
 
@@ -479,7 +479,7 @@ def load_obj(path) -> HullMesh:
                 raise InvalidMesh(f"{path}, line {number}: face with fewer than 3 vertices")
             faces.append((number, len(vertices), indices))
     if not vertices or not faces:
-        raise EmptyMesh("no geometry found in OBJ file")
+        raise EmptyMesh(f"{path}: no geometry found in OBJ file")
     vertices = np.array(vertices, dtype=float)
 
     triangles, lines = [], []

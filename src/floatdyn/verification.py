@@ -16,8 +16,10 @@ The first three suites evaluate their poses in batches: the quadrature
 nodes of a whole loop, the waypoint scales and the finite-difference
 potentials and forces each go through one call of the array forms of
 :func:`~floatdyn.hydrostatics.potential` and
-:func:`~floatdyn.hydrostatics.generalized_forces`, which give the same
-bits as one call per pose.  The Gauss-Legendre nodes come from an
+:func:`~floatdyn.hydrostatics.generalized_forces`, which take
+``(zeta, theta, phi)`` rows and give the same bits as one call per pose.
+Surge, sway and yaw are cyclic, so the first three suites never move
+them; only planar invariance does.  The Gauss-Legendre nodes come from an
 eigensolve of the Jacobi matrix, so :mod:`numpy.polynomial` never loads.
 """
 
@@ -28,7 +30,7 @@ import numpy as np
 from .clipping import evaluate
 from .errors import FloatDynError
 from .hydrostatics import FluidEnvironment, generalized_forces, potential
-from .kinematics import NONCYCLIC, Pose, k3_body, k3_rows, rotation_matrix
+from .kinematics import Pose, k3_body, k3_rows, rotation_matrix
 from .mesh import HullMesh
 
 
@@ -70,29 +72,23 @@ def random_partial_poses(mesh: HullMesh, n: int, rng, max_angle: float = 0.3):
 
 
 #: unit shifts along zeta, theta and phi, then their reverses
-_SHIFTS = np.concatenate([np.eye(6)[list(NONCYCLIC)], -np.eye(6)[list(NONCYCLIC)]])
+_SHIFTS = np.concatenate([np.eye(3), -np.eye(3)])
 
 #: largest vertex-depth move of one symmetry-check step, in hull diameters;
 #: it trades roundoff (``1/step``) for truncation near the plane (``step**2``)
 _SYMMETRY_STEP = 2e-6
 
 
-def _coordinates(zeta, theta, phi) -> np.ndarray:
-    """``(n, 6)`` coordinate rows with zero surge, sway and yaw."""
-    q = np.zeros((len(zeta), 6))
-    q[:, 2], q[:, 4], q[:, 5] = zeta, theta, phi
-    return q
-
-
 def _shifted_rows(mesh: HullMesh, q, fraction: float):
     """Heave, pitch and roll steps that move no vertex depth by more than
     ``fraction`` hull diameters (the heave step is that length, the angle
     steps that length over the farthest vertex's distance from the
-    origin), and the coordinates ``q`` shifted by each step and its
-    reverse: ``(steps, rows)`` with the rows in :data:`_SHIFTS` order."""
+    origin), and the ``(zeta, theta, phi)`` rows ``q`` shifted by each
+    step and its reverse: ``(steps, rows)`` with the rows in
+    :data:`_SHIFTS` order."""
     reach = np.sqrt((mesh.vertices**2).sum(axis=1).max())
     steps = fraction * mesh.diameter * np.array([1.0, 1.0 / reach, 1.0 / reach])
-    return steps, (q + (np.tile(steps, 2)[:, None] * _SHIFTS)[:, None]).reshape(-1, 6)
+    return steps, (q + (np.tile(steps, 2)[:, None] * _SHIFTS)[:, None]).reshape(-1, 3)
 
 
 #: largest vertex-depth move of one gradient-check step, in hull diameters
@@ -102,22 +98,21 @@ _GRADIENT_STEP = 1e-5
 def gradient_residual(mesh: HullMesh, env: FluidEnvironment, poses) -> float:
     """Worst relative deviation of forces from central differences of U_B.
 
-    Only the three restoring coordinates are compared (the cyclic
-    entries of the forces are structural zeros), at steps scaled to the
-    hull as in :func:`gradient_symmetry_residual`: :data:`_GRADIENT_STEP`
-    diameters in heave, that length over the farthest vertex's distance
-    from the origin in the angles, so a hull far from its body origin
-    keeps the angle differences' truncation as small as one centred on
-    it.  The forces of all poses come from one batched call, the six
-    shifted potentials of every pose from another.
+    The forces are compared at steps scaled to the hull as in
+    :func:`gradient_symmetry_residual`: :data:`_GRADIENT_STEP` diameters
+    in heave, that length over the farthest vertex's distance from the
+    origin in the angles, so a hull far from its body origin keeps the
+    angle differences' truncation as small as one centred on it.  The
+    forces of all poses come from one batched call, the six shifted
+    potentials of every pose from another.
     """
-    q = np.array([pose.as_array() for pose in poses])
+    q = np.array([(p.zeta, p.theta, p.phi) for p in poses])
     forces = generalized_forces(mesh, q, env)
     scale = np.maximum(np.abs(forces).max(axis=1), 1e-300)
     steps, shifted = _shifted_rows(mesh, q, _GRADIENT_STEP)
     u = potential(mesh, shifted, env).reshape(2, 3, len(q))
     fd = (u[0] - u[1]) / (2.0 * steps[:, None])
-    return float((np.abs(fd - forces[:, list(NONCYCLIC)].T) / scale).max())
+    return float((np.abs(fd - forces.T) / scale).max())
 
 
 #: points per segment of the scan for vertex-plane crossings
@@ -194,13 +189,9 @@ def loop_work_residual(mesh: HullMesh, env: FluidEnvironment, rng, n_loops: int)
     nodes, weights = _gauss_legendre(_GAUSS_POINTS)
     worst = 0.0
     for _ in range(n_loops):
-        waypoints = np.array(
-            [
-                p.as_array()[list(NONCYCLIC)]
-                for p in random_partial_poses(mesh, _LOOP_SEGMENTS, rng, _LOOP_MAX_ANGLE)
-            ]
-        )
-        u_scale = np.abs(potential(mesh, _coordinates(*waypoints.T), env)).max()
+        poses = random_partial_poses(mesh, _LOOP_SEGMENTS, rng, _LOOP_MAX_ANGLE)
+        waypoints = np.array([(p.zeta, p.theta, p.phi) for p in poses])
+        u_scale = np.abs(potential(mesh, waypoints, env)).max()
         ends = np.roll(waypoints, -1, axis=0)
         delta = ends - waypoints
         segment, s_nodes, coef = [], [], []
@@ -217,8 +208,8 @@ def loop_work_residual(mesh: HullMesh, env: FluidEnvironment, rng, n_loops: int)
                     coef.append(weights * 0.5 * width)
         segment, s_nodes = np.concatenate(segment), np.concatenate(s_nodes)
         y = waypoints[segment] + s_nodes[:, None] * delta[segment]
-        forces = generalized_forces(mesh, _coordinates(*y.T), env)
-        power = (forces[:, None, list(NONCYCLIC)] @ delta[segment][:, :, None])[:, 0, 0]
+        forces = generalized_forces(mesh, y, env)
+        power = (forces[:, None, :] @ delta[segment][:, :, None])[:, 0, 0]
         work = 0.0
         # summed node by node, in the order of the segments and panels
         for term in (np.concatenate(coef) * power).tolist():
@@ -237,11 +228,11 @@ def gradient_symmetry_residual(mesh: HullMesh, env: FluidEnvironment, poses) -> 
     origin; ``J_ij h_i h_j`` is compared, relative to the pose's largest
     entry, so hull size and origin do not set the residual.
     """
-    q = np.array([pose.as_array() for pose in poses])
+    q = np.array([(p.zeta, p.theta, p.phi) for p in poses])
     steps, shifted = _shifted_rows(mesh, q, _SYMMETRY_STEP)
-    forces = generalized_forces(mesh, shifted, env).reshape(2, 3, len(q), 6)
+    forces = generalized_forces(mesh, shifted, env).reshape(2, 3, len(q), 3)
     # jac[p, i, j] = h_i h_j dQ_i / dq_j over the restoring coordinates
-    jac = (0.5 * (forces[0] - forces[1])[:, :, list(NONCYCLIC)] * steps).transpose(1, 2, 0)
+    jac = (0.5 * (forces[0] - forces[1]) * steps).transpose(1, 2, 0)
     asymmetry = np.abs(jac - jac.transpose(0, 2, 1)).max(axis=(1, 2))
     return float((asymmetry / np.maximum(np.abs(jac).max(axis=(1, 2)), 1e-300)).max())
 

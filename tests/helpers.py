@@ -466,3 +466,11 @@ UNSOUND_MESHES = {
         "cube.stl", packed_stl(np.concatenate([_CUBE_FACETS, _CUBE_FACETS[-1:]])),
         NonWatertightMesh, "facet 13", f"directed edge ({_V4}, {_V5}) appears twice"),
 }
+
+#: mesh files with nothing to build a hull from, by case: the file name,
+#: its bytes and the rest of the EmptyMesh message after the path
+EMPTY_MESHES = {
+    "ascii-stl-without-facets": ("empty.stl", b"solid x\nendsolid x\n",
+                                 "no facets found in ASCII STL"),
+    "obj-without-faces": ("empty.obj", b"v 0 0 0\n", "no geometry found in OBJ file"),
+}

@@ -14,7 +14,7 @@ from floatdyn.mesh import MAX_OFFSET, _parse_stl_binary, load_stl
 from floatdyn.report import AnalysisConfig, load_body, run_analysis
 from floatdyn.errors import ConfigError, GimbalLock
 from helpers import (
-    MALFORMED_RECORDS, UNSOUND_MESHES, random_convex_mesh, touching_loops,
+    EMPTY_MESHES, MALFORMED_RECORDS, UNSOUND_MESHES, random_convex_mesh, touching_loops,
     vertex_on_plane_poses,
 )
 
@@ -446,6 +446,17 @@ class TestConfigValidation:
         assert main(["analyze", "--config", str(cube_config)]) == 1
         assert capsys.readouterr().err == f"error: {mesh_path}, line {line}: {message}\n"
 
+    @pytest.mark.parametrize("name, data, message", EMPTY_MESHES.values(), ids=EMPTY_MESHES)
+    def test_empty_mesh_exits_one_naming_the_file(self, cube_config, tmp_path, capsys,
+                                                  name, data, message):
+        mesh_path = tmp_path / "bad" / name
+        mesh_path.parent.mkdir()
+        mesh_path.write_bytes(data)
+        config = {**json.loads(cube_config.read_text()), "mesh_path": str(mesh_path)}
+        cube_config.write_text(json.dumps(config))
+        assert main(["analyze", "--config", str(cube_config)]) == 1
+        assert capsys.readouterr().err == f"error: {mesh_path}: {message}\n"
+
     @pytest.mark.parametrize("name, data, error, place, message", UNSOUND_MESHES.values(),
                              ids=UNSOUND_MESHES)
     def test_unsound_cube_exits_one_with_one_error_line(self, cube_config, tmp_path, capsys,
@@ -680,6 +691,50 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == (f"error: start pitch {theta:.9g} is not inside (-pi/2 + margin, "
                        "pi/2 - margin), with the halt margin 0.001\n")
+
+    @pytest.mark.parametrize("mode, start", [
+        pytest.param("full", {"initial": {"theta_dot": 1e160}}, id="full-theta_dot-1e160"),
+        pytest.param("reduced", {"initial": {"theta_dot": 1e160}}, id="reduced-theta_dot-1e160"),
+        pytest.param("full", {"initial": {"xi_dot": 1e160}}, id="full-xi_dot-1e160"),
+        *[pytest.param(mode, {"momenta": [0.0, 0.0, p]}, id=f"{mode}-momenta-{p:g}")
+          for p in (1e150, 1e160, 1e200) for mode in ("full", "reduced")],
+    ])
+    def test_absurd_start_exits_one_before_the_first_step(self, barge_config, capsys, mode,
+                                                          start):
+        # such rates ran to nan diagnostics, overflow warnings or a step
+        # size below the spacing of floats
+        config = json.loads(barge_config.read_text())
+        config["simulate"] = {"t_end": 0.5, **start}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config), "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: the start's kinetic energy is \S+ m g d \(mass m, gravity g, "
+                            r"hull diameter d\), more than 10000\n", err), err
+
+    @pytest.mark.parametrize("mode, message", [
+        ("full", "'simulate.momenta' [1e+308, 0.0, 0.0] give surge, sway or yaw rates past "
+                 "the float range"),
+        ("reduced", "the start's kinetic energy is inf m g d (mass m, gravity g, hull diameter "
+                    "d), more than 10000"),
+    ], ids=["full", "reduced"])
+    def test_momenta_past_the_float_range_exit_one(self, barge_config, capsys, mode, message):
+        # on a 0.5 kg barge a surge momentum of 1e308 gives a rate past the
+        # float range: a raw ValueError (full) or a non-finite right-hand side
+        config = json.loads(barge_config.read_text())
+        config.update(uniform_density=0.5, fluid_density=1.0)
+        config["simulate"] = {"t_end": 0.5, "momenta": [1e308, 0.0, 0.0]}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config), "--mode", mode]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_start_pitch_is_checked_before_the_start_energy(self, barge_config, capsys, mode):
+        config = json.loads(barge_config.read_text())
+        config["simulate"] = {"t_end": 0.5, "initial": {"theta": 1.5699, "theta_dot": 1e160}}
+        barge_config.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(barge_config), "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: start pitch 1.5699 ") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["full", "reduced"])

@@ -16,7 +16,9 @@ from floatdyn import (
     kinetic_metric,
     reduced_mass_matrix,
 )
-from floatdyn.dynamics import METHODS, _metric_and_partials, _sample_times
+from floatdyn.dynamics import (
+    MAX_NATURAL_ENERGY, METHODS, _check_start, _metric_and_partials, _sample_times,
+)
 from floatdyn.kinematics import omega_map
 from helpers import (
     IX_AA, IX_NN, conserved_momenta, lagrangian, routhian, schur_reduced_mass, solved_cyclic_rates,
@@ -308,6 +310,17 @@ class TestIntegrateFull:
             1.0, np.abs(traj.momenta[0]).max()
         )
 
+    def test_cyclic_rows_take_no_force(self, barge, barge_body, env, barge_equilibrium):
+        # the forces enter only the heave, pitch and roll rows, so the
+        # surge and sway rates, and their momenta, keep every bit
+        rates = np.array([0.1, -0.05, 0.02, 0.7, 0.3, -0.4])
+        pose = barge_equilibrium.pose
+        state = FullState(pose.replace(zeta=pose.zeta + 0.01, phi=0.2), rates)
+        traj = integrate_full(barge, barge_body, env, state, 2.0, 0.05)
+        assert np.all(traj.qdot[:, :2] == rates[:2])
+        start = np.tile(traj.momenta[0, :2], (len(traj.t), 1))
+        assert traj.momenta[:, :2].tobytes() == start.tobytes()
+
     def test_initial_yaw_does_not_affect_restoring_dynamics(
         self, barge, barge_body, env, barge_equilibrium
     ):
@@ -340,6 +353,23 @@ class TestIntegrateFull:
         assert traj.terminated_early
         assert traj.t[-1] < 1.6
         assert np.abs(traj.q[:, 4]).max() < np.pi / 2
+
+
+class TestStartCheck:
+    @pytest.mark.parametrize("share", [0.99, 1.01])
+    def test_kinetic_energy_bound_in_units_of_m_g_d(self, barge, barge_body, env, share):
+        # a surge start with kinetic energy share * bound * m g d, given as
+        # a rate (full) and as a momentum (reduced)
+        m = barge_body.mass
+        rate = np.sqrt(2.0 * share * MAX_NATURAL_ENERGY * env.g * barge.diameter)
+        starts = [(np.array([rate, 0, 0, 0, 0, 0]), None),
+                  (np.zeros(3), np.array([m * rate, 0.0, 0.0]))]
+        for rates, momenta in starts:
+            if share < 1.0:
+                _check_start(barge, barge_body, env, 0.0, 0.0, rates, momenta)
+            else:
+                with pytest.raises(fd.ConfigError, match="kinetic energy is 1.01e[+]04 m g d"):
+                    _check_start(barge, barge_body, env, 0.0, 0.0, rates, momenta)
 
 
 class TestNonFiniteState:
@@ -579,7 +609,7 @@ class TestTrajectory:
             pose = Pose(0, 0, coords[0], 0, coords[1], coords[2])
             traj = integrate_full(mesh, body, env, FullState(pose, full_rates), 1.0, 0.01)
         qd = traj.qdot.copy()
-        u_b = fd.potential(mesh, traj.q, env)
+        u_b = fd.potential(mesh, traj.q[:, [2, 4, 5]], env)
         for k, q in enumerate(traj.q):
             a = kinetic_metric(body, q[4], q[5])
             if mode == "reduced":

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,7 @@ class TestFindEquilibrium:
         result = find_equilibrium(l_prism, body, env, initial=(0.0, 0.0, 0.0))
         assert result.converged
         forces = fd.generalized_forces(l_prism, result.pose, env)
-        assert abs(body.mass * env.g + forces[2]) < 1e-9 * body.mass * env.g
+        assert abs(body.mass * env.g + forces[0]) < 1e-9 * body.mass * env.g
 
     def test_total_force_function_stationary_at_equilibrium(
         self, barge, barge_body, env, barge_equilibrium
@@ -110,6 +112,24 @@ class TestFindEquilibrium:
             gradient = (total(qp) - total(qm)) / (2 * h)
             assert abs(gradient) < 1e-6 * weight
 
+    @pytest.mark.parametrize("slot", [1, 2], ids=["theta", "phi"])
+    @pytest.mark.parametrize("angle", [1e4, 1e6, 1e8])
+    def test_far_guess_angle_solves_as_its_remainder(self, barge, barge_body, env, slot, angle):
+        # the solver starts from the guess angle reduced to [-pi, pi]
+        results = []
+        for value in (angle, math.remainder(angle, 2.0 * math.pi)):
+            guess = [0.0, 0.0, 0.0]
+            guess[slot] = value
+            results.append(find_equilibrium(barge, barge_body, env, initial=guess))
+        far, near = results
+        assert far.converged
+        assert far.pose.as_array().tobytes() == near.pose.as_array().tobytes()
+        assert far.residual.tobytes() == near.residual.tobytes()
+        assert (far.iterations, far.converged) == (near.iterations, near.converged)
+        assert np.float64(far.waterline_distance).tobytes() == np.float64(
+            near.waterline_distance).tobytes()
+        assert abs(far.pose.phi) <= math.pi
+
     def test_heave_residual_monotone_for_convex_hull(self, convex_blob, env):
         body = uniform_body(convex_blob, 0.5 * RHO)
         weight = body.mass * env.g
@@ -117,7 +137,7 @@ class TestFindEquilibrium:
         residuals = []
         for zeta in drafts:
             forces = fd.generalized_forces(convex_blob, Pose(zeta=float(zeta)), env)
-            residuals.append(weight + forces[2])
+            residuals.append(weight + forces[0])
         assert np.all(np.diff(residuals) <= 1e-9 * weight)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from floatdyn.mesh import (
 )
 from floatdyn.mesh import _parse_stl_binary
 from helpers import (
-    CUBE_OBJ, MALFORMED_RECORDS, UNSOUND_MESHES, contains_points, cube_stl, packed_stl,
+    CUBE_OBJ, EMPTY_MESHES, MALFORMED_RECORDS, UNSOUND_MESHES, contains_points, cube_stl,
+    packed_stl,
 )
 
 
@@ -198,11 +201,14 @@ class TestFileIO:
             load_stl(path)
 
     def test_short_file_without_facets_is_empty(self, tmp_path):
-        # under the 84 bytes of a binary header: only the ASCII reading is left
-        path = tmp_path / "empty.stl"
-        path.write_text("solid empty\nendsolid empty\n")
-        with pytest.raises(EmptyMesh, match="no facets found in ASCII STL"):
-            load_stl(path)
+        # an STL under the 84 bytes of a binary header leaves only the ASCII
+        # reading; the OBJ holds a vertex and no face
+        for name, data, message in EMPTY_MESHES.values():
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(EmptyMesh, match=f"^{re.escape(f'{path}: {message}')}$") as caught:
+                load_mesh(path)
+            assert type(caught.value) is EmptyMesh
 
     def test_obj_load_with_quads(self, tmp_path):
         path = tmp_path / "cube.obj"

@@ -1,0 +1,171 @@
+"""Byte identity of the outputs of two source trees on the benchmark cases.
+
+Usage (from the repository root)::
+
+    python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC [--seeds 1 2 3] [--smoke]
+
+``PARENT_SRC`` and ``CHANGE_SRC`` are ``src`` directories, for example of
+a ``git archive`` copy of the parent commit and of the working tree.  For
+each workload of ``bench/run.py`` and each seed, a child process of each
+tree builds the case through ``run.build_case`` (``bench`` imported
+read-only, as ``tools/kernel_cost.py`` does), which writes the hull STL
+and the config.  The tree then runs, as ``python -m floatdyn.cli``
+children:
+
+* every subcommand of ``run.cli_commands``, and ``verify`` once more
+  with ``--out``;
+* three spinning releases, since the bench releases have no yaw rate: a
+  full one that adds the rates of :data:`SPIN` to the bench release, and
+  a full and a reduced one that add the momenta, roll and rates of
+  :data:`SPIN_MOMENTA`.
+
+Both trees run in one work directory per case, one after the other, so
+the paths echoed in the outputs agree; a tree runs :data:`WORKERS` of its
+commands at a time, each of which writes its own files.  The standard
+output, standard error and exit code of every command, and every file the
+case leaves in the work directory (the report, the CSVs, the ``verify``
+JSON, the clip STL, the hull STL and the configs), are compared byte for
+byte.  Each differing item is printed, and the exit code is 1 if any
+differ.
+``--smoke`` runs one case, the seed-1 L-prism.  The work is done in a
+temporary directory and the children write no bytecode, so nothing is
+written into either tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("barge", "lprism")
+#: CLI children of one tree that run at a time
+WORKERS = 2
+#: rates added to the bench release in the full spinning release
+SPIN = {"xi_dot": 0.1, "psi_dot": 0.7, "theta_dot": 0.3, "phi_dot": -0.4}
+#: cyclic momenta and the start added to the bench release in the
+#: releases run full and reduced
+SPIN_MOMENTA = ([5.0, -3.0, 40.0], {"phi": 0.2, "theta_dot": 0.3, "phi_dot": -0.4})
+
+
+def build(src: str, workload: str, seed: int, directory: Path) -> list:
+    """Build the case with the tree at ``src``; return its CLI argument lists."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [src, str(ROOT / "bench")]
+    import run
+
+    case = run.build_case(workload, seed, directory)
+    commands = [argv for _, argv, _ in run.cli_commands(case)]
+    verify = next(argv for argv in commands if argv[0] == "verify")
+    commands.append([*verify, "--out", str(directory / "verify.json")])
+    config = json.loads(case["config"].read_text())
+    bench = config["simulate"]
+    momenta, start = SPIN_MOMENTA
+    releases = {
+        "spin": ({**bench, "initial": {**bench["initial"], **SPIN}}, ("full",)),
+        "spin_momenta": ({**bench, "initial": {**bench["initial"], **start}, "momenta": momenta},
+                         ("full", "reduced")),
+    }
+    for name, (simulate, modes) in releases.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps({**config, "simulate": simulate}, indent=2) + "\n")
+        for mode in modes:
+            commands.append(["simulate", "--config", str(path), "--mode", mode,
+                             "--out", str(directory / f"{name}_{mode}.csv")])
+    return commands
+
+
+def run_tree(src: Path, workload: str, seed: int, work: Path, keep: Path) -> dict:
+    """Build and run one case with the tree at ``src`` in ``work``, then move
+    what it wrote to ``keep``; return ``(exit code, stdout, stderr)`` by command."""
+    work.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    built = subprocess.run(
+        [sys.executable, __file__, "--build", str(src), workload, str(seed), str(work)],
+        capture_output=True, text=True, env=env, cwd=work,
+    )
+    if built.returncode:
+        raise SystemExit(f"building {workload} seed {seed} with {src} failed:\n{built.stderr}")
+    commands = json.loads(built.stdout.splitlines()[-1])
+
+    def cli(argv):
+        return subprocess.run([sys.executable, "-m", "floatdyn.cli", *argv],
+                              capture_output=True, env=env, cwd=work)
+
+    # every command writes its own files, so two at a time give the same bytes
+    with ThreadPoolExecutor(WORKERS) as pool:
+        procs = list(pool.map(cli, commands))
+    streams = {" ".join(argv).replace(f"{work}{os.sep}", ""): (p.returncode, p.stdout, p.stderr)
+               for argv, p in zip(commands, procs)}
+    keep.parent.mkdir(parents=True, exist_ok=True)
+    shutil.move(work, keep)
+    return streams
+
+
+def differences(label: str, parent: tuple, change: tuple) -> list:
+    """The items of one case that differ between the two trees' runs."""
+    (parent_dir, parent_streams), (change_dir, change_streams) = parent, change
+    found = []
+    names = {p.name for p in parent_dir.iterdir()} | {p.name for p in change_dir.iterdir()}
+    for name in sorted(names):
+        a, b = parent_dir / name, change_dir / name
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            found.append(f"{label}: {name}")
+    for command in sorted(set(parent_streams) | set(change_streams)):
+        if command not in parent_streams or command not in change_streams:
+            found.append(f"{label}: {command}: run by one tree only")
+            continue
+        for what, a, b in zip(("exit code", "stdout", "stderr"),
+                              parent_streams[command], change_streams[command]):
+            if a != b:
+                found.append(f"{label}: {command}: {what}")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", nargs="?", type=Path, help="src directory of the parent tree")
+    parser.add_argument("change", nargs="?", type=Path, help="src directory of the changed tree")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--smoke", action="store_true", help="one case: the seed-1 L-prism")
+    parser.add_argument("--build", nargs=4, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.build:
+        src, workload, seed, directory = args.build
+        print(json.dumps(build(src, workload, int(seed), Path(directory))))
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("PARENT_SRC and CHANGE_SRC are required")
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for src in trees.values():
+        if not (src / "floatdyn" / "__init__.py").is_file():
+            parser.error(f"no floatdyn package in {src}")
+    cases = [("lprism", 1)] if args.smoke else [(w, s) for w in WORKLOADS for s in args.seeds]
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, seed in cases:
+            runs = []
+            for side, src in trees.items():
+                keep = Path(tmp) / side / f"{workload}-{seed}"
+                runs.append((keep, run_tree(src, workload, seed, Path(tmp) / "work", keep)))
+            label = f"{workload} seed {seed}"
+            case = differences(label, *runs)
+            files, commands = len(list(runs[0][0].iterdir())), len(runs[0][1])
+            print(f"# {label}: {files} files, {commands} commands, {len(case)} differ",
+                  file=sys.stderr)
+            found += case
+    for item in found:
+        print(item)
+    print(f"{len(found)} items differ" if found else "same outputs")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
