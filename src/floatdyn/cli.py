@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .clipping import clip_by_waterplane
 from .errors import ConfigError, FloatDynError
-from .kinematics import COORD_NAMES, CYCLIC, NONCYCLIC, Pose
+from .kinematics import COORD_NAMES, CYCLIC, NONCYCLIC, RATE_NAMES, Pose
 from .mesh import save_stl
 from .report import (
     DEFAULT_DT, DEFAULT_T_END, AnalysisConfig, load_body, load_equilibrium, run_analysis,
@@ -146,14 +146,14 @@ def _initial_state(mode, eq_pose, sim, body):
         return float(deviation.get(name, 0.0))
 
     if mode == "reduced" or "momenta" in sim:
-        for name in ("xi_dot", "eta_dot", "psi_dot"):
+        for name in (RATE_NAMES[i] for i in CYCLIC):
             if name in deviation:
                 raise ConfigError(
                     f"'simulate.initial.{name}' is fixed by 'simulate.momenta' in {mode} mode"
                 )
     q = np.array([value(name) for name in COORD_NAMES])
     q[list(NONCYCLIC)] += (eq_pose.zeta, eq_pose.theta, eq_pose.phi)
-    rates = np.array([value(f"{name}_dot") for name in COORD_NAMES])
+    rates = np.array([value(name) for name in RATE_NAMES])
     momenta = np.asarray(sim.get("momenta", (0.0, 0.0, 0.0)), dtype=float)
     if mode == "reduced":
         return {

@@ -315,10 +315,10 @@ class WaterplaneProperties:
     """Waterplane area, floating-center offset and second-moment tensor.
 
     ``centroid_offset`` is the in-plane offset of the area centroid from
-    the reference point projected onto the cap plane, reported in body
-    axes (first two components).  ``second_moment[i, j]`` integrates
-    ``(x - ref_projected)_i (x - ref_projected)_j`` over the waterplane;
-    the tensor annihilates the plane normal.
+    the body origin G projected onto the cap plane, reported in body axes
+    (first two components).  ``second_moment[i, j]`` integrates
+    ``(x - G_projected)_i (x - G_projected)_j`` over the waterplane; the
+    tensor annihilates the plane normal.
     """
 
     area: float
@@ -348,29 +348,24 @@ def cap_raw_moments(solid: SubmergedSolid):
     return area, first, second
 
 
-def waterplane_properties(
-    solid: SubmergedSolid, ref_point=(0.0, 0.0, 0.0)
-) -> WaterplaneProperties:
-    """Area, floating center and second moments of the waterplane.
+def waterplane_properties(solid: SubmergedSolid) -> WaterplaneProperties:
+    """Area, floating center and second moments of the waterplane, about
+    the orthogonal projection of the body origin G onto the cap plane.
 
-    ``ref_point`` (body coordinates, typically the origin G) is
-    projected orthogonally onto the cap plane; moments are taken about
-    the projection.  With several cap loops the floating center is the
-    area-weighted centroid over all of them.  No caps yields zeros.
+    With several cap loops the floating center is the area-weighted
+    centroid over all of them.  No caps yields zeros.
     """
-    return _waterplane_about(
-        *cap_raw_moments(solid), solid.plane_normal, solid.plane_offset, ref_point
-    )
+    return _waterplane_about(*cap_raw_moments(solid), solid.plane_normal, solid.plane_offset)
 
 
-def _waterplane_about(area, first, second, normal, offset, ref_point):
-    """Shift raw waterplane moments to the projection of ``ref_point``, in
-    floats; the offset and the shifted moments are views of one array."""
+def _waterplane_about(area, first, second, normal, offset):
+    """Shift raw waterplane moments to the projection of G, in floats; the
+    offset and the shifted moments are views of one array."""
     if area == 0.0:
         return WaterplaneProperties(0.0, np.zeros(2), np.zeros((3, 3)))
-    ref, k, first = list(map(float, ref_point)), normal.tolist(), first.tolist()
-    depth = offset + _dot(ref, k)
-    p = [ref[i] - depth * k[i] for i in (0, 1, 2)]
+    k, first = normal.tolist(), first.tolist()
+    # G's projection; '0.0 -', not a negation, so that no zero is -0.0
+    p = [0.0 - offset * k[i] for i in (0, 1, 2)]
     second = second.tolist()
     flat = np.array([first[0] / area - p[0], first[1] / area - p[1]] + [
         second[i][j] - first[i] * p[j] - p[i] * first[j] + area * (p[i] * p[j])
@@ -404,10 +399,8 @@ class SubmergedIntegrals:
         """Waterplane properties about the body origin projected onto the
         plane, as :func:`waterplane_properties` gives them for the clipped
         solid; the shift runs on floats of the down axis and the moments."""
-        return _waterplane_about(
-            self.cap_area, self.cap_first, self.cap_second,
-            self.plane_normal, self.plane_offset, (0.0, 0.0, 0.0),
-        )
+        return _waterplane_about(self.cap_area, self.cap_first, self.cap_second,
+                                 self.plane_normal, self.plane_offset)
 
 
 def _sign_code_tables():

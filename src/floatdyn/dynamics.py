@@ -43,7 +43,9 @@ import numpy as np
 
 from .errors import ConfigError, GimbalLock, IntegrationFailed, MissingDependency
 from .hydrostatics import FluidEnvironment, generalized_forces, potential
-from .kinematics import CYCLIC, NONCYCLIC, Pose, omega_chart, omega_map, omega_maps
+from .kinematics import (
+    COORD_NAMES, CYCLIC, NONCYCLIC, RATE_NAMES, Pose, omega_chart, omega_map, omega_maps,
+)
 from .mesh import HullMesh
 
 
@@ -191,12 +193,7 @@ class Trajectory:
     momenta: np.ndarray
     terminated_early: bool = False
     nfev: int = 0
-    columns = (
-        "t",
-        "xi", "eta", "zeta", "psi", "theta", "phi",
-        "xi_dot", "eta_dot", "zeta_dot", "psi_dot", "theta_dot", "phi_dot",
-        "E", "p_xi", "p_eta", "p_psi",
-    )
+    columns = ("t", *COORD_NAMES, *RATE_NAMES, "E", *(f"p_{COORD_NAMES[i]}" for i in CYCLIC))
 
     def as_table(self) -> np.ndarray:
         return np.column_stack(

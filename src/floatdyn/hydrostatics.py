@@ -12,6 +12,8 @@ a maximum of ``U`` (equivalently a minimum of the potential energy
 Surge, sway and yaw are cyclic and never acquire a restoring force, so
 the statics speak only heave, pitch and roll: the generalized forces,
 their gradient and the array forms all take and give (zeta, theta, phi).
+The forces of one pose and of a batch come from one contraction of the
+submerged integrals, on floats or on columns.
 
 Stability is decided from the Hessian alone: an equilibrium is
 pseudo-stable exactly when the (zeta, theta, phi) Hessian of ``U``,
@@ -93,26 +95,24 @@ def generalized_forces(mesh: HullMesh, pose, env: FluidEnvironment) -> np.ndarra
     if isinstance(pose, Pose):
         return _generalized_forces(evaluate(mesh, pose), depth_row(pose.theta, pose.phi), env)
     q = _coordinate_rows(pose)
-    k3, k3_theta, k3_phi = depth_rows(q[:, 1], q[:, 2])
-    integrals = evaluate_many(mesh, q[:, 0], k3)
-    # columns, one entry per pose: the arithmetic of the one-pose floats
-    first = integrals.first.T
-    rg = env.rho * env.g
-    return np.stack(
-        [-rg * integrals.volume, -rg * _dot(k3_theta.T, first), -rg * _dot(k3_phi.T, first)],
-        axis=1,
-    )
+    rows = depth_rows(q[:, 1], q[:, 2])
+    integrals = evaluate_many(mesh, q[:, 0], rows[0])
+    return np.stack(_forces(integrals.volume, integrals.first.T, [r.T for r in rows], env), axis=1)
 
 
 def _generalized_forces(integrals: SubmergedIntegrals, rows, env) -> np.ndarray:
-    """The forces from the integrals and the :func:`depth_row` triple of
-    the pose's attitude."""
+    """:func:`_forces` of one pose's integrals and :func:`depth_row` triple."""
+    return np.array(_forces(integrals.volume, integrals.first.tolist(), rows, env))
+
+
+def _forces(volume, first, rows, env) -> list:
+    """``[-rho g V, -rho g k3_theta . first, -rho g k3_phi . first]`` on
+    floats or on columns with one entry per pose, as
+    :func:`~floatdyn.clipping._finish` works: one pose gets the same bits
+    alone and in a batch."""
     _, k3_theta, k3_phi = rows
-    first = integrals.first.tolist()
     rg = env.rho * env.g
-    return np.array(
-        [-rg * integrals.volume, -rg * _dot(k3_theta, first), -rg * _dot(k3_phi, first)]
-    )
+    return [-rg * volume, -rg * _dot(k3_theta, first), -rg * _dot(k3_phi, first)]
 
 
 def force_gradient(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.ndarray:

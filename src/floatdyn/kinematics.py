@@ -35,6 +35,7 @@ import numpy as np
 from .errors import GimbalLock
 
 COORD_NAMES = ("xi", "eta", "zeta", "psi", "theta", "phi")
+RATE_NAMES = tuple(f"{name}_dot" for name in COORD_NAMES)
 CYCLIC = (0, 1, 3)
 NONCYCLIC = (2, 4, 5)
 

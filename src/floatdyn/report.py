@@ -30,7 +30,7 @@ from .hydrostatics import (
     hydrostatic_state,
     pseudo_stability_check,
 )
-from .kinematics import COORD_NAMES
+from .kinematics import COORD_NAMES, RATE_NAMES
 from .mesh import check_shells, inertia_from_mesh, load_mesh
 from .oscillations import normal_modes
 
@@ -163,8 +163,8 @@ class AnalysisConfig:
         if self.integrator.get("rtol", RTOL_FLOOR) < RTOL_FLOOR:
             raise ConfigError(f"'integrator.rtol' must be at least 100 eps, {RTOL_FLOOR!r}")
         # a deviation from equilibrium and a rate per coordinate
-        initial_keys = COORD_NAMES + tuple(f"{name}_dot" for name in COORD_NAMES)
-        _require_known_keys("simulate.initial", self.simulate.get("initial", {}), initial_keys)
+        _require_known_keys("simulate.initial", self.simulate.get("initial", {}),
+                            COORD_NAMES + RATE_NAMES)
         for key, value in self.simulate.get("initial", {}).items():
             _require_number(f"simulate.initial.{key}", value, "real")
         momenta = self.simulate.get("momenta", (0.0, 0.0, 0.0))

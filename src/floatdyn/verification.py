@@ -6,15 +6,16 @@ that the command-line ``verify`` subcommand holds to :data:`TOLERANCES`:
 
 * loop work: the generalized forces integrated around closed loops in
   configuration space must do zero net work (conservativeness);
-* gradient identity: the forces must match finite differences of the
+* gradient identity: the forces must match the derivatives of the
   buoyancy force function;
-* gradient symmetry: central differences of the forces must be symmetric;
+* gradient symmetry: the derivatives of the forces must be symmetric;
 * planar invariance: the body-frame integrals must equal those of the
   mesh moved into the fixed frame, whatever the surge, sway and yaw.
 
+The two derivative suites share one difference rule, :func:`_derivatives`.
 The first three suites evaluate their poses in batches: the quadrature
-nodes of a whole loop, the waypoint scales and the finite-difference
-potentials and forces each go through one call of the array forms of
+nodes of a whole loop, the waypoint scales and the shifted potentials and
+forces each go through one call of the array forms of
 :func:`~floatdyn.hydrostatics.potential` and
 :func:`~floatdyn.hydrostatics.generalized_forces`, which take
 ``(zeta, theta, phi)`` rows and give the same bits as one call per pose.
@@ -45,8 +46,9 @@ def random_partial_poses(mesh: HullMesh, n: int, rng, max_angle: float = 0.3):
     """Sample poses keeping the hull strictly pierced by the surface.
 
     Both the deepest and the shallowest vertex stay at least
-    :data:`_MARGIN_FRACTION` diameters away from the plane, so finite
-    differences around the pose never change the submersion topology.
+    :data:`_MARGIN_FRACTION` diameters away from the plane, so the hull
+    stays pierced by the plane at every pose the differences around it
+    reach.  Other vertices may cross the plane there.
     Raises :class:`~floatdyn.errors.FloatDynError` if
     :data:`_TRIES_PER_POSE` draws per pose do not give ``n`` such poses.
     """
@@ -71,48 +73,42 @@ def random_partial_poses(mesh: HullMesh, n: int, rng, max_angle: float = 0.3):
     return poses
 
 
-#: unit shifts along zeta, theta and phi, then their reverses
-_SHIFTS = np.concatenate([np.eye(3), -np.eye(3)])
-
-#: largest vertex-depth move of one symmetry-check step, in hull diameters;
-#: it trades roundoff (``1/step``) for truncation near the plane (``step**2``)
-_SYMMETRY_STEP = 2e-6
+#: largest vertex-depth move of one difference step, in hull diameters
+_STEP = 1e-5
 
 
-def _shifted_rows(mesh: HullMesh, q, fraction: float):
-    """Heave, pitch and roll steps that move no vertex depth by more than
-    ``fraction`` hull diameters (the heave step is that length, the angle
-    steps that length over the farthest vertex's distance from the
-    origin), and the ``(zeta, theta, phi)`` rows ``q`` shifted by each
-    step and its reverse: ``(steps, rows)`` with the rows in
-    :data:`_SHIFTS` order."""
+def _derivatives(values, mesh: HullMesh, q):
+    """Derivatives by (zeta, theta, phi) of ``values`` at the rows ``q``,
+    entry ``[j, p]`` by coordinate ``j`` at row ``p``, and the steps ``h``.
+
+    The heave step is :data:`_STEP` diameters, the angle steps that length
+    over the farthest vertex's distance from the origin, so a hull far from
+    its body origin keeps the angle differences' truncation as small as one
+    centred on it.  ``values`` (the array form of ``potential`` or of
+    ``generalized_forces``) gets the rows shifted by ``h`` and ``h/2`` both
+    ways, 12 per pose, in one call.  The central differences ``D(h)`` and
+    ``D(h/2)`` give ``(4 D(h/2) - D(h)) / 3``, in which their ``h^2``
+    errors cancel (Richardson extrapolation).
+    """
     reach = np.sqrt((mesh.vertices**2).sum(axis=1).max())
-    steps = fraction * mesh.diameter * np.array([1.0, 1.0 / reach, 1.0 / reach])
-    return steps, (q + (np.tile(steps, 2)[:, None] * _SHIFTS)[:, None]).reshape(-1, 3)
-
-
-#: largest vertex-depth move of one gradient-check step, in hull diameters
-_GRADIENT_STEP = 1e-5
+    h = _STEP * mesh.diameter * np.array([1.0, 1.0 / reach, 1.0 / reach])
+    shifts = np.array([1.0, -1.0, 0.5, -0.5])[:, None, None] * np.diag(h)
+    v = values((q + shifts[:, :, None]).reshape(-1, 3)).reshape(4, 3, len(q), -1)
+    # (4 D(h/2) - D(h)) / 3, with D(h) = (v0 - v1) / 2h and D(h/2) = (v2 - v3) / h
+    return (8.0 * (v[2] - v[3]) - (v[0] - v[1])) / (6.0 * h[:, None, None]), h
 
 
 def gradient_residual(mesh: HullMesh, env: FluidEnvironment, poses) -> float:
-    """Worst relative deviation of forces from central differences of U_B.
+    """Worst relative deviation of forces from the derivatives of U_B.
 
-    The forces are compared at steps scaled to the hull as in
-    :func:`gradient_symmetry_residual`: :data:`_GRADIENT_STEP` diameters
-    in heave, that length over the farthest vertex's distance from the
-    origin in the angles, so a hull far from its body origin keeps the
-    angle differences' truncation as small as one centred on it.  The
-    forces of all poses come from one batched call, the six shifted
-    potentials of every pose from another.
+    The derivatives are :func:`_derivatives` of the potentials; the forces
+    of all poses come from one batched call.
     """
     q = np.array([(p.zeta, p.theta, p.phi) for p in poses])
     forces = generalized_forces(mesh, q, env)
     scale = np.maximum(np.abs(forces).max(axis=1), 1e-300)
-    steps, shifted = _shifted_rows(mesh, q, _GRADIENT_STEP)
-    u = potential(mesh, shifted, env).reshape(2, 3, len(q))
-    fd = (u[0] - u[1]) / (2.0 * steps[:, None])
-    return float((np.abs(fd - forces.T) / scale).max())
+    du, _ = _derivatives(lambda rows: potential(mesh, rows, env), mesh, q)
+    return float((np.abs(du[:, :, 0] - forces.T) / scale).max())
 
 
 #: points per segment of the scan for vertex-plane crossings
@@ -219,20 +215,17 @@ def loop_work_residual(mesh: HullMesh, env: FluidEnvironment, rng, n_loops: int)
 
 
 def gradient_symmetry_residual(mesh: HullMesh, env: FluidEnvironment, poses) -> float:
-    """Worst relative asymmetry of the force Jacobian, by central differences.
+    """Worst relative asymmetry of the force Jacobian, by differences.
 
     Conservative forces have a symmetric Jacobian, ``dQ_i/dq_j = dQ_j/dq_i``;
-    both sides come from the forces at six shifted rows per pose, in one
-    batched call.  The heave step is :data:`_SYMMETRY_STEP` diameters, the
-    angle steps that length over the farthest vertex's distance from the
-    origin; ``J_ij h_i h_j`` is compared, relative to the pose's largest
-    entry, so hull size and origin do not set the residual.
+    both sides are :func:`_derivatives` of the forces.  ``J_ij h_i h_j`` is
+    compared, relative to the pose's largest entry, so hull size and origin
+    do not set the residual.
     """
     q = np.array([(p.zeta, p.theta, p.phi) for p in poses])
-    steps, shifted = _shifted_rows(mesh, q, _SYMMETRY_STEP)
-    forces = generalized_forces(mesh, shifted, env).reshape(2, 3, len(q), 3)
+    dq, h = _derivatives(lambda rows: generalized_forces(mesh, rows, env), mesh, q)
     # jac[p, i, j] = h_i h_j dQ_i / dq_j over the restoring coordinates
-    jac = (0.5 * (forces[0] - forces[1]) * steps).transpose(1, 2, 0)
+    jac = (dq * h[:, None, None] * h).transpose(1, 2, 0)
     asymmetry = np.abs(jac - jac.transpose(0, 2, 1)).max(axis=(1, 2))
     return float((asymmetry / np.maximum(np.abs(jac).max(axis=(1, 2)), 1e-300)).max())
 

@@ -8,9 +8,9 @@ oracle for the clipped volume and first moments: parity ray-cast
 containment and a rejection sampler, which share no code with the
 kernel.  Also malformed copies of a cube's OBJ and ASCII STL files,
 copies whose faces fail validation in all three formats, the per-facet
-encoder of binary STL that ``save_stl`` must match byte for byte, and
-the convex-hull meshes, whose triangulation needs SciPy: the tests on
-them skip without it."""
+encoder of binary STL that ``save_stl`` must match byte for byte, the
+two-hull meshes, and the convex-hull meshes, whose triangulation needs
+SciPy: the tests on them skip without it."""
 
 import struct
 from dataclasses import dataclass
@@ -25,12 +25,25 @@ from floatdyn.clipping import cap_raw_moments, evaluate
 from floatdyn.errors import InvalidMesh, NonWatertightMesh
 from floatdyn.kinematics import CYCLIC, NONCYCLIC, depth_row, k3_body, rotation_matrix
 from floatdyn.mesh import _RAY_DIRECTION, _check_edges, _ray_parity
-from floatdyn.shapes import unit_cube
+from floatdyn.shapes import box, unit_cube
 
 #: the cyclic, coupling and non-cyclic blocks of a 6x6 metric
 IX_AA = np.ix_(CYCLIC, CYCLIC)
 IX_AN = np.ix_(CYCLIC, NONCYCLIC)
 IX_NN = np.ix_(NONCYCLIC, NONCYCLIC)
+
+
+#: the offsets of the two hulls of :func:`two_barges`, one per layout
+TWO_HULLS = {"tandem": (3.4, 0.0, 0.0), "catamaran": (0.0, 5.0, 0.0)}
+
+
+def two_barges(layout) -> HullMesh:
+    """One mesh of two ``box(2, 1, 0.5)`` hulls, centred at plus and minus
+    the offset of ``layout`` in :data:`TWO_HULLS`."""
+    offset = np.array(TWO_HULLS[layout])
+    fore, aft = box(2.0, 1.0, 0.5).translated(offset), box(2.0, 1.0, 0.5).translated(-offset)
+    return HullMesh(np.concatenate([fore.vertices, aft.vertices]),
+                    np.concatenate([fore.triangles, aft.triangles + len(fore.vertices)]))
 
 
 def vertex_on_plane_poses(mesh, rng, count):

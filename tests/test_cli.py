@@ -14,8 +14,8 @@ from floatdyn.mesh import MAX_OFFSET, _parse_stl_binary, load_stl
 from floatdyn.report import AnalysisConfig, load_body, run_analysis
 from floatdyn.errors import ConfigError, GimbalLock
 from helpers import (
-    EMPTY_MESHES, MALFORMED_RECORDS, UNSOUND_MESHES, random_convex_mesh, touching_loops,
-    vertex_on_plane_poses,
+    EMPTY_MESHES, MALFORMED_RECORDS, TWO_HULLS, UNSOUND_MESHES, random_convex_mesh,
+    touching_loops, two_barges, vertex_on_plane_poses,
 )
 
 
@@ -1041,6 +1041,16 @@ class TestVerify:
                                       "inertia": BARGE_INERTIA}))
         code = main(["verify", "--config", str(config), "--seed", "0", "--loops", "1"])
         assert code == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+
+    @pytest.mark.parametrize("layout", list(TWO_HULLS))
+    def test_two_hulls_pass_at_default_sizes(self, tmp_path, capsys, layout):
+        # two shells of one mesh, with every default of the command
+        save_stl(tmp_path / "two.stl", two_barges(layout))
+        config = tmp_path / "two.json"
+        config.write_text(json.dumps({"mesh_path": str(tmp_path / "two.stl"),
+                                      "uniform_density": 500.0, "fluid_density": 1000.0}))
+        assert main(["verify", "--config", str(config)]) == 0
         assert capsys.readouterr().out.count("PASS") == 4
 
     def test_corrupted_mesh_reports_watertightness(self, tmp_path, capsys):

@@ -227,7 +227,7 @@ class TestWaterplaneProperties:
     def test_second_moment_annihilates_normal(self, l_prism, rng):
         for pose in random_partial_poses(l_prism, 10, rng):
             solid = clip_by_waterplane(l_prism, pose)
-            wp = waterplane_properties(solid, ref_point=(0.1, -0.2, 0.3))
+            wp = waterplane_properties(solid)
             n = solid.plane_normal
             np.testing.assert_allclose(
                 wp.second_moment @ n, np.zeros(3),
@@ -235,15 +235,6 @@ class TestWaterplaneProperties:
             )
             eig = np.linalg.eigvalsh(wp.second_moment)
             assert eig.min() >= -1e-12 * max(eig.max(), 1.0)
-
-    def test_reference_point_projection(self, cube):
-        # moments about a reference below the plane equal moments about
-        # its in-plane projection
-        solid = clip_by_waterplane(cube, Pose(zeta=0.3))
-        a = waterplane_properties(solid, ref_point=(0.2, 0.1, 5.0))
-        b = waterplane_properties(solid, ref_point=(0.2, 0.1, -5.0))
-        np.testing.assert_allclose(a.centroid_offset, b.centroid_offset, atol=1e-12)
-        np.testing.assert_allclose(a.second_moment, b.second_moment, atol=1e-12)
 
 
 class TestDraftRateIdentities:

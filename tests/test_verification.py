@@ -14,7 +14,7 @@ from floatdyn.verification import (
     random_partial_poses,
     run_verification,
 )
-from helpers import flipped_roll
+from helpers import TWO_HULLS, flipped_roll, two_barges
 
 
 def elliptic_cylinder(sides=96):
@@ -149,6 +149,15 @@ def test_run_verification_summary(cube, env):
     # one residual per check of the table, in its order, each within its tolerance
     assert list(residuals) == list(TOLERANCES)
     assert all(residuals[name] <= tol for name, tol in TOLERANCES.items())
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("layout", list(TWO_HULLS))
+def test_two_hulls_pass_at_default_sizes(layout, seed, env):
+    # correct forces on two shells of one mesh: the truncation of a single
+    # central difference failed the symmetry check on half of these seeds
+    residuals = run_verification(two_barges(layout), env, seed=seed)
+    assert all(residuals[name] <= tol for name, tol in TOLERANCES.items()), residuals
 
 
 def scalar_crossings(mesh, a, b, grid=33):

@@ -9,8 +9,11 @@ a ``git archive`` copy of the parent commit and of the working tree.  For
 each workload of ``bench/run.py`` and each seed, a child process of each
 tree builds the case through ``run.build_case`` (``bench`` imported
 read-only, as ``tools/kernel_cost.py`` does), which writes the hull STL
-and the config.  The tree then runs, as ``python -m floatdyn.cli``
-children:
+and the config.  One more case, the tandem of the first seed, is the
+barge case with two barges in one mesh (:func:`tandem_case`): the bench
+hulls are single shells, so only it reaches two cap loops in ``clip``,
+the overlap check of two shells and ``verify`` on such a hull.  The tree
+then runs, as ``python -m floatdyn.cli`` children:
 
 * every subcommand of ``run.cli_commands``, and ``verify`` once more
   with ``--out``;
@@ -53,6 +56,29 @@ SPIN = {"xi_dot": 0.1, "psi_dot": 0.7, "theta_dot": 0.3, "phi_dot": -0.4}
 #: cyclic momenta and the start added to the bench release in the
 #: releases run full and reduced
 SPIN_MOMENTA = ([5.0, -3.0, 40.0], {"phi": 0.2, "theta_dot": 0.3, "phi_dot": -0.4})
+#: the surge of the centres of the tandem's two barges, m, and the
+#: ``(zeta, theta, phi)`` of its clip, which cuts both
+TANDEM_SURGE = 3.4
+TANDEM_CLIP = (0.05, 0.03, 0.1)
+
+
+def tandem_case(run, seed: int, directory: Path) -> dict:
+    """The barge case of ``seed`` (its densities, release and ``verify``
+    arguments) with the hull replaced by two of its boxes, centred at
+    ``x = +-TANDEM_SURGE``: one mesh of two shells."""
+    from floatdyn import Pose, shapes
+    from floatdyn.mesh import save_stl
+
+    with tempfile.TemporaryDirectory() as tmp:
+        case = run.build_case("barge", seed, Path(tmp))
+        config = json.loads(case["config"].read_text())
+    hulls = [shapes.box(2.0, 1.0, 0.5).translated((x, 0.0, 0.0))
+             for x in (TANDEM_SURGE, -TANDEM_SURGE)]
+    save_stl(directory / "tandem.stl", [*hulls[0].triangle_vertices, *hulls[1].triangle_vertices])
+    path = directory / "tandem.json"
+    path.write_text(json.dumps({**config, "mesh_path": str(directory / "tandem.stl")}, indent=2)
+                    + "\n")
+    return {**case, "dir": directory, "config": path, "clip_pose": Pose(0.0, 0.0, *TANDEM_CLIP)}
 
 
 def build(src: str, workload: str, seed: int, directory: Path) -> list:
@@ -61,7 +87,10 @@ def build(src: str, workload: str, seed: int, directory: Path) -> list:
     sys.path[:0] = [src, str(ROOT / "bench")]
     import run
 
-    case = run.build_case(workload, seed, directory)
+    if workload == "tandem":
+        case = tandem_case(run, seed, directory)
+    else:
+        case = run.build_case(workload, seed, directory)
     commands = [argv for _, argv, _ in run.cli_commands(case)]
     verify = next(argv for argv in commands if argv[0] == "verify")
     commands.append([*verify, "--out", str(directory / "verify.json")])
@@ -147,7 +176,8 @@ def main(argv=None) -> int:
     for src in trees.values():
         if not (src / "floatdyn" / "__init__.py").is_file():
             parser.error(f"no floatdyn package in {src}")
-    cases = [("lprism", 1)] if args.smoke else [(w, s) for w in WORKLOADS for s in args.seeds]
+    cases = [("lprism", 1)] if args.smoke else [
+        *((w, s) for w in WORKLOADS for s in args.seeds), ("tandem", args.seeds[0])]
     found = []
     with tempfile.TemporaryDirectory() as tmp:
         for workload, seed in cases:
