@@ -31,6 +31,10 @@ of them asks first.  The stored result's arrays are read-only, and the
 slot is swapped whole, so threads sharing a mesh at worst recompute.
 :func:`evaluate_many` keeps no slot; it pays off where many poses are
 known at once (the verification suites, the energy pass of a trajectory).
+Below the slot, each mesh memoizes one pose's face classification by its
+waterline topology, the signs of its vertex depths, up to
+:data:`_EVALUATE_BUDGET` faces' worth (:func:`_wetted_sums`): a hit gives
+the bits of a miss, and a miss costs what a kernel run cost without it.
 
 :func:`clip_by_waterplane` builds the submerged boundary explicitly, the
 clipped hull triangles plus one planar cap polygon per waterline loop,
@@ -363,13 +367,17 @@ def _waterplane_about(area, first, second, normal, offset):
     offset and the shifted moments are views of one array."""
     if area == 0.0:
         return WaterplaneProperties(0.0, np.zeros(2), np.zeros((3, 3)))
-    k, first = normal.tolist(), first.tolist()
+    (f0, f1, f2), (s0, s1, s2) = first.tolist(), second.tolist()
     # G's projection; '0.0 -', not a negation, so that no zero is -0.0
-    p = [0.0 - offset * k[i] for i in (0, 1, 2)]
-    second = second.tolist()
-    flat = np.array([first[0] / area - p[0], first[1] / area - p[1]] + [
-        second[i][j] - first[i] * p[j] - p[i] * first[j] + area * (p[i] * p[j])
-        for i in (0, 1, 2) for j in (0, 1, 2)])
+    k0, k1, k2 = normal.tolist()
+    p0, p1, p2 = 0.0 - offset * k0, 0.0 - offset * k1, 0.0 - offset * k2
+    flat = np.array([
+        f0 / area - p0, f1 / area - p1,
+        s0[0] - f0 * p0 - p0 * f0 + area * (p0 * p0), s0[1] - f0 * p1 - p0 * f1 + area * (p0 * p1),
+        s0[2] - f0 * p2 - p0 * f2 + area * (p0 * p2), s1[0] - f1 * p0 - p1 * f0 + area * (p1 * p0),
+        s1[1] - f1 * p1 - p1 * f1 + area * (p1 * p1), s1[2] - f1 * p2 - p1 * f2 + area * (p1 * p2),
+        s2[0] - f2 * p0 - p2 * f0 + area * (p2 * p0), s2[1] - f2 * p1 - p2 * f1 + area * (p2 * p1),
+        s2[2] - f2 * p2 - p2 * f2 + area * (p2 * p2)])
     return WaterplaneProperties(float(area), flat[:2], flat[2:].reshape(3, 3))
 
 
@@ -429,14 +437,9 @@ _WHOLE, _TIP, _LONE, _PLANE_EDGE = _sign_code_tables()
 _PLACES = np.array([1.0, 3.0, 9.0])
 
 
-def _sign_codes(depths, triangles) -> np.ndarray:
-    """Sign code of every face, for the last axis of the vertex depths."""
-    return (np.sign(depths).take(triangles, axis=-1) @ _PLACES).astype(np.intp)
-
-
-def _dot(a, b):
-    """``a . b`` for 3-sequences of floats or of equally long arrays."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+def _sign_codes(signs, triangles) -> np.ndarray:
+    """Sign code of every face, for the last axis of the vertex depth signs."""
+    return (signs.take(triangles, axis=-1) @ _PLACES).astype(np.intp)
 
 
 def _finish(zeta, k, projected):
@@ -445,20 +448,26 @@ def _finish(zeta, k, projected):
     ``x_i x_j`` in ``projected``.  The arguments are floats, or arrays with
     one entry per pose: the same operations give :func:`evaluate` and
     :func:`evaluate_many` the same bits."""
-    area, n1k, n2k = projected[0], projected[1:4], projected[4:]
-    n2kk = [_dot(n2k[3 * i:3 * i + 3], k) for i in range(3)]
-    kn1k, k_n2kk = _dot(k, n1k), _dot(k, n2kk)
+    # a: the integrals of x_i (n . k), b: those of x_i x_j (n . k), c = b k
+    area, a0, a1, a2, b00, b01, b02, b10, b11, b12, b20, b21, b22 = projected
+    k0, k1, k2 = k
+    c0, c1 = b00 * k0 + b01 * k1 + b02 * k2, b10 * k0 + b11 * k1 + b12 * k2
+    c2, ka = b20 * k0 + b21 * k1 + b22 * k2, k0 * a0 + k1 * a1 + k2 * a2
+    kc = k0 * c0 + k1 * c1 + k2 * c2
     # depth vanishes on the waterplane, so the wetted faces carry
     # V = sum d (k.n) dS, integral of d dV = 1/2 sum d^2 (k.n) dS and
     # integral of x dV = sum x d (k.n) dS - k integral of d dV
-    volume = zeta * area + kn1k
-    depth_integral = 0.5 * (zeta * (zeta * area + 2.0 * kn1k) + k_n2kk)
-    first = [zeta * n1k[i] + n2kk[i] - depth_integral * k[i] for i in range(3)]
+    volume = zeta * area + ka
+    depth_integral = 0.5 * (zeta * (zeta * area + 2.0 * ka) + kc)
+    f0, f1, f2 = (zeta * a0 + c0 - depth_integral * k0, zeta * a1 + c1 - depth_integral * k1,
+                  zeta * a2 + c2 - depth_integral * k2)
     # closure, with the waterplane's outward normal -k
-    cap_first = [n1k[i] - volume * k[i] for i in range(3)]
-    cap_second = [n2k[3 * i + j] - (k[i] * first[j] + k[j] * first[i])
-                  for i in range(3) for j in range(3)]
-    return volume, depth_integral, first, area, cap_first, cap_second
+    cap_first = a0 - volume * k0, a1 - volume * k1, a2 - volume * k2
+    cap_second = (
+        b00 - (k0 * f0 + k0 * f0), b01 - (k0 * f1 + k1 * f0), b02 - (k0 * f2 + k2 * f0),
+        b10 - (k1 * f0 + k0 * f1), b11 - (k1 * f1 + k1 * f1), b12 - (k1 * f2 + k2 * f1),
+        b20 - (k2 * f0 + k0 * f2), b21 - (k2 * f1 + k1 * f2), b22 - (k2 * f2 + k2 * f2))
+    return volume, depth_integral, (f0, f1, f2), area, cap_first, cap_second
 
 
 #: the cap moments of a pose without a waterline, and its first moments when
@@ -551,6 +560,19 @@ def evaluate_many(mesh: HullMesh, zeta, k3) -> SubmergedIntegrals:
     )
 
 
+def _topology(mesh, signs):
+    """What the vertex depth signs of one pose (``(V,)``) or of stacked poses
+    (``(n, V)``) fix: the whole-face weights, the tip faces (``nonzero``
+    indices) with their signs and corners, lone corner first, and whether
+    a waterline exists."""
+    codes = _sign_codes(signs, mesh.triangles)
+    whole, tip = _WHOLE[codes], _TIP[codes]
+    tips = tip.nonzero()
+    corners = mesh.corner_rotations[tips[-1], _LONE[codes[tips]]]
+    has_waterline = (_PLANE_EDGE[codes] | (tip != 0.0)).any(axis=-1)
+    return whole, tips, tip[tips], corners, has_waterline
+
+
 def _wetted_sums(mesh, depths, normal):
     """The kernel of :func:`evaluate` and :func:`evaluate_many`: the 13
     wetted-surface integrals of ``n . k`` times ``1``, ``x_i`` and
@@ -561,29 +583,41 @@ def _wetted_sums(mesh, depths, normal):
     and its tips in one ``(1, k)`` product, so a pose has the same bits
     alone and in a stack.  A fully emerged pose has no wet face and no
     waterline; the callers give it exact zeros.
+
+    One pose takes its :func:`_topology` from the mesh's memo, keyed by the
+    bytes of ``np.sign(depths)`` (``-0.0`` has the sign ``0.0``).  It fills
+    on first use, holds :data:`_EVALUATE_BUDGET` faces' worth of entries (one
+    on a large hull) and is swapped whole: threads at worst classify again.
     """
+    signs = np.sign(depths)
+    if depths.ndim == 1:
+        key, memo = signs.tobytes(), mesh._topologies
+        topology = memo.get(key)
+        if topology is None:
+            topology = _topology(mesh, signs)
+            full = len(memo) >= _EVALUATE_BUDGET // len(mesh.triangles)
+            mesh._topologies = {key: topology} if full else {**memo, key: topology}
+    else:
+        topology = _topology(mesh, signs)
+    whole, tips, tip, corners, has_waterline = topology
     normals, weights = mesh.face_table
-    codes = _sign_codes(depths, mesh.triangles)
-    whole, tip = _WHOLE[codes], _TIP[codes]
     nk = (normals @ normal[..., None])[..., 0]
     projected = ((whole * nk)[..., None, :] @ weights)[..., 0, :]
     # a whole face adds n . k times its face_table weights, a crossed face
     # +-t1 t2 (n . k) times those of its tip triangle (see _sign_code_tables):
     # the lone corner and the crossings at t1 and t2 along its edges.  Faces
     # in the plane are left out, like dry ones; the waterplane re-covers them
-    tips = tip.nonzero()
-    *rows, faces = tips
-    if not len(faces):
-        return projected, _PLANE_EDGE[codes].any(axis=-1)
-    corners = mesh.corner_rotations[faces, _LONE[codes[tips]]]
+    if not len(tip):
+        return projected, has_waterline
+    *rows, _ = tips
     corner_d = depths[(*rows, corners.T)]
     t = corner_d[0] / (corner_d[0] - corner_d[1:])
     tri = mesh.vertices[corners]
     apex = tri[:, :1]
     tri[:, 1:] = apex + t.T[:, :, None] * (tri[:, 1:] - apex)
-    coef, tip_weights = tip[tips] * (t[0] * t[1]) * nk[tips], surface_weights(tri)
+    coef, tip_weights = tip * (t[0] * t[1]) * nk[tips], surface_weights(tri)
     if not rows:
-        return projected + coef @ tip_weights, True
+        return projected + coef @ tip_weights, has_waterline
     # each pose's tips are contiguous; poses with the same count k
     # contract theirs in one stacked (1, k) product
     counts = np.bincount(rows[0], minlength=len(depths))
@@ -593,4 +627,4 @@ def _wetted_sums(mesh, depths, normal):
         picked = first_row[group, None] + np.arange(k)
         summed = coef[picked][:, None, :] @ tip_weights[picked]
         projected[group] = projected[group] + summed[:, 0]
-    return projected, (counts > 0) | _PLANE_EDGE[codes].any(axis=1)
+    return projected, has_waterline

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clipping import SubmergedIntegrals, WaterplaneProperties, _dot, evaluate, evaluate_many
+from .clipping import SubmergedIntegrals, WaterplaneProperties, evaluate, evaluate_many
 from .errors import NotAnEquilibrium, ZeroVolume
 from .kinematics import Pose, depth_row, depth_rows, k3_rows
 from .mesh import HullMesh
@@ -110,9 +110,10 @@ def _forces(volume, first, rows, env) -> list:
     floats or on columns with one entry per pose, as
     :func:`~floatdyn.clipping._finish` works: one pose gets the same bits
     alone and in a batch."""
-    _, k3_theta, k3_phi = rows
+    f0, f1, f2 = first
+    _, (t0, t1, t2), (p0, p1, p2) = rows
     rg = env.rho * env.g
-    return [-rg * volume, -rg * _dot(k3_theta, first), -rg * _dot(k3_phi, first)]
+    return [-rg * volume, -rg * (t0 * f0 + t1 * f1 + t2 * f2), -rg * (p0 * f0 + p1 * f1 + p2 * f2)]
 
 
 def force_gradient(mesh: HullMesh, pose: Pose, env: FluidEnvironment) -> np.ndarray:
@@ -134,17 +135,20 @@ def _force_gradient(integrals: SubmergedIntegrals, rows, env) -> np.ndarray:
     """The gradient from the integrals and the :func:`depth_row` triple of
     the pose's attitude, in floats; each off-diagonal entry is computed
     once, so the matrix is symmetric by construction."""
-    k3, k3_th, k3_ph = rows
-    first, c1 = integrals.first.tolist(), integrals.cap_first.tolist()
-    c2 = integrals.cap_second.tolist()
-    c2_th, c2_ph = [_dot(row, k3_th) for row in c2], [_dot(row, k3_ph) for row in c2]
+    (k0, k1, k2), (t0, t1, t2), (p0, p1, p2) = rows
+    (f0, f1, f2), (c0, c1, c2) = integrals.first.tolist(), integrals.cap_first.tolist()
+    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = integrals.cap_second.tolist()
+    # the cap's second moments times the pitch (st) and roll (sp) partials
+    st0, sp0 = s00 * t0 + s01 * t1 + s02 * t2, s00 * p0 + s01 * p1 + s02 * p2
+    st1, sp1 = s10 * t0 + s11 * t1 + s12 * t2, s10 * p0 + s11 * p1 + s12 * p2
+    st2, sp2 = s20 * t0 + s21 * t1 + s22 * t2, s20 * p0 + s21 * p1 + s22 * p2
     # the second partials of k3 (theta-theta, theta-phi, phi-phi) are sign
     # flips of k3 and its pitch partial; the volume term contracts them
     # with the first moments, the waterplane term is L G L^T
-    zz, zt, zp = integrals.cap_area, _dot(c1, k3_th), _dot(c1, k3_ph)
-    tt = -_dot(k3, first) + _dot(k3_th, c2_th)
-    tp = (k3_th[2] * first[1] - k3_th[1] * first[2]) + _dot(k3_th, c2_ph)
-    pp = -(k3[1] * first[1] + k3[2] * first[2]) + _dot(k3_ph, c2_ph)
+    zz, zt, zp = integrals.cap_area, c0 * t0 + c1 * t1 + c2 * t2, c0 * p0 + c1 * p1 + c2 * p2
+    tt = -(k0 * f0 + k1 * f1 + k2 * f2) + (t0 * st0 + t1 * st1 + t2 * st2)
+    tp = (t2 * f1 - t1 * f2) + (t0 * sp0 + t1 * sp1 + t2 * sp2)
+    pp = -(k1 * f1 + k2 * f2) + (p0 * sp0 + p1 * sp1 + p2 * sp2)
     rg = env.rho * env.g
     return np.array([
         [-rg * zz, -rg * zt, -rg * zp],

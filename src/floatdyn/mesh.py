@@ -103,6 +103,7 @@ class HullMesh:
         self._tri_vertices.setflags(write=False)
         # (pose key, integrals) of the last pose clipping.evaluate integrated
         self._last_evaluation = None
+        self._topologies = {}  # clipping._wetted_sums' memo of face classifications
 
         self._validate()
 

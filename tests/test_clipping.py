@@ -659,3 +659,112 @@ class TestLastPoseSlot:
         runs = self.counting(monkeypatch)
         pose = run_analysis(config).equilibrium["pose"]
         assert runs.count((pose["zeta"], pose["theta"], pose["phi"])) == 1
+
+
+class TestTopologyMemo:
+    """One-pose kernel runs take the face classification of their depth sign
+    pattern from the mesh's memo."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Record the key of every classification of one pose."""
+        keys = []
+        classify = clipping._topology
+
+        def counted(mesh, signs):
+            if signs.ndim == 1:
+                keys.append(signs.tobytes())
+            return classify(mesh, signs)
+
+        monkeypatch.setattr(clipping, "_topology", counted)
+        return keys
+
+    @staticmethod
+    def assert_same_bits(got, want, pose):
+        for name in INTEGRAL_FIELDS:
+            a = np.asarray(getattr(got, name), dtype=float)
+            b = np.asarray(getattr(want, name), dtype=float)
+            assert a.tobytes() == b.tobytes(), (name, pose)
+
+    @pytest.mark.parametrize("mesh_name", ["barge", "l_prism", "wedge"])
+    def test_a_hit_gives_the_bits_of_a_fresh_mesh(self, mesh_name, request, monkeypatch):
+        template = request.getfixturevalue(mesh_name)
+        mesh = HullMesh(template.vertices, template.triangles)
+        poses = pose_sweep(mesh, np.random.default_rng(13), 120)
+        on_plane = [p for p in poses if (p.zeta + mesh.vertices @ k3_body(p) == 0.0).any()]
+        assert len(on_plane) >= 30
+        keys = self.counting(monkeypatch)
+        for pose in poses:
+            clipping._evaluate(mesh, pose)
+        # every pattern was classified once, and some came back
+        assert len(keys) == len(set(keys)) == len(mesh._topologies) < len(poses)
+        keys.clear()
+        for pose in poses:
+            fresh = HullMesh(template.vertices, template.triangles)
+            self.assert_same_bits(clipping._evaluate(mesh, pose),
+                                  clipping._evaluate(fresh, pose), pose)
+        # the fresh meshes classified each pose once, the memo none
+        wet = [p for p in poses if (p.zeta + mesh.vertices @ k3_body(p) > 0.0).any()]
+        assert len(keys) == len(wet)
+
+    def test_signed_zero_depths_share_one_entry(self, barge):
+        pose = Pose(zeta=0.25, theta=0.0, phi=0.0)
+        k3 = k3_body(pose)
+        depths = clipping._snapped_depths(barge, pose.zeta, k3)
+        assert (depths == 0.0).sum() == 4
+        negative = np.where(depths == 0.0, -0.0, depths)
+        assert negative.tobytes() != depths.tobytes()
+        mesh = HullMesh(barge.vertices, barge.triangles)
+        plus = clipping._wetted_sums(mesh, depths, k3)
+        (entry,) = mesh._topologies.values()
+        minus = clipping._wetted_sums(mesh, negative, k3)
+        assert list(mesh._topologies.values()) == [entry]
+        for a, b in zip(plus, minus):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_a_hull_past_the_budget_keeps_one_entry(self):
+        angles = np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)
+        mesh = shapes.extrude_polygon(np.column_stack([np.cos(angles), np.sin(angles)]), 1.0)
+        assert len(mesh.triangles) > clipping._EVALUATE_BUDGET // 2
+        drafts = (0.1, 0.2, 0.1, -0.3)
+        results = [clipping._evaluate(mesh, Pose(zeta=zeta, phi=0.05)) for zeta in drafts]
+        assert len(mesh._topologies) == 1
+        fresh = HullMesh(mesh.vertices, mesh.triangles)
+        for zeta, got in zip(drafts, results):
+            pose = Pose(zeta=zeta, phi=0.05)
+            self.assert_same_bits(got, clipping._evaluate(fresh, pose), pose)
+
+    @pytest.mark.parametrize("budget", [clipping._EVALUATE_BUDGET, 60], ids=["memo", "resets"])
+    def test_threads_sharing_a_mesh_get_the_bits_of_a_fresh_run(self, l_prism, budget,
+                                                                 monkeypatch):
+        # entries added and the memo started over under four threads: a
+        # thread may classify again, but never reads another pattern's entry
+        poses = pose_sweep(l_prism, np.random.default_rng(17), 40)
+        want = [clipping._evaluate(HullMesh(l_prism.vertices, l_prism.triangles), pose)
+                for pose in poses]
+        monkeypatch.setattr(clipping, "_EVALUATE_BUDGET", budget)
+        mesh = HullMesh(l_prism.vertices, l_prism.triangles)
+        wrong = []
+
+        def work(offset):
+            for i in range(200):
+                k = (offset + 7 * i) % len(poses)
+                got = clipping._evaluate(mesh, poses[k])
+                for name in INTEGRAL_FIELDS:
+                    if (np.asarray(getattr(got, name), dtype=float).tobytes()
+                            != np.asarray(getattr(want[k], name), dtype=float).tobytes()):
+                        wrong.append((name, poses[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert 0 < len(mesh._topologies) <= max(1, budget // len(mesh.triangles))

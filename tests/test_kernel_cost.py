@@ -21,7 +21,7 @@ def test_smoke_round_writes_the_report(tmp_path):
         assert key in report["machine"]
     assert set(report["results"]) == {
         f"{workload}.{metric}" for workload in ("barge", "lprism")
-        for metric in ("evaluate_us", "evaluate_many_row_us")
+        for metric in ("evaluate_us", "pose_us", "evaluate_cold_us", "evaluate_many_row_us")
     }
     for result in report["results"].values():
         for side in ("parent", "change"):

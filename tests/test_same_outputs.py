@@ -31,3 +31,18 @@ def test_an_edited_copy_differs_in_the_report_alone(tmp_path):
     result = compare(ROOT / "src", copy)
     assert result.returncode == 1, result.stdout + result.stderr
     assert result.stdout.splitlines() == ["lprism seed 1: report.json", "1 items differ"]
+
+
+def test_a_one_ulp_edit_of_the_force_gradient_is_reported(tmp_path):
+    # the pose records hold force_gradient at each of the case's poses
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    hydrostatics = copy / "floatdyn" / "hydrostatics.py"
+    text = hydrostatics.read_text()
+    entry = "        [-rg * zp, -rg * tp, -rg * pp],\n"
+    assert text.count(entry) == 1
+    hydrostatics.write_text(
+        text.replace(entry, "        [-rg * zp, -rg * tp, np.nextafter(-rg * pp, 0.0)],\n"))
+    result = compare(ROOT / "src", copy)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "lprism seed 1: pose_records.bin" in result.stdout.splitlines()

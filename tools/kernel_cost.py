@@ -22,7 +22,12 @@ through ``run.build_case``) and times, on each pose set:
 
 * ``evaluate_us``: the median of single calls of ``clipping.evaluate``,
   with the mesh's last-pose slot cleared before each, so every call runs
-  the kernel;
+  the kernel (its topology memo, where the tree has one, stays warm);
+* ``pose_us``: the median of the benchmark's pose evaluation,
+  ``hydrostatics.hydrostatic_state`` then ``hydrostatics.force_gradient``
+  at the same pose, with the slot cleared before each pair;
+* ``evaluate_cold_us``: ``evaluate_us`` with the slot and the topology
+  memo both cleared before each call, so every call classifies the faces;
 * ``evaluate_many_row_us``: the median over passes of one
   ``clipping.evaluate_many`` call on the whole pose set, per pose.
 
@@ -55,7 +60,7 @@ from machine import machine
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("barge", "lprism")
-METRICS = ("evaluate_us", "evaluate_many_row_us")
+METRICS = ("evaluate_us", "pose_us", "evaluate_cold_us", "evaluate_many_row_us")
 SEED = 1
 #: passes over each pose set per child: (full run, smoke run)
 PASSES = (9, 1)
@@ -79,7 +84,7 @@ def child(src: str, passes: int, lock_path: str) -> dict:
             sys.path[:0] = [src, str(ROOT / "bench")]
             import run
 
-            from floatdyn import clipping
+            from floatdyn import clipping, hydrostatics
             from floatdyn.kinematics import k3_body
 
             cases = {}
@@ -88,24 +93,38 @@ def child(src: str, passes: int, lock_path: str) -> dict:
                 cases[workload] = run.build_case(workload, SEED, Path(tmp) / workload)
         out = {}
         for workload, case in cases.items():
-            mesh, poses = case["mesh"], case["poses"]
+            mesh, env, poses = case["mesh"], case["env"], case["poses"]
             zeta = np.array([pose.zeta for pose in poses])
             k3 = np.array([k3_body(pose) for pose in poses])
-            single, many = [], []
+
+            def evaluate(pose):
+                clipping.evaluate(mesh, pose)
+
+            def pose_pair(pose):
+                hydrostatics.hydrostatic_state(mesh, pose, env)
+                hydrostatics.force_gradient(mesh, pose, env)
+
+            # (metric, the call timed, whether the topology memo is cleared)
+            single = [("evaluate_us", evaluate, False), ("pose_us", pose_pair, False),
+                      ("evaluate_cold_us", evaluate, True)]
+            times = {metric: [] for metric in METRICS}
             for _ in range(passes):
-                with turn(lock):
-                    for pose in poses:
-                        mesh._last_evaluation = None
-                        start = time.perf_counter_ns()
-                        clipping.evaluate(mesh, pose)
-                        single.append(time.perf_counter_ns() - start)
+                for metric, call, cold in single:
+                    with turn(lock):
+                        for pose in poses:
+                            mesh._last_evaluation = None
+                            if cold:
+                                mesh._topologies = {}
+                            start = time.perf_counter_ns()
+                            call(pose)
+                            times[metric].append(time.perf_counter_ns() - start)
                 with turn(lock):
                     start = time.perf_counter_ns()
                     clipping.evaluate_many(mesh, zeta, k3)
-                    many.append((time.perf_counter_ns() - start) / len(poses))
-            out[workload] = {"poses": len(poses),
-                             "evaluate_us": statistics.median(single) * 1e-3,
-                             "evaluate_many_row_us": statistics.median(many) * 1e-3}
+                    times["evaluate_many_row_us"].append(
+                        (time.perf_counter_ns() - start) / len(poses))
+            out[workload] = {"poses": len(poses), **{
+                metric: statistics.median(values) * 1e-3 for metric, values in times.items()}}
     return out
 
 

@@ -22,13 +22,21 @@ then runs, as ``python -m floatdyn.cli`` children:
   a full and a reduced one that add the momenta, roll and rates of
   :data:`SPIN_MOMENTA`.
 
+The child that builds the case also writes :data:`POSE_FILE`, the bytes
+of what the benchmark's pose loop reads at every pose of the case's pose
+set (:func:`pose_records`): every field of ``hydrostatic_state``, then
+``force_gradient`` and ``generalized_forces``, and the ``evaluate_many``
+rows of the same poses.  Half of the L-prism's poses put a vertex on the
+waterline, which no CLI output reaches in bulk.  The tandem's poses are
+drawn for its own mesh, every other one with a vertex on the waterline.
+
 Both trees run in one work directory per case, one after the other, so
 the paths echoed in the outputs agree; a tree runs :data:`WORKERS` of its
 commands at a time, each of which writes its own files.  The standard
 output, standard error and exit code of every command, and every file the
 case leaves in the work directory (the report, the CSVs, the ``verify``
-JSON, the clip STL, the hull STL and the configs), are compared byte for
-byte.  Each differing item is printed, and the exit code is 1 if any
+JSON, the clip STL, the hull STL, the configs and the pose records), are
+compared byte for byte.  Each differing item is printed, and the exit code is 1 if any
 differ.
 ``--smoke`` runs one case, the seed-1 L-prism.  The work is done in a
 temporary directory and the children write no bytecode, so nothing is
@@ -38,6 +46,7 @@ written into either tree.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -46,6 +55,8 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("barge", "lprism")
@@ -60,6 +71,8 @@ SPIN_MOMENTA = ([5.0, -3.0, 40.0], {"phi": 0.2, "theta_dot": 0.3, "phi_dot": -0.
 #: ``(zeta, theta, phi)`` of its clip, which cuts both
 TANDEM_SURGE = 3.4
 TANDEM_CLIP = (0.05, 0.03, 0.1)
+#: the file of :func:`pose_records` in each case's work directory
+POSE_FILE = "pose_records.bin"
 
 
 def tandem_case(run, seed: int, directory: Path) -> dict:
@@ -68,6 +81,7 @@ def tandem_case(run, seed: int, directory: Path) -> dict:
     ``x = +-TANDEM_SURGE``: one mesh of two shells."""
     from floatdyn import Pose, shapes
     from floatdyn.mesh import save_stl
+    from floatdyn.report import AnalysisConfig, load_body
 
     with tempfile.TemporaryDirectory() as tmp:
         case = run.build_case("barge", seed, Path(tmp))
@@ -78,11 +92,36 @@ def tandem_case(run, seed: int, directory: Path) -> dict:
     path = directory / "tandem.json"
     path.write_text(json.dumps({**config, "mesh_path": str(directory / "tandem.stl")}, indent=2)
                     + "\n")
-    return {**case, "dir": directory, "config": path, "clip_pose": Pose(0.0, 0.0, *TANDEM_CLIP)}
+    mesh, _, _ = load_body(AnalysisConfig.from_file(path))
+    poses = run.make_poses(mesh, np.random.default_rng([seed, 3]), len(case["poses"]), 2)
+    return {**case, "dir": directory, "config": path, "clip_pose": Pose(0.0, 0.0, *TANDEM_CLIP),
+            "mesh": mesh, "poses": poses}
 
 
-def build(src: str, workload: str, seed: int, directory: Path) -> list:
-    """Build the case with the tree at ``src``; return its CLI argument lists."""
+def pose_records(case) -> bytes:
+    """The float bits of what the benchmark's pose loop reads at each of the
+    case's poses, and of the ``evaluate_many`` rows of those poses."""
+    from floatdyn import clipping, hydrostatics
+    from floatdyn.kinematics import k3_body
+
+    mesh, env, poses = case["mesh"], case["env"], case["poses"]
+    records = []
+    for pose in poses:
+        state = hydrostatics.hydrostatic_state(mesh, pose, env)
+        plane = state.waterplane
+        records += [state.volume, state.buoyancy_center, plane.area, plane.centroid_offset,
+                    plane.second_moment, state.potential, state.forces,
+                    hydrostatics.force_gradient(mesh, pose, env),
+                    hydrostatics.generalized_forces(mesh, pose, env)]
+    batch = clipping.evaluate_many(mesh, [pose.zeta for pose in poses],
+                                   np.array([k3_body(pose) for pose in poses]))
+    records += [getattr(batch, field.name) for field in dataclasses.fields(batch)]
+    return b"".join(np.asarray(record, dtype=float).tobytes() for record in records)
+
+
+def build(src: str, workload: str, seed: int, directory: Path) -> dict:
+    """Build the case with the tree at ``src`` and write its pose records;
+    return its CLI argument lists and the number of poses."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [src, str(ROOT / "bench")]
     import run
@@ -91,6 +130,7 @@ def build(src: str, workload: str, seed: int, directory: Path) -> list:
         case = tandem_case(run, seed, directory)
     else:
         case = run.build_case(workload, seed, directory)
+    (directory / POSE_FILE).write_bytes(pose_records(case))
     commands = [argv for _, argv, _ in run.cli_commands(case)]
     verify = next(argv for argv in commands if argv[0] == "verify")
     commands.append([*verify, "--out", str(directory / "verify.json")])
@@ -108,12 +148,13 @@ def build(src: str, workload: str, seed: int, directory: Path) -> list:
         for mode in modes:
             commands.append(["simulate", "--config", str(path), "--mode", mode,
                              "--out", str(directory / f"{name}_{mode}.csv")])
-    return commands
+    return {"commands": commands, "poses": len(case["poses"])}
 
 
-def run_tree(src: Path, workload: str, seed: int, work: Path, keep: Path) -> dict:
+def run_tree(src: Path, workload: str, seed: int, work: Path, keep: Path) -> tuple[dict, int]:
     """Build and run one case with the tree at ``src`` in ``work``, then move
-    what it wrote to ``keep``; return ``(exit code, stdout, stderr)`` by command."""
+    what it wrote to ``keep``; return ``(exit code, stdout, stderr)`` by command,
+    and the number of poses of the pose records."""
     work.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     built = subprocess.run(
@@ -122,7 +163,8 @@ def run_tree(src: Path, workload: str, seed: int, work: Path, keep: Path) -> dic
     )
     if built.returncode:
         raise SystemExit(f"building {workload} seed {seed} with {src} failed:\n{built.stderr}")
-    commands = json.loads(built.stdout.splitlines()[-1])
+    case = json.loads(built.stdout.splitlines()[-1])
+    commands = case["commands"]
 
     def cli(argv):
         return subprocess.run([sys.executable, "-m", "floatdyn.cli", *argv],
@@ -135,7 +177,7 @@ def run_tree(src: Path, workload: str, seed: int, work: Path, keep: Path) -> dic
                for argv, p in zip(commands, procs)}
     keep.parent.mkdir(parents=True, exist_ok=True)
     shutil.move(work, keep)
-    return streams
+    return streams, case["poses"]
 
 
 def differences(label: str, parent: tuple, change: tuple) -> list:
@@ -184,12 +226,13 @@ def main(argv=None) -> int:
             runs = []
             for side, src in trees.items():
                 keep = Path(tmp) / side / f"{workload}-{seed}"
-                runs.append((keep, run_tree(src, workload, seed, Path(tmp) / "work", keep)))
+                streams, poses = run_tree(src, workload, seed, Path(tmp) / "work", keep)
+                runs.append((keep, streams))
             label = f"{workload} seed {seed}"
             case = differences(label, *runs)
             files, commands = len(list(runs[0][0].iterdir())), len(runs[0][1])
-            print(f"# {label}: {files} files, {commands} commands, {len(case)} differ",
-                  file=sys.stderr)
+            print(f"# {label}: {files} files, {commands} commands, {poses} poses, "
+                  f"{len(case)} differ", file=sys.stderr)
             found += case
     for item in found:
         print(item)
