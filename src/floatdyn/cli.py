@@ -210,7 +210,7 @@ def _cmd_clip(args) -> int:
     save_stl(args.out, solid.boundary_triangles(), name="submerged")
     print(
         f"wrote {args.out}: {len(solid.hull_triangles)} hull triangles, "
-        f"{len(solid.cap_polygons)} cap loop(s)"
+        f"{len(solid.cap_polygons)} cap triangles"
     )
     return EXIT_OK
 

@@ -36,18 +36,18 @@ waterline topology, the signs of its vertex depths, up to
 :data:`_EVALUATE_BUDGET` faces' worth (:func:`_wetted_sums`): a hit gives
 the bits of a miss, and a miss costs what a kernel run cost without it.
 
-:func:`clip_by_waterplane` builds the submerged boundary explicitly, the
-clipped hull triangles plus one planar cap polygon per waterline loop,
-for ``floatdyn clip`` STL export; the tests use it as an independent
-oracle for :func:`evaluate`.  Loops of either orientation (holes),
-several loops (catamaran sections) and loops touching at a vertex on the
-plane (split into simple loops) are supported; it never raises for a
-validated mesh.  Waterline crossing points are computed per mesh edge in
-canonical index order, so the two triangles sharing an edge agree
-bitwise and the cap segments match up by key.  Its integrals fan each
-loop from its first vertex, exact for non-convex loops by signed areas.
+:func:`clip_by_waterplane` builds the submerged boundary explicitly, for
+``floatdyn clip`` STL export, from the face classification of
+:func:`_topology`: the whole wet faces, the tip triangle at each lone wet
+corner and the rest of the face at each lone dry corner.  Waterline
+crossing points are computed per mesh edge in canonical index order, and a
+corner in the plane is its own crossing point, so the two faces on an edge
+agree bitwise.  The cap needs no loops: each waterline segment is fanned
+from one waterline point into a signed triangle, exact for the integrals
+whatever the waterline's topology (holes, several loops, loops touching at
+a vertex on the plane); it never raises for a validated mesh.
 
-The integrals and the explicit clip share the snap rule: vertex depths
+The integrals and the export share the snap rule: vertex depths
 within :attr:`HullMesh.snap_distance` (:data:`DEFAULT_SNAP_FRACTION` of
 the mesh diameter) of zero are snapped to exactly zero and triangles are
 then classified by their sign pattern, so coplanar faces (flat-bottomed
@@ -77,10 +77,11 @@ class SubmergedSolid:
     """Boundary of the submerged region in body coordinates.
 
     ``hull_triangles`` are the clipped wetted-surface triangles and
-    ``cap_polygons`` the waterline loops closing them, wound so their
-    outward normal is the *up* direction ``-plane_normal`` (hole loops
-    wind the other way).  Each loop is simple: loops touching at a
-    point come as separate loops sharing it.
+    ``cap_polygons`` the planar polygons closing them, whose signed areas
+    about the *up* direction ``-plane_normal`` add up to the waterplane.
+    :func:`clip_by_waterplane` gives them as triangles fanned from one
+    waterline point: on a waterline of several loops, triangles bridging
+    the loops cancel.
     ``depth(x) = plane_offset + plane_normal . x`` is positive on the
     submerged side.
     """
@@ -116,7 +117,9 @@ def _snapped_depths(mesh, offset, normal):
 
 
 def clip_by_waterplane(mesh: HullMesh, pose: Pose) -> SubmergedSolid:
-    """Split the hull at the free surface, keeping the submerged side.
+    """Split the hull at the free surface, keeping the submerged side: the
+    pieces that :func:`_topology` classifies and :func:`_wetted_sums`
+    integrates.
 
     Parameters
     ----------
@@ -134,111 +137,47 @@ def clip_by_waterplane(mesh: HullMesh, pose: Pose) -> SubmergedSolid:
         strictly fully submerged.
     """
     normal = k3_body(pose)
-    offset = pose.zeta
-    depths = _snapped_depths(mesh, offset, normal)
-    tri_d = depths[mesh.triangles]
-    any_neg = (tri_d < 0.0).any(axis=1)
-    any_pos = (tri_d > 0.0).any(axis=1)
-    n_zero = (tri_d == 0.0).sum(axis=1)
-
-    # faces with no dry vertex are kept whole; fully coplanar faces are
-    # dropped because the cap re-covers that part of the surface
-    keep = ~any_neg & (n_zero < 3)
-    crossed = any_neg & any_pos
-
-    hull_parts = [mesh.triangle_vertices[keep]]
-    # directed waterline segments: (start key, end key) -> start point
-    segments: dict[tuple, np.ndarray] = {}
-
-    def add_segment(key_a, key_b, pt_a):
-        # opposite duplicates cancel (ridges lying exactly in the plane)
-        if (key_b, key_a) in segments:
-            del segments[(key_b, key_a)]
-        else:
-            segments[(key_a, key_b)] = pt_a
-
-    # plane-resident edges of kept faces become cap boundary pieces: the
-    # edge after the face's wet vertex
-    for ti in np.nonzero(keep & (n_zero == 2))[0]:
-        k = int(np.argmax(tri_d[ti] != 0.0))
-        i, j = int(mesh.triangles[ti, (k + 1) % 3]), int(mesh.triangles[ti, (k + 2) % 3])
-        add_segment(("v", i), ("v", j), mesh.vertices[i])
-
-    verts = mesh.vertices
-    extra_tris = []
-    for ti in np.nonzero(crossed)[0]:
-        idx = mesh.triangles[ti]
-        d = tri_d[ti]
-        poly_pts, poly_keys, poly_depth = [], [], []
-        for k in range(3):
-            i, j = int(idx[k]), int(idx[(k + 1) % 3])
-            di, dj = d[k], d[(k + 1) % 3]
-            if di >= 0.0:
-                poly_pts.append(verts[i])
-                poly_keys.append(("v", i))
-                poly_depth.append(di)
-            if di * dj < 0.0:
-                # canonical index order makes both adjacent faces agree bitwise
-                a, b = min(i, j), max(i, j)
-                t = depths[a] / (depths[a] - depths[b])
-                poly_pts.append(verts[a] + t * (verts[b] - verts[a]))
-                poly_keys.append(("e", a, b))
-                poly_depth.append(0.0)
-        # a wet vertex, the crossing towards a dry one and the third
-        # vertex or its crossing: m >= 3
-        m = len(poly_pts)
-        for k in range(1, m - 1):
-            extra_tris.append((poly_pts[0], poly_pts[k], poly_pts[k + 1]))
-        for k in range(m):
-            k2 = (k + 1) % m
-            if poly_depth[k] == 0.0 and poly_depth[k2] == 0.0:
-                add_segment(poly_keys[k], poly_keys[k2], poly_pts[k])
-
-    if extra_tris:
-        hull_parts.append(np.array(extra_tris))
-    hull = np.concatenate(hull_parts)
-
-    caps = _chain_loops(segments)
-    return SubmergedSolid(hull, caps, plane_normal=normal, plane_offset=offset)
-
-
-def _chain_loops(segments) -> list[np.ndarray]:
-    """Split directed plane segments into simple closed loops, cap-oriented.
-
-    The segments are the boundary of the wetted surface, so every
-    waterline point has as many segments leaving as arriving, and a walk
-    along unused outgoing segments never gets stuck (Hierholzer, Math.
-    Ann. 6, 1873).  A point met again closes the cycle walked since its
-    first visit, so loops that touch at a point come out as separate
-    simple loops and every directed boundary edge has exactly one
-    reverse.  Face windings trace each loop counter-clockwise around the
-    *down* normal; caps must wind around the up normal, so finished
-    loops are reversed.
-    """
-    outgoing: dict[tuple, list] = {}
-    for (ka, kb), pa in segments.items():
-        outgoing.setdefault(ka, []).append((kb, pa))
-
-    loops = []
-    for start, unused in outgoing.items():
-        while unused:
-            # the open walk: path[k] is the key of point pts[k]
-            path, pts, at = [start], [], {start: 0}
-            while True:
-                key, pt = outgoing[path[-1]].pop(0)
-                pts.append(pt)
-                i = at.get(key)
-                if i is None:
-                    at[key] = len(path)
-                    path.append(key)
-                    continue
-                loops.append(np.array(pts[i:])[::-1])
-                for done in path[i + 1:]:
-                    del at[done]
-                del path[i + 1:], pts[i:]
-                if i == 0:
-                    break
-    return loops
+    depths = _snapped_depths(mesh, pose.zeta, normal)
+    signs, verts = np.sign(depths), mesh.vertices
+    whole, (tips,), tip, corners, _ = _topology(mesh, signs)
+    # the crossings on the two edges from each tip's lone corner, in
+    # canonical index order so that the faces on an edge agree bitwise; a
+    # corner in the plane is its own crossing point
+    ends = corners[:, 1:]
+    a, b = np.minimum(corners[:, :1], ends), np.maximum(corners[:, :1], ends)
+    t = (depths[a] / (depths[a] - depths[b]))[..., None]
+    p, q = np.where((depths[ends] == 0.0)[..., None], verts[ends],
+                    verts[a] + t * (verts[b] - verts[a])).transpose(1, 0, 2)
+    (c1, c2), wet, dry = verts[ends].transpose(1, 0, 2), tip > 0.0, tip < 0.0
+    kept = whole != 0.0
+    kept[tips[dry]] = False
+    hull = np.concatenate([
+        mesh.triangle_vertices[kept],
+        # the tip at a lone wet corner, the rest of the face at a lone dry one
+        np.stack([verts[corners[wet, 0]], p[wet], q[wet]], axis=1),
+        np.stack([p[dry], c1[dry], c2[dry]], axis=1),
+        np.stack([p[dry], c2[dry], q[dry]], axis=1),
+    ])
+    # the waterline segments, wound up: each tip's crossings against its
+    # face's winding, and the in-plane edge (i, j) after the wet corner of
+    # each face with two corners in the plane, where opposite edges cancel
+    faces = np.flatnonzero(_PLANE_EDGE[_sign_codes(signs, mesh.triangles)])
+    _, i, j = mesh.corner_rotations[faces, (signs[mesh.triangles[faces]] > 0.0).argmax(axis=1)].T
+    ridge = np.isin(i * len(verts) + j, j * len(verts) + i)
+    starts = np.concatenate([np.where(wet[:, None], q, p), verts[j[~ridge]]])
+    stops = np.concatenate([np.where(wet[:, None], p, q), verts[i[~ridge]]])
+    # fanned from the waterline point that most segments leave, so that where
+    # loops touch at one point no spoke repeats; the segments touching the
+    # apex span nothing
+    caps = []
+    if len(starts):
+        _, first, counts = np.unique(starts.view(np.void(24)), return_index=True,
+                                     return_counts=True)
+        apex = starts[first[counts.argmax()]]
+        far = ~((starts == apex).all(axis=1) | (stops == apex).all(axis=1))
+        starts, stops = starts[far], stops[far]
+        caps = list(np.stack([np.broadcast_to(apex, starts.shape), starts, stops], axis=1))
+    return SubmergedSolid(hull, caps, plane_normal=normal, plane_offset=pose.zeta)
 
 
 def fan_triangles(loop) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .clipping import SubmergedIntegrals, WaterplaneProperties, evaluate, evaluate_many
 from .errors import NotAnEquilibrium, ZeroVolume
-from .kinematics import Pose, depth_row, depth_rows, k3_rows
+from .kinematics import Pose, depth_row, depth_rows
 from .mesh import HullMesh
 
 
@@ -65,7 +65,7 @@ def potential(mesh: HullMesh, pose, env: FluidEnvironment):
     if isinstance(pose, Pose):
         return _potential(evaluate(mesh, pose), env)
     q = _coordinate_rows(pose)
-    return _potential(evaluate_many(mesh, q[:, 0], k3_rows(q[:, 1], q[:, 2])), env)
+    return _potential(evaluate_many(mesh, q[:, 0], depth_rows(q[:, 1], q[:, 2])[0]), env)
 
 
 def _coordinate_rows(q) -> np.ndarray:

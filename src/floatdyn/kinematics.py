@@ -21,8 +21,7 @@ One function, :func:`depth_row`, gives the depth row ``k3`` and its pitch
 and roll partials as floats, which the generalized forces and the force
 gradient contract with the submerged moments; :func:`omega_chart` puts
 them in the first columns of the angle-rate map W and its two partials,
-which feed the kinetic metric; :func:`depth_rows` stacks them, and
-:func:`k3_rows` stacks the depth rows alone.
+which feed the kinetic metric; :func:`depth_rows` stacks them.
 """
 
 from __future__ import annotations
@@ -114,14 +113,10 @@ def depth_row(theta: float, phi: float) -> tuple[tuple[float, ...], ...]:
     return _depth_row(math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi), 0.0)
 
 
-def _k3(cth, sth, cph, sph):
-    """The depth row from the sines and cosines, on floats or on arrays of them."""
-    return (-sth, cth * sph, cth * cph)
-
-
 def _depth_row(cth, sth, cph, sph, zero):
     """The formulas of :func:`depth_row`, on floats or on arrays of them."""
-    return _k3(cth, sth, cph, sph), (-cth, -sth * sph, -sth * cph), (zero, cth * cph, -cth * sph)
+    return ((-sth, cth * sph, cth * cph), (-cth, -sth * sph, -sth * cph),
+            (zero, cth * cph, -cth * sph))
 
 
 def _trig(theta, phi) -> list[np.ndarray]:
@@ -141,11 +136,6 @@ def depth_rows(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.stack(row, axis=1) for row in _depth_row(*trig, np.zeros(len(trig[0]))))
 
 
-def k3_rows(theta, phi) -> np.ndarray:
-    """The first of :func:`depth_rows`, the ``(n, 3)`` rows ``k3``, alone."""
-    return np.stack(_k3(*_trig(theta, phi)), axis=1)
-
-
 def omega_chart(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The angle-rate map W and its pitch and roll partials.
 
@@ -158,8 +148,8 @@ def omega_chart(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.nd
 
     No gimbal check; :func:`omega_map` adds it.
     """
-    (k0, k1, k2), (t0, t1, t2), (_, p1, p2) = depth_row(theta, phi)
-    cph, sph = math.cos(phi), math.sin(phi)
+    cth, sth, cph, sph = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+    (k0, k1, k2), (t0, t1, t2), (_, p1, p2) = _depth_row(cth, sth, cph, sph, 0.0)
     w = np.array([[k0, 0.0, 1.0], [k1, cph, 0.0], [k2, -sph, 0.0]])
     d_theta = np.array([[t0, 0.0, 0.0], [t1, 0.0, 0.0], [t2, 0.0, 0.0]])
     d_phi = np.array([[0.0, 0.0, 0.0], [p1, -sph, 0.0], [p2, -cph, 0.0]])
@@ -184,7 +174,7 @@ def omega_maps(theta, phi) -> np.ndarray:
     """:func:`omega_map` for arrays of angles, with its gimbal check.
 
     Returns an ``(n, 3, 3)`` array whose slice ``i`` is the map at
-    ``(theta[i], phi[i])``: the depth rows of :func:`k3_rows` and the
+    ``(theta[i], phi[i])``: the depth rows of :func:`depth_rows` and the
     sines and cosines of :mod:`math`, so the same bits.
     """
     beyond = np.flatnonzero(np.abs(theta) >= math.pi / 2 - GIMBAL_GUARD)
@@ -192,7 +182,7 @@ def omega_maps(theta, phi) -> np.ndarray:
         raise GimbalLock(f"pitch {float(theta[beyond[0]])} within guard of pi/2")
     cth, sth, cph, sph = _trig(theta, phi)
     w = np.zeros((len(cph), 3, 3))
-    w[:, 0, 0], w[:, 1, 0], w[:, 2, 0] = _k3(cth, sth, cph, sph)
+    w[:, 0, 0], w[:, 1, 0], w[:, 2, 0] = _depth_row(cth, sth, cph, sph, 0.0)[0]
     w[:, 0, 2] = 1.0
     w[:, 1, 1], w[:, 2, 1] = cph, -sph
     return w

@@ -3,7 +3,7 @@ import pytest
 
 import floatdyn as fd
 from floatdyn import shapes
-from helpers import random_convex_mesh
+from helpers import explicit_clip, random_convex_mesh
 
 RHO = 1000.0
 G = 9.81
@@ -90,7 +90,7 @@ def raked_prism(env):
     )
     base = shapes.extrude_polygon(section, 1.0)
     zeta0 = 0.05
-    solid = fd.clip_by_waterplane(base, fd.Pose(zeta=zeta0))
+    solid = explicit_clip(base, fd.Pose(zeta=zeta0))
     volume, first = fd.volume_and_first_moments(solid)
     # a horizontal shift leaves the level clip unchanged, so one shot
     # puts the buoyancy center exactly under the origin

@@ -1,16 +1,17 @@
-"""Checks on clipped solids shared by the clipping, hydrostatics and CLI
-tests, the clip-side oracle of the equilibrium Hessian, and the reference
-quantities the tests compare the package with: the Lagrangian, the cyclic
-momenta, the Routhian and the generic Schur complement and cyclic-rate
-solve, the buoyant force and torque, and the closed-form small
-oscillations, the shoelace moments of a 2D polygon, and the Monte-Carlo
-oracle for the clipped volume and first moments: parity ray-cast
-containment and a rejection sampler, which share no code with the
-kernel.  Also malformed copies of a cube's OBJ and ASCII STL files,
-copies whose faces fail validation in all three formats, the per-facet
-encoder of binary STL that ``save_stl`` must match byte for byte, the
-two-hull meshes, and the convex-hull meshes, whose triangulation needs
-SciPy: the tests on them skip without it."""
+"""The explicit clipper, the independent oracle of the wetted-face
+integrals and of the clip export; checks on clipped solids shared by the
+clipping, hydrostatics and CLI tests, the clip-side oracle of the
+equilibrium Hessian, and the reference quantities the tests compare the
+package with: the Lagrangian, the cyclic momenta, the Routhian and the
+generic Schur complement and cyclic-rate solve, the buoyant force and
+torque, and the closed-form small oscillations, the shoelace moments of
+a 2D polygon, and the Monte-Carlo oracle for the clipped volume and
+first moments: parity ray-cast containment and a rejection sampler,
+which share no code with the kernel.  Also malformed copies of a cube's
+OBJ and ASCII STL files, copies whose faces fail validation in all three
+formats, the per-facet encoder of binary STL that ``save_stl`` must
+match byte for byte, the two-hull meshes, and the convex-hull meshes,
+whose triangulation needs SciPy: the tests on them skip without it."""
 
 import struct
 from dataclasses import dataclass
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from floatdyn import (
-    HullMesh, ModalResult, Pose, clip_by_waterplane, kinetic_metric, potential,
+    HullMesh, ModalResult, Pose, SubmergedSolid, kinetic_metric, potential,
     volume_and_first_moments, waterplane_properties,
 )
-from floatdyn.clipping import cap_raw_moments, evaluate
+from floatdyn.clipping import _snapped_depths, cap_raw_moments, evaluate
 from floatdyn.errors import InvalidMesh, NonWatertightMesh
 from floatdyn.kinematics import CYCLIC, NONCYCLIC, depth_row, k3_body, rotation_matrix
 from floatdyn.mesh import _RAY_DIRECTION, _check_edges, _ray_parity
@@ -60,6 +61,135 @@ def flipped_roll(pose):
     """The down axis at the opposite roll: a wrong attitude convention for
     ``clipping.k3_body``, which the planar-invariance checks must catch."""
     return np.array(depth_row(pose.theta, -pose.phi)[0])
+
+
+def explicit_clip(mesh: HullMesh, pose: Pose) -> SubmergedSolid:
+    """Split the hull at the free surface, keeping the submerged side: an
+    explicit clipper that shares no classification with ``evaluate``, the
+    independent oracle of the wetted-face integrals and of
+    ``clip_by_waterplane``.  Its caps are the waterline loops, each simple.
+
+    Parameters
+    ----------
+    mesh : HullMesh
+        Validated watertight hull.
+    pose : Pose
+        Current configuration; only ``zeta``, ``theta`` and ``phi``
+        enter (horizontal position and yaw do not move the plane in
+        body coordinates).
+
+    Returns
+    -------
+    SubmergedSolid
+        Empty when fully emerged; the whole mesh with no caps when
+        strictly fully submerged.
+    """
+    normal = k3_body(pose)
+    offset = pose.zeta
+    depths = _snapped_depths(mesh, offset, normal)
+    tri_d = depths[mesh.triangles]
+    any_neg = (tri_d < 0.0).any(axis=1)
+    any_pos = (tri_d > 0.0).any(axis=1)
+    n_zero = (tri_d == 0.0).sum(axis=1)
+
+    # faces with no dry vertex are kept whole; fully coplanar faces are
+    # dropped because the cap re-covers that part of the surface
+    keep = ~any_neg & (n_zero < 3)
+    crossed = any_neg & any_pos
+
+    hull_parts = [mesh.triangle_vertices[keep]]
+    # directed waterline segments: (start key, end key) -> start point
+    segments: dict[tuple, np.ndarray] = {}
+
+    def add_segment(key_a, key_b, pt_a):
+        # opposite duplicates cancel (ridges lying exactly in the plane)
+        if (key_b, key_a) in segments:
+            del segments[(key_b, key_a)]
+        else:
+            segments[(key_a, key_b)] = pt_a
+
+    # plane-resident edges of kept faces become cap boundary pieces: the
+    # edge after the face's wet vertex
+    for ti in np.nonzero(keep & (n_zero == 2))[0]:
+        k = int(np.argmax(tri_d[ti] != 0.0))
+        i, j = int(mesh.triangles[ti, (k + 1) % 3]), int(mesh.triangles[ti, (k + 2) % 3])
+        add_segment(("v", i), ("v", j), mesh.vertices[i])
+
+    verts = mesh.vertices
+    extra_tris = []
+    for ti in np.nonzero(crossed)[0]:
+        idx = mesh.triangles[ti]
+        d = tri_d[ti]
+        poly_pts, poly_keys, poly_depth = [], [], []
+        for k in range(3):
+            i, j = int(idx[k]), int(idx[(k + 1) % 3])
+            di, dj = d[k], d[(k + 1) % 3]
+            if di >= 0.0:
+                poly_pts.append(verts[i])
+                poly_keys.append(("v", i))
+                poly_depth.append(di)
+            if di * dj < 0.0:
+                # canonical index order makes both adjacent faces agree bitwise
+                a, b = min(i, j), max(i, j)
+                t = depths[a] / (depths[a] - depths[b])
+                poly_pts.append(verts[a] + t * (verts[b] - verts[a]))
+                poly_keys.append(("e", a, b))
+                poly_depth.append(0.0)
+        # a wet vertex, the crossing towards a dry one and the third
+        # vertex or its crossing: m >= 3
+        m = len(poly_pts)
+        for k in range(1, m - 1):
+            extra_tris.append((poly_pts[0], poly_pts[k], poly_pts[k + 1]))
+        for k in range(m):
+            k2 = (k + 1) % m
+            if poly_depth[k] == 0.0 and poly_depth[k2] == 0.0:
+                add_segment(poly_keys[k], poly_keys[k2], poly_pts[k])
+
+    if extra_tris:
+        hull_parts.append(np.array(extra_tris))
+    hull = np.concatenate(hull_parts)
+
+    caps = _chain_loops(segments)
+    return SubmergedSolid(hull, caps, plane_normal=normal, plane_offset=offset)
+
+
+def _chain_loops(segments) -> list[np.ndarray]:
+    """Split directed plane segments into simple closed loops, cap-oriented.
+
+    The segments are the boundary of the wetted surface, so every
+    waterline point has as many segments leaving as arriving, and a walk
+    along unused outgoing segments never gets stuck (Hierholzer, Math.
+    Ann. 6, 1873).  A point met again closes the cycle walked since its
+    first visit, so loops that touch at a point come out as separate
+    simple loops and every directed boundary edge has exactly one
+    reverse.  Face windings trace each loop counter-clockwise around the
+    *down* normal; caps must wind around the up normal, so finished
+    loops are reversed.
+    """
+    outgoing: dict[tuple, list] = {}
+    for (ka, kb), pa in segments.items():
+        outgoing.setdefault(ka, []).append((kb, pa))
+
+    loops = []
+    for start, unused in outgoing.items():
+        while unused:
+            # the open walk: path[k] is the key of point pts[k]
+            path, pts, at = [start], [], {start: 0}
+            while True:
+                key, pt = outgoing[path[-1]].pop(0)
+                pts.append(pt)
+                i = at.get(key)
+                if i is None:
+                    at[key] = len(path)
+                    path.append(key)
+                    continue
+                loops.append(np.array(pts[i:])[::-1])
+                for done in path[i + 1:]:
+                    del at[done]
+                del path[i + 1:], pts[i:]
+                if i == 0:
+                    break
+    return loops
 
 
 def touching_loops(solid):
@@ -104,7 +234,7 @@ def textbook_hessian(mesh, pose, env):
 
     from the clipped solid, its waterplane and its volume integrals: a
     route that shares no code with ``evaluate``.  The zeros are exact."""
-    solid = clip_by_waterplane(mesh, pose)
+    solid = explicit_clip(mesh, pose)
     volume, first = volume_and_first_moments(solid)
     wp = waterplane_properties(solid)
     area, x_c, second = wp.area, wp.x_c, wp.second_moment
@@ -122,7 +252,7 @@ def clipped_surface_term(mesh, pose, origin_offset=0.0):
     with ``evaluate``, whose cap moments are fixed by closure.  With the
     origin on the surface every cap point has zero depth and so does the
     term (to roundoff).  Bare, in m^4."""
-    solid = clip_by_waterplane(mesh, pose)
+    solid = explicit_clip(mesh, pose)
     area, first, second = cap_raw_moments(solid)
     c = solid.plane_offset - origin_offset
     n = solid.plane_normal

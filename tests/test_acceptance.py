@@ -50,8 +50,8 @@ from floatdyn.verification import (
     random_partial_poses,
 )
 from helpers import (
-    SubmergedMonteCarlo, clipped_surface_term, conserved_momenta, linearized_prediction,
-    textbook_hessian,
+    SubmergedMonteCarlo, clipped_surface_term, conserved_momenta, explicit_clip,
+    linearized_prediction, textbook_hessian,
 )
 
 RHO = 1000.0
@@ -98,7 +98,7 @@ def test_criterion_2_waterplane_term_identity(cube, env):
         assert abs(clipped_surface_term(cube, pose)) < 1e-12 * scale4
         # volume+surface form of the force function against the compact
         # volume-only form, fixed origin on the free surface
-        solid = clip_by_waterplane(cube, pose)
+        solid = explicit_clip(cube, pose)
         volume, first = volume_and_first_moments(solid)
         depth_integral = volume * pose.zeta + solid.plane_normal @ first
         full_form = rg * (-depth_integral + clipped_surface_term(cube, pose))
@@ -164,7 +164,7 @@ def test_criterion_4_metacentric_oracle(cube, barge, env, barge_setup):
     assert barge_report.pseudo_stable
 
     cube_pose = Pose(zeta=0.0)
-    cube_solid = clip_by_waterplane(cube, cube_pose)
+    cube_solid = explicit_clip(cube, cube_pose)
     cube_volume, cube_first = volume_and_first_moments(cube_solid)
     cube_wp = waterplane_properties(cube_solid)
     cube_gm_t, _ = metacentric_heights(

@@ -7,15 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from floatdyn import Pose, Report, clip_by_waterplane, save_stl, shapes
+from floatdyn import Pose, Report, save_stl, shapes
 from floatdyn.cli import main
 from floatdyn.clipping import evaluate
 from floatdyn.mesh import MAX_OFFSET, _parse_stl_binary, load_stl
 from floatdyn.report import AnalysisConfig, load_body, run_analysis
 from floatdyn.errors import ConfigError, GimbalLock
 from helpers import (
-    EMPTY_MESHES, MALFORMED_RECORDS, TWO_HULLS, UNSOUND_MESHES, random_convex_mesh,
-    touching_loops, two_barges, vertex_on_plane_poses,
+    EMPTY_MESHES, MALFORMED_RECORDS, TWO_HULLS, UNSOUND_MESHES, explicit_clip,
+    random_convex_mesh, touching_loops, two_barges, vertex_on_plane_poses,
 )
 
 
@@ -1303,7 +1303,7 @@ class TestClip:
                      "--pose", "0.1,0.2,0.05"])
         assert code == 0
         assert out.exists()
-        assert "cap loop" in capsys.readouterr().out
+        assert "cap triangles" in capsys.readouterr().out
 
     def test_touching_waterline_loops_export(self, tmp_path, capsys):
         # a vertex on the plane pinching the waterline into loops that
@@ -1317,7 +1317,7 @@ class TestClip:
         mesh, _, _ = load_body(AnalysisConfig.from_file(config))
         pose = next(
             p for p in vertex_on_plane_poses(mesh, np.random.default_rng(12), 240)
-            if touching_loops(clip_by_waterplane(mesh, p))
+            if touching_loops(explicit_clip(mesh, p))
         )
         out = tmp_path / "clip.stl"
         code = main(["clip", "--config", str(config), "--out", str(out),
@@ -1327,6 +1327,38 @@ class TestClip:
         volume = np.einsum("ij,ij->i", tris[:, 0], np.cross(tris[:, 1], tris[:, 2])).sum() / 6
         # the STL stores single precision
         assert volume == pytest.approx(evaluate(mesh, pose).volume, rel=1e-6)
+
+    @pytest.mark.parametrize("hull", ["barge", "lprism"])
+    def test_stl_volume_is_the_kernels(self, hull, tmp_path, capsys):
+        # the benchmark's clip check: the signed volume of the STL as
+        # written, in single precision, against evaluate's, at pierced
+        # poses and at poses with a vertex on the plane
+        mesh = (shapes.box(2.0, 1.0, 0.5) if hull == "barge" else
+                shapes.l_prism(outer=(1.0, 1.0), notch=(0.5, 0.5), length=1.0,
+                               jitter=0.02, seed=11))
+        save_stl(tmp_path / "hull.stl", mesh)
+        config = tmp_path / "hull.json"
+        config.write_text(json.dumps({"mesh_path": str(tmp_path / "hull.stl"),
+                                      "uniform_density": 600.0}))
+        mesh, _, _ = load_body(AnalysisConfig.from_file(config))
+        rng = np.random.default_rng(5)
+        poses = [*vertex_on_plane_poses(mesh, rng, 8),
+                 *(Pose(zeta=float(z), theta=0.2, phi=-0.1) for z in rng.uniform(-0.2, 0.2, 6))]
+        out = tmp_path / "clip.stl"
+        # a lowest vertex on the plane leaves nothing to export
+        for pose in (p for p in poses if evaluate(mesh, p).volume > 0.0):
+            assert main(["clip", "--config", str(config), "--out", str(out),
+                         f"--pose={pose.zeta!r},{pose.theta!r},{pose.phi!r}"]) == 0
+            raw = out.read_bytes()
+            count = int.from_bytes(raw[80:84], "little")
+            tris = _parse_stl_binary(raw, count)
+            volume = np.einsum("ij,ij->i", tris[:, 0], np.cross(tris[:, 1], tris[:, 2])).sum() / 6
+            assert volume == pytest.approx(evaluate(mesh, pose).volume, rel=1e-6)
+            hull_count, cap_count = map(int, re.fullmatch(
+                rf"wrote {re.escape(str(out))}: (\d+) hull triangles, (\d+) cap triangles\n",
+                capsys.readouterr().out).groups())
+            # save_stl drops the zero-area fan triangles over collinear segments
+            assert hull_count <= count <= hull_count + cap_count
 
     @pytest.mark.parametrize("theta", [np.pi / 2, 2.0])
     def test_pitch_at_and_past_the_pole_exports(self, barge_config, tmp_path, capsys, theta):

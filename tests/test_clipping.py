@@ -28,8 +28,10 @@ from helpers import (
     SubmergedMonteCarlo,
     assert_clip_matches_evaluate,
     assert_edges_paired,
+    explicit_clip,
     flipped_roll,
     touching_loops,
+    two_barges,
     vertex_on_plane_poses,
 )
 
@@ -50,7 +52,7 @@ def slab_oracle(zeta):
 
 class TestClipExamples:
     def test_half_submerged_cube(self, cube):
-        solid = clip_by_waterplane(cube, Pose(zeta=0.0))
+        solid = explicit_clip(cube, Pose(zeta=0.0))
         assert len(solid.cap_polygons) == 1
         cap = solid.cap_polygons[0]
         assert np.allclose(cap[:, 2], 0.0)
@@ -91,7 +93,7 @@ class TestClipExamples:
 
     def test_submerged_to_the_brim(self, cube):
         # deck exactly in the surface: coplanar top face becomes the cap
-        solid = clip_by_waterplane(cube, Pose(zeta=0.5))
+        solid = explicit_clip(cube, Pose(zeta=0.5))
         volume, _ = volume_and_first_moments(solid)
         assert volume == pytest.approx(1.0, abs=1e-13)
         assert len(solid.cap_polygons) == 1
@@ -104,7 +106,7 @@ class TestSubmergedSolidInvariants:
     def test_closure_and_plane_residency(self, mesh_name, request, rng):
         mesh = request.getfixturevalue(mesh_name)
         for pose in random_partial_poses(mesh, 25, rng):
-            solid = clip_by_waterplane(mesh, pose)
+            solid = explicit_clip(mesh, pose)
             assert_edges_paired(solid)
             snap = 1e-10 * mesh.diameter
             for loop in solid.cap_polygons:
@@ -182,7 +184,7 @@ class TestMultipleLoops:
         cat = catamaran_prism()
         # waterline halfway up the legs: the section is two disjoint strips
         zeta = -(float(cat.bbox[1][2]) - 0.3)
-        solid = clip_by_waterplane(cat, Pose(zeta=zeta))
+        solid = explicit_clip(cat, Pose(zeta=zeta))
         assert len(solid.cap_polygons) == 2
         wp = waterplane_properties(solid)
         assert wp.area == pytest.approx(2 * 0.3 * 1.0, rel=1e-12)
@@ -190,7 +192,7 @@ class TestMultipleLoops:
     def test_two_loop_volume_against_monte_carlo(self, rng):
         cat = catamaran_prism()
         pose = Pose(zeta=-(float(cat.bbox[1][2]) - 0.3), theta=0.04)
-        solid = clip_by_waterplane(cat, pose)
+        solid = explicit_clip(cat, pose)
         assert len(solid.cap_polygons) == 2
         volume, first = volume_and_first_moments(solid)
         v_hat, v_sig, m_hat, m_sig = SubmergedMonteCarlo(cat, 200_000, rng).estimate(pose)
@@ -276,15 +278,15 @@ class TestVertexExactPlanes:
             normal = k3_body(Pose(theta=theta, phi=phi))
             zeta = float(-mesh.vertices[vid] @ normal)
             pose = Pose(zeta=zeta, theta=theta, phi=phi)
-            solid = clip_by_waterplane(mesh, pose)
+            solid = explicit_clip(mesh, pose)
             assert_edges_paired(solid)
             volume, _ = volume_and_first_moments(solid)
             eps = 1e-7 * mesh.diameter
             v_lo, _ = volume_and_first_moments(
-                clip_by_waterplane(mesh, pose.replace(zeta=zeta - eps))
+                explicit_clip(mesh, pose.replace(zeta=zeta - eps))
             )
             v_hi, _ = volume_and_first_moments(
-                clip_by_waterplane(mesh, pose.replace(zeta=zeta + eps))
+                explicit_clip(mesh, pose.replace(zeta=zeta + eps))
             )
             assert v_lo - 1e-12 <= volume <= v_hi + 1e-12
             assert v_hi - v_lo < 1e-5 * max(mesh.volume, 1.0)
@@ -297,7 +299,7 @@ class TestVertexExactPlanes:
         mesh = request.getfixturevalue(mesh_name)
         touching = 0
         for pose in vertex_on_plane_poses(mesh, np.random.default_rng(0), 2000):
-            solid = clip_by_waterplane(mesh, pose)
+            solid = explicit_clip(mesh, pose)
             assert_edges_paired(solid)
             assert_clip_matches_evaluate(mesh, pose, solid)
             touching += touching_loops(solid)
@@ -359,7 +361,7 @@ class TestWettedSurfaceEvaluator:
         # hull triangles plus chained, fanned cap loops
         mesh = request.getfixturevalue(mesh_name)
         kind, pose = data.draw(waterplane_poses(mesh))
-        solid = clip_by_waterplane(mesh, pose)
+        solid = explicit_clip(mesh, pose)
         volume, first = volume_and_first_moments(solid)
         area, cap_first, cap_second = cap_raw_moments(solid)
         got = evaluate(mesh, pose)
@@ -421,7 +423,7 @@ class TestSignCodes:
     def test_barge_faces_in_the_plane_and_off_it(self, barge, pose):
         # the deck or the bottom in the plane, a heeled deck edge on it,
         # and no waterline at all
-        assert_clip_matches_evaluate(barge, pose, clip_by_waterplane(barge, pose))
+        assert_clip_matches_evaluate(barge, pose, explicit_clip(barge, pose))
 
     def test_face_table_is_built_at_the_first_evaluation(self, tmp_path):
         mesh = shapes.box(2.0, 1.0, 0.5)
@@ -768,3 +770,73 @@ class TestTopologyMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
         assert 0 < len(mesh._topologies) <= max(1, budget // len(mesh.triangles))
+
+
+def ridge_prism():
+    """Prism whose section has two legs standing up and a peak between
+    them at height 1: at ``Pose(zeta=1.0)`` the peak's ridge lies in the
+    plane with wet faces on both sides, and the legs cut a waterplane of
+    two unit-long strips 0.5 wide.  ``x3`` points down."""
+    up = [(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (3.5, 2.0), (3.5, 0.5), (2.0, 1.0),
+          (0.5, 0.5), (0.5, 2.0), (0.0, 2.0)]
+    return shapes.extrude_polygon([(x, -h) for x, h in up], 1.0)
+
+
+class TestExport:
+    """``clip_by_waterplane`` exports the pieces the kernel classified: a
+    closed boundary with the integrals of ``evaluate``."""
+
+    @pytest.mark.parametrize("mesh_name",
+                             ["barge", "l_prism", "wedge", "cube", "tandem", "catamaran"])
+    def test_sweep_is_closed_and_matches_evaluate(self, mesh_name, request):
+        # vertices on the plane, pierced, fully submerged and fully emerged
+        # poses, then level poses with faces in the plane
+        mesh = (two_barges(mesh_name) if mesh_name in ("tandem", "catamaran")
+                else request.getfixturevalue(mesh_name))
+        poses = pose_sweep(mesh, np.random.default_rng(41), 80)
+        poses += list(vertex_on_plane_poses(mesh, np.random.default_rng(42), 40))
+        for pose in poses:
+            solid = clip_by_waterplane(mesh, pose)
+            depths = pose.zeta + mesh.vertices @ k3_body(pose)
+            if (depths < 0.0).all():
+                assert solid.is_empty, pose
+                continue
+            assert_edges_paired(solid)
+            assert_clip_matches_evaluate(mesh, pose, solid)
+            if (depths > 0.0).all():
+                assert len(solid.hull_triangles) == len(mesh.triangles)
+                assert not solid.cap_polygons, pose
+            for tri in solid.cap_polygons:
+                assert tri.shape == (3, 3)
+                assert np.abs(solid.plane_offset + tri @ solid.plane_normal).max() <= (
+                    1e-12 * mesh.diameter)
+
+    def test_touching_loops_share_the_apex(self, l_prism):
+        # where the waterline loops touch, every cap triangle is fanned
+        # from the touching point, so no spoke repeats
+        touching = 0
+        for pose in vertex_on_plane_poses(l_prism, np.random.default_rng(0), 400):
+            loops = explicit_clip(l_prism, pose)
+            if not touching_loops(loops):
+                continue
+            touching += 1
+            points = np.concatenate(loops.cap_polygons)
+            keys, counts = np.unique(points.view(np.void(24))[:, 0], return_counts=True)
+            (pinch,) = keys[counts > 1]
+            solid = clip_by_waterplane(l_prism, pose)
+            assert_edges_paired(solid)
+            assert all(tri[0].tobytes() == pinch.tobytes() for tri in solid.cap_polygons)
+        assert touching >= 5
+
+    def test_in_plane_ridge_cancels(self):
+        mesh = ridge_prism()
+        pose = Pose(zeta=1.0)
+        ridge = mesh.vertices[mesh.vertices[:, 2] == -1.0]
+        assert len(ridge) == 2
+        for clip in (clip_by_waterplane, explicit_clip):
+            solid = clip(mesh, pose)
+            assert_edges_paired(solid)
+            assert_clip_matches_evaluate(mesh, pose, solid)
+            assert waterplane_properties(solid).area == pytest.approx(1.0, rel=1e-14)
+            caps = np.concatenate(solid.cap_polygons).reshape(-1, 3)
+            assert not (caps[:, None, :] == ridge[None]).all(axis=2).any()

@@ -7,7 +7,6 @@ import pytest
 import floatdyn as fd
 from floatdyn import (
     Pose,
-    clip_by_waterplane,
     force_gradient,
     generalized_forces,
     hessian_at_equilibrium,
@@ -27,6 +26,7 @@ from helpers import (
     assert_clip_matches_evaluate,
     buoyant_force_torque,
     clipped_surface_term,
+    explicit_clip,
     textbook_hessian,
     touching_loops,
     vertex_on_plane_poses,
@@ -83,11 +83,11 @@ class TestSurfaceTerm:
         intact = [abs(clipped_surface_term(cube, pose)) for pose in poses]
 
         def shifted_clip(mesh, pose):
-            solid = clip_by_waterplane(mesh, pose)
+            solid = explicit_clip(mesh, pose)
             loops = [loop + shift * solid.plane_normal for loop in solid.cap_polygons]
             return replace(solid, cap_polygons=loops)
 
-        monkeypatch.setattr(helpers, "clip_by_waterplane", shifted_clip)
+        monkeypatch.setattr(helpers, "explicit_clip", shifted_clip)
         shifted = [abs(clipped_surface_term(cube, pose)) for pose in poses]
         assert max(intact) <= 1e-12 * scale4
         assert min(shifted) >= 1e-9 * scale4
@@ -105,7 +105,7 @@ class TestSurfaceTerm:
         h = 0.23
         rg = env.rho * env.g
         for pose in random_partial_poses(cube, 10, rng):
-            solid = clip_by_waterplane(cube, pose)
+            solid = explicit_clip(cube, pose)
             volume, first = volume_and_first_moments(solid)
             area = waterplane_properties(solid).area
             compact = potential(cube, pose, env)
@@ -135,7 +135,7 @@ class TestGeneralizedForces:
     def test_matches_trigonometric_moment_integrals(self, l_prism, env, rng):
         # pitch / roll entries written out with explicit trigonometry
         for pose in random_partial_poses(l_prism, 15, rng):
-            solid = clip_by_waterplane(l_prism, pose)
+            solid = explicit_clip(l_prism, pose)
             _, m = volume_and_first_moments(solid)
             cth, sth = math.cos(pose.theta), math.sin(pose.theta)
             cph, sph = math.cos(pose.phi), math.sin(pose.phi)
@@ -283,7 +283,7 @@ def _half_density_equilibrium_pose(mesh, env):
 
 class TestMetacentricHeights:
     def test_half_density_cube_is_the_classic_negative(self, cube, env):
-        solid = clip_by_waterplane(cube, Pose(zeta=0.0))
+        solid = explicit_clip(cube, Pose(zeta=0.0))
         volume, first = volume_and_first_moments(solid)
         wp = waterplane_properties(solid)
         gm_t, gm_l = metacentric_heights(volume, first[2] / volume, wp.second_moment)
@@ -297,7 +297,7 @@ class TestMetacentricHeights:
         bm_t = length * beam**3 / 12.0 / (length * beam * draft)
         bm_l = beam * length**3 / 12.0 / (length * beam * draft)
         kg = height / 2.0
-        solid = clip_by_waterplane(barge, Pose(zeta=0.0))
+        solid = explicit_clip(barge, Pose(zeta=0.0))
         volume, first = volume_and_first_moments(solid)
         wp = waterplane_properties(solid)
         gm_t, gm_l = metacentric_heights(volume, first[2] / volume, wp.second_moment)
@@ -307,7 +307,7 @@ class TestMetacentricHeights:
     def test_square_section_makes_them_equal(self, env):
         # four-fold symmetry: S11 == S22 so both heights coincide
         mesh = fd.shapes.box(1.0, 1.0, 0.5)
-        solid = clip_by_waterplane(mesh, Pose(zeta=0.1))
+        solid = explicit_clip(mesh, Pose(zeta=0.1))
         volume, first = volume_and_first_moments(solid)
         wp = waterplane_properties(solid)
         gm_t, gm_l = metacentric_heights(volume, first[2] / volume, wp.second_moment)
@@ -320,7 +320,7 @@ class TestMetacentricHeights:
 
 class TestPseudoStability:
     def _report(self, mesh, env, pose=Pose(zeta=0.0)):
-        solid = clip_by_waterplane(mesh, pose)
+        solid = explicit_clip(mesh, pose)
         volume, first = volume_and_first_moments(solid)
         wp = waterplane_properties(solid)
         hessian = hessian_at_equilibrium(mesh, pose, env)
@@ -356,7 +356,7 @@ class TestPseudoStability:
         # at the upright equilibrium of a symmetric hull the Hessian pivots
         # are S22 - V z_B and S11 - V z_B - A x_C^2
         for mesh in (cube, barge):
-            solid = clip_by_waterplane(mesh, Pose(zeta=0.0))
+            solid = explicit_clip(mesh, Pose(zeta=0.0))
             _, first = volume_and_first_moments(solid)
             wp = waterplane_properties(solid)
             s = wp.second_moment
@@ -406,7 +406,7 @@ class TestOffsetFloatingCenter:
         forces = generalized_forces(mesh, pose, env)
         assert abs(body.mass * env.g + forces[0]) < 1e-9 * body.mass * env.g
         assert abs(forces[1]) < 1e-9 * body.mass * env.g
-        wp = waterplane_properties(clip_by_waterplane(mesh, pose))
+        wp = waterplane_properties(explicit_clip(mesh, pose))
         assert abs(wp.x_c) > 0.05  # genuinely offset
 
     def test_coupling_entry_sign_against_force_gradient(self, raked_prism, env):
@@ -414,7 +414,7 @@ class TestOffsetFloatingCenter:
         closed = textbook_hessian(mesh, pose, env)
         general = hessian_at_equilibrium(mesh, pose, env)
         assert np.abs(closed - general).max() <= 1e-8 * np.abs(closed).max()
-        wp = waterplane_properties(clip_by_waterplane(mesh, pose))
+        wp = waterplane_properties(explicit_clip(mesh, pose))
         assert general[0, 1] == pytest.approx(
             env.rho * env.g * wp.area * wp.x_c, rel=1e-12
         )
@@ -430,7 +430,7 @@ class TestOffsetFloatingCenter:
 
     def test_stability_margin_carries_the_offset_penalty(self, raked_prism, env):
         mesh, pose, body = raked_prism
-        solid = clip_by_waterplane(mesh, pose)
+        solid = explicit_clip(mesh, pose)
         volume, first = volume_and_first_moments(solid)
         wp = waterplane_properties(solid)
         hessian = hessian_at_equilibrium(mesh, pose, env)
@@ -454,7 +454,7 @@ class TestSmallHeelRestoringMoment:
         # classic relation: near upright equilibrium the restoring heel
         # moment is -(displacement * GM_T) per radian; the left side comes
         # from clipped-moment finite differences only
-        solid = clip_by_waterplane(barge, Pose(zeta=0.0))
+        solid = explicit_clip(barge, Pose(zeta=0.0))
         volume, first = volume_and_first_moments(solid)
         wp = waterplane_properties(solid)
         gm_t, gm_l = metacentric_heights(volume, first[2] / volume, wp.second_moment)
@@ -559,7 +559,7 @@ class TestNonManifoldWaterline:
         eps = 1e-7 * l_prism.diameter
         found = 0
         for pose in vertex_on_plane_poses(l_prism, np.random.default_rng(12), 240):
-            solid = clip_by_waterplane(l_prism, pose)
+            solid = explicit_clip(l_prism, pose)
             if not touching_loops(solid):
                 continue
             found += 1

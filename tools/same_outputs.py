@@ -11,8 +11,8 @@ tree builds the case through ``run.build_case`` (``bench`` imported
 read-only, as ``tools/kernel_cost.py`` does), which writes the hull STL
 and the config.  One more case, the tandem of the first seed, is the
 barge case with two barges in one mesh (:func:`tandem_case`): the bench
-hulls are single shells, so only it reaches two cap loops in ``clip``,
-the overlap check of two shells and ``verify`` on such a hull.  The tree
+hulls are single shells, so only it reaches a waterline of two loops in
+``clip``, the overlap check of two shells and ``verify`` on such a hull.  The tree
 then runs, as ``python -m floatdyn.cli`` children:
 
 * every subcommand of ``run.cli_commands``, and ``verify`` once more
